@@ -7,7 +7,23 @@ For each dimension m the leading approximant coefficients are
 
 and, for a function with the right large-x behaviour, q0(m) -> q0 and
 q1(m) -> q1 with f(x) = q0 + q1/x + O(1/x**2).  Only these two rows are
-evaluated here (each row costs O(m), the whole table O(m_max**2)).
+evaluated here.
+
+Exact series go through one integer kernel.  Over the common denominator
+D of c_0..c_M the coefficients become integers a_n = D*c_n, and q0 is
+their binomial transform A(m) = sum_n C(m,n) a_n = D*q0(m).  One pass of
+adjacent additions s[i] + s[i+1] turns the vector sum_j C(m,j) a_{i+j}
+into the same vector for m+1, so s[0] after m passes is A(m) and the
+whole table costs M passes, O(M**2) big-integer additions with no
+binomial and no rational in the loop.  q1 comes off the same transform:
+the hockey-stick identity C(m,n+1) = sum_{k<m} C(k,n) gives
+
+    D*q1(m) = sum_{k<m} A(k) - m*A(m),
+
+so it needs only a running prefix sum of A.  Values become ``Scalar``
+only when a row is built.  Float series keep the literal per-row sums of
+m+1 binomial-weighted terms, so their rounding and the cancellation
+warning are those of the formulas above.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -20,8 +36,11 @@ run it on the emitted table.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
 from .scalar import CancellationWarning, Scalar, binom, cancellation_bits, cancellation_hazard
@@ -71,13 +90,39 @@ def _q1_row(c: tuple[Scalar, ...], m: int) -> Scalar:
     return acc
 
 
+def _exact_rows(c: tuple[Scalar, ...], m_max: int) -> list[ConvergenceRow]:
+    """Rows of an exact series by the integer binomial-transform kernel."""
+    fracs = [x.value for x in c[:m_max + 1]]
+    den = math.lcm(*(f.denominator for f in fracs))
+    s = [f.numerator * (den // f.denominator) for f in fracs]
+
+    def exact(num: int) -> Scalar:
+        return Scalar(Fraction(num, den), True)
+
+    prev0, prev1 = s[0], None
+    prefix = s[0]  # sum of A(k) over k < m
+    rows = [ConvergenceRow(0, exact(s[0]), None, None, None)]
+    for m in range(1, m_max + 1):
+        s = list(map(operator.add, s, s[1:]))
+        a = s[0]
+        n1 = prefix - m * a
+        rows.append(ConvergenceRow(
+            m, exact(a), exact(n1), exact(abs(a - prev0)),
+            exact(abs(n1 - prev1)) if prev1 is not None else None))
+        prefix += a
+        prev0, prev1 = a, n1
+    return rows
+
+
 def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
     """Rows m = 0..m_max of the two leading coefficients with deltas."""
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     series.require_coefficients(m_max + 1)
     prec = series.float_precision
-    if prec is not None and cancellation_hazard(m_max, prec):
+    if prec is None:
+        return ConvergenceTable(tuple(_exact_rows(series.coeffs, m_max)), m_max)
+    if cancellation_hazard(m_max, prec):
         warnings.warn(CancellationWarning(
             f"convergence table to dimension {m_max} at {prec}-bit floats: "
             f"binomial weights consume ~{cancellation_bits(m_max)} bits and "

@@ -249,10 +249,12 @@ def _hypothesis_summary(series: TaylorSeries, f: CorpusFunction | None) -> dict 
 def cmd_estimate(args) -> int:
     if args.m_max < 0:
         raise CliError("--m-max must be >= 0")
+    tol = _parse_rational(args.tol, "--tol")
+    if tol < 0:
+        raise CliError(f"--tol must be >= 0, got {args.tol}")
     series, source = _resolve_series(args, args.m_max + 1)
     hypothesis = _hypothesis_summary(series, source)
     series = _maybe_float(series, args)
-    tol = _parse_rational(args.tol, "--tol")
     table = convergence_table(series, args.m_max)
     summary = _summarize(table, tol)
 

@@ -7,10 +7,10 @@ Everything else in the package is built on two primitives:
   exactness flag propagates through arithmetic: any operation touching an
   inexact operand produces an inexact result.
 
-* :func:`binom` -- big-integer binomial coefficients under the convention
-  ``binom(a, b) == 0`` for ``b < 0`` or ``b > a``.  The binomial sums used
-  throughout the package rely on that convention to kill out-of-range
-  terms.
+* :func:`binom` -- big-integer binomial coefficients (``math.comb``)
+  under the convention ``binom(a, b) == 0`` for ``b < 0`` or ``b > a``.
+  The binomial sums used throughout the package rely on that convention
+  to kill out-of-range terms.
 
 Exact mode is the default because the binomial weights in the coefficient
 sums reach ``binom(m, m//2)`` (roughly ``2**m``), which makes fixed
@@ -36,6 +36,9 @@ from typing import Union
 import mpmath
 from mpmath import mp
 from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
     from_rational,
     from_str,
     mpf_abs,
@@ -67,21 +70,16 @@ def significand_bits(precision: int) -> int:
 
 
 def binom(a: int, b: int) -> int:
-    """Binomial coefficient C(a, b) by the multiplicative formula.
+    """Binomial coefficient C(a, b) by ``math.comb``.
 
     Returns 0 when ``b < 0`` or ``b > a``.  A negative upper index is a
     domain error: no computation in this package ever needs one.
     """
     if a < 0:
         raise ValueError(f"binom: negative upper index a={a}")
-    if b < 0 or b > a:
+    if b < 0:
         return 0
-    b = min(b, a - b)
-    result = 1
-    # each partial product is divisible by i, so // is exact
-    for i in range(1, b + 1):
-        result = result * (a - b + i) // i
-    return result
+    return math.comb(a, b)
 
 
 class PascalCache:
@@ -170,7 +168,8 @@ class Scalar:
 
         In exact mode decimal strings become exact rationals
         ("0.25" -> 1/4); in float mode the value is correctly rounded to
-        the significand implied by ``precision``.
+        the significand implied by ``precision``, and NaN or an infinity
+        is rejected.
         """
         text = text.strip()
         if exact:
@@ -187,6 +186,8 @@ class Scalar:
                 raw = from_str(text, bits, "n")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r} as a float: {exc}") from None
+        if raw in (fnan, finf, fninf):
+            raise ValueError(f"cannot parse {text!r} as a float: not a finite number")
         return Scalar(_wrap(raw), False, precision)
 
     @staticmethod

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invpower.asymptotics import (
@@ -12,12 +12,12 @@ from invpower.asymptotics import (
     convergence_table,
     estimate_limits,
 )
-from invpower.corpus import mobius, shifted_reciprocal
+from invpower.corpus import mobius, shifted_reciprocal, taylor_coeffs
 from invpower.errors import PoleError
 from invpower.scalar import CancellationWarning, Scalar
 from invpower.series import series_from_rationals
 
-from _oracles import brute_q0, brute_q1, tail_coeffs
+from _oracles import brute_q0, brute_q1, tail_coeffs, tail_rows
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -81,6 +81,76 @@ def test_deltas_recomputable_from_neighbors():
     assert table.rows[0].delta0 is None
     assert table.rows[0].q1 is None
     assert table.rows[1].delta1 is None
+
+
+def assert_rows(table, expected):
+    """Every row equals the expected (q0, q1) pairs, deltas included."""
+    assert len(table.rows) == len(expected) == table.m_max + 1
+    for row, (q0, q1) in zip(table.rows, expected):
+        assert row.q0.exact and row.q0.as_fraction() == q0
+        if row.m == 0:
+            assert row.q1 is None and row.delta0 is None and row.delta1 is None
+            continue
+        prev0, prev1 = expected[row.m - 1]
+        assert row.q1.as_fraction() == q1
+        assert row.delta0.as_fraction() == abs(q0 - prev0)
+        if row.m == 1:
+            assert row.delta1 is None
+        else:
+            assert row.delta1.as_fraction() == abs(q1 - prev1)
+
+
+@st.composite
+def coefficient_prefixes(draw):
+    coeffs = draw(st.lists(st.fractions(max_denominator=10 ** 6), min_size=1, max_size=16))
+    return coeffs, draw(st.integers(0, min(12, len(coeffs) - 1)))
+
+
+@given(coefficient_prefixes())
+def test_exact_rows_match_brute_force_sums(case):
+    """Arbitrary rationals, longer series than the table needs included."""
+    coeffs, m_max = case
+    table = convergence_table(series_from_rationals(0, coeffs), m_max)
+    assert_rows(table, [(brute_q0(coeffs, m), brute_q1(coeffs, m) if m else None)
+                        for m in range(m_max + 1)])
+
+
+small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+# b = x0 + shift: r = 1 - 1/b is -1 at b = 1/2, |r| > 1 below it
+bases = st.one_of(
+    st.just(Fraction(1, 2)),
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 100), max_denominator=100),
+    st.fractions(min_value=-4, max_value=Fraction(-1, 8), max_denominator=16),
+    st.fractions(min_value=Fraction(51, 100), max_value=10, max_denominator=100),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(small, small, bases), min_size=1, max_size=3), small,
+       st.integers(0, 60))
+def test_exact_rows_of_tail_sums_match_closed_forms(terms, x0, m_max):
+    """Rows are linear in the coefficients, so a sum of shifted
+    reciprocals has the sum of the per-term closed forms as its rows,
+    convergent (b > 1/2), oscillating (b = 1/2) and divergent alike."""
+    per_term = [(offset, weight, b - x0) for offset, weight, b in terms]
+    coeffs = [sum(col) for col in zip(*(tail_coeffs(o, w, s, x0, m_max + 1)
+                                        for o, w, s in per_term))]
+    expected = []
+    for m in range(m_max + 1):
+        rows = [tail_rows(o, w, s, x0, m) for o, w, s in per_term]
+        expected.append((sum(r[0] for r in rows), sum(r[1] for r in rows) if m else None))
+    assert_rows(convergence_table(series_from_rationals(x0, coeffs), m_max), expected)
+
+
+def test_exact_rows_at_dimension_one_thousand():
+    """(2x+3)/(x+2) = 2 - 1/(x+2) about 1, every row to m = 1000."""
+    m_max = 1000
+    table = convergence_table(taylor_coeffs(mobius(2, 3, 1, 2), sc(1), m_max + 1), m_max)
+    expected = []
+    for m in range(m_max + 1):
+        q0, q1 = tail_rows(Fraction(2), Fraction(-1), Fraction(2), Fraction(1), m)
+        expected.append((q0, q1 if m else None))
+    assert_rows(table, expected)
 
 
 def test_table_requires_enough_coefficients():

@@ -1,8 +1,13 @@
+import hashlib
 import json
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
 from invpower.cli import main
+
+from _oracles import tail_coeffs
 
 
 def run(capsys, *argv):
@@ -295,6 +300,34 @@ def test_exact_mode_ignores_precision(capsys, tmp_path):
     assert code == 0
 
 
+def test_float_file_rejects_non_finite_coefficient(capsys, tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"center": "1", "coeffs": ["1", bad, "1/4"],
+                                    "exact": False}))
+        code, out, err = run(capsys, "estimate", "--coeffs", str(path), "--m-max", "2",
+                             "--mode", "float")
+        assert code == 1
+        assert out == ""
+        assert "field 'coeffs'[1]" in err and "not a finite number" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol=-1e-9", "--tol=-1/2"])
+def test_estimate_rejects_negative_tol(capsys, flag):
+    code, out, err = run(capsys, "estimate", "--corpus", "one-over-x", "--m-max", "5", flag)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --tol must be >= 0, got {flag[6:]}\n"
+
+
+def test_estimate_zero_tol_converges_on_exact_rows(capsys):
+    # 1/x about 1 has q0 = 0 and q1 = 1 from m = 1 on, so its deltas are exactly 0
+    code, out, _ = run(capsys, "estimate", "--corpus", "one-over-x", "--m-max", "5",
+                       "--tol", "0", "--require-converged")
+    assert code == 0
+    assert "# q0_converged=true" in out and "# q1_converged=true" in out
+
+
 def test_estimate_reports_hypothesis_metadata(capsys):
     code, out, _ = run(capsys, "estimate", "--corpus", "x-over-x-plus-1", "--m-max", "5",
                        "--format", "json")
@@ -304,3 +337,82 @@ def test_estimate_reports_hypothesis_metadata(capsys):
     code, out, _ = run(capsys, "estimate", "--corpus", "one-over-x", "--m-max", "5")
     assert "# hypothesis_radius=unbounded" in out
     assert "# hypothesis_satisfied=true" in out
+
+
+# ---------------------------------------------------------------------------
+# exact-mode byte identity
+# ---------------------------------------------------------------------------
+
+def _tail3_coeffs(n):
+    """1 + 2/x - 3/(x + 1/2) + 1/2 + (5/4)/(x + 3) about x0 = 1."""
+    terms = ((1, 2, 0), (0, -3, Fraction(1, 2)), (Fraction(1, 2), Fraction(5, 4), 3))
+    cols = [tail_coeffs(Fraction(o), Fraction(w), Fraction(s), Fraction(1), n)
+            for o, w, s in terms]
+    return [sum(col) for col in zip(*cols)]
+
+
+_HASH_FILES = {
+    "three": {"center": "1/2", "coeffs": ["1/3", "-2/5", "7/11"], "exact": True},
+    "tail3": {"center": "1",
+              "coeffs": [str(c) for c in _tail3_coeffs(126)],
+              "exact": True,
+              "meta": {"hypothesis_radius": "3/2"}},
+    "mixed": {"center": "-3/7",
+              "coeffs": [f"{(-1) ** n * (n + 1)}/{n * n + 3}" for n in range(24)]
+              + ["0.125", "-2.5e-3"],
+              "exact": True},
+}
+
+# SHA-256 of stdout, recorded with the O(m^3) binom-sum convergence table
+# that preceded the integer kernel.  A mismatch means exact-mode output
+# bytes changed.
+_ESTIMATE_HASHES = [
+    ("mobius-m25-csv", ["--corpus", "mobius-2-3-1-2", "--m-max", "25"],
+     "cac3e1b851f722e784ebfe10811edcdc90d3fcf31b2153fac477274ae6433a77"),
+    ("mobius-x0-m125-json", ["--corpus", "mobius-2-3-1-2", "--x0", "3/2",
+                             "--m-max", "125", "--format", "json"],
+     "bf9fba6df65550c7a8d0d34e828e1cd697871c1cc5d9d9e64a48c69475f86e9b"),
+    ("mobius-m125-csv45", ["--corpus", "mobius-2-3-1-2", "--m-max", "125",
+                           "--digits", "45"],
+     "accc16d6e3ba5749c4e1ef35513bdf1b1bf1584e0d6a87a78af447077bace3d0"),
+    ("x-over-m25-csv12", ["--corpus", "x-over-x-plus-1", "--m-max", "25",
+                          "--digits", "12", "--tol", "1e-6"],
+     "749103792a9e4f64282145a5458873774d885e86dcb7c44c85017d238e3e4ebe"),
+    ("quarter-m0-json", ["--corpus", "reciprocal-quarter", "--m-max", "0",
+                         "--format", "json"],
+     "32eaaf60265d721ace1fdc1f719d8153ce0d7fe42d94b0e36d26430cfacf49d0"),
+    ("one-over-x-m2-tol0", ["--corpus", "one-over-x", "--x0", "5/4", "--m-max", "2",
+                            "--digits", "12", "--tol", "0"],
+     "08b0addacba8d1904ccfd02216d8561d4d6c875046a9defac7058430bdb39052"),
+    ("shifted-m25-json", ["--corpus", "shifted-reciprocal", "--params", "1/3,-2,1/2",
+                          "--m-max", "25", "--format", "json"],
+     "c152dd49c348745fd24b48f430947967f6a95907e330982f2a8dffbdeabb6a96"),
+    ("divergent-m25-json", ["--corpus", "shifted-reciprocal", "--params", "0,1,-3/4",
+                            "--m-max", "25", "--format", "json"],
+     "b055ed16de0f65b3002fcd58037fa2be35ac1e3065cf13da092dcc2f6c29cc55"),
+    ("three-m2-csv12", ["--coeffs", "{three}", "--m-max", "2", "--digits", "12"],
+     "fcdbbee3c92ca0224519d91ebd657d445e3c2a620bf3319fae26cd9ff6e26e59"),
+    ("three-m1-json", ["--coeffs", "{three}", "--m-max", "1", "--format", "json"],
+     "978eabd055862484924c537180d0f001868d42bdf0f7793c8958fe42b4be5444"),
+    ("three-m0-csv45", ["--coeffs", "{three}", "--m-max", "0", "--digits", "45"],
+     "c2c201203e3127cb2f9015de57bff81958a5cd88a9bff8e7a894323d4d83d862"),
+    ("tail3-m125-csv45", ["--coeffs", "{tail3}", "--m-max", "125", "--digits", "45"],
+     "9b87c8ddf76d2b4b717451f30dfb0c3fdd0bf1aaa6ab8bda5b28c1d41507b5de"),
+    ("tail3-m25-json", ["--coeffs", "{tail3}", "--m-max", "25", "--format", "json"],
+     "9be8167fabd26e65abfbb89a3a1ac63e9b12109ed5936228a079b644bb26c4ec"),
+    ("mixed-m25-csv", ["--coeffs", "{mixed}", "--m-max", "25", "--tol", "1/1000"],
+     "522d5ddd6947f39b56c3287d7729fb925e3ef04cc45a1f139889263a3f0f4805"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [c[1:] for c in _ESTIMATE_HASHES],
+                         ids=[c[0] for c in _ESTIMATE_HASHES])
+def test_estimate_exact_output_bytes_unchanged(capsys, tmp_path, argv, digest):
+    paths = {}
+    for name, payload in _HASH_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = run(capsys, "estimate", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
