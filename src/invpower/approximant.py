@@ -6,10 +6,26 @@ approximant is
     R(x) = q_0 + sum_{k=1..m} q_k / (x - x0 + 1)**k,
 
 the unique function of that shape whose own expansion about x0 reproduces
-c_0..c_m.  Three independent constructions are provided and must agree
-bit-for-bit in exact mode:
+c_0..c_m.  With the binomial convolution d_0 = c_0 and
+d_N = sum_j C(N-1, j) c_{j+1} for N >= 1, its coefficients are
 
-* :func:`coeffs_closed_form`   -- explicit double binomial sums over c;
+    q_k = (-1)**k * sum_{N=k..m} C(N, k) d_N,
+
+and the hockey-stick identity sum_{N<=m} C(N-1, j) = C(m, j+1) collapses
+the first two into the explicit sums q_0 = sum_s C(m,s) c_s and
+q_1 = sum_s (C(m,s+1) - m*C(m,s)) c_s.  Three independent constructions
+are provided and must agree bit-for-bit in exact mode:
+
+* :func:`coeffs_closed_form`   -- the explicit sums.  Exact series go
+  through one integer kernel: over the common denominator D of c_0..c_m
+  the coefficients become integers a_n = D*c_n, D*d_N is s[0] after N-1
+  passes of adjacent additions s[i] + s[i+1] over a_1..a_m, and Horner
+  in (1+y), p <- p*(1+y) + D*d_N for N = m down to 0, leaves
+  p[k] = sum_N C(N, k) D*d_N, so q_k = (-1)**k p[k]/D.  That is O(m**2)
+  big-integer additions with no binomial and no rational in the loop;
+  values become ``Scalar`` only at the end.  Float series keep the
+  literal double binomial sums, their rounding and the cancellation
+  warning;
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
   signed-binomial matrix product;
 * :func:`coeffs_oracle_solve`  -- brute-force fraction-free elimination on
@@ -23,13 +39,21 @@ must not be read as asymptotic-expansion coefficients.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import ExactnessError, PoleError
-from .scalar import CancellationWarning, Scalar, binom, cancellation_bits, cancellation_hazard
+from .scalar import (
+    CancellationWarning,
+    Scalar,
+    binom,
+    cancellation_bits,
+    cancellation_hazard,
+    common_denominator,
+)
 from .series import TaylorSeries
 from .transforms import binomial_convolve
 
@@ -133,21 +157,49 @@ def _warn_if_cancelling(series: TaylorSeries, m: int) -> None:
             f"{prec} float bits; expect catastrophic cancellation, use exact mode"))
 
 
+def q0_row(c: tuple[Scalar, ...], m: int) -> Scalar:
+    """q_0 at dimension m by its literal binomial sum."""
+    acc = Scalar.rational(0)
+    for n in range(m + 1):
+        acc = acc + binom(m, n) * c[n]
+    return acc
+
+
+def q1_row(c: tuple[Scalar, ...], m: int) -> Scalar:
+    """q_1 at dimension m by its literal binomial sum."""
+    acc = Scalar.rational(0)
+    for n in range(1, m + 1):
+        acc = acc + (binom(m, n + 1) - m * binom(m, n)) * c[n]
+    return acc
+
+
+def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
+    """q_0..q_m of an exact series by the integer kernel."""
+    a, den = common_denominator(c[:m + 1])
+    d = [a[0]]
+    s = a[1:]
+    while s:
+        d.append(s[0])
+        s = list(map(operator.add, s, s[1:]))
+    p = [d[m]]
+    for dn in reversed(d[:m]):
+        p = [p[0] + dn, *map(operator.add, p[1:], p), p[-1]]
+    return tuple(Scalar(Fraction(-pk if k % 2 else pk, den), True)
+                 for k, pk in enumerate(p))
+
+
 def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
-    """Approximant coefficients by the explicit binomial-sum formulas."""
+    """Approximant coefficients by the explicit binomial-sum formulas:
+    the integer kernel for exact series, the literal double sums (and the
+    cancellation warning) for float series."""
     _check_input(series, m)
-    _warn_if_cancelling(series, m)
     c = series.coeffs
-    q = []
-    q0 = Scalar.rational(0)
-    for s in range(m + 1):
-        q0 = q0 + binom(m, s) * c[s]
-    q.append(q0)
+    if series.is_exact:
+        return InversePowerApproximant(m, series.center, _exact_coeffs(c, m))
+    _warn_if_cancelling(series, m)
+    q = [q0_row(c, m)]
     if m >= 1:
-        q1 = Scalar.rational(0)
-        for s in range(1, m + 1):
-            q1 = q1 + (m * binom(m, s) - binom(m, s + 1)) * c[s]
-        q.append(-q1)
+        q.append(q1_row(c, m))
     for k in range(2, m + 1):
         acc = Scalar.rational(0)
         for s in range(1, m + 1):

@@ -22,8 +22,10 @@ the hockey-stick identity C(m,n+1) = sum_{k<m} C(k,n) gives
 
 so it needs only a running prefix sum of A.  Values become ``Scalar``
 only when a row is built.  Float series keep the literal per-row sums of
-m+1 binomial-weighted terms, so their rounding and the cancellation
-warning are those of the formulas above.
+m+1 binomial-weighted terms (:func:`~invpower.approximant.q0_row` and
+:func:`~invpower.approximant.q1_row`, which the float approximant uses
+too), so their rounding and the cancellation warning are those of the
+formulas above.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -36,14 +38,20 @@ run it on the emitted table.
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .approximant import q0_row, q1_row
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
-from .scalar import CancellationWarning, Scalar, binom, cancellation_bits, cancellation_hazard
+from .scalar import (
+    CancellationWarning,
+    Scalar,
+    cancellation_bits,
+    cancellation_hazard,
+    common_denominator,
+)
 from .series import TaylorSeries
 
 
@@ -76,25 +84,9 @@ class AsymptoticEstimate:
     m_used: int
 
 
-def _q0_row(c: tuple[Scalar, ...], m: int) -> Scalar:
-    acc = Scalar.rational(0)
-    for n in range(m + 1):
-        acc = acc + binom(m, n) * c[n]
-    return acc
-
-
-def _q1_row(c: tuple[Scalar, ...], m: int) -> Scalar:
-    acc = Scalar.rational(0)
-    for n in range(1, m + 1):
-        acc = acc + (binom(m, n + 1) - m * binom(m, n)) * c[n]
-    return acc
-
-
 def _exact_rows(c: tuple[Scalar, ...], m_max: int) -> list[ConvergenceRow]:
     """Rows of an exact series by the integer binomial-transform kernel."""
-    fracs = [x.value for x in c[:m_max + 1]]
-    den = math.lcm(*(f.denominator for f in fracs))
-    s = [f.numerator * (den // f.denominator) for f in fracs]
+    s, den = common_denominator(c[:m_max + 1])
 
     def exact(num: int) -> Scalar:
         return Scalar(Fraction(num, den), True)
@@ -132,8 +124,8 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
     prev0: Scalar | None = None
     prev1: Scalar | None = None
     for m in range(m_max + 1):
-        q0 = _q0_row(c, m)
-        q1 = _q1_row(c, m) if m >= 1 else None
+        q0 = q0_row(c, m)
+        q1 = q1_row(c, m) if m >= 1 else None
         delta0 = abs(q0 - prev0) if prev0 is not None else None
         delta1 = abs(q1 - prev1) if (q1 is not None and prev1 is not None) else None
         rows.append(ConvergenceRow(m, q0, q1, delta0, delta1))

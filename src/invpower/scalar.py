@@ -28,10 +28,12 @@ width is 64.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp
@@ -52,6 +54,12 @@ from mpmath.libmp import (
 )
 
 MIN_PRECISION = 64
+
+# Largest decimal exponent an exact parse accepts: the digit limit Python
+# already puts on int strings, so "1e999999999" cannot make Fraction build
+# a billion-digit power of ten.
+MAX_EXACT_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 ScalarLike = Union["Scalar", int, Fraction]
 
@@ -167,13 +175,18 @@ class Scalar:
         """Parse ``"p/q"``, plain decimal, or scientific notation.
 
         In exact mode decimal strings become exact rationals
-        ("0.25" -> 1/4); in float mode the value is correctly rounded to
-        the significand implied by ``precision``, and NaN or an infinity
-        is rejected.
+        ("0.25" -> 1/4) and a decimal exponent beyond
+        ``MAX_EXACT_EXPONENT`` in magnitude is rejected; in float mode the
+        value is correctly rounded to the significand implied by
+        ``precision``, and NaN or an infinity is rejected.
         """
         text = text.strip()
         if exact:
             try:
+                exponent = _EXPONENT.search(text)
+                if exponent and abs(int(exponent[1])) > MAX_EXACT_EXPONENT:
+                    raise ValueError(
+                        f"decimal exponent beyond +/-{MAX_EXACT_EXPONENT}")
                 return Scalar(Fraction(text), True)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
@@ -390,6 +403,14 @@ class Scalar:
 
 ZERO = Scalar.rational(0)
 ONE = Scalar.rational(1)
+
+
+def common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
+    """Exact values as integers over their least common denominator D:
+    returns ([D*v for v in values], D)."""
+    fracs = [v.value for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def cancellation_bits(m: int) -> int:

@@ -34,6 +34,30 @@ def brute_q1(coeffs: list[Fraction], m: int) -> Fraction:
     )
 
 
+def closed_form_q(coeffs: list[Fraction], m: int) -> list[Fraction]:
+    """Approximant coefficients q_0..q_m by the explicit double sums
+
+        q_0 = sum_{s=0..m} C(m,s) c_s
+        q_1 = -sum_{s=1..m} (m C(m,s) - C(m,s+1)) c_s               (m >= 1)
+        q_k = (-1)**k sum_{s=1..m} c_s sum_{n=0..k} (-1)**n C(m-n,k-n) C(m,s+n)
+
+    term by term, O(m**4) binomials: the literal formula, kept as an
+    oracle for the package's integer kernel.
+    """
+    q = [sum((comb(m, s) * coeffs[s] for s in range(m + 1)), Fraction(0))]
+    if m >= 1:
+        q.append(-sum(((m * comb(m, s) - comb0(m, s + 1)) * coeffs[s]
+                       for s in range(1, m + 1)), Fraction(0)))
+    for k in range(2, m + 1):
+        acc = Fraction(0)
+        for s in range(1, m + 1):
+            inner = sum((-1) ** n * comb0(m - n, k - n) * comb0(m, s + n)
+                        for n in range(k + 1))
+            acc += inner * coeffs[s]
+        q.append((-1) ** k * acc)
+    return q
+
+
 def tail_coeffs(offset: Fraction, weight: Fraction, shift: Fraction,
                 x0: Fraction, n: int) -> list[Fraction]:
     """Expansion of offset + weight/(x + shift) about x0, first n terms."""

@@ -38,7 +38,7 @@ from invpower.identities import SuiteRanges, run_suite
 from invpower.scalar import Scalar
 from invpower.series import series_from_rationals
 
-from _oracles import brute_q0, brute_q1, tail_coeffs, tail_rows
+from _oracles import brute_q0, brute_q1, closed_form_q, tail_coeffs, tail_rows
 
 
 def sc(x):
@@ -91,8 +91,10 @@ def test_c3_triple_path_agreement():
             a = coeffs_closed_form(s, m).coeffs
             b = coeffs_via_matrix(s, m).coeffs
             c = coeffs_oracle_solve(s, m).coeffs
-            ok = ok and a == b == c
-    report("criterion 3: closed form = matrix form = exact solve, 100 series per m <= 12", ok)
+            literal = closed_form_q(coeffs, m)
+            ok = ok and a == b == c and [x.as_fraction() for x in a] == literal
+    report("criterion 3: closed form = matrix form = exact solve = literal double sums, "
+           "100 series per m <= 12", ok)
 
 
 def test_c4_round_trip():

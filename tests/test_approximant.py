@@ -17,7 +17,7 @@ from invpower.errors import ExactnessError, PoleError
 from invpower.scalar import CancellationWarning, Scalar, binom
 from invpower.series import series_from_rationals
 
-from _oracles import brute_q0, brute_q1, tail_coeffs
+from _oracles import brute_q0, brute_q1, closed_form_q, tail_coeffs, tail_rows
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 
@@ -117,6 +117,8 @@ def test_three_paths_agree_order_six(s):
     b = coeffs_via_matrix(s, 6)
     c = coeffs_oracle_solve(s, 6)
     assert a.coeffs == b.coeffs == c.coeffs
+    assert [q.as_fraction() for q in a.coeffs] == closed_form_q(
+        [x.as_fraction() for x in s.coeffs], 6)
 
 
 def test_three_paths_agree_all_dimensions():
@@ -129,6 +131,38 @@ def test_three_paths_agree_all_dimensions():
             b = coeffs_via_matrix(s, m)
             c = coeffs_oracle_solve(s, m)
             assert a.coeffs == b.coeffs == c.coeffs
+            assert [q.as_fraction() for q in a.coeffs] == closed_form_q(coeffs, m)
+
+
+@settings(max_examples=60)
+@given(st.lists(rationals, min_size=1, max_size=13).flatmap(
+    lambda cs: st.tuples(st.just(cs), st.integers(0, len(cs) - 1))))
+def test_kernel_matches_literal_sums_and_solver(coeffs_and_m):
+    """The integer kernel behind the exact closed form equals the literal
+    double sums and the elimination oracle, also when the series carries
+    more coefficients than the dimension uses."""
+    coeffs, m = coeffs_and_m
+    s = series_from_rationals(Fraction(-2, 3), coeffs)
+    approx = coeffs_closed_form(s, m)
+    assert [q.as_fraction() for q in approx.coeffs] == closed_form_q(coeffs, m)
+    assert approx.coeffs == coeffs_oracle_solve(s, m).coeffs
+
+
+def test_kernel_dimension_200_on_tail_sum():
+    """1 + 2/(x + 1/4) - 3/(x + 1/2) + 1/2 + (5/4)/(x + 3) about 1 at
+    dimension 200: the re-expansion reproduces c_0..c_200 and the leading
+    pair equals the summed closed-form rows."""
+    m, x0 = 200, Fraction(1)
+    terms = ((Fraction(1), Fraction(2), Fraction(1, 4)),
+             (Fraction(0), Fraction(-3), Fraction(1, 2)),
+             (Fraction(1, 2), Fraction(5, 4), Fraction(3)))
+    cols = [tail_coeffs(o, w, sh, x0, m + 1) for o, w, sh in terms]
+    s = series_from_rationals(x0, [sum(col) for col in zip(*cols)])
+    approx = coeffs_closed_form(s, m)
+    assert expand_to_taylor(approx, m + 1).coeffs == s.coeffs
+    rows = [tail_rows(o, w, sh, x0, m) for o, w, sh in terms]
+    assert approx.coeffs[0].as_fraction() == sum(r[0] for r in rows)
+    assert approx.coeffs[1].as_fraction() == sum(r[1] for r in rows)
 
 
 def test_insufficient_coefficients_rejected():

@@ -312,6 +312,30 @@ def test_float_file_rejects_non_finite_coefficient(capsys, tmp_path):
         assert "field 'coeffs'[1]" in err and "not a finite number" in err
 
 
+@pytest.mark.parametrize("bad", ["1e999999999", "-2e-999999999", "1e4301"])
+def test_exact_file_rejects_huge_exponent(capsys, tmp_path, bad):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1", bad, "1/4"], "exact": True}))
+    code, out, err = run(capsys, "approximate", "--coeffs", str(path), "--m", "2")
+    assert code == 1
+    assert out == ""
+    assert "field 'coeffs'[1]" in err and "decimal exponent beyond +/-4300" in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["approximate", "--corpus", "one-over-x", "--m", "1", "--eval", "1e999999999"],
+     "bad --eval"),
+    (["approximate", "--corpus", "one-over-x", "--m", "1", "--x0", "1e-5000"], "bad --x0"),
+    (["estimate", "--corpus", "one-over-x", "--m-max", "3", "--tol", "1e-999999999"],
+     "bad --tol"),
+])
+def test_flags_reject_huge_exponent(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field}: ") and "decimal exponent beyond" in err
+
+
 @pytest.mark.parametrize("flag", ["--tol=-1e-9", "--tol=-1/2"])
 def test_estimate_rejects_negative_tol(capsys, flag):
     code, out, err = run(capsys, "estimate", "--corpus", "one-over-x", "--m-max", "5", flag)
@@ -405,14 +429,96 @@ _ESTIMATE_HASHES = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", [c[1:] for c in _ESTIMATE_HASHES],
-                         ids=[c[0] for c in _ESTIMATE_HASHES])
-def test_estimate_exact_output_bytes_unchanged(capsys, tmp_path, argv, digest):
+def _with_hash_files(tmp_path, argv):
+    """Write the ``_HASH_FILES`` payloads and substitute their paths."""
     paths = {}
     for name, payload in _HASH_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
-    argv = [a.format(**paths) for a in argv]
-    code, out, err = run(capsys, "estimate", *argv)
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize("argv,digest", [c[1:] for c in _ESTIMATE_HASHES],
+                         ids=[c[0] for c in _ESTIMATE_HASHES])
+def test_estimate_exact_output_bytes_unchanged(capsys, tmp_path, argv, digest):
+    code, out, err = run(capsys, "estimate", *_with_hash_files(tmp_path, argv))
     assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+_CANCEL_64_M60 = ("warning: dimension 60 binomial sums consume ~57 of 64 float bits; "
+                  "expect catastrophic cancellation, use exact mode\n")
+
+# SHA-256 of stdout and the exact stderr, recorded with the O(m^4)
+# binomial double sums that preceded the integer approximant kernel.
+# x0 - 1 is the approximant's pole; -2, -1, -1/4 and 0 are source poles
+# of mobius-2-3-1-2, x-over-x-plus-1, reciprocal-quarter and one-over-x.
+_APPROXIMATE_HASHES = [
+    ("mobius-m10-csv", ["--corpus", "mobius-2-3-1-2", "--m", "10",
+                        "--eval", "0,5,1/3", "--eval=-2"],
+     "",
+     "077982fd73e9391bb5cad7f02ff63463d405c0b8eeed49f020d78f5fc47ab2aa"),
+    ("mobius-m50-json", ["--corpus", "mobius-2-3-1-2", "--m", "50", "--format", "json",
+                         "--eval=-2,0,7/2,1000"],
+     "",
+     "e5060c7151cc744cebe7ec5e3c45f5c22b94f48b4675a193f0f0e30d11f2949b"),
+    ("mobius-x0-m50-csv45", ["--corpus", "mobius-2-3-1-2", "--x0", "3/2", "--m", "50",
+                             "--digits", "45", "--eval", "1/2,-2,10"],
+     "",
+     "32a72a46d86b3e284fbd3373b19d9035b6fee8e00380ccfa7f11a556e84cd4d8"),
+    ("x-over-m2-csv12", ["--corpus", "x-over-x-plus-1", "--m", "2", "--digits", "12",
+                         "--eval=-1,0,100"],
+     "",
+     "dd95ada60c0b44f093cae06ce144af7694069795424dff8c061bf7a884eb52eb"),
+    ("quarter-m0-json", ["--corpus", "reciprocal-quarter", "--m", "0", "--format", "json",
+                         "--eval=-1/4,0,3"],
+     "",
+     "cd22e497f48d945f4e1452b17ad9d9e73b76efda18d153cea8e51aec7dcd324e"),
+    ("one-over-x-m1-csv30", ["--corpus", "one-over-x", "--x0", "5/4", "--m", "1",
+                             "--eval", "1/4,0,3"],
+     "",
+     "e8b73fe25a41d20c747be2e7b9345b441a5fee54346078e8198e1f3d3d18c5dc"),
+    ("shifted-m10-json", ["--corpus", "shifted-reciprocal", "--params", "1/3,-2,1/2",
+                          "--m", "10", "--format", "json", "--eval=-1/2,0,2/3"],
+     "",
+     "ff8bf82bc60fdc19e96da1671bad9b586f78ad2789dec66be58fd5d48b79f3ee"),
+    ("three-m2-csv12", ["--coeffs", "{three}", "--m", "2", "--digits", "12",
+                        "--eval=-1/2,1,7"],
+     "",
+     "8877cf838edc775ebc8bdbd46ef90af0a3e25ddf38c1ab20434134a04db689c5"),
+    ("three-m1-json", ["--coeffs", "{three}", "--m", "1", "--format", "json",
+                       "--eval=-1/2,5/3"],
+     "",
+     "5e6e63e9d60d00db402001dd39c1395feea14c0c0002d289837cf6a7229967e7"),
+    ("tail3-m50-csv45", ["--coeffs", "{tail3}", "--m", "50", "--digits", "45",
+                         "--eval", "0,2,-1/2,25"],
+     "",
+     "02f679cef55865dc788bfb62a60ab7aaa5b98021ca4e8840a84506ecab075880"),
+    ("mixed-m25-json", ["--coeffs", "{mixed}", "--m", "25", "--format", "json",
+                        "--eval=-10/7,1,3/5"],
+     "",
+     "e1eb4c4eff4bbd07e32ceb362794bbe1f759ad15c0c494bffe660c4b5d869025"),
+    ("float64-mobius-m10-csv", ["--corpus", "mobius-2-3-1-2", "--m", "10",
+                                "--mode", "float", "--precision", "64",
+                                "--eval", "0,5,1/3"],
+     "",
+     "255571d638d1f8f78b17e13dc47fd1aa0e47de97a11e4936c8ba907e64d72a6b"),
+    ("float128-tail3-m30-json", ["--coeffs", "{tail3}", "--m", "30", "--mode", "float",
+                                 "--precision", "128", "--format", "json",
+                                 "--eval", "0,2,25"],
+     "",
+     "74862c179b4a5e0f91589784a4e6d773520ee8058d207721273d170351bc2ea0"),
+    ("float64-x-over-m60-json", ["--corpus", "x-over-x-plus-1", "--m", "60",
+                                 "--mode", "float", "--precision", "64",
+                                 "--format", "json", "--eval=-1,0,100"],
+     _CANCEL_64_M60,
+     "74b8d6ef1d635a50e6e4dff8f174706757bc36447ada7822f089134b7b69c034"),
+]
+
+
+@pytest.mark.parametrize("argv,expected_err,digest", [c[1:] for c in _APPROXIMATE_HASHES],
+                         ids=[c[0] for c in _APPROXIMATE_HASHES])
+def test_approximate_output_bytes_unchanged(capsys, tmp_path, argv, expected_err, digest):
+    code, out, err = run(capsys, "approximate", *_with_hash_files(tmp_path, argv))
+    assert code == 0 and err == expected_err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -216,6 +216,17 @@ def test_parse_garbage_rejected():
         Scalar.parse("1/0")
 
 
+def test_parse_exact_exponent_limit():
+    # the limit is the int-string digit limit; at it the value is still built
+    assert Scalar.parse("1e4300").as_fraction() == 10 ** 4300
+    assert Scalar.parse("2.5E-4300").as_fraction() == Fraction(25, 10 ** 4301)
+    for text in ("1e4301", "1E-4301", "-3.5e+999999999", "1e1_000_000"):
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            Scalar.parse(text)
+    # a float parse never builds the power of ten, so it keeps the exponent
+    assert Scalar.parse("1e999999999", exact=False) > 10 ** 4300
+
+
 def test_parse_float_mode():
     s = Scalar.parse("1/3", exact=False, precision=64)
     assert not s.exact
