@@ -24,8 +24,12 @@ are provided and must agree bit-for-bit in exact mode:
   p[k] = sum_N C(N, k) D*d_N, so q_k = (-1)**k p[k]/D.  That is O(m**2)
   big-integer additions with no binomial and no rational in the loop;
   values become ``Scalar`` only at the end.  Float series keep the
-  literal double binomial sums, their rounding and the cancellation
-  warning;
+  rounding of the literal sums and the cancellation warning: each q_k
+  is sum_s W(k, s) c_s summed in order on raw mpmath values (see
+  :func:`float_q`), with the integer weights W from a recurrence, and a
+  ``Scalar`` is built once per q_k.  A series that mixes exact and
+  inexact entries or float widths is first rounded to its narrowest
+  width (:func:`float_coefficients`);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
   signed-binomial matrix product;
 * :func:`coeffs_oracle_solve`  -- brute-force fraction-free elimination on
@@ -45,6 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from mpmath.libmp import from_int, fzero, mpf_add, mpf_mul, mpf_neg
+
 from .errors import ExactnessError, PoleError
 from .scalar import (
     CancellationWarning,
@@ -53,6 +59,7 @@ from .scalar import (
     cancellation_bits,
     cancellation_hazard,
     common_denominator,
+    significand_bits,
 )
 from .series import TaylorSeries
 from .transforms import binomial_convolve
@@ -157,20 +164,61 @@ def _warn_if_cancelling(series: TaylorSeries, m: int) -> None:
             f"{prec} float bits; expect catastrophic cancellation, use exact mode"))
 
 
-def q0_row(c: tuple[Scalar, ...], m: int) -> Scalar:
-    """q_0 at dimension m by its literal binomial sum."""
-    acc = Scalar.rational(0)
-    for n in range(m + 1):
-        acc = acc + binom(m, n) * c[n]
-    return acc
+def float_coefficients(series: TaylorSeries, count: int) -> tuple[list[tuple], int, int]:
+    """The first ``count`` coefficients of a float series as raw mpmath
+    values, each read through ``Scalar.approx(c, float_precision)``, with
+    that precision and its significand width.
+
+    On a series of one width (all the CLI, float files and ``to_inexact``
+    build) this reads the values as they are.  A mixed series, with exact
+    and inexact entries or several widths, is rounded to its narrowest
+    width first.
+    """
+    prec = series.float_precision
+    raw = [Scalar.approx(c, prec).value._mpf_ for c in series.coeffs[:count]]
+    return raw, prec, significand_bits(prec)
 
 
-def q1_row(c: tuple[Scalar, ...], m: int) -> Scalar:
-    """q_1 at dimension m by its literal binomial sum."""
-    acc = Scalar.rational(0)
-    for n in range(1, m + 1):
-        acc = acc + (binom(m, n + 1) - m * binom(m, n)) * c[n]
-    return acc
+def _weight_rows(m: int):
+    """Integer weights W(k, s), s = 0..m, for k = 0, 1, ..., m in turn:
+    q_k = (-1)**k sum_s W(k, s) c_s.
+
+    W(0, s) = C(m, s); for k >= 1, W(k, 0) = 0 and
+    W(k, s) = sum_{N=1..m} C(N, k) C(N-1, s-1), which equals the
+    alternating inner sum sum_n (-1)**n C(m-n, k-n) C(m, s+n) of the
+    literal formula.  Its generating function G = sum_N (1+x)**N
+    (1+y)**(N-1) obeys (x + y + xy) G = (1+x)((1+x)**m (1+y)**m - 1), and
+    comparing coefficients gives
+    W(k, s) = C(m+1, k) C(m, s) - W(k-1, s+1) - W(k-1, s): one
+    multiplication per weight in place of an O(k) binomial sum.
+    """
+    row = [binom(m, s) for s in range(m + 1)]
+    w = row
+    yield w
+    for k in range(1, m + 1):
+        top = binom(m + 1, k)
+        w = [0, *(top * b - u - v for b, u, v in zip(row[1:], w[1:], [*w[2:], 0]))]
+        yield w
+
+
+def float_q(raw: list[tuple], m: int, bits: int, count: int) -> list[tuple]:
+    """q_0..q_{count-1} of the dimension-m approximant of raw float
+    coefficients, as raw values.
+
+    Each q_k is the literal sum over s in order from zero: the integer
+    weight is rounded to nearest at ``bits``, and so is its product with
+    c_s and every partial sum; q_k with k odd is then negated.  These are
+    the operations ``Scalar`` arithmetic does on the literal sums, so the
+    result is theirs bit for bit (rounding to nearest is symmetric, so
+    negating the sum equals summing negated weights).
+    """
+    out = []
+    for k, weights in zip(range(count), _weight_rows(m)):
+        acc = fzero
+        for w, c in zip(weights, raw):
+            acc = mpf_add(acc, mpf_mul(c, from_int(w, bits, "n"), bits, "n"), bits, "n")
+        out.append(mpf_neg(acc) if k % 2 else acc)
+    return out
 
 
 def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
@@ -190,25 +238,15 @@ def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
 
 def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     """Approximant coefficients by the explicit binomial-sum formulas:
-    the integer kernel for exact series, the literal double sums (and the
-    cancellation warning) for float series."""
+    the integer kernel for exact series, the rounded literal sums of
+    :func:`float_q` (and the cancellation warning) for float series."""
     _check_input(series, m)
-    c = series.coeffs
     if series.is_exact:
-        return InversePowerApproximant(m, series.center, _exact_coeffs(c, m))
+        return InversePowerApproximant(m, series.center, _exact_coeffs(series.coeffs, m))
     _warn_if_cancelling(series, m)
-    q = [q0_row(c, m)]
-    if m >= 1:
-        q.append(q1_row(c, m))
-    for k in range(2, m + 1):
-        acc = Scalar.rational(0)
-        for s in range(1, m + 1):
-            inner = 0
-            for n in range(k + 1):
-                inner += (-1) ** n * binom(m - n, k - n) * binom(m, s + n)
-            acc = acc + inner * c[s]
-        q.append((-1) ** k * acc)
-    return InversePowerApproximant(m, series.center, tuple(q))
+    raw, prec, bits = float_coefficients(series, m + 1)
+    q = tuple(Scalar.from_raw(x, prec) for x in float_q(raw, m, bits, m + 1))
+    return InversePowerApproximant(m, series.center, q)
 
 
 def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:

@@ -22,10 +22,14 @@ the hockey-stick identity C(m,n+1) = sum_{k<m} C(k,n) gives
 
 so it needs only a running prefix sum of A.  Values become ``Scalar``
 only when a row is built.  Float series keep the literal per-row sums of
-m+1 binomial-weighted terms (:func:`~invpower.approximant.q0_row` and
-:func:`~invpower.approximant.q1_row`, which the float approximant uses
-too), so their rounding and the cancellation warning are those of the
-formulas above.
+m+1 binomial-weighted terms, run on raw mpmath values by
+:func:`~invpower.approximant.float_q` (which the float approximant uses
+too): every weight, product, partial sum and delta is rounded to nearest
+at the series' significand, exactly as ``Scalar`` arithmetic rounds the
+formulas above, and a ``Scalar`` is built once per emitted value.  So
+the rounding and the cancellation warning are those of the formulas.  A
+series that mixes exact and inexact entries or float widths (only the
+Python API builds one) is first rounded to its narrowest width.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -43,7 +47,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approximant import q0_row, q1_row
+from mpmath.libmp import mpf_abs, mpf_sub
+
+from .approximant import float_coefficients, float_q
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
 from .scalar import (
     CancellationWarning,
@@ -106,6 +112,26 @@ def _exact_rows(c: tuple[Scalar, ...], m_max: int) -> list[ConvergenceRow]:
     return rows
 
 
+def _float_rows(series: TaylorSeries, m_max: int) -> list[ConvergenceRow]:
+    """Rows of a float series by the rounded literal row sums, on raw
+    mpmath values; a ``Scalar`` is built once per emitted value."""
+    raw, prec, bits = float_coefficients(series, m_max + 1)
+
+    def value(x: tuple | None) -> Scalar | None:
+        return None if x is None else Scalar.from_raw(x, prec)
+
+    def delta(x: tuple | None, prev: tuple | None) -> Scalar | None:
+        return None if prev is None else value(mpf_abs(mpf_sub(x, prev, bits, "n")))
+
+    rows = []
+    prev0 = prev1 = None
+    for m in range(m_max + 1):
+        q0, q1 = (float_q(raw, m, bits, 2) + [None])[:2]
+        rows.append(ConvergenceRow(m, value(q0), value(q1), delta(q0, prev0), delta(q1, prev1)))
+        prev0, prev1 = q0, q1
+    return rows
+
+
 def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
     """Rows m = 0..m_max of the two leading coefficients with deltas."""
     if m_max < 0:
@@ -119,18 +145,7 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
             f"convergence table to dimension {m_max} at {prec}-bit floats: "
             f"binomial weights consume ~{cancellation_bits(m_max)} bits and "
             f"cancellation will dominate; use exact mode"))
-    c = series.coeffs
-    rows: list[ConvergenceRow] = []
-    prev0: Scalar | None = None
-    prev1: Scalar | None = None
-    for m in range(m_max + 1):
-        q0 = q0_row(c, m)
-        q1 = q1_row(c, m) if m >= 1 else None
-        delta0 = abs(q0 - prev0) if prev0 is not None else None
-        delta1 = abs(q1 - prev1) if (q1 is not None and prev1 is not None) else None
-        rows.append(ConvergenceRow(m, q0, q1, delta0, delta1))
-        prev0, prev1 = q0, q1
-    return ConvergenceTable(tuple(rows), m_max)
+    return ConvergenceTable(tuple(_float_rows(series, m_max)), m_max)
 
 
 def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:

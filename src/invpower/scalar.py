@@ -133,6 +133,14 @@ class PascalCache:
         return tuple(sorted(self._rows))
 
 
+def _int_text(n: int) -> str:
+    """Decimal digits of n, also past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return format(Decimal(n), "f")
+
+
 def _raw(x: mpmath.mpf):
     return x._mpf_
 
@@ -204,6 +212,12 @@ class Scalar:
         return Scalar(_wrap(raw), False, precision)
 
     @staticmethod
+    def from_raw(raw: tuple, precision: int) -> "Scalar":
+        """A float from a raw mpmath value tuple already rounded to the
+        significand of ``precision``."""
+        return Scalar(_wrap(raw), False, precision)
+
+    @staticmethod
     def approx(value: Union[int, Fraction, "Scalar"], precision: int = MIN_PRECISION) -> "Scalar":
         """Round a value to float mode at the given IEEE-equivalent width."""
         if isinstance(value, Scalar):
@@ -235,10 +249,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.as_fraction().denominator == 1
-
     def __float__(self) -> float:
         return float(self.value)
 
@@ -261,8 +271,8 @@ class Scalar:
         """Render as "p/q" (bare "p" for integers); exact mode only."""
         f = self.as_fraction()
         if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+            return _int_text(f.numerator)
+        return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
 
     def render_decimal(self, digits: int = 30) -> str:
         """Decimal rendering with a significant-digit budget."""

@@ -4,13 +4,17 @@ oracles by the tests.
 Everything here is deliberately written against the standard library
 (``math.comb``, ``fractions.Fraction``) instead of the package under
 test, so closed forms in the package are checked by structurally
-different code.
+different code.  The float oracles are the one exception: float mode
+promises the rounding of the literal sums done in ``Scalar`` arithmetic,
+one rounded operation per term, so they are those literal sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+
+from invpower.scalar import Scalar
 
 
 def comb0(a: int, b: int) -> int:
@@ -54,6 +58,57 @@ def closed_form_q(coeffs: list[Fraction], m: int) -> list[Fraction]:
             inner = sum((-1) ** n * comb0(m - n, k - n) * comb0(m, s + n)
                         for n in range(k + 1))
             acc += inner * coeffs[s]
+        q.append((-1) ** k * acc)
+    return q
+
+
+def float_q0_row(c: list[Scalar], m: int) -> Scalar:
+    """Float q_0 at dimension m by its literal binomial sum in ``Scalar``
+    arithmetic, starting from an exact zero."""
+    acc = Scalar.rational(0)
+    for n in range(m + 1):
+        acc = acc + comb(m, n) * c[n]
+    return acc
+
+
+def float_q1_row(c: list[Scalar], m: int) -> Scalar:
+    """Float q_1 at dimension m >= 1 by its literal binomial sum."""
+    acc = Scalar.rational(0)
+    for n in range(1, m + 1):
+        acc = acc + (comb0(m, n + 1) - m * comb(m, n)) * c[n]
+    return acc
+
+
+def float_table(c: list[Scalar], m_max: int) -> list[tuple]:
+    """Rows (m, q0, q1, delta0, delta1) of a float convergence table by
+    the literal row sums, with deltas |q(m) - q(m-1)| in ``Scalar``
+    arithmetic."""
+    rows = []
+    prev0 = prev1 = None
+    for m in range(m_max + 1):
+        q0 = float_q0_row(c, m)
+        q1 = float_q1_row(c, m) if m >= 1 else None
+        delta0 = abs(q0 - prev0) if prev0 is not None else None
+        delta1 = abs(q1 - prev1) if (q1 is not None and prev1 is not None) else None
+        rows.append((m, q0, q1, delta0, delta1))
+        prev0, prev1 = q0, q1
+    return rows
+
+
+def float_closed_form_q(c: list[Scalar], m: int) -> list[Scalar]:
+    """Float q_0..q_m by the literal double sums of :func:`closed_form_q`
+    in ``Scalar`` arithmetic: each integer weight times c_s, summed in
+    order from an exact zero, then times (-1)**k."""
+    q = [float_q0_row(c, m)]
+    if m >= 1:
+        q.append(float_q1_row(c, m))
+    for k in range(2, m + 1):
+        acc = Scalar.rational(0)
+        for s in range(1, m + 1):
+            inner = 0
+            for n in range(k + 1):
+                inner += (-1) ** n * comb0(m - n, k - n) * comb0(m, s + n)
+            acc = acc + inner * c[s]
         q.append((-1) ** k * acc)
     return q
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invpower.approximant import (
+    _weight_rows,
     coeffs_closed_form,
     coeffs_oracle_solve,
     coeffs_via_matrix,
@@ -17,7 +18,7 @@ from invpower.errors import ExactnessError, PoleError
 from invpower.scalar import CancellationWarning, Scalar, binom
 from invpower.series import series_from_rationals
 
-from _oracles import brute_q0, brute_q1, closed_form_q, tail_coeffs, tail_rows
+from _oracles import brute_q0, brute_q1, closed_form_q, comb0, tail_coeffs, tail_rows
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 
@@ -305,3 +306,19 @@ def test_float_mode_no_warning_at_small_dimension():
         warnings.simplefilter("error")
         approx = coeffs_via_matrix(s, 2)
     assert not approx.is_exact
+
+
+# ---------------------------------------------------------------------------
+# float mode: the weights of the literal sums
+# ---------------------------------------------------------------------------
+
+
+def test_weight_recurrence_matches_alternating_inner_sums():
+    for m in range(30):
+        rows = list(_weight_rows(m))
+        assert len(rows) == m + 1
+        assert rows[0] == [comb0(m, s) for s in range(m + 1)]
+        for k in range(1, m + 1):
+            assert rows[k] == [0] + [
+                sum((-1) ** n * comb0(m - n, k - n) * comb0(m, s + n) for n in range(k + 1))
+                for s in range(1, m + 1)]

@@ -1,9 +1,12 @@
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invpower.approximant import coeffs_closed_form
 from invpower.asymptotics import (
     ConvergenceRow,
     ConvergenceTable,
@@ -15,9 +18,16 @@ from invpower.asymptotics import (
 from invpower.corpus import mobius, shifted_reciprocal, taylor_coeffs
 from invpower.errors import PoleError
 from invpower.scalar import CancellationWarning, Scalar
-from invpower.series import series_from_rationals
+from invpower.series import TaylorSeries, series_from_rationals
 
-from _oracles import brute_q0, brute_q1, tail_coeffs, tail_rows
+from _oracles import (
+    brute_q0,
+    brute_q1,
+    float_closed_form_q,
+    float_table,
+    tail_coeffs,
+    tail_rows,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -169,6 +179,79 @@ def test_float_table_warns_at_hazardous_dimension():
     series = series_from_rationals(1, coeffs).to_inexact(64)
     with pytest.warns(CancellationWarning):
         convergence_table(series, 60)
+
+
+def same_float(x, y):
+    """Bit-for-bit equality of two float Scalars, or both None."""
+    if x is None or y is None:
+        return x is y
+    return not x.exact and x.value._mpf_ == y.value._mpf_ and x.precision == y.precision
+
+
+def float_rows_equal(table, expected):
+    assert len(table.rows) == len(expected)
+    for row, (m, *values) in zip(table.rows, expected):
+        assert row.m == m
+        assert all(same_float(x, y) for x, y in
+                   zip((row.q0, row.q1, row.delta0, row.delta1), values))
+
+
+@st.composite
+def float_cases(draw):
+    """Series rounded to 64/80/128/256 bits with zeros and negatives, and
+    a dimension m <= 40 that reaches the 64-bit hazard (m >= 35)."""
+    m = draw(st.integers(0, 40) | st.sampled_from([35, 36, 40]))
+    entries = st.just(Fraction(0)) | st.fractions(
+        min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+    coeffs = draw(st.lists(entries, min_size=m + 1, max_size=m + 3))
+    width = draw(st.sampled_from([64, 80, 128, 256]))
+    return series_from_rationals(Fraction(-2, 5), coeffs).to_inexact(width), m
+
+
+@settings(max_examples=50, deadline=None)
+@given(float_cases())
+def test_float_rows_and_coefficients_match_literal_sums_bit_for_bit(case):
+    series, m = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        table = convergence_table(series, m)
+        q = coeffs_closed_form(series, m).coeffs
+    float_rows_equal(table, float_table(list(series.coeffs), m))
+    assert all(same_float(x, y) for x, y in
+               zip(q, float_closed_form_q(list(series.coeffs), m), strict=True))
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_float_rows_and_coefficients_match_literal_sums_past_the_hazard(width):
+    """Weights far wider than the significand, on random data: the table
+    to m_max = 120 and the approximant at m = 70."""
+    rng = random.Random(width)
+    coeffs = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+              for _ in range(121)]
+    series = series_from_rationals(Fraction(5, 4), coeffs).to_inexact(width)
+    with pytest.warns(CancellationWarning):
+        table = convergence_table(series, 120)
+    with pytest.warns(CancellationWarning):
+        q = coeffs_closed_form(series, 70).coeffs
+    float_rows_equal(table, float_table(list(series.coeffs), 120))
+    assert all(same_float(x, y) for x, y in
+               zip(q, float_closed_form_q(list(series.coeffs), 70), strict=True))
+
+
+def test_mixed_series_reads_coefficients_at_float_precision():
+    """Exact entries and floats of two widths: the table and the float
+    approximant are those of the series rounded to its narrowest width."""
+    exact = tail_coeffs(Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(1), 31)
+    coeffs = tuple(Scalar.rational(c) if n % 3 == 0 else Scalar.approx(c, 128 * (n % 3))
+                   for n, c in enumerate(exact))
+    mixed = TaylorSeries(Scalar.rational(1), coeffs)
+    assert mixed.float_precision == 128
+    uniform = mixed.to_inexact(128)
+    float_rows_equal(convergence_table(mixed, 30), [
+        (r.m, r.q0, r.q1, r.delta0, r.delta1) for r in convergence_table(uniform, 30).rows])
+    for x, y in zip(coeffs_closed_form(mixed, 30).coeffs, coeffs_closed_form(uniform, 30).coeffs,
+                    strict=True):
+        assert same_float(x, y)
 
 
 # ---------------------------------------------------------------------------

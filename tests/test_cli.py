@@ -322,6 +322,15 @@ def test_exact_file_rejects_huge_exponent(capsys, tmp_path, bad):
     assert "field 'coeffs'[1]" in err and "decimal exponent beyond +/-4300" in err
 
 
+def test_json_renders_values_past_int_string_digit_limit(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["9e4300", "9e4300"]}))
+    code, out, err = run(capsys, "approximate", "--coeffs", str(path), "--m", "1",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["coeffs"] == ["18" + "0" * 4300, "-9" + "0" * 4300]
+
+
 @pytest.mark.parametrize("argv,field", [
     (["approximate", "--corpus", "one-over-x", "--m", "1", "--eval", "1e999999999"],
      "bad --eval"),
@@ -385,6 +394,11 @@ _HASH_FILES = {
               "coeffs": [f"{(-1) ** n * (n + 1)}/{n * n + 3}" for n in range(24)]
               + ["0.125", "-2.5e-3"],
               "exact": True},
+    # (1/2)(-2/5)**n as decimal strings, read as floats at --precision
+    "floatdec": {"center": "1",
+                 "coeffs": ["0.5"] + [f"{'-' if n % 2 else ''}{2 ** (2 * n - 1)}e-{n}"
+                                      for n in range(1, 141)],
+                 "exact": False},
 }
 
 # SHA-256 of stdout, recorded with the O(m^3) binom-sum convergence table
@@ -443,6 +457,67 @@ def _with_hash_files(tmp_path, argv):
 def test_estimate_exact_output_bytes_unchanged(capsys, tmp_path, argv, digest):
     code, out, err = run(capsys, "estimate", *_with_hash_files(tmp_path, argv))
     assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _table_warning(m, prec, bits):
+    return (f"warning: convergence table to dimension {m} at {prec}-bit floats: "
+            f"binomial weights consume ~{bits} bits and cancellation will dominate; "
+            f"use exact mode\n")
+
+
+# SHA-256 of stdout and the exact stderr, recorded with the literal
+# Scalar row sums that preceded the raw-mpf float loop.  The warning line
+# sits between m = 34 and 35 at 64 bits, 67 and 68 at 128, 131 and 132 at
+# 256.
+_ESTIMATE_FLOAT_HASHES = [
+    ("f64-mobius-m0-json", ["--corpus", "mobius-2-3-1-2", "--m-max", "0", "--mode", "float",
+                            "--format", "json"],
+     "",
+     "3414715d4636fa2961eb60fff0c8c625573fd79c0f2c28c39d9d76dfb76a051a"),
+    ("f64-x-over-m1-csv12", ["--corpus", "x-over-x-plus-1", "--m-max", "1", "--mode", "float",
+                             "--digits", "12"],
+     "",
+     "cd7d4d5cdb65dad4eaee443c118f4c0a9a5b573517ed795ae28653c37b47e58c"),
+    ("f128-floatdec-m2-json", ["--coeffs", "{floatdec}", "--m-max", "2", "--precision", "128",
+                               "--format", "json"],
+     "",
+     "83649e19b15df9304310529a5460239ee5bb93a8274136b5f139e3e802b48662"),
+    ("f64-mobius-m34-csv12", ["--corpus", "mobius-2-3-1-2", "--m-max", "34", "--mode", "float",
+                              "--digits", "12"],
+     "",
+     "bf2641d4f9c65251358b76b4413ef3bc06b5217b0f21cceb1f107b0040c38253"),
+    ("f64-floatdec-m40-csv45", ["--coeffs", "{floatdec}", "--m-max", "40", "--digits", "45"],
+     _table_warning(40, 64, 38),
+     "6d3d3d29ca7ef21e9385eced2dbca93a95cb5dc46224cf930e051d7a1cdbd757"),
+    ("f128-tail3-m40-json", ["--coeffs", "{tail3}", "--m-max", "40", "--mode", "float",
+                             "--precision", "128", "--format", "json"],
+     "",
+     "5e9e8a6097968aa842eb7f4ee702ee0756a01fa0ff8a667545173bdce8bdb927"),
+    ("f128-tail3-m67-csv", ["--coeffs", "{tail3}", "--m-max", "67", "--mode", "float",
+                            "--precision", "128"],
+     "",
+     "d28e4fe6d385ceca95e669c0baeff3f77e63f6bac9c30048469edc85fb1eb21b"),
+    ("f128-mobius-x0-m70-csv45", ["--corpus", "mobius-2-3-1-2", "--x0", "3/2", "--m-max", "70",
+                                  "--mode", "float", "--precision", "128", "--digits", "45"],
+     _table_warning(70, 128, 67),
+     "edbc1a60a30863cff71a95ac54c77b01e20f31843de10098a4f552ccc28526f4"),
+    ("f256-tail3-m125-json", ["--coeffs", "{tail3}", "--m-max", "125", "--mode", "float",
+                              "--precision", "256", "--format", "json"],
+     "",
+     "65d777fc6bfb7e2ab81d396e4e70a0b8f9645f87773f6d66cc132b0649faaa3b"),
+    ("f256-floatdec-m140-csv45", ["--coeffs", "{floatdec}", "--m-max", "140",
+                                  "--mode", "float", "--precision", "256", "--digits", "45"],
+     _table_warning(140, 256, 137),
+     "7d991319a20e6ba2a12e5d9b9ebfc20cb02dfba045abe3a8cdfd66b9a0043f0d"),
+]
+
+
+@pytest.mark.parametrize("argv,expected_err,digest", [c[1:] for c in _ESTIMATE_FLOAT_HASHES],
+                         ids=[c[0] for c in _ESTIMATE_FLOAT_HASHES])
+def test_estimate_float_output_bytes_unchanged(capsys, tmp_path, argv, expected_err, digest):
+    code, out, err = run(capsys, "estimate", *_with_hash_files(tmp_path, argv))
+    assert code == 0 and err == expected_err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

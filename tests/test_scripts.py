@@ -1,0 +1,41 @@
+"""The experiment scripts run from a checkout, as the README shows them."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# SHA-256 of `float_cancellation_study.py --m-max 60`, recorded with the
+# literal Scalar row sums that preceded the raw-mpf float loop: the script
+# prints float-mode table rows, so a change in float rounding shows here.
+FLOAT_STUDY_M60 = "44072b04b9eea3e49ea392b6f84f2f925c05f659e3698b5f229e7b227ed6ab1e"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("run_convergence_study.py", ["--m-max", "8", "--digits", "6"]),
+    ("float_cancellation_study.py", ["--m-max", "20", "--precision", "128"]),
+])
+def test_script_runs(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_float_study_output_unchanged():
+    proc = run_script("float_cancellation_study.py", "--m-max", "60")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == FLOAT_STUDY_M60
