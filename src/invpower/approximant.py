@@ -190,13 +190,18 @@ def _weight_rows(m: int):
     (1+y)**(N-1) obeys (x + y + xy) G = (1+x)((1+x)**m (1+y)**m - 1), and
     comparing coefficients gives
     W(k, s) = C(m+1, k) C(m, s) - W(k-1, s+1) - W(k-1, s): one
-    multiplication per weight in place of an O(k) binomial sum.
+    multiplication per weight in place of an O(k) binomial sum.  C(m, s)
+    and C(m+1, k) are walked by the exact ratio steps
+    C(m, s+1) = C(m, s)·(m−s)/(s+1) and C(m+1, k) = C(m+1, k−1)·(m+2−k)/k.
     """
-    row = [binom(m, s) for s in range(m + 1)]
+    row = [1]
+    for s in range(m):
+        row.append(row[-1] * (m - s) // (s + 1))
     w = row
     yield w
+    top = 1
     for k in range(1, m + 1):
-        top = binom(m + 1, k)
+        top = top * (m + 2 - k) // k
         w = [0, *(top * b - u - v for b, u, v in zip(row[1:], w[1:], [*w[2:], 0]))]
         yield w
 

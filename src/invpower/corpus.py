@@ -32,6 +32,10 @@ from .errors import CoefficientFileError, PoleError
 from .scalar import Scalar
 from .series import TaylorSeries
 
+# Most entries a coefficient file may hold; the count is checked before any
+# entry is parsed, so an oversized file costs no parsing.
+MAX_FILE_COEFFS = 100_000
+
 
 def _scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar.rational(x)
@@ -314,6 +318,10 @@ def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
         raise CoefficientFileError(f"{path}: field 'exact' must be true or false")
     if not isinstance(raw["coeffs"], list) or not raw["coeffs"]:
         raise CoefficientFileError(f"{path}: field 'coeffs' must be a nonempty list")
+    if len(raw["coeffs"]) > MAX_FILE_COEFFS:
+        raise CoefficientFileError(
+            f"{path}: field 'coeffs' has {len(raw['coeffs'])} entries, "
+            f"more than the limit of {MAX_FILE_COEFFS}")
 
     def parse(field: str, text) -> Scalar:
         if not isinstance(text, str):

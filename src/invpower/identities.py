@@ -1,30 +1,52 @@
 """Executable checks for the binomial identities behind the convergence
 argument.
 
-Each check evaluates one identity at one parameter tuple: the left side by
-literal term-by-term summation, the right side by its closed form (or its
-own independent summation for the two re-indexing families).  The two
-sides deliberately share no helper code, so a bug in one route cannot hide
-in the other.  All arithmetic is over Python big integers; the
-``binom(a, b) == 0`` convention for out-of-range lower indices is load
-bearing (several right sides vanish only because of it).
+Each identity is checked one (m, k) pair at a time by a family kernel
+that returns both sides for every inner parameter (n or a) at once.  The
+two sides are computed by structurally different code:
 
-The identity families:
+* the **literal** side is the term-by-term sum (or product) written in
+  ``math.comb``, evaluated once per (m, k) and compared against every
+  inner parameter;
+* the **walked** side never calls ``math.comb``: its Pascal factors
+  start from 1 and move by exact ratio recurrences such as
+  C(N+1, K+1) = C(N, K)·(N+1)/(K+1) or C(M, r+1) = C(M, r)·(M−r)/(r+1),
+  each an exact integer division, and its signs by toggling.  ``binom``
+  is kept only where a lower index can be negative, because the
+  ``binom(a, b) == 0`` convention is load bearing (several right sides
+  vanish only because of it).
+
+Neither side reads a value the other computed.  All arithmetic is over
+Python big integers.
+
+The identity families, with the walked side named:
 
 * FACTORIAL_DOMINANCE          (m+1)! * C(k, m+1)  >  C(k+n-1, n)
-                               for k > m+1, 0 <= n <= m.
+                               for k > m+1, 0 <= n <= m.  Walked: the
+                               right side, over n.
 * ALTERNATING_ROW_PREFIX       sum_{n<=k} (-1)^n C(m,n) = (-1)^k C(m-1,k)
-                               for m >= 1, 0 <= k <= m-1.
+                               for m >= 1, 0 <= k <= m-1.  Walked: the
+                               right side, along row m-1.
 * CONVOLUTION_SHIFT_FAMILY     the alternating binomial convolution equals
                                an a-shifted re-indexed sum, 0 <= a <= m.
+                               Walked: the shifted sums, over a and over
+                               their summation index.
 * ALTERNATING_CONVOLUTION_CLOSED  its endpoint: the convolution collapses
-                               to (-1)^m C(k-1, m).
+                               to (-1)^m C(k-1, m).  Walked: the right
+                               side, along row k-1.
 * HOCKEY_STICK                 column partial sums of the triangle.
+                               Walked: the right side C(k+m-2, k-1).
 * WEIGHTED_SHIFT_FAMILY        the weighted convolution equals an a-shifted
                                sum plus a correction, 1 <= a <= m-2.
+                               Walked: the shifted sums and the correction
+                               sum_{r<=a} (-1)^r (m-r) C(k,r), a running
+                               sum over a.
 * WEIGHTED_CONVOLUTION_CLOSED  its endpoint:
                                (-1)^(m-1) { m C(k-1,m) + C(k-2,m-1) }.
+                               Walked: the right side, along rows k-1
+                               and k-2.
 
+The ``check_*`` functions select one tuple from a family kernel.
 ``run_suite`` enumerates every admissible tuple over rectangular m/k
 ranges and reports pass/fail counts plus the failing tuples (there should
 never be any: these are theorems, so a failure is an implementation bug).
@@ -32,9 +54,10 @@ never be any: these are theorems, so a failure is an implementation bug).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from math import factorial
-from typing import Sequence
+from math import comb, factorial
+from typing import Callable, Sequence
 
 from .scalar import binom
 
@@ -75,24 +98,141 @@ class IdentityCase:
         }
 
 
+# ---------------------------------------------------------------------------
+# family kernels: (literal lhs, [walked rhs per inner parameter]) at one (m, k)
+# ---------------------------------------------------------------------------
+
+
+def _factorial_dominance(m: int, k: int) -> tuple[int, list[int]]:
+    """(m+1)! C(k, m+1) and C(k+n-1, n) for n = 0..m (k >= 1)."""
+    lhs = factorial(m + 1) * comb(k, m + 1)
+    rhs = []
+    c = 1
+    for n in range(m + 1):
+        rhs.append(c)
+        c = c * (k + n) // (n + 1)
+    return lhs, rhs
+
+
+def _alternating_row_prefix(m: int, k: int) -> tuple[int, list[int]]:
+    """sum_{n<=k} (-1)^n C(m, n) and (-1)^k C(m-1, k) (m >= 1)."""
+    lhs = sum(comb(m, n) * (-1) ** n for n in range(k + 1))
+    c = 1
+    for r in range(k):
+        c = c * (m - 1 - r) // (r + 1)
+    return lhs, [-c if k % 2 else c]
+
+
+def _convolution(m: int, k: int) -> tuple[int, list[int]]:
+    """The alternating convolution sum_n (-1)^n C(m,n) C(k+n-1,n), and
+    the right sides of the shift family for a = 0..m followed by the
+    closed form (-1)^m C(k-1, m) (k >= 1).
+
+    The shift right side is (-1)^a sum_{j=0..m-a} (-1)^j C(k-1+j, j+a)
+    C(m-a, j); C(k-1, a) is walked over a, and both factors over j.
+    """
+    lhs = sum(comb(m, n) * comb(k + n - 1, n) * (-1) ** n for n in range(m + 1))
+    rhs = []
+    start = 1                               # C(k-1, a)
+    sign = 1                                # (-1)^a
+    for a in range(m + 1):
+        total = 0
+        if start:                           # else every term has the factor 0
+            t, u, s = start, 1, sign        # C(k-1+j, j+a), C(m-a, j), sign
+            for j in range(m - a + 1):
+                total += s * t * u
+                t = t * (k + j) // (j + a + 1)
+                u = u * (m - a - j) // (j + 1)
+                s = -s
+        rhs.append(total)
+        if a < m:
+            start = start * (k - 1 - a) // (a + 1)
+            sign = -sign
+    rhs.append(sign * start)
+    return lhs, rhs
+
+
+def _hockey_stick(k: int, m: int) -> tuple[int, list[int]]:
+    """sum_{z<m} C(k+z-2, k-2) and C(k+m-2, k-1) (k >= 2)."""
+    lhs = sum(comb(k + z - 2, k - 2) for z in range(m))
+    c = 1                                   # C(k-1+j, k-1)
+    for j in range(m - 1):
+        c = c * (k + j) // (j + 1)
+    return lhs, [c]
+
+
+def _weighted_shift(m: int, k: int) -> tuple[int, list[int]]:
+    """The weighted convolution sum_{n=1..m-1} (-1)^n C(m,n+1) C(k+n-1,k-1)
+    and its right sides for a = 1..m-2 (k >= 2):
+
+        (-1)^a sum_{n=1..m-a-1} (-1)^n C(m-a, n+1) C(k+n-1, k-1-a)
+        + sum_{r=1..a} (-1)^r (m-r) C(k, r).
+
+    The correction is a running sum over a with C(k, r) walked over r;
+    C(k+n-1, k-1-a) starts from binom(k, k-1-a), whose lower index is
+    negative once a >= k, and is walked over n like C(m-a, n+1).
+    """
+    lhs = sum(comb(m, n + 1) * comb(k + n - 1, k - 1) * (-1) ** n for n in range(1, m))
+    rhs = []
+    correction = 0
+    ck = 1                                  # C(k, r)
+    sign = 1                                # (-1)^a
+    for a in range(1, m - 1):
+        ck = ck * (k - a + 1) // a
+        sign = -sign
+        correction += sign * (m - a) * ck
+        shifted = 0
+        v = binom(k, k - 1 - a)             # C(k+n-1, k-1-a) at n = 1
+        if v:
+            w = (m - a) * (m - a - 1) // 2  # C(m-a, n+1) at n = 1
+            s = -sign
+            for n in range(1, m - a):
+                shifted += s * w * v
+                v = v * (k + n) // (n + 1 + a)
+                w = w * (m - a - n - 1) // (n + 2)
+                s = -s
+        rhs.append(shifted + correction)
+    return lhs, rhs
+
+
+def _weighted_convolution(m: int, k: int) -> tuple[int, list[int]]:
+    """sum_{n=1..m} {C(m,n+1) - m C(m,n)} (-1)^n C(k+n-1,n) and
+    (-1)^(m-1) {m C(k-1,m) + C(k-2,m-1)} (m >= 1, k >= 2)."""
+    lhs = sum((comb(m, n + 1) - m * comb(m, n)) * comb(k + n - 1, n) * (-1) ** n
+              for n in range(1, m + 1))
+    c1 = c2 = 1                             # C(k-1, r), C(k-2, r)
+    for r in range(m - 1):
+        c1 = c1 * (k - 1 - r) // (r + 1)
+        c2 = c2 * (k - 2 - r) // (r + 1)
+    c1 = c1 * (k - m) // m
+    value = m * c1 + c2
+    return lhs, [value if m % 2 else -value]
+
+
+# ---------------------------------------------------------------------------
+# single tuples
+# ---------------------------------------------------------------------------
+
+
+def _case(identity_id: str, params: dict[str, int], lhs: int, rhs: int,
+          holds: Callable[[int, int], bool] = operator.eq) -> IdentityCase:
+    return IdentityCase(identity_id, params, lhs, rhs, holds(lhs, rhs))
+
+
 def check_factorial_dominance(m: int, k: int, n: int) -> IdentityCase:
     """Strict inequality (m+1)! * C(k, m+1) > C(k+n-1, n)."""
     if m < 0 or n < 0 or k <= m + 1 or n > m:
         raise ValueError(f"need k > m+1 >= 1 and 0 <= n <= m, got m={m} k={k} n={n}")
-    lhs = factorial(m + 1) * binom(k, m + 1)
-    rhs = binom(k + n - 1, n)
-    return IdentityCase(FACTORIAL_DOMINANCE, {"m": m, "k": k, "n": n}, lhs, rhs, lhs > rhs)
+    lhs, rhs = _factorial_dominance(m, k)
+    return _case(FACTORIAL_DOMINANCE, {"m": m, "k": k, "n": n}, lhs, rhs[n], operator.gt)
 
 
 def check_alternating_row_prefix(m: int, k: int) -> IdentityCase:
     """Partial alternating row sum against the signed previous-row value."""
     if m < 1 or k < 0 or k > m - 1:
         raise ValueError(f"need m >= 1 and 0 <= k <= m-1, got m={m} k={k}")
-    lhs = 0
-    for n in range(k + 1):
-        lhs += (-1) ** n * binom(m, n)
-    rhs = (-1) ** k * binom(m - 1, k)
-    return IdentityCase(ALTERNATING_ROW_PREFIX, {"m": m, "k": k}, lhs, rhs, lhs == rhs)
+    lhs, rhs = _alternating_row_prefix(m, k)
+    return _case(ALTERNATING_ROW_PREFIX, {"m": m, "k": k}, lhs, rhs[0])
 
 
 def check_convolution_shift(m: int, k: int, a: int) -> IdentityCase:
@@ -103,53 +243,32 @@ def check_convolution_shift(m: int, k: int, a: int) -> IdentityCase:
     """
     if m < 0 or k < 1 or a < 0 or a > m:
         raise ValueError(f"need m >= 0, k >= 1, 0 <= a <= m, got m={m} k={k} a={a}")
-    lhs = 0
-    for n in range(m + 1):
-        lhs += (-1) ** n * binom(m, n) * binom(k + n - 1, n)
-    rhs_sum = 0
-    for r in range(1, m + 2 - a):
-        rhs_sum += (-1) ** (r - 1) * binom(k + r - 2, r - 1 + a) * binom(m - a, r - 1)
-    rhs = (-1) ** a * rhs_sum
-    return IdentityCase(CONVOLUTION_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs, lhs == rhs)
+    lhs, rhs = _convolution(m, k)
+    return _case(CONVOLUTION_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs[a])
 
 
 def check_alternating_convolution(m: int, k: int) -> IdentityCase:
     """sum (-1)^n C(m,n) C(k+n-1,n) == (-1)^m C(k-1, m)."""
     if m < 0 or k < 1:
         raise ValueError(f"need m >= 0 and k >= 1, got m={m} k={k}")
-    lhs = 0
-    for n in range(m + 1):
-        lhs += (-1) ** n * binom(m, n) * binom(k + n - 1, n)
-    rhs = (-1) ** m * binom(k - 1, m)
-    return IdentityCase(ALTERNATING_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs, lhs == rhs)
+    lhs, rhs = _convolution(m, k)
+    return _case(ALTERNATING_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs[-1])
 
 
 def check_hockey_stick(k: int, m: int) -> IdentityCase:
     """Column partial sum: sum_{z<m} C(k+z-2, k-2) == C(k+m-2, k-1)."""
     if k < 2 or m < 1:
         raise ValueError(f"need k >= 2 and m >= 1, got k={k} m={m}")
-    lhs = 0
-    for z in range(m):
-        lhs += binom(k + z - 2, k - 2)
-    rhs = binom(k + m - 2, k - 1)
-    return IdentityCase(HOCKEY_STICK, {"k": k, "m": m}, lhs, rhs, lhs == rhs)
+    lhs, rhs = _hockey_stick(k, m)
+    return _case(HOCKEY_STICK, {"k": k, "m": m}, lhs, rhs[0])
 
 
 def check_weighted_shift(m: int, k: int, a: int) -> IdentityCase:
     """Weighted convolution vs its a-fold shifted form plus correction."""
     if m <= 1 or k < 2 or a < 1 or a > m - 2:
         raise ValueError(f"need m > 1, k >= 2, 1 <= a <= m-2, got m={m} k={k} a={a}")
-    lhs = 0
-    for n in range(1, m):
-        lhs += (-1) ** n * binom(m, n + 1) * binom(k + n - 1, k - 1)
-    shifted = 0
-    for n in range(1, m - a):
-        shifted += (-1) ** n * binom(m - a, n + 1) * binom(k + n - 1, k - 1 - a)
-    correction = 0
-    for r in range(1, a + 1):
-        correction += (-1) ** r * (m - r) * binom(k, r)
-    rhs = (-1) ** a * shifted + correction
-    return IdentityCase(WEIGHTED_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs, lhs == rhs)
+    lhs, rhs = _weighted_shift(m, k)
+    return _case(WEIGHTED_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs[a - 1])
 
 
 def check_weighted_convolution(m: int, k: int) -> IdentityCase:
@@ -157,11 +276,13 @@ def check_weighted_convolution(m: int, k: int) -> IdentityCase:
     == (-1)^(m-1) { m C(k-1,m) + C(k-2,m-1) }."""
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m} k={k}")
-    lhs = 0
-    for n in range(1, m + 1):
-        lhs += (binom(m, n + 1) - m * binom(m, n)) * (-1) ** n * binom(k + n - 1, n)
-    rhs = (-1) ** (m - 1) * (m * binom(k - 1, m) + binom(k - 2, m - 1))
-    return IdentityCase(WEIGHTED_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs, lhs == rhs)
+    lhs, rhs = _weighted_convolution(m, k)
+    return _case(WEIGHTED_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs[0])
+
+
+# ---------------------------------------------------------------------------
+# the suite
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -181,13 +302,23 @@ class SuiteReport:
     skipped: int = 0
     failures: list[IdentityCase] = field(default_factory=list)
 
-    def record(self, case: IdentityCase) -> None:
-        self.total += 1
-        if case.passed:
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.failures.append(case)
+    def tally(self, identity_id: str, params: dict[str, int], lhs: int,
+              rhs_values: Sequence[int], inner: str | None = None, start: int = 0,
+              holds: Callable[[int, int], bool] = operator.eq) -> None:
+        """Count one case per right side against the shared left side.
+
+        The i-th right side belongs to the inner parameter ``inner`` =
+        ``start + i``.  An :class:`IdentityCase` is built only for a
+        failure.
+        """
+        self.total += len(rhs_values)
+        for i, rhs in enumerate(rhs_values, start):
+            if holds(lhs, rhs):
+                self.passed += 1
+            else:
+                self.failed += 1
+                case_params = params if inner is None else {**params, inner: i}
+                self.failures.append(IdentityCase(identity_id, case_params, lhs, rhs, False))
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,43 +335,43 @@ def run_suite(ranges: SuiteRanges = SuiteRanges()) -> SuiteReport:
 
     (m, k) pairs outside an identity's precondition are counted as
     skipped for that identity; admissible pairs expand to all admissible
-    inner parameters.
+    inner parameters.  Each family kernel runs once per admissible (m, k).
     """
     report = SuiteReport()
-    ms, ks = ranges.m_values, ranges.k_values
-    for m in ms:
-        for k in ks:
+    for m in ranges.m_values:
+        for k in ranges.k_values:
+            mk = {"m": m, "k": k}
             # factorial dominance: k > m+1, all 0 <= n <= m
             if m >= 0 and k > m + 1:
-                for n in range(m + 1):
-                    report.record(check_factorial_dominance(m, k, n))
+                lhs, rhs = _factorial_dominance(m, k)
+                report.tally(FACTORIAL_DOMINANCE, mk, lhs, rhs, inner="n", holds=operator.gt)
             else:
                 report.skipped += 1
             # alternating prefix: uses k as the prefix length
             if m >= 1 and 0 <= k <= m - 1:
-                report.record(check_alternating_row_prefix(m, k))
+                report.tally(ALTERNATING_ROW_PREFIX, mk, *_alternating_row_prefix(m, k))
             else:
                 report.skipped += 1
-            # shift family and its closed endpoint
+            # shift family and its closed endpoint share the left side
             if m >= 0 and k >= 1:
-                for a in range(m + 1):
-                    report.record(check_convolution_shift(m, k, a))
-                report.record(check_alternating_convolution(m, k))
+                lhs, rhs = _convolution(m, k)
+                report.tally(CONVOLUTION_SHIFT_FAMILY, mk, lhs, rhs[:-1], inner="a")
+                report.tally(ALTERNATING_CONVOLUTION_CLOSED, mk, lhs, rhs[-1:])
             else:
                 report.skipped += 2
             # hockey stick
             if k >= 2 and m >= 1:
-                report.record(check_hockey_stick(k, m))
+                report.tally(HOCKEY_STICK, {"k": k, "m": m}, *_hockey_stick(k, m))
             else:
                 report.skipped += 1
             # weighted family and its closed endpoint
             if m > 1 and k >= 2 and m - 2 >= 1:
-                for a in range(1, m - 1):
-                    report.record(check_weighted_shift(m, k, a))
+                lhs, rhs = _weighted_shift(m, k)
+                report.tally(WEIGHTED_SHIFT_FAMILY, mk, lhs, rhs, inner="a", start=1)
             else:
                 report.skipped += 1
             if m >= 1 and k >= 2:
-                report.record(check_weighted_convolution(m, k))
+                report.tally(WEIGHTED_CONVOLUTION_CLOSED, mk, *_weighted_convolution(m, k))
             else:
                 report.skipped += 1
     return report

@@ -12,7 +12,7 @@ one rounded operation per term, so they are those literal sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from invpower.scalar import Scalar
 
@@ -111,6 +111,98 @@ def float_closed_form_q(c: list[Scalar], m: int) -> list[Scalar]:
             acc = acc + inner * c[s]
         q.append((-1) ** k * acc)
     return q
+
+
+# ---------------------------------------------------------------------------
+# binomial identities: both sides of every family by literal sums
+# ---------------------------------------------------------------------------
+
+
+def factorial_dominance_sides(m: int, k: int, n: int) -> tuple[int, int]:
+    return factorial(m + 1) * comb0(k, m + 1), comb0(k + n - 1, n)
+
+
+def alternating_row_prefix_sides(m: int, k: int) -> tuple[int, int]:
+    lhs = sum((-1) ** n * comb0(m, n) for n in range(k + 1))
+    return lhs, (-1) ** k * comb0(m - 1, k)
+
+
+def alternating_convolution_lhs(m: int, k: int) -> int:
+    return sum((-1) ** n * comb0(m, n) * comb0(k + n - 1, n) for n in range(m + 1))
+
+
+def convolution_shift_sides(m: int, k: int, a: int) -> tuple[int, int]:
+    rhs = sum((-1) ** (r - 1) * comb0(k + r - 2, r - 1 + a) * comb0(m - a, r - 1)
+              for r in range(1, m + 2 - a))
+    return alternating_convolution_lhs(m, k), (-1) ** a * rhs
+
+
+def alternating_convolution_sides(m: int, k: int) -> tuple[int, int]:
+    return alternating_convolution_lhs(m, k), (-1) ** m * comb0(k - 1, m)
+
+
+def hockey_stick_sides(k: int, m: int) -> tuple[int, int]:
+    return sum(comb0(k + z - 2, k - 2) for z in range(m)), comb0(k + m - 2, k - 1)
+
+
+def weighted_shift_sides(m: int, k: int, a: int) -> tuple[int, int]:
+    lhs = sum((-1) ** n * comb0(m, n + 1) * comb0(k + n - 1, k - 1) for n in range(1, m))
+    shifted = sum((-1) ** n * comb0(m - a, n + 1) * comb0(k + n - 1, k - 1 - a)
+                  for n in range(1, m - a))
+    correction = sum((-1) ** r * (m - r) * comb0(k, r) for r in range(1, a + 1))
+    return lhs, (-1) ** a * shifted + correction
+
+
+def weighted_convolution_sides(m: int, k: int) -> tuple[int, int]:
+    lhs = sum((comb0(m, n + 1) - m * comb0(m, n)) * (-1) ** n * comb0(k + n - 1, n)
+              for n in range(1, m + 1))
+    return lhs, (-1) ** (m - 1) * (m * comb0(k - 1, m) + comb0(k - 2, m - 1))
+
+
+def identity_cases(m: int, k: int) -> tuple[list[tuple], int]:
+    """Every admissible identity tuple at one (m, k), in the suite's order,
+    as (identity_id, params, lhs, rhs, passed) by the literal sums, plus
+    the number of families skipped at this (m, k)."""
+    cases = []
+    skipped = 0
+
+    def add(identity_id, params, sides, holds=lambda lhs, rhs: lhs == rhs):
+        lhs, rhs = sides
+        cases.append((identity_id, params, lhs, rhs, holds(lhs, rhs)))
+
+    if k > m + 1:
+        for n in range(m + 1):
+            add("FACTORIAL_DOMINANCE", {"m": m, "k": k, "n": n},
+                factorial_dominance_sides(m, k, n), lambda lhs, rhs: lhs > rhs)
+    else:
+        skipped += 1
+    if 0 <= k <= m - 1:
+        add("ALTERNATING_ROW_PREFIX", {"m": m, "k": k}, alternating_row_prefix_sides(m, k))
+    else:
+        skipped += 1
+    if k >= 1:
+        for a in range(m + 1):
+            add("CONVOLUTION_SHIFT_FAMILY", {"m": m, "k": k, "a": a},
+                convolution_shift_sides(m, k, a))
+        add("ALTERNATING_CONVOLUTION_CLOSED", {"m": m, "k": k},
+            alternating_convolution_sides(m, k))
+    else:
+        skipped += 2
+    if k >= 2 and m >= 1:
+        add("HOCKEY_STICK", {"k": k, "m": m}, hockey_stick_sides(k, m))
+    else:
+        skipped += 1
+    if m >= 3 and k >= 2:
+        for a in range(1, m - 1):
+            add("WEIGHTED_SHIFT_FAMILY", {"m": m, "k": k, "a": a},
+                weighted_shift_sides(m, k, a))
+    else:
+        skipped += 1
+    if m >= 1 and k >= 2:
+        add("WEIGHTED_CONVOLUTION_CLOSED", {"m": m, "k": k}, weighted_convolution_sides(m, k))
+    else:
+        skipped += 1
+    return cases, skipped
 
 
 def tail_coeffs(offset: Fraction, weight: Fraction, shift: Fraction,

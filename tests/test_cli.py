@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from invpower import identities
 from invpower.cli import main
+from invpower.corpus import MAX_FILE_COEFFS
 
 from _oracles import tail_coeffs
 
@@ -215,6 +217,32 @@ def test_verify_identities_csv_summary(capsys):
     assert "# failed=0" in out
 
 
+def test_verify_identities_reports_a_failing_case(capsys, monkeypatch):
+    """One wrong right side from a family kernel reaches both formats and
+    the exit code."""
+    original = identities._convolution
+
+    def broken(m, k):
+        lhs, rhs = original(m, k)
+        return lhs, [r + 1 if (m, k, a) == (2, 3, 1) else r for a, r in enumerate(rhs)]
+
+    monkeypatch.setattr(identities, "_convolution", broken)
+    code, out, err = run(capsys, "verify-identities", "--m-max", "3", "--k-max", "3")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["identity_id,params,lhs,rhs,pass",
+                         "CONVOLUTION_SHIFT_FAMILY,m=2;k=3;a=1,1,2,false"]
+    assert lines[4] == "# failed=1"
+    code, out, err = run(capsys, "verify-identities", "--m-max", "3", "--k-max", "3",
+                         "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["failed"] == 1 and payload["passed"] == payload["total"] - 1
+    assert payload["failures"] == [{"identity_id": "CONVOLUTION_SHIFT_FAMILY",
+                                    "params": {"m": 2, "k": 3, "a": 1},
+                                    "lhs": "1", "rhs": "2", "pass": False}]
+
+
 def test_verify_identities_bad_range(capsys):
     code, _, err = run(capsys, "verify-identities", "--m-max", "-2")
     assert code == 1
@@ -310,6 +338,16 @@ def test_float_file_rejects_non_finite_coefficient(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert "field 'coeffs'[1]" in err and "not a finite number" in err
+
+
+def test_file_with_too_many_coefficients_rejected(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1"] * (MAX_FILE_COEFFS + 1)}))
+    code, out, err = run(capsys, "estimate", "--coeffs", str(path), "--m-max", "2")
+    assert code == 1
+    assert out == ""
+    assert (f"field 'coeffs' has {MAX_FILE_COEFFS + 1} entries, "
+            f"more than the limit of {MAX_FILE_COEFFS}") in err
 
 
 @pytest.mark.parametrize("bad", ["1e999999999", "-2e-999999999", "1e4301"])
@@ -596,4 +634,43 @@ _APPROXIMATE_HASHES = [
 def test_approximate_output_bytes_unchanged(capsys, tmp_path, argv, expected_err, digest):
     code, out, err = run(capsys, "approximate", *_with_hash_files(tmp_path, argv))
     assert code == 0 and err == expected_err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of stdout and the exit code of ``verify-identities``, recorded with
+# the per-tuple check functions that preceded the per-(m, k) family kernels.
+_VERIFY_HASHES = [
+    ("m0-k0-csv", 0, 0, "csv",
+     "3d2a3f48d3dc2c5c8745278308d1c72f9196661af755949bdbe98ec9c58b57e6"),
+    ("m0-k0-json", 0, 0, "json",
+     "0433a74a993b3ee95d43574743480e1bb8f63521113f39bcd911e12f042bf1a7"),
+    ("m1-k5-csv", 1, 5, "csv",
+     "347504c97e2e5423abe4c5e666de0cdcd9fc26efdb197859079152117cd4fc03"),
+    ("m1-k5-json", 1, 5, "json",
+     "b76f4be3016eb7f44f81c8d8226a84e1cb6dc672815e260d0da70e8e7aa70a1a"),
+    ("m3-k3-csv", 3, 3, "csv",
+     "6faa6f91c932aac28f436a5441c6f8377724de8dee5d2d1ae87460f0f62adce0"),
+    ("m3-k3-json", 3, 3, "json",
+     "91d8d9d23f01f3e28d5a9a7342292fa52ca469ab6bbb422532bb8b8515a7eef2"),
+    ("m6-k10-csv", 6, 10, "csv",
+     "77a0324c832abd5b3d9cc821be313e7000524600fdb4f800fe0a4d0b406a8f14"),
+    ("m6-k10-json", 6, 10, "json",
+     "478f87f0e794c1dda1e5ecd25992c4650525a0cfa951a29c9b217b37fb74139b"),
+    ("m16-k30-csv", 16, 30, "csv",
+     "94342005810740f0f0805a88f03e61ef8106a5b922275e5dd5fcc2b998d60c43"),
+    ("m16-k30-json", 16, 30, "json",
+     "511093e189c28b6905e4eee118c017f210c386743d7de24117759f1a4f6872e5"),
+    ("m25-k25-csv", 25, 25, "csv",
+     "4ed1ab40160b25d3969c994b3b380b363679005cfe0e1a1919913144f2f150f1"),
+    ("m25-k25-json", 25, 25, "json",
+     "5fba1ef150d3c31b8d0ceff491e2e336a1786618838f8af09fd5875e03bc7e53"),
+]
+
+
+@pytest.mark.parametrize("m_max,k_max,fmt,digest", [c[1:] for c in _VERIFY_HASHES],
+                         ids=[c[0] for c in _VERIFY_HASHES])
+def test_verify_identities_output_bytes_unchanged(capsys, m_max, k_max, fmt, digest):
+    code, out, err = run(capsys, "verify-identities", "--m-max", str(m_max),
+                         "--k-max", str(k_max), "--format", fmt)
+    assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

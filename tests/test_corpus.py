@@ -6,6 +6,7 @@ import pytest
 from invpower.approximant import coeffs_oracle_solve, expand_to_taylor
 from invpower.asymptotics import convergence_table, estimate_limits
 from invpower.corpus import (
+    MAX_FILE_COEFFS,
     SHIPPED_CORPUS,
     Mobius,
     coefficient_file_payload,
@@ -267,6 +268,18 @@ def test_malformed_files_give_field_diagnostics(tmp_path, content, needle):
     with pytest.raises(CoefficientFileError) as err:
         load_coefficient_file(str(path))
     assert needle in str(err.value)
+
+
+def test_coefficient_count_capped_before_parsing(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1/2"] * MAX_FILE_COEFFS}))
+    assert len(load_coefficient_file(str(path)).coeffs) == MAX_FILE_COEFFS
+    # one entry more fails on the count, before the unparsable first entry is read
+    path.write_text(json.dumps({"center": "1", "coeffs": ["3/0"] * (MAX_FILE_COEFFS + 1)}))
+    with pytest.raises(CoefficientFileError) as err:
+        load_coefficient_file(str(path))
+    assert str(err.value) == (f"{path}: field 'coeffs' has {MAX_FILE_COEFFS + 1} entries, "
+                              f"more than the limit of {MAX_FILE_COEFFS}")
 
 
 def test_undeclared_float_content_points_at_float_mode(tmp_path):

@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invpower import identities
 from invpower.identities import (
     ALTERNATING_CONVOLUTION_CLOSED,
+    ALTERNATING_ROW_PREFIX,
+    CONVOLUTION_SHIFT_FAMILY,
+    FACTORIAL_DOMINANCE,
+    HOCKEY_STICK,
     IDENTITY_IDS,
+    WEIGHTED_CONVOLUTION_CLOSED,
+    WEIGHTED_SHIFT_FAMILY,
+    IdentityCase,
     SuiteRanges,
     check_alternating_convolution,
     check_alternating_row_prefix,
@@ -18,7 +26,7 @@ from invpower.identities import (
     run_suite,
 )
 
-from _oracles import comb0
+from _oracles import comb0, identity_cases
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +181,90 @@ def test_suite_report_serializes_with_contract_fields():
     assert case["identity_id"] in IDENTITY_IDS
     assert case["pass"] is True
     assert isinstance(case["lhs"], str)
+
+
+# ---------------------------------------------------------------------------
+# walked kernels against the literal oracle sums
+# ---------------------------------------------------------------------------
+
+_CHECKS = {
+    FACTORIAL_DOMINANCE: check_factorial_dominance,
+    ALTERNATING_ROW_PREFIX: check_alternating_row_prefix,
+    CONVOLUTION_SHIFT_FAMILY: check_convolution_shift,
+    ALTERNATING_CONVOLUTION_CLOSED: check_alternating_convolution,
+    HOCKEY_STICK: check_hockey_stick,
+    WEIGHTED_SHIFT_FAMILY: check_weighted_shift,
+    WEIGHTED_CONVOLUTION_CLOSED: check_weighted_convolution,
+}
+
+
+def _assert_cases_match_oracle(m, k):
+    """Every admissible tuple at (m, k), in suite order: the package's case
+    equals the literal sums' case field by field, params in order."""
+    cases, skipped = identity_cases(m, k)
+    for identity_id, params, lhs, rhs, passed in cases:
+        case = _CHECKS[identity_id](**params)
+        assert (case.identity_id, list(case.params.items()), case.lhs, case.rhs, case.passed) \
+            == (identity_id, list(params.items()), lhs, rhs, passed), (m, k)
+    return len(cases), skipped
+
+
+def test_every_tuple_matches_literal_oracle_up_to_m20_k30():
+    total = skipped = 0
+    for m in range(21):
+        for k in range(31):
+            cases, skips = _assert_cases_match_oracle(m, k)
+            total += cases
+            skipped += skips
+    report = run_suite(SuiteRanges(tuple(range(21)), tuple(range(31))))
+    assert (report.total, report.passed, report.failed, report.skipped) \
+        == (total, total, 0, skipped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=60))
+def test_single_pair_matches_literal_oracle(m, k):
+    total, skipped = _assert_cases_match_oracle(m, k)
+    report = run_suite(SuiteRanges((m,), (k,)))
+    assert (report.total, report.passed, report.failed, report.skipped) \
+        == (total, total, 0, skipped)
+
+
+# ---------------------------------------------------------------------------
+# failure path: a kernel returning one wrong right side
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kernel,at,index,identity_id,params", [
+    ("_factorial_dominance", (2, 5), 1, FACTORIAL_DOMINANCE, {"m": 2, "k": 5, "n": 1}),
+    ("_alternating_row_prefix", (4, 2), 0, ALTERNATING_ROW_PREFIX, {"m": 4, "k": 2}),
+    ("_convolution", (3, 2), 2, CONVOLUTION_SHIFT_FAMILY, {"m": 3, "k": 2, "a": 2}),
+    ("_convolution", (3, 2), -1, ALTERNATING_CONVOLUTION_CLOSED, {"m": 3, "k": 2}),
+    ("_hockey_stick", (3, 2), 0, HOCKEY_STICK, {"k": 3, "m": 2}),
+    ("_weighted_shift", (5, 4), 2, WEIGHTED_SHIFT_FAMILY, {"m": 5, "k": 4, "a": 3}),
+    ("_weighted_convolution", (4, 3), 0, WEIGHTED_CONVOLUTION_CLOSED, {"m": 4, "k": 3}),
+])
+def test_suite_reports_one_wrong_right_side(monkeypatch, kernel, at, index, identity_id,
+                                             params):
+    """Patch one family kernel so that at the pair ``at`` its right side
+    number ``index`` is lhs + 1, which fails the equalities and the strict
+    inequality alike."""
+    original = getattr(identities, kernel)
+
+    def broken(*args):
+        lhs, rhs = original(*args)
+        if args == at:
+            rhs = list(rhs)
+            rhs[index] = lhs + 1
+        return lhs, rhs
+
+    ranges = SuiteRanges(tuple(range(7)), tuple(range(7)))
+    clean = run_suite(ranges)
+    lhs, _ = original(*at)
+    monkeypatch.setattr(identities, kernel, broken)
+    report = run_suite(ranges)
+    assert report.failed == 1
+    assert report.failures == [IdentityCase(identity_id, params, lhs, lhs + 1, False)]
+    assert list(report.failures[0].params) == list(params)
+    assert (report.total, report.skipped) == (clean.total, clean.skipped)
+    assert report.passed == report.total - 1
