@@ -31,12 +31,11 @@ def main() -> None:
     for entry in SHIPPED_CORPUS:
         f, x0 = entry.function, entry.center
         cond = hypothesis_report(f, x0)
-        radius = "unbounded" if cond.radius is None else cond.radius.render_ratio()
         q0_true, q1_true = known_asymptote(f)
 
         print("=" * 78)
         print(f"{entry.name}: f(x) = {describe(f)}   at x0 = {x0.render_ratio()}")
-        print(f"  transplant radius: {radius}  "
+        print(f"  transplant radius: {cond.radius_text}  "
               f"(sufficient condition > 2: {'met' if cond.satisfied else 'NOT met'})")
         print(f"  true asymptote: q0 = {q0_true.render_ratio()}, q1 = {q1_true.render_ratio()}")
 
@@ -53,9 +52,9 @@ def main() -> None:
                   f"{q1_text:>{args.digits + 6}}")
 
         gap0 = abs(est.q0 - q0_true)
-        gap1 = abs(est.q1 - q1_true)
+        gap1 = "-" if est.q1 is None else abs(est.q1 - q1_true).render_decimal(3)
         print(f"  estimate at m = {est.m_used}: "
-              f"q0 err {gap0.render_decimal(3)}, q1 err {gap1.render_decimal(3)}, "
+              f"q0 err {gap0.render_decimal(3)}, q1 err {gap1}, "
               f"converged = ({est.q0_converged}, {est.q1_converged})")
 
         scan = asymptotic_residual_scan(f, q0_true, q1_true, grid)

@@ -83,7 +83,7 @@ class ConvergenceTable:
 class AsymptoticEstimate:
     q0: Scalar
     q1: Scalar | None
-    error_indicator_q0: Scalar
+    error_indicator_q0: Scalar | None
     error_indicator_q1: Scalar | None
     q0_converged: bool
     q1_converged: bool
@@ -152,11 +152,11 @@ def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:
     """Read limits off the table: last row value, last delta as indicator.
 
     A component is flagged converged only when its final two deltas are
-    both within tolerance; a single row can never claim convergence.
+    both within tolerance; a single row can never claim convergence.  A
+    table too short for that (under three rows) is read all the same: the
+    last row, its deltas (``None`` where a row has none) and both flags
+    false.
     """
-    if len(table.rows) < 3:
-        raise ValueError(
-            f"limit estimation needs at least 3 table rows, got {len(table.rows)}")
     last = table.rows[-1]
     deltas0 = [r.delta0 for r in table.rows if r.delta0 is not None]
     deltas1 = [r.delta1 for r in table.rows if r.delta1 is not None]
@@ -206,6 +206,8 @@ def center_invariance_check(
     higher ones do.  Both full tables are reported so disagreement can be
     inspected row by row.
     """
+    if m_max < 1:
+        raise ValueError(f"comparing q1 needs m_max >= 1, got {m_max}")
     series_a = taylor_coeffs(f, x0_a, m_max + 1)
     series_b = taylor_coeffs(f, x0_b, m_max + 1)
     table_a = convergence_table(series_a, m_max)

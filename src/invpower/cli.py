@@ -21,22 +21,22 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .approximant import coeffs_closed_form, evaluate
-from .asymptotics import ConvergenceTable, convergence_table, estimate_limits
+from .asymptotics import convergence_table, estimate_limits
 from .corpus import (
     CorpusFunction,
+    HypothesisReport,
     coefficient_file_payload,
     describe,
     evaluate_at,
-    hypothesis_report,
     load_coefficient_file,
     resolve_function,
-    save_coefficient_file,
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
@@ -62,20 +62,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: each command builds its result once, as a JSON-shaped dict of
+# named values written by the chosen format's cell renderer, and lays out
+# the CSV lines from that same dict
 # ---------------------------------------------------------------------------
 
 
-def _render_json(s: Scalar | None) -> str | None:
-    if s is None:
-        return None
-    return s.render_ratio() if s.exact else str(s)
+def _json_cell(v):
+    return str(v) if isinstance(v, Scalar) else v
 
 
-def _render_csv(s: Scalar | None, digits: int) -> str:
-    if s is None:
+def _csv_cell(digits: int, v):
+    if isinstance(v, Scalar):
+        return v.render_decimal(digits)
+    if v is None:
         return ""
-    return s.render_decimal(digits)
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
+def _cell(args) -> Callable:
+    """How one value is written: in JSON a Scalar as its str ("p/q" when
+    exact), the rest as is; in CSV a Scalar as a decimal of ``--digits``
+    significant digits, a flag as true/false, a missing value as ""."""
+    if args.format == "json":
+        return _json_cell
+    return functools.partial(_csv_cell, args.digits)
+
+
+def _csv_table(fields: tuple[str, ...], records: list[dict]) -> list[str]:
+    return [",".join(fields), *(",".join(r.values()) for r in records)]
+
+
+def _csv_comments(record: dict, prefix: str = "") -> list[str]:
+    return [f"# {prefix}{k}={v}" for k, v in record.items()]
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -86,13 +105,27 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _json_dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _write(args, doc: dict, csv_lines: Callable[[], list[str]]) -> None:
+    """``doc`` as JSON, or the CSV lines ``csv_lines()`` lays out from it."""
+    if args.format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        text = "\n".join(csv_lines()) + "\n"
+    _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+
+class _AtLeastOne(argparse.Action):
+    """Integer flag rejected below 1 while the arguments are parsed."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            parser.error(f"argument {option_string}: must be >= 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
@@ -114,8 +147,8 @@ def _add_mode_flags(p: argparse.ArgumentParser) -> None:
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p.add_argument("--digits", type=int, default=30,
-                   help="significant digits for CSV rendering (default 30)")
+    p.add_argument("--digits", type=int, default=30, action=_AtLeastOne,
+                   help="significant digits for CSV rendering, >= 1 (default 30)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,25 +195,31 @@ def _parse_rational(text: str, what: str) -> Scalar:
         raise CliError(f"bad {what}: {exc}") from None
 
 
+def _corpus_series(selector: str, params: str | None, x0_text: str,
+                   n: int) -> tuple[TaylorSeries, CorpusFunction]:
+    """The first n coefficients of a corpus function, and the function."""
+    try:
+        f = resolve_function(selector, params)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if n < 1:  # only ``corpus --n`` can ask for none; a bad selector is reported first
+        raise CliError("--n must be >= 1")
+    x0 = _parse_rational(x0_text, "--x0")
+    try:
+        return taylor_coeffs(f, x0, n), f
+    except PoleError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _resolve_series(args, n_coeffs: int) -> tuple[TaylorSeries, CorpusFunction | None]:
     """Series from corpus selector or coefficient file, plus the source
     function when there is one (for residuals)."""
     if args.corpus is not None:
-        try:
-            f = resolve_function(args.corpus, args.params)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        x0 = _parse_rational(args.x0, "--x0")
-        try:
-            series = taylor_coeffs(f, x0, n_coeffs)
-        except PoleError as exc:
-            raise CliError(str(exc)) from None
-        return series, f
+        return _corpus_series(args.corpus, args.params, args.x0, n_coeffs)
     try:
         # precision only matters for files declaring "exact": false; the
         # parser validates it there, so exact files really do ignore it
-        series = load_coefficient_file(args.coeffs,
-                                       precision=getattr(args, "precision", MIN_PRECISION))
+        series = load_coefficient_file(args.coeffs, precision=args.precision)
     except CoefficientFileError as exc:
         raise CliError(str(exc)) from None
     if len(series.coeffs) < n_coeffs:
@@ -189,61 +228,19 @@ def _resolve_series(args, n_coeffs: int) -> tuple[TaylorSeries, CorpusFunction |
     return series, None
 
 
-def args_precision(args) -> int:
-    prec = getattr(args, "precision", MIN_PRECISION)
-    if prec < MIN_PRECISION:
-        raise CliError(f"--precision must be >= {MIN_PRECISION}, got {prec}")
-    return prec
-
-
 def _maybe_float(series: TaylorSeries, args) -> TaylorSeries:
-    if getattr(args, "mode", "exact") == "float":
-        return series.to_inexact(args_precision(args))
-    return series
+    if args.mode == "exact":
+        return series
+    if args.precision < MIN_PRECISION:
+        raise CliError(f"--precision must be >= {MIN_PRECISION}, got {args.precision}")
+    return series.to_inexact(args.precision)
 
 
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
 
-
-def _summarize(table: ConvergenceTable, tol: Scalar) -> dict:
-    """Summary dict; tables too short for two-delta confirmation are
-    reported unconverged rather than rejected."""
-    last = table.rows[-1]
-    if len(table.rows) >= 3:
-        est = estimate_limits(table, tol)
-        return {
-            "q0": est.q0,
-            "q1": est.q1,
-            "q0_converged": est.q0_converged,
-            "q1_converged": est.q1_converged,
-            "q0_error_indicator": est.error_indicator_q0,
-            "q1_error_indicator": est.error_indicator_q1,
-            "m_used": est.m_used,
-        }
-    return {
-        "q0": last.q0,
-        "q1": last.q1,
-        "q0_converged": False,
-        "q1_converged": False,
-        "q0_error_indicator": last.delta0,
-        "q1_error_indicator": last.delta1,
-        "m_used": table.m_max,
-    }
-
-
-def _hypothesis_summary(series: TaylorSeries, f: CorpusFunction | None) -> dict | None:
-    """Radius metadata for the report: from the source function when there
-    is one, else from the file's radius hint.  Never enforced."""
-    if f is not None:
-        report = hypothesis_report(f, series.center)
-        radius = "unbounded" if report.radius is None else report.radius.render_ratio()
-        return {"radius": radius, "satisfied": report.satisfied}
-    if series.radius_hint is not None:
-        radius = series.radius_hint
-        return {"radius": radius.render_ratio(), "satisfied": bool(radius > 2)}
-    return None
+_ROW_FIELDS = ("m", "q0", "q1", "delta0", "delta1")
 
 
 def cmd_estimate(args) -> int:
@@ -253,75 +250,51 @@ def cmd_estimate(args) -> int:
     if tol < 0:
         raise CliError(f"--tol must be >= 0, got {args.tol}")
     series, source = _resolve_series(args, args.m_max + 1)
-    hypothesis = _hypothesis_summary(series, source)
+    cell = _cell(args)
+    # radius metadata, never enforced.  A corpus source always has a radius
+    # (None: unbounded); in a file null may also mean none was recorded, so
+    # nothing is reported for it
+    report = HypothesisReport(series.center, series.radius_hint)
+    hypothesis = ({} if source is None and report.radius is None
+                  else {"radius": report.radius_text, "satisfied": cell(report.satisfied)})
     series = _maybe_float(series, args)
     table = convergence_table(series, args.m_max)
-    summary = _summarize(table, tol)
+    est = estimate_limits(table, tol)
+    rows = [dict(zip(_ROW_FIELDS, map(cell, (r.m, r.q0, r.q1, r.delta0, r.delta1))))
+            for r in table.rows]
+    summary = {k: cell(v) for k, v in {
+        "q0": est.q0,
+        "q1": est.q1,
+        "q0_converged": est.q0_converged,
+        "q1_converged": est.q1_converged,
+        "q0_error_indicator": est.error_indicator_q0,
+        "q1_error_indicator": est.error_indicator_q1,
+        "m_used": est.m_used,
+    }.items()}
+    doc = {
+        "command": "estimate",
+        "mode": args.mode,
+        "center": cell(series.center),
+        "m_max": args.m_max,
+        "tol": cell(tol),
+        "rows": rows,
+        "summary": summary,
+    }
+    if hypothesis:
+        doc["hypothesis"] = hypothesis
+    _write(args, doc, lambda: [*_csv_table(_ROW_FIELDS, rows), *_csv_comments(summary),
+                               *_csv_comments(hypothesis, "hypothesis_")])
 
-    if args.format == "json":
-        payload = {
-            "command": "estimate",
-            "mode": args.mode,
-            "center": _render_json(series.center),
-            "m_max": args.m_max,
-            "tol": _render_json(tol),
-            "rows": [
-                {
-                    "m": r.m,
-                    "q0": _render_json(r.q0),
-                    "q1": _render_json(r.q1),
-                    "delta0": _render_json(r.delta0),
-                    "delta1": _render_json(r.delta1),
-                }
-                for r in table.rows
-            ],
-            "summary": {
-                "q0": _render_json(summary["q0"]),
-                "q1": _render_json(summary["q1"]),
-                "q0_converged": summary["q0_converged"],
-                "q1_converged": summary["q1_converged"],
-                "q0_error_indicator": _render_json(summary["q0_error_indicator"]),
-                "q1_error_indicator": _render_json(summary["q1_error_indicator"]),
-                "m_used": summary["m_used"],
-            },
-        }
-        if hypothesis is not None:
-            payload["hypothesis"] = hypothesis
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = ["m,q0,q1,delta0,delta1"]
-        for r in table.rows:
-            lines.append(",".join([
-                str(r.m),
-                _render_csv(r.q0, args.digits),
-                _render_csv(r.q1, args.digits),
-                _render_csv(r.delta0, args.digits),
-                _render_csv(r.delta1, args.digits),
-            ]))
-        lines.append(f"# q0={_render_csv(summary['q0'], args.digits)}")
-        lines.append(f"# q1={_render_csv(summary['q1'], args.digits)}")
-        lines.append(f"# q0_converged={str(summary['q0_converged']).lower()}")
-        lines.append(f"# q1_converged={str(summary['q1_converged']).lower()}")
-        lines.append(f"# q0_error_indicator={_render_csv(summary['q0_error_indicator'], args.digits)}")
-        lines.append(f"# q1_error_indicator={_render_csv(summary['q1_error_indicator'], args.digits)}")
-        lines.append(f"# m_used={summary['m_used']}")
-        if hypothesis is not None:
-            lines.append(f"# hypothesis_radius={hypothesis['radius']}")
-            lines.append(f"# hypothesis_satisfied={str(hypothesis['satisfied']).lower()}")
-        _emit("\n".join(lines) + "\n", args.out)
-
-    if args.require_converged:
-        wanted = [summary["q0_converged"]]
-        if args.m_max >= 1:
-            wanted.append(summary["q1_converged"])
-        if not all(wanted):
-            return 2
+    if args.require_converged and not (est.q0_converged and est.q1_converged):
+        return 2
     return 0
 
 
 # ---------------------------------------------------------------------------
 # approximate
 # ---------------------------------------------------------------------------
+
+_EVAL_FIELDS = ("x", "value", "residual", "error")
 
 
 def _parse_eval_points(raw: list[str]) -> list[Scalar]:
@@ -334,6 +307,21 @@ def _parse_eval_points(raw: list[str]) -> list[Scalar]:
     return points
 
 
+def _evaluation(approx, source: CorpusFunction | None, x: Scalar) -> tuple:
+    """(x, value, residual, error); a pole is reported there, not raised."""
+    try:
+        value = evaluate(approx, x)
+    except PoleError:
+        return x, None, None, "pole"
+    residual = error = None
+    if source is not None:
+        try:
+            residual = evaluate_at(source, x) - value
+        except PoleError:
+            error = "source pole"
+    return x, value, residual, error
+
+
 def cmd_approximate(args) -> int:
     if args.m < 0:
         raise CliError("--m must be >= 0")
@@ -341,65 +329,26 @@ def cmd_approximate(args) -> int:
     series = _maybe_float(series, args)
     approx = coeffs_closed_form(series, args.m)
     points = _parse_eval_points(args.eval_points)
+    results = [_evaluation(approx, source, x) for x in points]
 
-    evaluations = []
-    failures = 0
-    for x in points:
-        entry: dict = {"x": x}
-        try:
-            value = evaluate(approx, x)
-        except PoleError:
-            entry["value"] = None
-            entry["residual"] = None
-            entry["error"] = "pole"
-            failures += 1
-            evaluations.append(entry)
-            continue
-        entry["value"] = value
-        entry["residual"] = None
-        entry["error"] = None
-        if source is not None:
-            try:
-                entry["residual"] = evaluate_at(source, x) - value
-            except PoleError:
-                entry["error"] = "source pole"
-        evaluations.append(entry)
+    cell = _cell(args)
+    coeffs = [cell(q) for q in approx.coeffs]
+    evaluations = [dict(zip(_EVAL_FIELDS, map(cell, e))) for e in results]
+    doc = {
+        "command": "approximate",
+        "mode": args.mode,
+        "center": cell(series.center),
+        "m": args.m,
+        "coeffs": coeffs,
+        "note": K_GE_2_NOTE,
+        "evaluations": evaluations,
+    }
+    _write(args, doc, lambda: [
+        *_csv_comments({"m": args.m, "center": doc["center"],
+                        **{f"q[{k}]": q for k, q in enumerate(coeffs)}, "note": K_GE_2_NOTE}),
+        *_csv_table(_EVAL_FIELDS, evaluations)])
 
-    if args.format == "json":
-        payload = {
-            "command": "approximate",
-            "mode": args.mode,
-            "center": _render_json(series.center),
-            "m": args.m,
-            "coeffs": [_render_json(q) for q in approx.coeffs],
-            "note": K_GE_2_NOTE,
-            "evaluations": [
-                {
-                    "x": _render_json(e["x"]),
-                    "value": _render_json(e["value"]),
-                    "residual": _render_json(e["residual"]),
-                    "error": e["error"],
-                }
-                for e in evaluations
-            ],
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [f"# m={args.m}", f"# center={_render_csv(series.center, args.digits)}"]
-        for k, q in enumerate(approx.coeffs):
-            lines.append(f"# q[{k}]={_render_csv(q, args.digits)}")
-        lines.append(f"# note={K_GE_2_NOTE}")
-        lines.append("x,value,residual,error")
-        for e in evaluations:
-            lines.append(",".join([
-                _render_csv(e["x"], args.digits),
-                _render_csv(e["value"], args.digits),
-                _render_csv(e["residual"], args.digits),
-                e["error"] or "",
-            ]))
-        _emit("\n".join(lines) + "\n", args.out)
-
-    if points and failures == len(points):
+    if points and all(e[3] == "pole" for e in results):
         return 1
     return 0
 
@@ -414,21 +363,16 @@ def cmd_verify_identities(args) -> int:
         raise CliError("--m-max and --k-max must be >= 0")
     ranges = SuiteRanges(tuple(range(args.m_max + 1)), tuple(range(args.k_max + 1)))
     report = run_suite(ranges)
+    doc = {"command": "verify-identities", **report.to_json_dict()}
 
-    if args.format == "json":
-        payload = {"command": "verify-identities", **report.to_json_dict()}
-        _emit(_json_dumps(payload), args.out)
-    else:
+    def csv_lines() -> list[str]:
         lines = ["identity_id,params,lhs,rhs,pass"]
         for case in report.failures:
             params = ";".join(f"{k}={v}" for k, v in case.params.items())
             lines.append(f"{case.identity_id},{params},{case.lhs},{case.rhs},false")
-        lines.append(f"# total={report.total}")
-        lines.append(f"# passed={report.passed}")
-        lines.append(f"# failed={report.failed}")
-        lines.append(f"# skipped={report.skipped}")
-        _emit("\n".join(lines) + "\n", args.out)
+        return lines + _csv_comments({k: doc[k] for k in ("total", "passed", "failed", "skipped")})
 
+    _write(args, doc, csv_lines)
     return 0 if report.failed == 0 else 1
 
 
@@ -438,27 +382,14 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    try:
-        f = resolve_function(args.fn, args.params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if args.n < 1:
-        raise CliError("--n must be >= 1")
-    x0 = _parse_rational(args.x0, "--x0")
-    try:
-        series = taylor_coeffs(f, x0, args.n)
-    except PoleError as exc:
-        raise CliError(str(exc)) from None
-    report = hypothesis_report(f, x0)
+    series, f = _corpus_series(args.fn, args.params, args.x0, args.n)
+    report = HypothesisReport(series.center, series.radius_hint)
     description = (
-        f"{describe(f)} about x0 = {x0.render_ratio()}; "
-        f"transplant radius {'unbounded' if report.radius is None else report.radius.render_ratio()}, "
+        f"{describe(f)} about x0 = {series.center}; "
+        f"transplant radius {report.radius_text}, "
         f"sufficient condition {'met' if report.satisfied else 'NOT met'}"
     )
-    if args.out is None:
-        sys.stdout.write(_json_dumps(coefficient_file_payload(series, description)))
-    else:
-        save_coefficient_file(series, args.out, description=description)
+    _emit(json.dumps(coefficient_file_payload(series, description), indent=2) + "\n", args.out)
     return 0
 
 

@@ -153,18 +153,23 @@ def hypothesis_radius(f: CorpusFunction, x0: Scalar) -> Scalar | None:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Radius of the transplanted function and whether it clears the
-    sufficient bound (> 2).  Informational only."""
+    """Radius of the transplanted function (``None``: unbounded) and
+    whether it clears the sufficient bound (> 2).  Informational only."""
 
     center: Scalar
     radius: Scalar | None
-    satisfied: bool
+
+    @property
+    def satisfied(self) -> bool:
+        return self.radius is None or self.radius > 2
+
+    @property
+    def radius_text(self) -> str:
+        return "unbounded" if self.radius is None else self.radius.render_ratio()
 
 
 def hypothesis_report(f: CorpusFunction, x0: Scalar) -> HypothesisReport:
-    radius = hypothesis_radius(f, x0)
-    satisfied = radius is None or radius > 2
-    return HypothesisReport(x0, radius, satisfied)
+    return HypothesisReport(x0, hypothesis_radius(f, x0))
 
 
 def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
@@ -196,12 +201,10 @@ def describe(f: CorpusFunction) -> str:
     parts = []
     for t in as_tail_terms(f):
         if not t.offset.is_zero or t.weight.is_zero:
-            parts.append(t.offset.render_ratio() if t.offset.exact else str(t.offset))
+            parts.append(str(t.offset))
         if not t.weight.is_zero:
-            w = t.weight.render_ratio() if t.weight.exact else str(t.weight)
-            s = t.shift.render_ratio() if t.shift.exact else str(t.shift)
-            denom = "x" if t.shift.is_zero else f"x + {s}"
-            parts.append(f"({w})/({denom})")
+            denom = "x" if t.shift.is_zero else f"x + {t.shift}"
+            parts.append(f"({t.weight})/({denom})")
     return " + ".join(parts) if parts else "0"
 
 
@@ -270,17 +273,13 @@ def resolve_function(selector: str, params: str | None = None) -> CorpusFunction
 
 def coefficient_file_payload(series: TaylorSeries, description: str = "") -> dict:
     """The JSON object a coefficient file holds, scalars as strings."""
-
-    def render(s: Scalar) -> str:
-        return s.render_ratio() if s.exact else str(s)
-
     radius = series.radius_hint
     return {
-        "center": render(series.center),
-        "coeffs": [render(c) for c in series.coeffs],
+        "center": str(series.center),
+        "coeffs": [str(c) for c in series.coeffs],
         "exact": series.is_exact,
         "meta": {
-            "hypothesis_radius": render(radius) if radius is not None else None,
+            "hypothesis_radius": str(radius) if radius is not None else None,
             "description": description,
         },
     }
@@ -339,4 +338,7 @@ def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
     meta = raw.get("meta") or {}
     if isinstance(meta, dict) and meta.get("hypothesis_radius") is not None:
         radius = parse("'meta.hypothesis_radius'", meta["hypothesis_radius"])
+        if radius <= 0:
+            raise CoefficientFileError(f"{path}: field 'meta.hypothesis_radius' must be "
+                                       f"positive, got {meta['hypothesis_radius']!r}")
     return TaylorSeries(center, coeffs, radius_hint=radius)

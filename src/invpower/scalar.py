@@ -48,7 +48,6 @@ from mpmath.libmp import (
     mpf_div,
     mpf_mul,
     mpf_neg,
-    mpf_pow_int,
     mpf_sub,
     to_rational,
 )
@@ -361,19 +360,6 @@ class Scalar:
         if self.exact:
             return Scalar(abs(self.value), True)
         return Scalar(_wrap(mpf_abs(_raw(self.value))), False, self.precision)
-
-    def __pow__(self, exponent: int) -> "Scalar":
-        if not isinstance(exponent, int):
-            raise TypeError("scalar exponent must be an integer")
-        if exponent < 0 and self.is_zero:
-            raise ZeroDivisionError("zero cannot be raised to a negative power")
-        if self.exact:
-            return Scalar(self.value ** exponent, True)
-        bits = significand_bits(self.precision)
-        return Scalar(_wrap(mpf_pow_int(_raw(self.value), exponent, bits, "n")), False, self.precision)
-
-    def to_inexact(self, precision: int = MIN_PRECISION) -> "Scalar":
-        return Scalar.approx(self, precision)
 
     # -- comparisons (exact, via the dyadic value of floats) ------------
 

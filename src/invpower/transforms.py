@@ -112,11 +112,6 @@ class BinomialConvolvedCoefficients:
     """
 
     values: tuple[Scalar, ...]
-    source: TaylorSeries
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
 
     def __getitem__(self, n: int) -> Scalar:
         return self.values[n]
@@ -134,4 +129,4 @@ def binomial_convolve(series: TaylorSeries, m: int) -> BinomialConvolvedCoeffici
         for s in range(n):
             acc = acc + binom(n - 1, s) * c[n - s]
         values.append(acc)
-    return BinomialConvolvedCoefficients(tuple(values), series)
+    return BinomialConvolvedCoefficients(tuple(values))

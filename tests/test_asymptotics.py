@@ -275,10 +275,23 @@ def test_estimate_reports_last_deltas_as_indicators():
     assert est.error_indicator_q1 == table.rows[8].delta1
 
 
-def test_estimate_rejects_short_tables():
-    table, _ = table_for(0, 1, 0, 1, 1)
+@pytest.mark.parametrize("m_max", [0, 1])
+def test_estimate_on_short_tables_reports_last_row_unconverged(m_max):
+    table, _ = table_for(0, 1, Fraction(1, 4), 1, m_max)
+    # every delta is far inside this tolerance; two deltas are still needed
+    est = estimate_limits(table, sc(10 ** 6))
+    last = table.rows[-1]
+    assert (est.q0, est.q1) == (last.q0, last.q1)
+    assert (est.error_indicator_q0, est.error_indicator_q1) == (last.delta0, last.delta1)
+    assert est.error_indicator_q1 is None
+    assert (est.error_indicator_q0 is None) == (m_max == 0)
+    assert not est.q0_converged and not est.q1_converged
+    assert est.m_used == m_max
+
+
+def test_center_invariance_needs_a_q1_row():
     with pytest.raises(ValueError):
-        estimate_limits(table, sc(Fraction(1, 100)))
+        center_invariance_check(shifted_reciprocal(0, 1, 0), sc(1), sc(2), 0, sc(1))
 
 
 def test_oscillating_deltas_do_not_converge():

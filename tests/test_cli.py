@@ -350,6 +350,31 @@ def test_file_with_too_many_coefficients_rejected(capsys, tmp_path):
             f"more than the limit of {MAX_FILE_COEFFS}") in err
 
 
+def test_file_with_nonpositive_radius_rejected(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1", "-1"],
+                                "meta": {"hypothesis_radius": "-3"}}))
+    code, out, err = run(capsys, "estimate", "--coeffs", str(path), "--m-max", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: field 'meta.hypothesis_radius' must be positive, got '-3'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--corpus", "one-over-x", "--m-max", "3", "--digits", "0"],
+    ["estimate", "--corpus", "one-over-x", "--m-max", "3", "--format", "json", "--digits", "0"],
+    ["approximate", "--corpus", "one-over-x", "--m", "2", "--eval", "3", "--digits=-5"],
+    ["verify-identities", "--m-max", "1", "--k-max", "1", "--digits", "0"],
+])
+def test_digits_below_one_rejected_at_argument_time(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    value = argv[-1].split("=")[-1]
+    assert err.startswith(f"error: invpower {argv[0]}: argument --digits: "
+                          f"must be >= 1, got {value}\nusage: ")
+    code, out, _ = run(capsys, *argv[:-1 if "=" in argv[-1] else -2], "--digits", "1")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("bad", ["1e999999999", "-2e-999999999", "1e4301"])
 def test_exact_file_rejects_huge_exponent(capsys, tmp_path, bad):
     path = tmp_path / "c.json"
@@ -433,6 +458,10 @@ _HASH_FILES = {
               + ["0.125", "-2.5e-3"],
               "exact": True},
     # (1/2)(-2/5)**n as decimal strings, read as floats at --precision
+    # 1/x about 1 as ``invpower corpus`` writes it: unbounded radius stored as null
+    "nullradius": {"center": "1", "coeffs": ["1", "-1", "1", "-1", "1", "-1", "1"],
+                   "exact": True,
+                   "meta": {"hypothesis_radius": None, "description": "1/x about 1"}},
     "floatdec": {"center": "1",
                  "coeffs": ["0.5"] + [f"{'-' if n % 2 else ''}{2 ** (2 * n - 1)}e-{n}"
                                       for n in range(1, 141)],
@@ -440,44 +469,62 @@ _HASH_FILES = {
 }
 
 # SHA-256 of stdout, recorded with the O(m^3) binom-sum convergence table
-# that preceded the integer kernel.  A mismatch means exact-mode output
-# bytes changed.
+# that preceded the integer kernel, and the exit code.  A mismatch means
+# exact-mode output bytes changed.  The ``--require-converged`` cases on
+# tables of one and two rows, and the file whose radius is null, were
+# recorded with the CLI's own short-table summary that preceded the
+# shared renderer.
 _ESTIMATE_HASHES = [
     ("mobius-m25-csv", ["--corpus", "mobius-2-3-1-2", "--m-max", "25"],
-     "cac3e1b851f722e784ebfe10811edcdc90d3fcf31b2153fac477274ae6433a77"),
+     "cac3e1b851f722e784ebfe10811edcdc90d3fcf31b2153fac477274ae6433a77", 0),
     ("mobius-x0-m125-json", ["--corpus", "mobius-2-3-1-2", "--x0", "3/2",
                              "--m-max", "125", "--format", "json"],
-     "bf9fba6df65550c7a8d0d34e828e1cd697871c1cc5d9d9e64a48c69475f86e9b"),
+     "bf9fba6df65550c7a8d0d34e828e1cd697871c1cc5d9d9e64a48c69475f86e9b", 0),
     ("mobius-m125-csv45", ["--corpus", "mobius-2-3-1-2", "--m-max", "125",
                            "--digits", "45"],
-     "accc16d6e3ba5749c4e1ef35513bdf1b1bf1584e0d6a87a78af447077bace3d0"),
+     "accc16d6e3ba5749c4e1ef35513bdf1b1bf1584e0d6a87a78af447077bace3d0", 0),
     ("x-over-m25-csv12", ["--corpus", "x-over-x-plus-1", "--m-max", "25",
                           "--digits", "12", "--tol", "1e-6"],
-     "749103792a9e4f64282145a5458873774d885e86dcb7c44c85017d238e3e4ebe"),
+     "749103792a9e4f64282145a5458873774d885e86dcb7c44c85017d238e3e4ebe", 0),
     ("quarter-m0-json", ["--corpus", "reciprocal-quarter", "--m-max", "0",
                          "--format", "json"],
-     "32eaaf60265d721ace1fdc1f719d8153ce0d7fe42d94b0e36d26430cfacf49d0"),
+     "32eaaf60265d721ace1fdc1f719d8153ce0d7fe42d94b0e36d26430cfacf49d0", 0),
     ("one-over-x-m2-tol0", ["--corpus", "one-over-x", "--x0", "5/4", "--m-max", "2",
                             "--digits", "12", "--tol", "0"],
-     "08b0addacba8d1904ccfd02216d8561d4d6c875046a9defac7058430bdb39052"),
+     "08b0addacba8d1904ccfd02216d8561d4d6c875046a9defac7058430bdb39052", 0),
     ("shifted-m25-json", ["--corpus", "shifted-reciprocal", "--params", "1/3,-2,1/2",
                           "--m-max", "25", "--format", "json"],
-     "c152dd49c348745fd24b48f430947967f6a95907e330982f2a8dffbdeabb6a96"),
+     "c152dd49c348745fd24b48f430947967f6a95907e330982f2a8dffbdeabb6a96", 0),
     ("divergent-m25-json", ["--corpus", "shifted-reciprocal", "--params", "0,1,-3/4",
                             "--m-max", "25", "--format", "json"],
-     "b055ed16de0f65b3002fcd58037fa2be35ac1e3065cf13da092dcc2f6c29cc55"),
+     "b055ed16de0f65b3002fcd58037fa2be35ac1e3065cf13da092dcc2f6c29cc55", 0),
     ("three-m2-csv12", ["--coeffs", "{three}", "--m-max", "2", "--digits", "12"],
-     "fcdbbee3c92ca0224519d91ebd657d445e3c2a620bf3319fae26cd9ff6e26e59"),
+     "fcdbbee3c92ca0224519d91ebd657d445e3c2a620bf3319fae26cd9ff6e26e59", 0),
     ("three-m1-json", ["--coeffs", "{three}", "--m-max", "1", "--format", "json"],
-     "978eabd055862484924c537180d0f001868d42bdf0f7793c8958fe42b4be5444"),
+     "978eabd055862484924c537180d0f001868d42bdf0f7793c8958fe42b4be5444", 0),
     ("three-m0-csv45", ["--coeffs", "{three}", "--m-max", "0", "--digits", "45"],
-     "c2c201203e3127cb2f9015de57bff81958a5cd88a9bff8e7a894323d4d83d862"),
+     "c2c201203e3127cb2f9015de57bff81958a5cd88a9bff8e7a894323d4d83d862", 0),
     ("tail3-m125-csv45", ["--coeffs", "{tail3}", "--m-max", "125", "--digits", "45"],
-     "9b87c8ddf76d2b4b717451f30dfb0c3fdd0bf1aaa6ab8bda5b28c1d41507b5de"),
+     "9b87c8ddf76d2b4b717451f30dfb0c3fdd0bf1aaa6ab8bda5b28c1d41507b5de", 0),
     ("tail3-m25-json", ["--coeffs", "{tail3}", "--m-max", "25", "--format", "json"],
-     "9be8167fabd26e65abfbb89a3a1ac63e9b12109ed5936228a079b644bb26c4ec"),
+     "9be8167fabd26e65abfbb89a3a1ac63e9b12109ed5936228a079b644bb26c4ec", 0),
     ("mixed-m25-csv", ["--coeffs", "{mixed}", "--m-max", "25", "--tol", "1/1000"],
-     "522d5ddd6947f39b56c3287d7729fb925e3ef04cc45a1f139889263a3f0f4805"),
+     "522d5ddd6947f39b56c3287d7729fb925e3ef04cc45a1f139889263a3f0f4805", 0),
+    ("require-m0-csv", ["--corpus", "mobius-2-3-1-2", "--m-max", "0", "--require-converged"],
+     "07a8176466e7d855c80d234d6f4f2b4152c44bd8f9c4e29d763403089e055af3", 2),
+    ("require-m0-json", ["--corpus", "mobius-2-3-1-2", "--m-max", "0", "--require-converged",
+                         "--format", "json"],
+     "8059a6ffd09abe9cce374bd2ee4d1abd7c75740d8b3271c048aa12fd669d9cb1", 2),
+    ("require-three-m1-csv12", ["--coeffs", "{three}", "--m-max", "1", "--require-converged",
+                                "--digits", "12"],
+     "82cd424884f4ab8ad266b9e4ba8025c96151f1eddaa432eb64fd06685820eac0", 2),
+    ("require-x-over-m1-json", ["--corpus", "x-over-x-plus-1", "--m-max", "1",
+                                "--require-converged", "--format", "json"],
+     "5a9b9ef74cdeb1f691e8b6f3e7379d5db25bc259c868c84f8e529dcd12a08a7b", 2),
+    ("nullradius-m6-json", ["--coeffs", "{nullradius}", "--m-max", "6", "--format", "json"],
+     "f2b143e6a5f648b0e79c795d84a259f93d71c86ff85371632d7aed0d61b51180", 0),
+    ("nullradius-m6-csv12", ["--coeffs", "{nullradius}", "--m-max", "6", "--digits", "12"],
+     "d6f4b4f44cad99956ecb9bf6491bbd66ba7295e8e795d212c7b7a9ad5d0c027f", 0),
 ]
 
 
@@ -490,11 +537,11 @@ def _with_hash_files(tmp_path, argv):
     return [a.format(**paths) for a in argv]
 
 
-@pytest.mark.parametrize("argv,digest", [c[1:] for c in _ESTIMATE_HASHES],
+@pytest.mark.parametrize("argv,digest,expected_code", [c[1:] for c in _ESTIMATE_HASHES],
                          ids=[c[0] for c in _ESTIMATE_HASHES])
-def test_estimate_exact_output_bytes_unchanged(capsys, tmp_path, argv, digest):
+def test_estimate_exact_output_bytes_unchanged(capsys, tmp_path, argv, digest, expected_code):
     code, out, err = run(capsys, "estimate", *_with_hash_files(tmp_path, argv))
-    assert code == 0 and err == ""
+    assert code == expected_code and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
@@ -673,4 +720,43 @@ def test_verify_identities_output_bytes_unchanged(capsys, m_max, k_max, fmt, dig
     code, out, err = run(capsys, "verify-identities", "--m-max", str(m_max),
                          "--k-max", str(k_max), "--format", fmt)
     assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+_UNKNOWN_FN = ("error: unknown corpus function 'no-such-fn'; known names: one-over-x, "
+               "reciprocal-quarter, x-over-x-plus-1, mobius-<a>-<b>-<c>-<d>\n")
+_EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+# SHA-256 of stdout, the exit code and the exact stderr of ``corpus``,
+# recorded with the corpus branch the command kept apart from the one
+# ``estimate`` and ``approximate`` resolve their series through.  The two
+# unknown-name cases pin that the selector is reported before ``--n``.
+_CORPUS_HASHES = [
+    ("mobius-x0-1", ["--fn", "mobius-2-3-1-2", "--x0", "1", "--n", "6"], 0, "",
+     "375b2ab65bac9e2aaac33a9bd4a185186d83c7f4a9631853ce3c240370e12f92"),
+    ("one-over-x-unbounded", ["--fn", "one-over-x", "--x0", "1", "--n", "5"], 0, "",
+     "5597ea364192d0764923006bb07ee35fb50be6251deb0de1d96221240a81f6c4"),
+    ("x-over-x0-3", ["--fn", "x-over-x-plus-1", "--x0", "3", "--n", "8"], 0, "",
+     "ea654024cbb6b4ebf4ff3ac6cd6eb337588518f04e8765a265cd203c42263b17"),
+    ("shifted-zero-weight", ["--fn", "shifted-reciprocal", "--params", "0,0,1", "--n", "4"], 0, "",
+     "28e7919d077b343aa84905a32c7aab270d34a6243c2946652f97b8a0cf0364e7"),
+    ("mobius-params-x0-2", ["--fn", "mobius", "--params", "1,2,3,4", "--x0", "2", "--n", "6"],
+     0, "", "3ec824c3f53c13752e1a0bd66f5c6cfd37be2897e7a4824c9bb7f766f143e6e5"),
+    ("pole-center", ["--fn", "reciprocal-quarter", "--x0=-1/4", "--n", "3"], 1,
+     "error: expansion center x0 = -1/4 is a pole\n", _EMPTY_SHA),
+    ("unknown-name", ["--fn", "no-such-fn", "--n", "3"], 1, _UNKNOWN_FN, _EMPTY_SHA),
+    ("unknown-name-n0", ["--fn", "no-such-fn", "--n", "0"], 1, _UNKNOWN_FN, _EMPTY_SHA),
+    ("n0-bad-x0", ["--fn", "one-over-x", "--n", "0", "--x0", "bad"], 1,
+     "error: --n must be >= 1\n", _EMPTY_SHA),
+    ("bad-x0", ["--fn", "one-over-x", "--n", "2", "--x0", "bad"], 1,
+     "error: bad --x0: cannot parse 'bad' as an exact rational: "
+     "Invalid literal for Fraction: 'bad'\n", _EMPTY_SHA),
+]
+
+
+@pytest.mark.parametrize("argv,expected_code,expected_err,digest",
+                         [c[1:] for c in _CORPUS_HASHES], ids=[c[0] for c in _CORPUS_HASHES])
+def test_corpus_output_bytes_unchanged(capsys, argv, expected_code, expected_err, digest):
+    code, out, err = run(capsys, "corpus", *argv)
+    assert code == expected_code and err == expected_err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -282,6 +282,18 @@ def test_coefficient_count_capped_before_parsing(tmp_path):
                               f"more than the limit of {MAX_FILE_COEFFS}")
 
 
+@pytest.mark.parametrize("exact,radius", [(True, "0"), (True, "-3"), (True, "-1/2"),
+                                          (False, "-0.25")])
+def test_nonpositive_radius_hint_rejected(tmp_path, exact, radius):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1"], "exact": exact,
+                                "meta": {"hypothesis_radius": radius}}))
+    with pytest.raises(CoefficientFileError) as err:
+        load_coefficient_file(str(path))
+    assert str(err.value) == (f"{path}: field 'meta.hypothesis_radius' must be positive, "
+                              f"got {radius!r}")
+
+
 def test_undeclared_float_content_points_at_float_mode(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"center": "1", "coeffs": ["0x1.8p3"], "exact": True}))

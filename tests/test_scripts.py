@@ -28,6 +28,9 @@ def run_script(name, *args):
 @pytest.mark.parametrize("name,args", [
     ("run_convergence_study.py", ["--m-max", "8", "--digits", "6"]),
     ("float_cancellation_study.py", ["--m-max", "20", "--precision", "128"]),
+    # one and two table rows: estimate_limits reads them instead of rejecting the table
+    ("run_convergence_study.py", ["--m-max", "1"]),
+    ("run_convergence_study.py", ["--m-max", "0"]),
 ])
 def test_script_runs(name, args):
     proc = run_script(name, *args)
