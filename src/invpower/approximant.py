@@ -17,11 +17,14 @@ q_1 = sum_s (C(m,s+1) - m*C(m,s)) c_s.  Three independent constructions
 are provided and must agree bit-for-bit in exact mode:
 
 * :func:`coeffs_closed_form`   -- the explicit sums.  Exact series go
-  through one integer kernel: over the common denominator D of c_0..c_m
-  the coefficients become integers a_n = D*c_n, D*d_N is s[0] after N-1
-  passes of adjacent additions s[i] + s[i+1] over a_1..a_m, and Horner
-  in (1+y), p <- p*(1+y) + D*d_N for N = m down to 0, leaves
-  p[k] = sum_N C(N, k) D*d_N, so q_k = (-1)**k p[k]/D.  That is O(m**2)
+  through one integer kernel, :func:`exact_convolution`: over the common
+  denominator D of c_0..c_m the coefficients become integers a_n = D*c_n,
+  and D*d_N is s[0] after N-1 passes of adjacent additions
+  s[i] + s[i+1] over a_1..a_m.  Horner in (1+y),
+  p <- p*(1+y) + D*d_N for N = m down to 0, then leaves
+  p[k] = sum_N C(N, k) D*d_N, so q_k = (-1)**k p[k]/D (and q_0, q_1
+  are the running sums sum_N d_N and -sum_N N*d_N, which is how
+  :mod:`invpower.asymptotics` reads its rows).  That is O(m**2)
   big-integer additions with no binomial and no rational in the loop;
   values become ``Scalar`` only at the end.  Float series keep the
   rounding of the literal sums and the cancellation warning: each q_k
@@ -58,7 +61,6 @@ from .scalar import (
     binom,
     cancellation_bits,
     cancellation_hazard,
-    common_denominator,
     significand_bits,
 )
 from .series import TaylorSeries
@@ -226,14 +228,24 @@ def float_q(raw: list[tuple], m: int, bits: int, count: int) -> list[tuple]:
     return out
 
 
-def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
-    """q_0..q_m of an exact series by the integer kernel."""
-    a, den = common_denominator(c[:m + 1])
+def exact_convolution(c: tuple[Scalar, ...], m: int) -> tuple[list[int], int]:
+    """The binomial convolution d_0..d_m of exact c_0..c_m over the least
+    common denominator D of c_0..c_m: ([D*d_0, ..., D*d_m], D).  Entry N
+    depends only on c_0..c_N."""
+    fracs = [x.value for x in c[:m + 1]]
+    den = lcm(*(f.denominator for f in fracs))
+    a = [f.numerator * (den // f.denominator) for f in fracs]
     d = [a[0]]
     s = a[1:]
     while s:
         d.append(s[0])
         s = list(map(operator.add, s, s[1:]))
+    return d, den
+
+
+def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
+    """q_0..q_m of an exact series: Horner in (1+y) over its convolution."""
+    d, den = exact_convolution(c, m)
     p = [d[m]]
     for dn in reversed(d[:m]):
         p = [p[0] + dn, *map(operator.add, p[1:], p), p[-1]]

@@ -9,27 +9,22 @@ and, for a function with the right large-x behaviour, q0(m) -> q0 and
 q1(m) -> q1 with f(x) = q0 + q1/x + O(1/x**2).  Only these two rows are
 evaluated here.
 
-Exact series go through one integer kernel.  Over the common denominator
-D of c_0..c_M the coefficients become integers a_n = D*c_n, and q0 is
-their binomial transform A(m) = sum_n C(m,n) a_n = D*q0(m).  One pass of
-adjacent additions s[i] + s[i+1] turns the vector sum_j C(m,j) a_{i+j}
-into the same vector for m+1, so s[0] after m passes is A(m) and the
-whole table costs M passes, O(M**2) big-integer additions with no
-binomial and no rational in the loop.  q1 comes off the same transform:
-the hockey-stick identity C(m,n+1) = sum_{k<m} C(k,n) gives
+Exact series read both rows off the approximant's one integer kernel,
+:func:`~invpower.approximant.exact_convolution` (derived in
+:mod:`invpower.approximant`): with the binomial convolution d_N,
+q0(m) = sum_{N<=m} d_N and q1(m) = -sum_{N<=m} N*d_N, so the deltas are
+|d_m| and m*|d_m|, and the whole table costs one O(M**2) convolution.
+Values become ``Scalar`` only when a row is built.
 
-    D*q1(m) = sum_{k<m} A(k) - m*A(m),
-
-so it needs only a running prefix sum of A.  Values become ``Scalar``
-only when a row is built.  Float series keep the literal per-row sums of
-m+1 binomial-weighted terms, run on raw mpmath values by
-:func:`~invpower.approximant.float_q` (which the float approximant uses
-too): every weight, product, partial sum and delta is rounded to nearest
-at the series' significand, exactly as ``Scalar`` arithmetic rounds the
-formulas above, and a ``Scalar`` is built once per emitted value.  So
-the rounding and the cancellation warning are those of the formulas.  A
-series that mixes exact and inexact entries or float widths (only the
-Python API builds one) is first rounded to its narrowest width.
+Float series keep the literal per-row sums of m+1 binomial-weighted
+terms, run on raw mpmath values by :func:`~invpower.approximant.float_q`
+(which the float approximant uses too): every weight, product, partial
+sum and delta is rounded to nearest at the series' significand, exactly
+as ``Scalar`` arithmetic rounds the formulas above, and a ``Scalar`` is
+built once per emitted value.  So the rounding and the cancellation
+warning are those of the formulas.  A series that mixes exact and
+inexact entries or float widths (only the Python API builds one) is
+first rounded to its narrowest width.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -42,21 +37,19 @@ run it on the emitted table.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import mpf_abs, mpf_sub
 
-from .approximant import float_coefficients, float_q
+from .approximant import exact_convolution, float_coefficients, float_q
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
 from .scalar import (
     CancellationWarning,
     Scalar,
     cancellation_bits,
     cancellation_hazard,
-    common_denominator,
 )
 from .series import TaylorSeries
 
@@ -91,24 +84,20 @@ class AsymptoticEstimate:
 
 
 def _exact_rows(c: tuple[Scalar, ...], m_max: int) -> list[ConvergenceRow]:
-    """Rows of an exact series by the integer binomial-transform kernel."""
-    s, den = common_denominator(c[:m_max + 1])
+    """Rows of an exact series as running sums of its binomial convolution."""
+    d, den = exact_convolution(c, m_max)
 
     def exact(num: int) -> Scalar:
         return Scalar(Fraction(num, den), True)
 
-    prev0, prev1 = s[0], None
-    prefix = s[0]  # sum of A(k) over k < m
-    rows = [ConvergenceRow(0, exact(s[0]), None, None, None)]
+    n0, n1 = d[0], 0
+    rows = [ConvergenceRow(0, exact(n0), None, None, None)]
     for m in range(1, m_max + 1):
-        s = list(map(operator.add, s, s[1:]))
-        a = s[0]
-        n1 = prefix - m * a
-        rows.append(ConvergenceRow(
-            m, exact(a), exact(n1), exact(abs(a - prev0)),
-            exact(abs(n1 - prev1)) if prev1 is not None else None))
-        prefix += a
-        prev0, prev1 = a, n1
+        dm, mdm = d[m], m * d[m]
+        n0 += dm
+        n1 -= mdm
+        rows.append(ConvergenceRow(m, exact(n0), exact(n1), exact(abs(dm)),
+                                   exact(abs(mdm)) if m >= 2 else None))
     return rows
 
 

@@ -217,22 +217,29 @@ def _resolve_series(args, n_coeffs: int) -> tuple[TaylorSeries, CorpusFunction |
     if args.corpus is not None:
         return _corpus_series(args.corpus, args.params, args.x0, n_coeffs)
     try:
-        # precision only matters for files declaring "exact": false; the
-        # parser validates it there, so exact files really do ignore it
-        series = load_coefficient_file(args.coeffs, precision=args.precision)
+        # precision applies only to files declaring "exact": false, so an
+        # exact file ignores it; a too-narrow width is the flag's fault
+        series = load_coefficient_file(args.coeffs,
+                                       precision=max(args.precision, MIN_PRECISION))
     except CoefficientFileError as exc:
         raise CliError(str(exc)) from None
+    if not series.is_exact:
+        _check_precision(args)
     if len(series.coeffs) < n_coeffs:
         raise CliError(
             f"{args.coeffs}: need {n_coeffs} coefficients, file has {len(series.coeffs)}")
     return series, None
 
 
+def _check_precision(args) -> None:
+    if args.precision < MIN_PRECISION:
+        raise CliError(f"--precision must be >= {MIN_PRECISION}, got {args.precision}")
+
+
 def _maybe_float(series: TaylorSeries, args) -> TaylorSeries:
     if args.mode == "exact":
         return series
-    if args.precision < MIN_PRECISION:
-        raise CliError(f"--precision must be >= {MIN_PRECISION}, got {args.precision}")
+    _check_precision(args)
     return series.to_inexact(args.precision)
 
 

@@ -165,7 +165,7 @@ class HypothesisReport:
 
     @property
     def radius_text(self) -> str:
-        return "unbounded" if self.radius is None else self.radius.render_ratio()
+        return "unbounded" if self.radius is None else str(self.radius)
 
 
 def hypothesis_report(f: CorpusFunction, x0: Scalar) -> HypothesisReport:

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import mpmath
 from mpmath import mp
@@ -398,15 +398,6 @@ class Scalar:
 
 
 ZERO = Scalar.rational(0)
-ONE = Scalar.rational(1)
-
-
-def common_denominator(values: Sequence[Scalar]) -> tuple[list[int], int]:
-    """Exact values as integers over their least common denominator D:
-    returns ([D*v for v in values], D)."""
-    fracs = [v.value for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
 def cancellation_bits(m: int) -> int:

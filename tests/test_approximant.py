@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from invpower.approximant import (
     coeffs_oracle_solve,
     coeffs_via_matrix,
     evaluate,
+    exact_convolution,
     expand_to_taylor,
     signed_binomial_matrix,
 )
 from invpower.errors import ExactnessError, PoleError
 from invpower.scalar import CancellationWarning, Scalar, binom
 from invpower.series import series_from_rationals
+from invpower.transforms import binomial_convolve
 
 from _oracles import brute_q0, brute_q1, closed_form_q, comb0, tail_coeffs, tail_rows
 
@@ -147,6 +150,22 @@ def test_kernel_matches_literal_sums_and_solver(coeffs_and_m):
     approx = coeffs_closed_form(s, m)
     assert [q.as_fraction() for q in approx.coeffs] == closed_form_q(coeffs, m)
     assert approx.coeffs == coeffs_oracle_solve(s, m).coeffs
+
+
+@settings(max_examples=60)
+@given(st.lists(st.fractions(max_denominator=10 ** 6), min_size=1, max_size=16).flatmap(
+    lambda cs: st.tuples(st.just(cs), st.integers(0, min(12, len(cs) - 1)))))
+def test_exact_convolution_is_binomial_convolve_over_common_denominator(coeffs_and_m):
+    """The integer kernel's D*d_0..D*d_m divided by D are the entries of
+    ``binomial_convolve``, with D the least common denominator of
+    c_0..c_m, also when the series carries more coefficients."""
+    coeffs, m = coeffs_and_m
+    s = series_from_rationals(0, coeffs)
+    d, den = exact_convolution(s.coeffs, m)
+    assert den == lcm(*(c.denominator for c in coeffs[:m + 1]))
+    assert all(type(x) is int for x in d)
+    assert [Fraction(x, den) for x in d] == [v.as_fraction()
+                                             for v in binomial_convolve(s, m).values]
 
 
 def test_kernel_dimension_200_on_tail_sum():

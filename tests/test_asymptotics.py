@@ -125,6 +125,20 @@ def test_exact_rows_match_brute_force_sums(case):
                         for m in range(m_max + 1)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(coefficient_prefixes())
+def test_exact_rows_are_leading_approximant_coefficients(case):
+    """Row m holds q_0 and q_1 of the dimension-m approximant, and its
+    deltas are the steps of those between dimensions m-1 and m."""
+    coeffs, m_max = case
+    s = series_from_rationals(Fraction(-2, 3), coeffs)
+    expected = []
+    for m in range(m_max + 1):
+        q = [x.as_fraction() for x in coeffs_closed_form(s, m).coeffs[:2]]
+        expected.append((q[0], q[1] if m else None))
+    assert_rows(convergence_table(s, m_max), expected)
+
+
 small = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 # b = x0 + shift: r = 1 - 1/b is -1 at b = 1/2, |r| > 1 below it
 bases = st.one_of(

@@ -7,7 +7,7 @@ import pytest
 
 from invpower import identities
 from invpower.cli import main
-from invpower.corpus import MAX_FILE_COEFFS
+from invpower.corpus import MAX_FILE_COEFFS, coefficient_file_payload, load_coefficient_file
 
 from _oracles import tail_coeffs
 
@@ -326,6 +326,37 @@ def test_exact_mode_ignores_precision(capsys, tmp_path):
     code, _, _ = run(capsys, "estimate", "--coeffs", str(path), "--m-max", "3",
                      "--precision", "7")
     assert code == 0
+
+
+@pytest.mark.parametrize("command,size", [("estimate", "--m-max"), ("approximate", "--m")])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_float_file_blames_precision_flag(capsys, tmp_path, command, size, mode):
+    """A float file read below the minimum width is the flag's fault, not the file's."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["0.5", "0.25", "0.125"],
+                                "exact": False}))
+    code, out, err = run(capsys, command, "--coeffs", str(path), size, "2",
+                         "--mode", mode, "--precision", "16")
+    assert (code, out) == (1, "")
+    assert err == "error: --precision must be >= 64, got 16\n"
+
+
+def test_float_file_radius_rendered_as_written(capsys, tmp_path):
+    """A float file's radius prints as a decimal, the text a coefficient
+    file records for it, not as its dyadic ratio."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1", "-1", "1"], "exact": False,
+                                "meta": {"hypothesis_radius": "0.1"}}))
+    written = coefficient_file_payload(load_coefficient_file(str(path)))
+    radius = written["meta"]["hypothesis_radius"]
+    assert radius == "0.10000000000000001"
+    code, out, _ = run(capsys, "estimate", "--coeffs", str(path), "--m-max", "2")
+    assert code == 0
+    assert f"# hypothesis_radius={radius}" in out.split("\n")
+    code, out, _ = run(capsys, "estimate", "--coeffs", str(path), "--m-max", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["hypothesis"] == {"radius": radius, "satisfied": False}
 
 
 def test_float_file_rejects_non_finite_coefficient(capsys, tmp_path):

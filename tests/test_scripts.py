@@ -1,4 +1,5 @@
-"""The experiment scripts run from a checkout, as the README shows them."""
+"""The experiment scripts and ``python -m invpower`` run from a checkout,
+as the README shows them."""
 
 import hashlib
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from invpower.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of `float_cancellation_study.py --m-max 60`, recorded with the
@@ -16,13 +19,16 @@ ROOT = Path(__file__).resolve().parent.parent
 FLOAT_STUDY_M60 = "44072b04b9eea3e49ea392b6f84f2f925c05f659e3698b5f229e7b227ed6ab1e"
 
 
-def run_script(name, *args):
+def run_python(*argv, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, cwd=ROOT,
-                          timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=text,
+                          env=env, cwd=ROOT, timeout=120)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 @pytest.mark.parametrize("name,args", [
@@ -42,3 +48,21 @@ def test_float_study_output_unchanged():
     proc = run_script("float_cancellation_study.py", "--m-max", "60")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == FLOAT_STUDY_M60
+
+
+ESTIMATE = ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--format", "json"]
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    proc = run_python("-m", "invpower", *ESTIMATE, text=False)
+    assert proc.returncode == main(ESTIMATE) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["estimate", "--corpus", "one-over-x", "--m-max", "3"], 0),
+    (["estimate", "--corpus", "one-over-x", "--m-max", "zz"], 1),
+    (["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "1", "--require-converged"], 2),
+])
+def test_module_entry_point_exit_codes(argv, code):
+    assert run_python("-m", "invpower", *argv).returncode == code
