@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""How each layer scales: median CPU time per call at fixed sizes.
+
+    python scripts/bench.py --out BENCH_<n>.json --column change
+    python scripts/bench.py --out BENCH_<n>.json --column parent --src ../parent/src
+    python scripts/bench.py --out /tmp/b.json --column x --sizes 50 --repeat 1
+
+Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
+exact or rounded to 128-bit floats, at each dimension m in ``--sizes``.
+A cell is the median ``time.process_time`` per call over ``--repeat``
+samples; a sample repeats the call until it has used 0.2 CPU seconds.
+A sample that uses more than ``BUDGET_S`` (10) CPU seconds is stopped
+by a CPU timer, and that size and every larger one of the layer are
+recorded as null.  The series are built before the timing starts.
+
+The output file holds one column per ``--column`` name, each with the
+Python version and mpmath's arithmetic backend it ran under.  An
+existing file keeps its other columns, so the parent and a change
+(imported from another checkout's ``src`` with ``--src``) share one
+file and compare cell by cell.
+"""
+
+import argparse
+import contextlib
+import gc
+import io
+import json
+import platform
+import signal
+import statistics
+import sys
+import time
+import warnings
+from pathlib import Path
+
+import mpmath
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (50, 200, 800, 2000)
+FLOAT_PRECISION = 128
+MIN_SAMPLE_S = 0.2
+BUDGET_S = 10.0
+
+
+class OverBudget(BaseException):
+    """Raised by the CPU timer; a BaseException, so no ``except
+    Exception`` in the code under test can swallow it."""
+
+
+def _over_budget(signum, frame):
+    raise OverBudget
+
+
+def layers(m_max):
+    """Layer name -> f(m) that makes one call, for m <= m_max; the series
+    it reads are built here, before any timing."""
+    from invpower.approximant import coeffs_closed_form, coeffs_via_matrix
+    from invpower.asymptotics import convergence_table
+    from invpower.cli import main
+    from invpower.corpus import mobius, taylor_coeffs
+    from invpower.scalar import Scalar
+
+    exact = taylor_coeffs(mobius(2, 3, 1, 2), Scalar.rational(1), m_max + 1)
+    floats = exact.to_inexact(FLOAT_PRECISION)
+
+    def cli(*argv):
+        def call(m):
+            args = [a.format(m=m) for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(args)
+            if code != 0:
+                raise SystemExit(f"{' '.join(args)} exited {code}")
+        return call
+
+    precision = str(FLOAT_PRECISION)
+    return {
+        "convergence_table exact": lambda m: convergence_table(exact, m),
+        f"convergence_table float{precision}": lambda m: convergence_table(floats, m),
+        "coeffs_closed_form exact": lambda m: coeffs_closed_form(exact, m),
+        f"coeffs_closed_form float{precision}": lambda m: coeffs_closed_form(floats, m),
+        "coeffs_via_matrix exact": lambda m: coeffs_via_matrix(exact, m),
+        "cli estimate exact": cli("estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}"),
+        f"cli estimate float{precision}": cli(
+            "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}",
+            "--mode", "float", "--precision", precision),
+        "cli approximate exact": cli(
+            "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
+    }
+
+
+def cpu_seconds(call, m):
+    """CPU seconds per call, over as many calls as fill ``MIN_SAMPLE_S``
+    (the CPU clock may tick in milliseconds), or None when the sample
+    runs past ``BUDGET_S``.  Garbage left by earlier layers is collected
+    first, so it is not charged to this one."""
+    gc.collect()
+    signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
+    try:
+        start = time.process_time()
+        calls = 0
+        while (elapsed := time.process_time() - start) < MIN_SAMPLE_S:
+            call(m)
+            calls += 1
+        return elapsed / calls
+    except OverBudget:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+
+
+def measure(sizes, repeat):
+    signal.signal(signal.SIGPROF, _over_budget)
+    cells = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, call in layers(max(sizes)).items():
+            row = cells[name] = {}
+            for m in sizes:
+                times = []
+                for _ in range(repeat):
+                    t = cpu_seconds(call, m)
+                    if t is None:
+                        break
+                    times.append(t)
+                row[str(m)] = statistics.median(times) if len(times) == repeat else None
+                print(f"{name:>34} m={m:<5} {row[str(m)]}", file=sys.stderr)
+                if row[str(m)] is None:
+                    row.update((str(n), None) for n in sizes if n > m)
+                    break
+    env = {"python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND}
+    return env, cells
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, type=Path, help="JSON file to write or extend")
+    ap.add_argument("--column", required=True, help="column name, e.g. parent or change")
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="directory that holds the invpower package to time")
+    ap.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
+                    default=list(SIZES), help="comma-separated dimensions m")
+    ap.add_argument("--repeat", type=int, default=3, help="calls per cell")
+    args = ap.parse_args()
+
+    sys.path.insert(0, str(args.src.resolve()))
+    env, cells = measure(sorted(args.sizes), args.repeat)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update(sizes=sorted(args.sizes), repeat=args.repeat, budget_s=BUDGET_S,
+               float_precision=FLOAT_PRECISION)
+    doc.setdefault("columns", {})[args.column] = env
+    for name, row in cells.items():
+        doc.setdefault("layers", {}).setdefault(name, {})[args.column] = row
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -28,11 +28,15 @@ are provided and must agree bit-for-bit in exact mode:
   big-integer additions with no binomial and no rational in the loop;
   values become ``Scalar`` only at the end.  Float series keep the
   rounding of the literal sums and the cancellation warning: each q_k
-  is sum_s W(k, s) c_s summed in order on raw mpmath values (see
-  :func:`float_q`), with the integer weights W from a recurrence, and a
-  ``Scalar`` is built once per q_k.  A series that mixes exact and
-  inexact entries or float widths is first rounded to its narrowest
-  width (:func:`float_coefficients`);
+  is sum_s W(k, s) c_s summed in order, with the integer weights W from
+  a recurrence, by one integer kernel, :func:`float_dots`.  It runs on
+  signed int mantissas and exponents, and every step (weight, product,
+  partial sum) is correctly rounded to nearest-even at the significand,
+  which is what ``Scalar`` arithmetic does; correct rounding is unique,
+  so the output is bit-identical to the ``Scalar`` literal sums.  A raw
+  mpmath value, and then a ``Scalar``, is built once per q_k.  A series
+  that mixes exact and inexact entries or float widths is first rounded
+  to its narrowest width (:func:`float_coefficients`);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
   signed-binomial matrix product;
 * :func:`coeffs_oracle_solve`  -- brute-force fraction-free elimination on
@@ -48,11 +52,13 @@ from __future__ import annotations
 
 import operator
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from mpmath.libmp import from_int, fzero, mpf_add, mpf_mul, mpf_neg
+from mpmath import isfinite
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from .errors import ExactnessError, PoleError
 from .scalar import (
@@ -174,11 +180,15 @@ def float_coefficients(series: TaylorSeries, count: int) -> tuple[list[tuple], i
     On a series of one width (all the CLI, float files and ``to_inexact``
     build) this reads the values as they are.  A mixed series, with exact
     and inexact entries or several widths, is rounded to its narrowest
-    width first.
+    width first.  An infinity or NaN is rejected: :func:`float_dots`
+    works on finite mantissas only.
     """
     prec = series.float_precision
-    raw = [Scalar.approx(c, prec).value._mpf_ for c in series.coeffs[:count]]
-    return raw, prec, significand_bits(prec)
+    coeffs = series.coeffs[:count]
+    for i, c in enumerate(coeffs):
+        if not (c.exact or isfinite(c.value)):
+            raise ValueError(f"coefficient coeffs[{i}] must be finite, got {c}")
+    return [Scalar.approx(c, prec).value._mpf_ for c in coeffs], prec, significand_bits(prec)
 
 
 def _weight_rows(m: int):
@@ -208,23 +218,63 @@ def _weight_rows(m: int):
         yield w
 
 
-def float_q(raw: list[tuple], m: int, bits: int, count: int) -> list[tuple]:
-    """q_0..q_{count-1} of the dimension-m approximant of raw float
-    coefficients, as raw values.
+def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[tuple]:
+    """For each row of integer weights w, the literal sum
+    sum_s w[s]*c_s of raw float coefficients c_s, summed in order from
+    s = 0 and rounded as ``Scalar`` arithmetic rounds it, as a raw value.
 
-    Each q_k is the literal sum over s in order from zero: the integer
-    weight is rounded to nearest at ``bits``, and so is its product with
-    c_s and every partial sum; q_k with k odd is then negated.  These are
-    the operations ``Scalar`` arithmetic does on the literal sums, so the
-    result is theirs bit for bit (rounding to nearest is symmetric, so
-    negating the sum equals summing negated weights).
+    A weight wider than ``bits`` is rounded, then its product with c_s,
+    then every partial sum: each step is exact on signed int mantissas
+    (x = man * 2**exp) and then rounded to nearest-even at ``bits`` by
+    x <- (x + 2**(n-1) - 1 + bit n of x) >> n, n the excess width.  That
+    is the one correctly rounded result, so it equals the rounded
+    conversion, product and sum of ``Scalar`` (mpmath) bit for bit; a
+    mantissa rounded up to 2**bits is exact and needs no renormalising.
+    When the exponents of the partial sum and the next term are more
+    than 2*bits + 2 apart, the smaller operand is below a quarter of the
+    larger one's ulp, so it could act only as a sticky bit, which never
+    changes a round-to-nearest result: the larger operand is the rounded
+    sum.  That keeps every shift within 2*bits + 2, whatever the
+    exponents.  A zero term leaves the partial sum as it is, and one
+    that cancels exactly is zero until the next nonzero term.
     """
+    c = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
+    far = 2 * bits + 2
     out = []
-    for k, weights in zip(range(count), _weight_rows(m)):
-        acc = fzero
-        for w, c in zip(weights, raw):
-            acc = mpf_add(acc, mpf_mul(c, from_int(w, bits, "n"), bits, "n"), bits, "n")
-        out.append(mpf_neg(acc) if k % 2 else acc)
+    for row in rows:
+        am = ae = 0
+        for w, (cm, ce) in zip(row, c):
+            if not w or not cm:
+                continue
+            pe = ce
+            n = w.bit_length() - bits
+            if n > 0:
+                w = (w + (1 << (n - 1)) - 1 + (w >> n & 1)) >> n
+                pe += n
+            pm = cm * w
+            n = pm.bit_length() - bits
+            if n > 0:
+                pm = (pm + (1 << (n - 1)) - 1 + (pm >> n & 1)) >> n
+                pe += n
+            if not am:
+                am, ae = pm, pe
+                continue
+            gap = ae - pe
+            if gap > far:
+                continue
+            if gap < -far:
+                am, ae = pm, pe
+                continue
+            if gap >= 0:
+                am = (am << gap) + pm
+                ae = pe
+            else:
+                am += pm << -gap
+            n = am.bit_length() - bits
+            if n > 0:
+                am = (am + (1 << (n - 1)) - 1 + (am >> n & 1)) >> n
+                ae += n
+        out.append(from_man_exp(am, ae))
     return out
 
 
@@ -256,13 +306,16 @@ def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
 def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     """Approximant coefficients by the explicit binomial-sum formulas:
     the integer kernel for exact series, the rounded literal sums of
-    :func:`float_q` (and the cancellation warning) for float series."""
+    :func:`float_dots` over the weights W(k, s) (and the cancellation
+    warning) for float series; rounding to nearest is symmetric, so
+    negating the sum for odd k equals summing negated weights."""
     _check_input(series, m)
     if series.is_exact:
         return InversePowerApproximant(m, series.center, _exact_coeffs(series.coeffs, m))
     _warn_if_cancelling(series, m)
     raw, prec, bits = float_coefficients(series, m + 1)
-    q = tuple(Scalar.from_raw(x, prec) for x in float_q(raw, m, bits, m + 1))
+    sums = float_dots(raw, _weight_rows(m), bits)
+    q = tuple(Scalar.from_raw(mpf_neg(x) if k % 2 else x, prec) for k, x in enumerate(sums))
     return InversePowerApproximant(m, series.center, q)
 
 

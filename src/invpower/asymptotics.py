@@ -17,13 +17,16 @@ q0(m) = sum_{N<=m} d_N and q1(m) = -sum_{N<=m} N*d_N, so the deltas are
 Values become ``Scalar`` only when a row is built.
 
 Float series keep the literal per-row sums of m+1 binomial-weighted
-terms, run on raw mpmath values by :func:`~invpower.approximant.float_q`
-(which the float approximant uses too): every weight, product, partial
-sum and delta is rounded to nearest at the series' significand, exactly
-as ``Scalar`` arithmetic rounds the formulas above, and a ``Scalar`` is
-built once per emitted value.  So the rounding and the cancellation
-warning are those of the formulas.  A series that mixes exact and
-inexact entries or float widths (only the Python API builds one) is
+terms, all rows in one pass of the approximant's float kernel,
+:func:`~invpower.approximant.float_dots`, on signed int mantissas: every
+weight, product and partial sum is correctly rounded to nearest-even at
+the series' significand, and so is every delta.  That is what ``Scalar``
+arithmetic does to the formulas above, and correct rounding is unique,
+so the rows are bit-identical to the ``Scalar`` literal sums, and the
+cancellation warning is that of the formulas.  The weights C(m, s) come
+from row m-1 of Pascal's triangle by adjacent additions, and a
+``Scalar`` is built once per emitted value.  A series that mixes exact
+and inexact entries or float widths (only the Python API builds one) is
 first rounded to its narrowest width.
 
 No convergence rate is known in general, so estimation is deliberately
@@ -37,13 +40,14 @@ run it on the emitted table.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath.libmp import mpf_abs, mpf_sub
 
-from .approximant import exact_convolution, float_coefficients, float_q
+from .approximant import exact_convolution, float_coefficients, float_dots
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
 from .scalar import (
     CancellationWarning,
@@ -101,10 +105,23 @@ def _exact_rows(c: tuple[Scalar, ...], m_max: int) -> list[ConvergenceRow]:
     return rows
 
 
+def _float_weights(m_max: int):
+    """The float table's weight rows in order: C(m, s) for q0(m), and for
+    m >= 1 then C(m, s+1) - m*C(m, s) (zero at s = 0) for q1(m); row m of
+    Pascal's triangle comes from row m-1 by adjacent additions."""
+    row = [1]
+    yield row
+    for m in range(1, m_max + 1):
+        row = [1, *map(operator.add, row, row[1:]), 1]
+        yield row
+        yield [0, *(b - m * a for a, b in zip(row[1:], [*row[2:], 0]))]
+
+
 def _float_rows(series: TaylorSeries, m_max: int) -> list[ConvergenceRow]:
-    """Rows of a float series by the rounded literal row sums, on raw
-    mpmath values; a ``Scalar`` is built once per emitted value."""
+    """Rows of a float series by the rounded literal row sums, in one
+    kernel pass; a ``Scalar`` is built once per emitted value."""
     raw, prec, bits = float_coefficients(series, m_max + 1)
+    sums = float_dots(raw, _float_weights(m_max), bits)
 
     def value(x: tuple | None) -> Scalar | None:
         return None if x is None else Scalar.from_raw(x, prec)
@@ -114,8 +131,7 @@ def _float_rows(series: TaylorSeries, m_max: int) -> list[ConvergenceRow]:
 
     rows = []
     prev0 = prev1 = None
-    for m in range(m_max + 1):
-        q0, q1 = (float_q(raw, m, bits, 2) + [None])[:2]
+    for m, (q0, q1) in enumerate(zip([sums[0], *sums[1::2]], [None, *sums[2::2]])):
         rows.append(ConvergenceRow(m, value(q0), value(q1), delta(q0, prev0), delta(q1, prev1)))
         prev0, prev1 = q0, q1
     return rows

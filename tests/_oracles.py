@@ -79,6 +79,15 @@ def float_q1_row(c: list[Scalar], m: int) -> Scalar:
     return acc
 
 
+def float_dot(c: list[Scalar], weights: list[int]) -> Scalar:
+    """sum_s weights[s]*c_s in ``Scalar`` arithmetic, in order from an
+    exact zero: the literal sum behind any one float weight row."""
+    acc = Scalar.rational(0)
+    for w, x in zip(weights, c):
+        acc = acc + w * x
+    return acc
+
+
 def float_table(c: list[Scalar], m_max: int) -> list[tuple]:
     """Rows (m, q0, q1, delta0, delta1) of a float convergence table by
     the literal row sums, with deltas |q(m) - q(m-1)| in ``Scalar``

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from invpower.approximant import (
 )
 from invpower.errors import ExactnessError, PoleError
 from invpower.scalar import CancellationWarning, Scalar, binom
-from invpower.series import series_from_rationals
+from invpower.series import TaylorSeries, series_from_rationals
 from invpower.transforms import binomial_convolve
 
 from _oracles import brute_q0, brute_q1, closed_form_q, comb0, tail_coeffs, tail_rows
@@ -325,6 +326,13 @@ def test_float_mode_no_warning_at_small_dimension():
         warnings.simplefilter("error")
         approx = coeffs_via_matrix(s, 2)
     assert not approx.is_exact
+
+
+@pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+def test_float_approximant_rejects_non_finite_coefficients(bad):
+    coeffs = (Scalar.approx(1, 64), Scalar(bad, False, 64), Scalar.approx(2, 64))
+    with pytest.raises(ValueError, match=r"coeffs\[1\] must be finite"):
+        coeffs_closed_form(TaylorSeries(Scalar.rational(1), coeffs), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import random
 import warnings
 from fractions import Fraction
+from math import comb
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpower.approximant import coeffs_closed_form
+from invpower.approximant import coeffs_closed_form, float_dots
 from invpower.asymptotics import (
     ConvergenceRow,
     ConvergenceTable,
@@ -17,13 +19,14 @@ from invpower.asymptotics import (
 )
 from invpower.corpus import mobius, shifted_reciprocal, taylor_coeffs
 from invpower.errors import PoleError
-from invpower.scalar import CancellationWarning, Scalar
+from invpower.scalar import CancellationWarning, Scalar, significand_bits
 from invpower.series import TaylorSeries, series_from_rationals
 
 from _oracles import (
     brute_q0,
     brute_q1,
     float_closed_form_q,
+    float_dot,
     float_table,
     tail_coeffs,
     tail_rows,
@@ -266,6 +269,111 @@ def test_mixed_series_reads_coefficients_at_float_precision():
     for x, y in zip(coeffs_closed_form(mixed, 30).coeffs, coeffs_closed_form(uniform, 30).coeffs,
                     strict=True):
         assert same_float(x, y)
+
+
+def assert_literal_sums(c, m):
+    """The float table to m and the float approximant at m of the series
+    with coefficients c equal the ``Scalar`` literal sums bit for bit;
+    returns the table."""
+    series = TaylorSeries(Scalar.rational(1), tuple(c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        table = convergence_table(series, m)
+        q = coeffs_closed_form(series, m).coeffs
+    float_rows_equal(table, float_table(c, m))
+    assert all(same_float(x, y) for x, y in zip(q, float_closed_form_q(c, m), strict=True))
+    return table
+
+
+def f64(x):
+    """x as a 64-bit float; exact for the values used here."""
+    return Scalar.approx(x, 64)
+
+
+@st.composite
+def wide_exponent_cases(draw):
+    """Like ``float_cases``, but each coefficient is mantissa * 2**e with
+    e within 2000 of zero (or within 120 for near neighbours), so partial
+    sums and terms often lie more than 2*bits + 2 binary places apart."""
+    m = draw(st.integers(0, 40))
+    entry = st.builds(lambda man, e: Fraction(man) * Fraction(2) ** e,
+                      st.integers(-2 ** 300, 2 ** 300),
+                      st.integers(-2000, 2000) | st.integers(-120, 120))
+    coeffs = draw(st.lists(st.just(Fraction(0)) | entry, min_size=m + 1, max_size=m + 3))
+    width = draw(st.sampled_from([64, 80, 128, 256]))
+    return series_from_rationals(Fraction(-2, 5), coeffs).to_inexact(width), m
+
+
+@settings(max_examples=50, deadline=None)
+@given(wide_exponent_cases())
+def test_float_rows_and_coefficients_match_literal_sums_at_wide_exponents(case):
+    series, m = case
+    assert_literal_sums(list(series.coeffs), m)
+
+
+@pytest.mark.parametrize("c,m,value,expected", [
+    # q0(1) = c0 + c1: 2**53 + 1 ties and rounds down to the even 2**53
+    ([2 ** 53, 1], 1, "q0", 2 ** 53),
+    # 2**53 + 3 ties and rounds up to the even 2**53 + 4
+    ([2 ** 53 + 2, 1], 1, "q0", 2 ** 53 + 4),
+    # q1(2) = -3*c1 - 2*c2: the product 3*(2**52 + 1) ties and rounds up
+    ([0, 2 ** 52 + 1, 0], 2, "q1", -(3 * 2 ** 52 + 4)),
+    # 3*(2**52 + 3) ties and rounds down
+    ([0, 2 ** 52 + 3, 0], 2, "q1", -(3 * 2 ** 52 + 8)),
+    # (2**53 - 1) + 1/2 ties, rounds up and carries the mantissa to 2**53
+    ([2 ** 53 - 1, Fraction(1, 2)], 1, "q0", 2 ** 53),
+    # the partial sum 3 + 2*(-3/2) cancels to zero before the last term
+    ([3, Fraction(-3, 2), 5], 2, "q0", 5),
+    # and at the end of the sum
+    ([3, -3], 1, "q0", 0),
+    # zero coefficients among the terms
+    ([0, 0, 7, 0, Fraction(-1, 8), 0], 5, "q0", 70 - Fraction(5, 8)),
+])
+def test_float_rounding_edge_cases_match_literal_sums(c, m, value, expected):
+    table = assert_literal_sums([f64(x) for x in c], m)
+    assert getattr(table.rows[m], value).as_fraction() == expected
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_float_terms_far_from_the_partial_sum_match_literal_sums(width):
+    """c0 + c1 and the approximant of (c0, c1) with c1 from 40 to 3000
+    binary places below c0 and c0 as far below c1, across the gap of
+    2*bits + 2 where the kernel stops aligning: powers of two, odd and
+    all-ones mantissas, both signs, and the ties next to a power of two."""
+    bits = significand_bits(width)
+    big = [1, -1, 1 + Fraction(1, 2 ** (bits - 1)), -(1 - Fraction(1, 2 ** bits))]
+    for k in [*range(bits - 2, 2 * bits + 8), 40, 3 * bits, 3000]:
+        for small in (Fraction(1, 2 ** k), -Fraction(1, 2 ** k), Fraction(-3, 2 ** k),
+                      Fraction(2 ** bits - 1, 2 ** (k + bits))):
+            for x in big:
+                a, b = Scalar.approx(x, width), Scalar.approx(small, width)
+                assert_literal_sums([a, b], 1)
+                assert_literal_sums([b, a], 1)
+
+
+@pytest.mark.parametrize("weights,c,expected", [
+    # weights wider than the significand are rounded first: ties to even
+    ([2 ** 53 + 1], 1, 2 ** 53),
+    ([2 ** 53 + 3], 1, 2 ** 53 + 4),
+    # a weight that rounds up to the next power of two
+    ([2 ** 60 - 1], 1, 2 ** 60),
+    # a product (2**27 - 1)(2**27 + 1) = 2**54 - 1 that ties up to 2**54
+    ([2 ** 27 - 1], 2 ** 27 + 1, 2 ** 54),
+    ([comb(100, 50), -comb(100, 49)], Fraction(-7, 3), None),
+])
+def test_float_kernel_rounds_wide_weights_as_literal_sums(weights, c, expected):
+    coeffs = [Scalar.approx(c, 64)] * len(weights)
+    (got,) = float_dots([x.value._mpf_ for x in coeffs], [weights], significand_bits(64))
+    assert got == float_dot(coeffs, weights).value._mpf_
+    if expected is not None:
+        assert Scalar.from_raw(got, 64).as_fraction() == expected
+
+
+@pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
+def test_float_table_rejects_non_finite_coefficients(bad):
+    series = TaylorSeries(Scalar.rational(1), (f64(1), f64(2), Scalar(bad, False, 64)))
+    with pytest.raises(ValueError, match=r"coeffs\[2\] must be finite"):
+        convergence_table(series, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -635,6 +636,28 @@ def test_estimate_float_output_bytes_unchanged(capsys, tmp_path, argv, expected_
     code, out, err = run(capsys, "estimate", *_with_hash_files(tmp_path, argv))
     assert code == 0 and err == expected_err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Entries +-k * 10**(+-100000000): the q0 and q1 partial sums meet terms
+# about 664 million binary places above or below them.  SHA-256 of stdout
+# and the exact stderr recorded with the raw-mpf float loop that preceded
+# the integer float kernel (0.42 CPU seconds there).  An addition that
+# aligned such operands bit by bit would take minutes.
+_WIDE_EXPONENTS = [f"{'-' if n % 3 == 1 else ''}{n % 7 + 1}e{'-' if n % 2 else ''}100000000"
+                   for n in range(41)]
+
+
+def test_estimate_float_wide_exponents_output_and_cpu_bound(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": _WIDE_EXPONENTS, "exact": False}))
+    start = time.process_time()
+    code, out, err = run(capsys, "estimate", "--coeffs", str(path), "--mode", "float",
+                         "--precision", "64", "--m-max", "40")
+    cpu = time.process_time() - start
+    assert code == 0 and err == _table_warning(40, 64, 38)
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "10039b0f524855abe682ef8349319135d15f94dbd61a4d5c4049bd22b70d95cd")
+    assert cpu < 5
 
 
 _CANCEL_64_M60 = ("warning: dimension 60 binomial sums consume ~57 of 64 float bits; "

@@ -2,6 +2,7 @@
 as the README shows them."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -48,6 +49,23 @@ def test_float_study_output_unchanged():
     proc = run_script("float_cancellation_study.py", "--m-max", "60")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == FLOAT_STUDY_M60
+
+
+def test_bench_writes_one_column_per_run(tmp_path):
+    """``bench.py`` at its smallest size: two runs share one file, a
+    column each, with every layer timed and the interpreter recorded."""
+    out = tmp_path / "bench.json"
+    for column in ("parent", "change"):
+        proc = run_script("bench.py", "--out", str(out), "--column", column,
+                          "--sizes", "50", "--repeat", "1")
+        assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["sizes"] == [50]
+    assert set(doc["columns"]) == {"parent", "change"}
+    assert all(set(env) == {"python", "mpmath_backend"} for env in doc["columns"].values())
+    for layer in ("convergence_table exact", "convergence_table float128",
+                  "coeffs_closed_form float128"):
+        assert all(doc["layers"][layer][column]["50"] > 0 for column in ("parent", "change"))
 
 
 ESTIMATE = ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--format", "json"]
