@@ -6,12 +6,15 @@
     python scripts/bench.py --out /tmp/b.json --column x --sizes 50 --repeat 1
 
 Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
-exact or rounded to 128-bit floats, at each dimension m in ``--sizes``.
+exact or rounded to 128-bit floats, at each dimension m in ``--sizes``:
+``taylor_coeffs`` expands it to m + 1 coefficients, and ``evaluate``
+sums its dimension-m approximant at x = 1/2.
 A cell is the median ``time.process_time`` per call over ``--repeat``
 samples; a sample repeats the call until it has used 0.2 CPU seconds.
 A sample that uses more than ``BUDGET_S`` (10) CPU seconds is stopped
 by a CPU timer, and that size and every larger one of the layer are
-recorded as null.  The series are built before the timing starts.
+recorded as null.  The series and approximants are built before the
+timing starts.
 
 The output file holds one column per ``--column`` name, each with the
 Python version and mpmath's arithmetic backend it ran under.  An
@@ -51,17 +54,20 @@ def _over_budget(signum, frame):
     raise OverBudget
 
 
-def layers(m_max):
-    """Layer name -> f(m) that makes one call, for m <= m_max; the series
-    it reads are built here, before any timing."""
-    from invpower.approximant import coeffs_closed_form, coeffs_via_matrix
+def layers(sizes):
+    """Layer name -> f(m) that makes one call, for m in ``sizes``; the
+    series and approximants it reads are built here, before any timing."""
+    from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
     from invpower.asymptotics import convergence_table
     from invpower.cli import main
     from invpower.corpus import mobius, taylor_coeffs
     from invpower.scalar import Scalar
 
-    exact = taylor_coeffs(mobius(2, 3, 1, 2), Scalar.rational(1), m_max + 1)
+    f, center = mobius(2, 3, 1, 2), Scalar.rational(1)
+    exact = taylor_coeffs(f, center, max(sizes) + 1)
     floats = exact.to_inexact(FLOAT_PRECISION)
+    approximants = {m: coeffs_closed_form(exact, m) for m in sizes}
+    point = Scalar.rational(1, 2)
 
     def cli(*argv):
         def call(m):
@@ -75,6 +81,8 @@ def layers(m_max):
 
     precision = str(FLOAT_PRECISION)
     return {
+        "taylor_coeffs exact": lambda m: taylor_coeffs(f, center, m + 1),
+        "evaluate exact": lambda m: evaluate(approximants[m], point),
         "convergence_table exact": lambda m: convergence_table(exact, m),
         f"convergence_table float{precision}": lambda m: convergence_table(floats, m),
         "coeffs_closed_form exact": lambda m: coeffs_closed_form(exact, m),
@@ -114,7 +122,7 @@ def measure(sizes, repeat):
     cells = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for name, call in layers(max(sizes)).items():
+        for name, call in layers(sizes).items():
             row = cells[name] = {}
             for m in sizes:
                 times = []

@@ -43,6 +43,11 @@ are provided and must agree bit-for-bit in exact mode:
   the raw (m+1) x (m+1) matching system; exact mode only, used as the
   ground-truth oracle for the other two.
 
+:func:`evaluate` sums R(x) for an exact approximant at an exact point in
+one integer Horner pass over the common denominator of q_0..q_m and
+builds one ``Fraction``; float approximants or points keep the
+term-by-term ``Scalar`` loop and its rounding.
+
 Only q_0 and q_1 stabilize to center-independent limits as m grows; the
 entries q_k for k >= 2 are reported but depend on the chosen center and
 must not be read as asymptotic-expansion coefficients.
@@ -57,7 +62,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from mpmath import isfinite
 from mpmath.libmp import from_man_exp, mpf_neg
 
 from .errors import ExactnessError, PoleError
@@ -180,14 +184,12 @@ def float_coefficients(series: TaylorSeries, count: int) -> tuple[list[tuple], i
     On a series of one width (all the CLI, float files and ``to_inexact``
     build) this reads the values as they are.  A mixed series, with exact
     and inexact entries or several widths, is rounded to its narrowest
-    width first.  An infinity or NaN is rejected: :func:`float_dots`
-    works on finite mantissas only.
+    width first.  :func:`float_dots` works on finite mantissas only; the
+    callers' ``series.require_coefficients`` has rejected an infinity or
+    NaN.
     """
     prec = series.float_precision
     coeffs = series.coeffs[:count]
-    for i, c in enumerate(coeffs):
-        if not (c.exact or isfinite(c.value)):
-            raise ValueError(f"coefficient coeffs[{i}] must be finite, got {c}")
     return [Scalar.approx(c, prec).value._mpf_ for c in coeffs], prec, significand_bits(prec)
 
 
@@ -376,10 +378,32 @@ def coeffs_oracle_solve(series: TaylorSeries, m: int) -> InversePowerApproximant
     return InversePowerApproximant(m, series.center, q)
 
 
+def _exact_value(q: tuple[Scalar, ...], base: Fraction) -> Scalar:
+    """sum_k q_k / base**k for exact q_0..q_m, in one integer Horner pass.
+
+    With 1/base = a/b and q_k = n_k/D over the least common denominator
+    D, the sum is N/(D*b**m) with N = sum_k n_k a**k b**(m-k), and
+    N <- N*a + n_k*b**(m-k) for k = m down to 0 builds N; the one
+    ``Fraction`` reduces it with a single gcd.
+    """
+    fracs = [x.value for x in q]
+    den = lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    a, b = base.denominator, base.numerator
+    num, bp = nums[-1], 1
+    for n in reversed(nums[:-1]):
+        bp *= b
+        num = num * a + n * bp
+    return Scalar(Fraction(num, den * bp), True)
+
+
 def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
     """Evaluate R(x); raises :class:`PoleError` at x = x0 - 1.
 
-    A dimension-0 approximant is a constant with no pole at all.
+    A dimension-0 approximant is a constant with no pole at all.  An
+    exact approximant at an exact point is summed on integers
+    (:func:`_exact_value`); a float approximant or point term by term in
+    ``Scalar`` arithmetic, with its rounding.
     """
     base = x - approx.center + 1
     if base.is_zero and approx.dimension >= 1:
@@ -387,6 +411,8 @@ def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
     result = approx.coeffs[0]
     if approx.dimension == 0:
         return result
+    if base.exact and approx.is_exact:
+        return _exact_value(approx.coeffs, base.value)
     inv = 1 / base
     power = inv
     for k in range(1, approx.dimension + 1):

@@ -172,29 +172,66 @@ def hypothesis_report(f: CorpusFunction, x0: Scalar) -> HypothesisReport:
     return HypothesisReport(x0, hypothesis_radius(f, x0))
 
 
-def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
-    """Exact coefficients c_0..c_{n-1} of f about x0.
+def _term_base(t: ShiftedReciprocal, x0: Scalar) -> Scalar:
+    base = x0 + t.shift
+    if base.is_zero:
+        raise PoleError(f"expansion center x0 = {x0} is a pole")
+    return base
 
-    Per term, c_0 = offset + weight/(x0+shift) and
-    c_k = weight * (-1)**k / (x0+shift)**(k+1).
-    """
-    if n < 1:
-        raise ValueError(f"need at least one coefficient, got n={n}")
+
+def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> tuple[Scalar, ...]:
+    """c_0..c_{n-1} of exact terms about an exact x0.  With weight u/v and
+    base x0 + shift = alpha/beta, c_k = (-1)**k u beta**(k+1) / (v alpha**(k+1)):
+    the numerator and denominator are walked on ints by *(-beta) and
+    *alpha, and each term's c_k is one ``Fraction``."""
+    coeffs = [Fraction(0)] * n
+    for t in terms:
+        coeffs[0] += t.offset.value
+        if t.weight.is_zero:
+            continue
+        base = _term_base(t, x0).value
+        alpha, beta = base.numerator, base.denominator
+        num = t.weight.value.numerator * beta
+        den = t.weight.value.denominator * alpha
+        coeffs[0] += Fraction(num, den)
+        for k in range(1, n):
+            num *= -beta
+            den *= alpha
+            coeffs[k] += Fraction(num, den)
+    return tuple(Scalar(c, True) for c in coeffs)
+
+
+def _scalar_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> tuple[Scalar, ...]:
+    """c_0..c_{n-1} term by term in ``Scalar`` arithmetic."""
     coeffs = [Scalar.rational(0) for _ in range(n)]
-    for t in as_tail_terms(f):
+    for t in terms:
         coeffs[0] = coeffs[0] + t.offset
         if t.weight.is_zero:
             continue
-        base = x0 + t.shift
-        if base.is_zero:
-            raise PoleError(f"expansion center x0 = {x0} is a pole")
-        inv = 1 / base
+        inv = 1 / _term_base(t, x0)
         coeffs[0] = coeffs[0] + t.weight * inv
         power = inv
         for k in range(1, n):
             power = power * inv
             coeffs[k] = coeffs[k] + (-1) ** k * t.weight * power
-    return TaylorSeries(x0, tuple(coeffs), radius_hint=hypothesis_radius(f, x0))
+    return tuple(coeffs)
+
+
+def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
+    """Coefficients c_0..c_{n-1} of f about x0.
+
+    Per term, c_0 = offset + weight/(x0+shift) and
+    c_k = weight * (-1)**k / (x0+shift)**(k+1).  Exact parameters go
+    through :func:`_exact_taylor`; inexact ones, which only the Python
+    API builds, are summed term by term in ``Scalar`` arithmetic, with
+    its rounding.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one coefficient, got n={n}")
+    terms = as_tail_terms(f)
+    exact = x0.exact and all(s.exact for t in terms for s in (t.offset, t.weight, t.shift))
+    coeffs = (_exact_taylor if exact else _scalar_taylor)(terms, x0, n)
+    return TaylorSeries(x0, coeffs, radius_hint=hypothesis_radius(f, x0))
 
 
 def describe(f: CorpusFunction) -> str:

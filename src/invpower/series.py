@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from mpmath import isfinite
+
 from .scalar import Scalar
 
 
@@ -41,9 +43,15 @@ class TaylorSeries:
         return min(precs) if precs else None
 
     def require_coefficients(self, count: int) -> None:
+        """Check that the series holds ``count`` coefficients and that none
+        of them is an infinity or NaN, which a float ``TaylorSeries``
+        built through the Python API can hold."""
         if len(self.coeffs) < count:
             raise ValueError(
                 f"need {count} coefficients, series has only {len(self.coeffs)}")
+        for i, c in enumerate(self.coeffs[:count]):
+            if not (c.exact or isfinite(c.value)):
+                raise ValueError(f"coefficient coeffs[{i}] must be finite, got {c}")
 
     def to_inexact(self, precision: int = 64) -> "TaylorSeries":
         """Round every entry to float mode at the given width."""

@@ -122,6 +122,47 @@ def float_closed_form_q(c: list[Scalar], m: int) -> list[Scalar]:
     return q
 
 
+def evaluate_literal(q: list[Fraction], x0: Fraction, x: Fraction) -> Fraction:
+    """R(x) = sum_k q_k / (x - x0 + 1)**k term by term over ``Fraction``;
+    ZeroDivisionError at the pole x = x0 - 1 when m >= 1."""
+    base = x - x0 + 1
+    return q[0] + sum((qk / base ** k for k, qk in enumerate(q[1:], 1)), Fraction(0))
+
+
+def evaluate_scalar_loop(approx, x: Scalar) -> Scalar:
+    """R(x) by the term-by-term ``Scalar`` loop that ``evaluate`` runs
+    for a float approximant or point: powers of 1/base, each term added
+    in order from q_0, every step rounded."""
+    result = approx.coeffs[0]
+    if approx.dimension == 0:
+        return result
+    inv = 1 / (x - approx.center + 1)
+    power = inv
+    for k in range(1, approx.dimension + 1):
+        result = result + approx.coeffs[k] * power
+        power = power * inv
+    return result
+
+
+def taylor_scalar_loop(terms, x0: Scalar, n: int) -> list[Scalar]:
+    """c_0..c_{n-1} of a sum of shifted reciprocals by the term-by-term
+    ``Scalar`` loop that ``taylor_coeffs`` runs for inexact parameters:
+    powers of 1/(x0 + shift), each term added in order, every step
+    rounded."""
+    coeffs = [Scalar.rational(0)] * n
+    for t in terms:
+        coeffs[0] = coeffs[0] + t.offset
+        if t.weight.is_zero:
+            continue
+        inv = 1 / (x0 + t.shift)
+        coeffs[0] = coeffs[0] + t.weight * inv
+        power = inv
+        for k in range(1, n):
+            power = power * inv
+            coeffs[k] = coeffs[k] + (-1) ** k * t.weight * power
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # binomial identities: both sides of every family by literal sums
 # ---------------------------------------------------------------------------

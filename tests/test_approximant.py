@@ -1,13 +1,15 @@
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invpower.approximant import (
+    InversePowerApproximant,
     _weight_rows,
     coeffs_closed_form,
     coeffs_oracle_solve,
@@ -22,7 +24,16 @@ from invpower.scalar import CancellationWarning, Scalar, binom
 from invpower.series import TaylorSeries, series_from_rationals
 from invpower.transforms import binomial_convolve
 
-from _oracles import brute_q0, brute_q1, closed_form_q, comb0, tail_coeffs, tail_rows
+from _oracles import (
+    brute_q0,
+    brute_q1,
+    closed_form_q,
+    comb0,
+    evaluate_literal,
+    evaluate_scalar_loop,
+    tail_coeffs,
+    tail_rows,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
 
@@ -255,6 +266,77 @@ def test_evaluate_tracks_source_function():
     assert residual == Fraction(387420489, 563200000000)  # frozen from the exact build
 
 
+big_rationals = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+eval_rationals = st.one_of(rationals, big_rationals)
+_BIG = Fraction(123456789012345678901234567890123, 987654321098765432109876543210987)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.just(Fraction(0)), eval_rationals), min_size=1, max_size=14),
+       eval_rationals, st.one_of(st.just(Fraction(0)), eval_rationals))
+@example([Fraction(3)], Fraction(1), Fraction(0))
+@example([Fraction(1), Fraction(-2)], Fraction(1), Fraction(0))
+@example([Fraction(5, 2), Fraction(-2, 3)], Fraction(-4), Fraction(-7, 3))
+@example([Fraction(1, 2), Fraction(0), Fraction(-3, 7), Fraction(0)], Fraction(2), Fraction(-5, 3))
+@example([Fraction(0)] * 5 + [Fraction(9, 4)], Fraction(1, 3), -_BIG)
+@example([_BIG, Fraction(1), -_BIG, Fraction(2, 3)], _BIG, 1 / _BIG)
+def test_exact_evaluate_matches_literal_sum(q, x0, base):
+    """Exact ``evaluate`` at x = x0 - 1 + base equals the literal sum
+    sum_k q_k/base**k over ``Fraction``, for negative and 40-digit
+    bases, m = 0 and 1 and zero coefficients; at base 0 a dimension
+    m >= 1 approximant raises ``PoleError`` and a constant is itself."""
+    approx = InversePowerApproximant(len(q) - 1, Scalar.rational(x0),
+                                     tuple(Scalar.rational(v) for v in q))
+    x = Scalar.rational(x0 - 1 + base)
+    if base == 0 and len(q) > 1:
+        message = f"approximant has a pole at x = {Scalar.rational(x0 - 1)}"
+        with pytest.raises(PoleError, match=f"^{re.escape(message)}$"):
+            evaluate(approx, x)
+        return
+    value = evaluate(approx, x)
+    assert value.exact and value.as_fraction() == evaluate_literal(q, x0, x.as_fraction())
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_float_evaluate_keeps_scalar_loop_rounding(precision):
+    """A float approximant at an exact point (with a float or an exact
+    center), and an exact one at a float point, round as the
+    term-by-term ``Scalar`` loop rounds, bit for bit."""
+    coeffs = tail_coeffs(Fraction(1), Fraction(-1), Fraction(1), Fraction(1), 31)
+    exact = series_from_rationals(1, coeffs)
+    floats = exact.to_inexact(precision)
+    points = [Fraction(1, 3), Fraction(-7, 3), Fraction(-40), Fraction(10 ** 6), _BIG, -_BIG]
+    for m in (0, 1, 2, 7, 30):
+        float_q = coeffs_closed_form(floats, m)
+        exact_center = InversePowerApproximant(m, Scalar.rational(1), float_q.coeffs)
+        cases = [(approx, Scalar.rational(x)) for x in points for approx in (float_q, exact_center)]
+        cases += [(coeffs_closed_form(exact, m), Scalar.approx(x, precision)) for x in points]
+        for approx, x in cases:
+            got = evaluate(approx, x)
+            want = evaluate_scalar_loop(approx, x)
+            if m == 0:
+                assert got is approx.coeffs[0] and want is approx.coeffs[0]
+                continue
+            assert not got.exact and got.precision == want.precision == precision
+            assert got.value._mpf_ == want.value._mpf_
+
+
+def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):
+    """The exact branch works on ints: its ``Scalar`` operations (the base
+    x - x0 + 1) do not grow with the dimension."""
+    calls = []
+    binary = Scalar._binary
+    monkeypatch.setattr(Scalar, "_binary", lambda *a: calls.append(1) or binary(*a))
+    counts = []
+    for m in (3, 40):
+        q = tuple(Scalar.rational(k + 1, 7) for k in range(m + 1))
+        approx = InversePowerApproximant(m, Scalar.rational(1, 2), q)
+        calls.clear()
+        evaluate(approx, Scalar.rational(-9, 4))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # re-expansion / round trip
 # ---------------------------------------------------------------------------
@@ -331,8 +413,10 @@ def test_float_mode_no_warning_at_small_dimension():
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
 def test_float_approximant_rejects_non_finite_coefficients(bad):
     coeffs = (Scalar.approx(1, 64), Scalar(bad, False, 64), Scalar.approx(2, 64))
-    with pytest.raises(ValueError, match=r"coeffs\[1\] must be finite"):
-        coeffs_closed_form(TaylorSeries(Scalar.rational(1), coeffs), 2)
+    series = TaylorSeries(Scalar.rational(1), coeffs)
+    for build in (coeffs_closed_form, coeffs_via_matrix, coeffs_oracle_solve):
+        with pytest.raises(ValueError, match=r"coeffs\[1\] must be finite"):
+            build(series, 2)
 
 
 # ---------------------------------------------------------------------------

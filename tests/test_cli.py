@@ -8,7 +8,15 @@ import pytest
 
 from invpower import identities
 from invpower.cli import main
-from invpower.corpus import MAX_FILE_COEFFS, coefficient_file_payload, load_coefficient_file
+from invpower.corpus import (
+    MAX_FILE_COEFFS,
+    coefficient_file_payload,
+    load_coefficient_file,
+    shifted_reciprocal,
+    tail_sum,
+    taylor_coeffs,
+)
+from invpower.scalar import Scalar
 
 from _oracles import tail_coeffs
 
@@ -498,6 +506,13 @@ _HASH_FILES = {
                  "coeffs": ["0.5"] + [f"{'-' if n % 2 else ''}{2 ** (2 * n - 1)}e-{n}"
                                       for n in range(1, 141)],
                  "exact": False},
+    # 1 + 2/(x + 1/4) - 3/(x - 5/2) + 1/2 about 1, as ``taylor_coeffs``
+    # expands it: one term with a negative base x0 + shift and one of
+    # weight zero
+    "tailsum3": coefficient_file_payload(taylor_coeffs(tail_sum(
+        shifted_reciprocal(1, 2, Fraction(1, 4)),
+        shifted_reciprocal(0, -3, Fraction(-5, 2)),
+        shifted_reciprocal(Fraction(1, 2), 0, 3)), Scalar.rational(1), 121)),
 }
 
 # SHA-256 of stdout, recorded with the O(m^3) binom-sum convergence table
@@ -727,6 +742,46 @@ _APPROXIMATE_HASHES = [
                                  "--format", "json", "--eval=-1,0,100"],
      _CANCEL_64_M60,
      "74b8d6ef1d635a50e6e4dff8f174706757bc36447ada7822f089134b7b69c034"),
+    # Recorded with the term-by-term ``Scalar`` loops of ``evaluate`` and
+    # ``taylor_coeffs`` that preceded their integer kernels: eval points
+    # below the pole (base x - x0 + 1 < 0), m = 0 with points, a
+    # three-term tail sum expanded by ``taylor_coeffs``, bases with
+    # numerators and denominators of 30 and more digits, m = 120.
+    ("mobius-m30-negbase-csv", ["--corpus", "mobius-2-3-1-2", "--m", "30",
+                                "--eval=-7/3,-5,-1000,-3/2"],
+     "",
+     "c2d74a1a7cf0806ba85f346d1c46d872d37ea0506ccdce7b6d828a6efe86e061"),
+    ("mobius-x0-m40-negbase-json", ["--corpus", "mobius-2-3-1-2", "--x0", "3/2", "--m", "40",
+                                    "--format", "json", "--eval=-9/4,-1/3,-40"],
+     "",
+     "9810d85f414b7caddabad54700298c2a651f6a2a701545b2e6ecf0749d85b78d"),
+    ("x-over-m0-csv45", ["--corpus", "x-over-x-plus-1", "--m", "0", "--digits", "45",
+                         "--eval=-3,0,1/7,1000"],
+     "",
+     "cec12743d1d46beffef1d919c49b36ba0ffb5436ada8cbb40538f996384aa2c7"),
+    ("tailsum3-m60-csv45", ["--coeffs", "{tailsum3}", "--m", "60", "--digits", "45",
+                            "--eval=-4,-1/4,5/2,0,9"],
+     "",
+     "5a8578edbc2c9f60a640109bdf8cfc1970de5023128f24899bf567ee9198f034"),
+    ("tailsum3-m120-json", ["--coeffs", "{tailsum3}", "--m", "120", "--format", "json",
+                            "--eval=-7,1/3,123456789012345678901234567890123/987654321098765432109876543210987"],
+     "",
+     "55875488ce1b43af6a9d25ee740af38cc41d91d3fdebf0b315a03ff593d9dac8"),
+    ("mobius-m120-bigbase-csv", ["--corpus", "mobius-2-3-1-2", "--m", "120",
+                                 "--eval=123456789012345678901234567890123/987654321098765432109876543210987,-123456789012345678901234567890123/987654321098765432109876543210987",
+                                 "--eval=31415926535897932384626433832795/2718281828459045235360287471352"],
+     "",
+     "2441658dc61d97b172940456212e9a2f8ca2118d6896c6d73a7520062560676f"),
+    ("shifted-m25-bigbase-json", ["--corpus", "shifted-reciprocal", "--params", "1/3,-2,1/2",
+                                  "--m", "25", "--format", "json",
+                                  "--eval=-123456789012345678901234567890123/987654321098765432109876543210987,10000000000000000000000000000001/3"],
+     "",
+     "8bbc07ad2306756e021babe6f4f3af1c500d3958bf56e629950f9db1f4797054"),
+    ("float128-mobius-m20-negbase-csv", ["--corpus", "mobius-2-3-1-2", "--m", "20",
+                                         "--mode", "float", "--precision", "128",
+                                         "--eval=-7/3,-40,123456789012345678901234567890123/987654321098765432109876543210987"],
+     "",
+     "ca918b10a02f663673ab217e8d50435a4859947c452c07563aa92031a28d5b13"),
 ]
 
 

@@ -1,7 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invpower.approximant import coeffs_oracle_solve, expand_to_taylor
 from invpower.asymptotics import convergence_table, estimate_limits
@@ -9,6 +12,7 @@ from invpower.corpus import (
     MAX_FILE_COEFFS,
     SHIPPED_CORPUS,
     Mobius,
+    as_tail_terms,
     coefficient_file_payload,
     evaluate_at,
     hypothesis_radius,
@@ -26,7 +30,7 @@ from invpower.corpus import (
 from invpower.errors import CoefficientFileError, PoleError
 from invpower.scalar import Scalar
 
-from _oracles import tail_coeffs
+from _oracles import tail_coeffs, taylor_scalar_loop
 
 
 def sc(x):
@@ -77,11 +81,80 @@ def test_generation_matches_brute_force_expansion():
         assert fractions_of(s) == expected
 
 
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=24)
+weights = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(rationals, weights, rationals), min_size=1, max_size=3),
+       rationals, st.integers(1, 14))
+@example([(Fraction(1), Fraction(2), Fraction(-5, 2))], Fraction(1), 1)
+@example([(Fraction(0), Fraction(0), Fraction(-1)), (Fraction(1, 2), Fraction(-3), Fraction(1, 4))],
+         Fraction(1), 9)
+@example([(Fraction(2), Fraction(0), Fraction(0))], Fraction(0), 4)
+@example([(Fraction(0), Fraction(7, 3), Fraction(-11, 2)), (Fraction(1), Fraction(-1), Fraction(1)),
+          (Fraction(-2), Fraction(5, 4), Fraction(3))], Fraction(3, 2), 12)
+def test_taylor_coeffs_are_summed_tail_expansions(terms, x0, n):
+    """1-3 term tail sums about x0, with zero weights, negative bases
+    x0 + shift and n = 1: the coefficients are the sums of the oracle's
+    per-term expansions, or a center on a pole raises ``PoleError``."""
+    f = tail_sum(*(shifted_reciprocal(o, w, sh) for o, w, sh in terms))
+    if any(w != 0 and x0 + sh == 0 for _, w, sh in terms):
+        with pytest.raises(PoleError, match=f"^{re.escape(f'expansion center x0 = {sc(x0)} is a pole')}$"):
+            taylor_coeffs(f, sc(x0), n)
+        return
+    s = taylor_coeffs(f, sc(x0), n)
+    cols = [tail_coeffs(o, w, sh, x0, n) for o, w, sh in terms]
+    assert s.is_exact and s.center.as_fraction() == x0
+    assert fractions_of(s) == [sum(col) for col in zip(*cols)]
+
+
+@pytest.mark.parametrize("precision", [64, 128])
+def test_inexact_taylor_coeffs_keep_scalar_loop_rounding(precision):
+    """A float center, or a float weight or shift, keeps the term-by-term
+    ``Scalar`` loop and its rounding, bit for bit."""
+    def fl(x):
+        return Scalar.approx(Fraction(x), precision)
+
+    cases = [
+        (tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), shifted_reciprocal(0, -3, Fraction(-5, 2))),
+         fl(Fraction(3, 2))),
+        (tail_sum(shifted_reciprocal(0, fl(Fraction(1, 3)), 1), shifted_reciprocal(2, 0, 0)), sc(1)),
+        (tail_sum(shifted_reciprocal(Fraction(1, 2), 5, fl(Fraction(-7, 3)))), sc(Fraction(1, 5))),
+    ]
+    for f, x0 in cases:
+        got = taylor_coeffs(f, x0, 20).coeffs
+        want = taylor_scalar_loop(as_tail_terms(f), x0, 20)
+        assert all(not c.exact and c.precision == precision for c in got)
+        assert [c.value._mpf_ for c in got] == [c.value._mpf_ for c in want]
+
+
+def test_exact_taylor_coeffs_make_no_scalar_arithmetic_per_coefficient(monkeypatch):
+    """The exact expansion works on ints: its ``Scalar`` operations do not
+    grow with the number of coefficients."""
+    calls = []
+    binary = Scalar._binary
+    monkeypatch.setattr(Scalar, "_binary", lambda *a: calls.append(1) or binary(*a))
+    f = tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), *as_tail_terms(mobius(2, 3, 1, 2)))
+    counts = []
+    for n in (3, 40):
+        calls.clear()
+        taylor_coeffs(f, sc(Fraction(5, 3)), n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_pole_center_rejected():
-    with pytest.raises(PoleError):
+    message = "^expansion center x0 = {} is a pole$"
+    with pytest.raises(PoleError, match=message.format(0)):
         taylor_coeffs(shifted_reciprocal(0, 1, 0), sc(0), 3)
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match=message.format(-1)):
         taylor_coeffs(mobius(1, 0, 1, 1), sc(-1), 3)
+    pole_second = tail_sum(shifted_reciprocal(1, 2, 0), shifted_reciprocal(0, -1, Fraction(-3, 2)))
+    with pytest.raises(PoleError, match=message.format("3/2")):
+        taylor_coeffs(pole_second, sc(Fraction(3, 2)), 5)
+    with pytest.raises(PoleError, match=message.format(r"0\.0")):
+        taylor_coeffs(shifted_reciprocal(0, 1, 0), Scalar.approx(0, 64), 3)
 
 
 def test_coefficient_count_positive():

@@ -64,7 +64,7 @@ def test_bench_writes_one_column_per_run(tmp_path):
     assert set(doc["columns"]) == {"parent", "change"}
     assert all(set(env) == {"python", "mpmath_backend"} for env in doc["columns"].values())
     for layer in ("convergence_table exact", "convergence_table float128",
-                  "coeffs_closed_form float128"):
+                  "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact"):
         assert all(doc["layers"][layer][column]["50"] > 0 for column in ("parent", "change"))
 
 
