@@ -62,6 +62,7 @@ def layers(sizes):
     from invpower.cli import main
     from invpower.corpus import mobius, taylor_coeffs
     from invpower.scalar import Scalar
+    from invpower.transforms import binomial_convolve
 
     f, center = mobius(2, 3, 1, 2), Scalar.rational(1)
     exact = taylor_coeffs(f, center, max(sizes) + 1)
@@ -88,6 +89,7 @@ def layers(sizes):
         "coeffs_closed_form exact": lambda m: coeffs_closed_form(exact, m),
         f"coeffs_closed_form float{precision}": lambda m: coeffs_closed_form(floats, m),
         "coeffs_via_matrix exact": lambda m: coeffs_via_matrix(exact, m),
+        "binomial_convolve exact": lambda m: binomial_convolve(exact, m),
         "cli estimate exact": cli("estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}"),
         f"cli estimate float{precision}": cli(
             "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}",

@@ -4,12 +4,9 @@ with exact closed-form binomial coefficients."""
 
 from .approximant import (
     InversePowerApproximant,
-    SignedBinomialMatrix,
     coeffs_closed_form,
-    coeffs_oracle_solve,
     coeffs_via_matrix,
     evaluate,
-    expand_to_taylor,
     signed_binomial_matrix,
 )
 from .asymptotics import (
@@ -26,7 +23,6 @@ from .asymptotics import (
 from .corpus import (
     CorpusEntry,
     CorpusFunction,
-    Mobius,
     SHIPPED_CORPUS,
     ShiftedReciprocal,
     TailSum,
@@ -42,17 +38,10 @@ from .corpus import (
     tail_sum,
     taylor_coeffs,
 )
-from .errors import CoefficientFileError, ExactnessError, PoleError
+from .errors import CoefficientFileError, PoleError
 from .identities import IdentityCase, SuiteRanges, SuiteReport, run_suite
-from .scalar import CancellationWarning, PascalCache, Scalar, binom, significand_bits
+from .scalar import CancellationWarning, Scalar, binom, significand_bits
 from .series import TaylorSeries, series_from_rationals
-from .transforms import (
-    BinomialConvolvedCoefficients,
-    CountableSet,
-    binomial_convolve,
-    sequential_closed_form,
-    sequential_transform,
-    transform_k,
-)
+from .transforms import binomial_convolve
 
 __version__ = "0.1.0"

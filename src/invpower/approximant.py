@@ -13,7 +13,7 @@ d_N = sum_j C(N-1, j) c_{j+1} for N >= 1, its coefficients are
 
 and the hockey-stick identity sum_{N<=m} C(N-1, j) = C(m, j+1) collapses
 the first two into the explicit sums q_0 = sum_s C(m,s) c_s and
-q_1 = sum_s (C(m,s+1) - m*C(m,s)) c_s.  Three independent constructions
+q_1 = sum_s (C(m,s+1) - m*C(m,s)) c_s.  Two independent constructions
 are provided and must agree bit-for-bit in exact mode:
 
 * :func:`coeffs_closed_form`   -- the explicit sums.  Exact series go
@@ -38,10 +38,11 @@ are provided and must agree bit-for-bit in exact mode:
   that mixes exact and inexact entries or float widths is first rounded
   to its narrowest width (:func:`float_coefficients`);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
-  signed-binomial matrix product;
-* :func:`coeffs_oracle_solve`  -- brute-force fraction-free elimination on
-  the raw (m+1) x (m+1) matching system; exact mode only, used as the
-  ground-truth oracle for the other two.
+  product with the signed-binomial matrix (-1)**i C(j, i), which is
+  its own inverse.
+
+The tests check both against a fraction-free elimination of the raw
+matching system and against re-expansion of R(x) (``tests/_oracles.py``).
 
 :func:`evaluate` sums R(x) for an exact approximant at an exact point in
 one integer Horner pass over the common denominator of q_0..q_m and
@@ -64,8 +65,9 @@ from math import lcm
 
 from mpmath.libmp import from_man_exp, mpf_neg
 
-from .errors import ExactnessError, PoleError
+from .errors import PoleError
 from .scalar import (
+    ZERO,
     CancellationWarning,
     Scalar,
     binom,
@@ -101,65 +103,11 @@ class InversePowerApproximant:
         return self.center - 1
 
 
-@dataclass(frozen=True)
-class SignedBinomialMatrix:
-    """Upper-triangular matrix with entries (-1)**i * C(j, i).
-
-    Maps binomial-convolved Taylor coefficients to approximant
-    coefficients; it is involutory (its own inverse), so the same matrix
-    also maps back.  The determinant is the product of the alternating
-    diagonal, hence always +1 or -1.
-    """
-
-    dimension: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    @property
-    def determinant(self) -> int:
-        det = 1
-        for i in range(self.dimension + 1):
-            det *= self.entries[i][i]
-        return det
-
-    def multiply(self, other: "SignedBinomialMatrix") -> tuple[tuple[int, ...], ...]:
-        n = self.dimension + 1
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(sum(self.entries[i][t] * other.entries[t][j] for t in range(n)))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def apply(self, vector: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-        n = self.dimension + 1
-        if len(vector) != n:
-            raise ValueError("vector length mismatch")
-        out = []
-        for i in range(n):
-            acc = Scalar.rational(0)
-            for j in range(n):
-                e = self.entries[i][j]
-                if e:
-                    acc = acc + e * vector[j]
-            out.append(acc)
-        return tuple(out)
-
-
-def signed_binomial_matrix(m: int) -> SignedBinomialMatrix:
+def signed_binomial_matrix(m: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the upper-triangular (m+1) x (m+1) matrix (-1)**i C(j, i)."""
     if m < 0:
         raise ValueError(f"dimension must be >= 0, got {m}")
-    rows = tuple(
-        tuple((-1) ** i * binom(j, i) for j in range(m + 1))
-        for i in range(m + 1)
-    )
-    return SignedBinomialMatrix(m, rows)
+    return tuple(tuple((-1) ** i * binom(j, i) for j in range(m + 1)) for i in range(m + 1))
 
 
 def _check_input(series: TaylorSeries, m: int) -> None:
@@ -323,59 +271,19 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
 
 def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
     """Approximant coefficients via binomial convolution followed by the
-    signed-binomial matrix."""
+    signed-binomial matrix; each q_i sums its row's nonzero terms in
+    column order from an exact zero."""
     _check_input(series, m)
     _warn_if_cancelling(series, m)
-    convolved = binomial_convolve(series, m)
-    matrix = signed_binomial_matrix(m)
-    return InversePowerApproximant(m, series.center, matrix.apply(convolved.values))
-
-
-def coeffs_oracle_solve(series: TaylorSeries, m: int) -> InversePowerApproximant:
-    """Solve the raw coefficient-matching linear system directly.
-
-    Fraction-free Bareiss elimination over big integers (first nonzero
-    pivot, no magnitude heuristics), so reruns are bit-identical.  The
-    system matrix is integer; right-hand-side denominators are cleared up
-    front and restored after back substitution.
-    """
-    _check_input(series, m)
-    if not series.is_exact:
-        raise ExactnessError("the oracle solver works in exact mode only")
-    n = m + 1
-    c = [x.as_fraction() for x in series.coeffs[:n]]
-
-    grid = [[0] * n for _ in range(n)]
-    for k in range(n):
-        grid[0][k] = 1
-    for i in range(1, n):
-        for k in range(1, n):
-            grid[i][k] = (-1) ** i * binom(k + i - 1, i)
-    scale = lcm(*(x.denominator for x in c))
-    aug = [grid[i] + [int(c[i] * scale)] for i in range(n)]
-
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ArithmeticError("structurally impossible: singular matching system")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        for r in range(col + 1, n):
-            for cc in range(col + 1, n + 1):
-                aug[r][cc] = (aug[r][cc] * aug[col][col] - aug[r][col] * aug[col][cc]) // prev
-            aug[r][col] = 0
-        prev = aug[col][col]
-
-    solution = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-
-    q = tuple(Scalar.rational(x / scale) for x in solution)
-    return InversePowerApproximant(m, series.center, q)
+    d = binomial_convolve(series, m)
+    q = []
+    for row in signed_binomial_matrix(m):
+        acc = ZERO
+        for e, dj in zip(row, d):
+            if e:
+                acc = acc + e * dj
+        q.append(acc)
+    return InversePowerApproximant(m, series.center, tuple(q))
 
 
 def _exact_value(q: tuple[Scalar, ...], base: Fraction) -> Scalar:
@@ -420,25 +328,3 @@ def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
         power = power * inv
     return result
 
-
-def expand_to_taylor(approx: InversePowerApproximant, n_terms: int) -> TaylorSeries:
-    """Re-expand R(x) in powers of (x - x0).
-
-    The first m+1 output coefficients reproduce the source series exactly:
-    this inverts the construction, and the test suite closes the loop.
-    """
-    if n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
-    q = approx.coeffs
-    m = approx.dimension
-    coeffs = []
-    c0 = Scalar.rational(0)
-    for k in range(m + 1):
-        c0 = c0 + q[k]
-    coeffs.append(c0)
-    for n in range(1, n_terms):
-        acc = Scalar.rational(0)
-        for k in range(1, m + 1):
-            acc = acc + binom(k + n - 1, n) * q[k]
-        coeffs.append((-1) ** n * acc)
-    return TaylorSeries(approx.center, tuple(coeffs))

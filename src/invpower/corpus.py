@@ -14,7 +14,7 @@ some functions that violate it (x/(x+1) expanded at 1 being the shipped
 example).
 
 Mobius quotients (a*x + b)/(c*x + d) with c != 0 are accepted and
-normalized to the same shape.
+normalized to that shape when they are built.
 
 Coefficient files are JSON with every scalar carried as a string
 ("p/q" or decimal), so exact values survive a save/load round trip
@@ -51,20 +51,6 @@ class ShiftedReciprocal:
 
 
 @dataclass(frozen=True)
-class Mobius:
-    """f(x) = (a*x + b) / (c*x + d) with c != 0."""
-
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
-
-    def __post_init__(self) -> None:
-        if self.c.is_zero:
-            raise ValueError("mobius quotient needs a degree-1 denominator (c != 0)")
-
-
-@dataclass(frozen=True)
 class TailSum:
     """A finite sum of shifted-reciprocal terms."""
 
@@ -75,15 +61,19 @@ class TailSum:
             raise ValueError("tail sum needs at least one term")
 
 
-CorpusFunction = Union[ShiftedReciprocal, Mobius, TailSum]
+CorpusFunction = Union[ShiftedReciprocal, TailSum]
 
 
 def shifted_reciprocal(offset, weight, shift) -> ShiftedReciprocal:
     return ShiftedReciprocal(_scalar(offset), _scalar(weight), _scalar(shift))
 
 
-def mobius(a, b, c, d) -> Mobius:
-    return Mobius(_scalar(a), _scalar(b), _scalar(c), _scalar(d))
+def mobius(a, b, c, d) -> ShiftedReciprocal:
+    """(a*x + b) / (c*x + d) with c != 0, as a/c + ((b*c - a*d)/c**2) / (x + d/c)."""
+    a, b, c, d = map(_scalar, (a, b, c, d))
+    if c.is_zero:
+        raise ValueError("mobius quotient needs a degree-1 denominator (c != 0)")
+    return ShiftedReciprocal(a / c, (b * c - a * d) / (c * c), d / c)
 
 
 def tail_sum(*terms: ShiftedReciprocal) -> TailSum:
@@ -94,12 +84,6 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
     """Normal form: every corpus function as a sum of shifted reciprocals."""
     if isinstance(f, ShiftedReciprocal):
         return (f,)
-    if isinstance(f, Mobius):
-        return (ShiftedReciprocal(
-            f.a / f.c,
-            (f.b * f.c - f.a * f.d) / (f.c * f.c),
-            f.d / f.c,
-        ),)
     if isinstance(f, TailSum):
         return f.terms
     raise TypeError(f"not a corpus function: {f!r}")
@@ -286,7 +270,7 @@ def resolve_function(selector: str, params: str | None = None) -> CorpusFunction
         if selector == "mobius":
             if len(values) != 4:
                 raise ValueError("mobius takes 4 parameters: a,b,c,d")
-            return Mobius(*values)
+            return mobius(*values)
         if selector == "shifted-reciprocal":
             if len(values) != 3:
                 raise ValueError("shifted-reciprocal takes 3 parameters: offset,weight,shift")
@@ -371,9 +355,13 @@ def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
 
     center = parse("'center'", raw["center"])
     coeffs = tuple(parse(f"'coeffs'[{i}]", t) for i, t in enumerate(raw["coeffs"]))
+    meta = raw.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CoefficientFileError(f"{path}: field 'meta' must be an object")
+    if not isinstance(meta.get("description", ""), str):
+        raise CoefficientFileError(f"{path}: field 'meta.description' must be a string")
     radius = None
-    meta = raw.get("meta") or {}
-    if isinstance(meta, dict) and meta.get("hypothesis_radius") is not None:
+    if meta.get("hypothesis_radius") is not None:
         radius = parse("'meta.hypothesis_radius'", meta["hypothesis_radius"])
         if radius <= 0:
             raise CoefficientFileError(f"{path}: field 'meta.hypothesis_radius' must be "

@@ -7,9 +7,5 @@ class PoleError(ZeroDivisionError):
     """A function or approximant was used at one of its poles."""
 
 
-class ExactnessError(ValueError):
-    """An exact-only operation received inexact input."""
-
-
 class CoefficientFileError(ValueError):
     """A coefficient file failed to parse; the message names the field."""

@@ -41,10 +41,12 @@ from mpmath.libmp import (
     finf,
     fnan,
     fninf,
+    from_int,
     from_rational,
     from_str,
     mpf_abs,
     mpf_add,
+    mpf_cmp,
     mpf_div,
     mpf_mul,
     mpf_neg,
@@ -89,55 +91,17 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-class PascalCache:
-    """Memoized rows of Pascal's triangle, built by the additive recurrence.
-
-    This is a second, structurally independent route to the same numbers
-    as :func:`binom`; the test suite cross-checks the two.  Rows are
-    immutable tuples inserted whole, so concurrent readers never observe
-    a partially built row.
-    """
-
-    def __init__(self) -> None:
-        self._rows: dict[int, tuple[int, ...]] = {}
-
-    def row(self, a: int) -> tuple[int, ...]:
-        if a < 0:
-            raise ValueError(f"PascalCache.row: negative row index {a}")
-        cached = self._rows.get(a)
-        if cached is not None:
-            return cached
-        start = a
-        while start > 0 and (start - 1) not in self._rows:
-            start -= 1
-        prev = self._rows[start - 1] if start > 0 else None
-        for n in range(start, a + 1):
-            if n == 0:
-                fresh: tuple[int, ...] = (1,)
-            else:
-                assert prev is not None
-                fresh = (1, *(prev[i] + prev[i + 1] for i in range(n - 1)), 1)
-            self._rows[n] = fresh
-            prev = fresh
-        return self._rows[a]
-
-    def binom(self, a: int, b: int) -> int:
-        if a < 0:
-            raise ValueError(f"PascalCache.binom: negative upper index a={a}")
-        if b < 0 or b > a:
-            return 0
-        return self.row(a)[b]
-
-    def cached_rows(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
-
-
 def _int_text(n: int) -> str:
     """Decimal digits of n, also past Python's int-to-str digit limit."""
     try:
         return str(n)
     except ValueError:
         return format(Decimal(n), "f")
+
+
+def _require_plain(text: str) -> None:
+    if not text.isascii() or "_" in text:
+        raise ValueError("only ASCII characters and no '_' separators are allowed")
 
 
 def _raw(x: mpmath.mpf):
@@ -185,7 +149,9 @@ class Scalar:
         ("0.25" -> 1/4) and a decimal exponent beyond
         ``MAX_EXACT_EXPONENT`` in magnitude is rejected; in float mode the
         value is correctly rounded to the significand implied by
-        ``precision``, and NaN or an infinity is rejected.
+        ``precision``, and NaN or an infinity is rejected.  Only ASCII
+        characters are read, and no ``_`` digit separators, which
+        ``Fraction`` and ``int`` would otherwise accept.
         """
         text = text.strip()
         if exact:
@@ -194,11 +160,13 @@ class Scalar:
                 if exponent and abs(int(exponent[1])) > MAX_EXACT_EXPONENT:
                     raise ValueError(
                         f"decimal exponent beyond +/-{MAX_EXACT_EXPONENT}")
+                _require_plain(text)
                 return Scalar(Fraction(text), True)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
         bits = significand_bits(precision)
         try:
+            _require_plain(text)
             if "/" in text:
                 num, den = text.split("/", 1)
                 raw = from_rational(int(num), int(den), bits, "n")
@@ -363,12 +331,24 @@ class Scalar:
 
     # -- comparisons (exact, via the dyadic value of floats) ------------
 
+    def _ratio(self) -> tuple[tuple, int]:
+        """The value as an exact raw mpmath numerator over a positive int."""
+        if self.exact:
+            return from_int(self.value.numerator), self.value.denominator
+        return _raw(self.value), 1
+
     def _cmp(self, other) -> int:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.as_fraction(), other.as_fraction()
-        return (a > b) - (a < b)
+        if self.exact and other.exact:
+            a, b = self.value, other.value
+            return (a > b) - (a < b)
+        # a/p against b/q as a*q against b*p: exact mpmath products keep a
+        # float's binary exponent apart, where its Fraction would spell out
+        # 2**exponent (a 400 MB int for a parsed "1e-999999999")
+        (a, p), (b, q) = self._ratio(), other._ratio()
+        return mpf_cmp(mpf_mul(a, from_int(q)), mpf_mul(b, from_int(p)))
 
     def __eq__(self, other):
         c = self._cmp(other)

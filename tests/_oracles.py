@@ -12,7 +12,7 @@ one rounded operation per term, so they are those literal sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from invpower.scalar import Scalar
 
@@ -60,6 +60,98 @@ def closed_form_q(coeffs: list[Fraction], m: int) -> list[Fraction]:
             acc += inner * coeffs[s]
         q.append((-1) ** k * acc)
     return q
+
+
+# ---------------------------------------------------------------------------
+# the row-transform ladder, the matching system and re-expansion
+# ---------------------------------------------------------------------------
+
+
+def trim(values) -> tuple:
+    """A finitely supported sequence as the tuple of its entries up to
+    the last nonzero one; entries past the end read as zero."""
+    values = tuple(values)
+    end = len(values)
+    while end and not values[end - 1]:
+        end -= 1
+    return values[:end]
+
+
+def transform_k(s: tuple, k: int) -> tuple:
+    """Keep entries 0..k of a trimmed sequence, then fold each later
+    entry, up to one past the end, with its predecessor."""
+    p = [*s, 0]
+    return trim([*p[:k + 1], *(p[i] + p[i - 1] for i in range(k + 1, len(p)))])
+
+
+def sequential_transform(s: tuple, m: int) -> tuple:
+    """transform_1 .. transform_m, in that order."""
+    for k in range(1, m + 1):
+        s = transform_k(s, k)
+    return s
+
+
+def sequential_closed_form(s: tuple, m: int) -> tuple:
+    """The map of :func:`sequential_transform` as one binomial
+    convolution: entry i >= 1 is sum_t C(cap, t) s[i - t] with
+    cap = min(i - 1, m)."""
+    p = [*s, *[0] * (m + 1)]
+    return trim([p[0], *(sum(comb(min(i - 1, m), t) * p[i - t] for t in range(min(i, m + 1)))
+                         for i in range(1, len(s) + m + 1))])
+
+
+def bareiss(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free Bareiss elimination of the first n columns of an
+    integer matrix with n rows (first nonzero pivot, no magnitude
+    heuristics): the echelon rows and the sign of the row permutation,
+    0 when a column has no pivot.  Sign times the last pivot of a square
+    matrix is its determinant."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return a, 0
+        if pivot != col:
+            a[col], a[pivot], sign = a[pivot], a[col], -sign
+        for r in range(col + 1, n):
+            a[r] = [0] * (col + 1) + [(a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
+                                      for c in range(col + 1, len(a[r]))]
+        prev = a[col][col]
+    return a, sign
+
+
+def determinant(rows: list[list[int]]) -> int:
+    a, sign = bareiss(rows)
+    return sign * a[-1][-1]
+
+
+def matmul(a, b) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def oracle_solve(c: list[Fraction], m: int) -> list[Fraction]:
+    """q_0..q_m from the raw matching system sum_k q_k = c_0 and
+    (-1)**n sum_{k>=1} C(k+n-1, n) q_k = c_n for n = 1..m, by
+    :func:`bareiss` on integer rows (right side scaled by the lcm of its
+    denominators) and back substitution over ``Fraction``."""
+    n = m + 1
+    scale = lcm(*(Fraction(x).denominator for x in c[:n]))
+    rows = [[1 if i == 0 else (-1) ** i * comb0(k + i - 1, i) for k in range(n)]
+            + [int(c[i] * scale)] for i in range(n)]
+    a, _ = bareiss(rows)
+    q = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        q[i] = (a[i][n] - sum(a[i][j] * q[j] for j in range(i + 1, n))) / Fraction(a[i][i])
+    return [x / scale for x in q]
+
+
+def expand_to_taylor(q: list[Fraction], n_terms: int) -> list[Fraction]:
+    """c_0..c_{n_terms-1} of R(x) = sum_k q_k/(x - x0 + 1)**k about x0:
+    c_0 = sum_k q_k and c_n = (-1)**n sum_{k>=1} C(k+n-1, n) q_k."""
+    return [sum(q, Fraction(0)), *((-1) ** n * sum((comb(k + n - 1, n) * qk
+                                                    for k, qk in enumerate(q[1:], 1)), Fraction(0))
+                                   for n in range(1, n_terms))]
 
 
 def float_q0_row(c: list[Scalar], m: int) -> Scalar:

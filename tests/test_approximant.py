@@ -12,14 +12,12 @@ from invpower.approximant import (
     InversePowerApproximant,
     _weight_rows,
     coeffs_closed_form,
-    coeffs_oracle_solve,
     coeffs_via_matrix,
     evaluate,
     exact_convolution,
-    expand_to_taylor,
     signed_binomial_matrix,
 )
-from invpower.errors import ExactnessError, PoleError
+from invpower.errors import PoleError
 from invpower.scalar import CancellationWarning, Scalar, binom
 from invpower.series import TaylorSeries, series_from_rationals
 from invpower.transforms import binomial_convolve
@@ -29,8 +27,12 @@ from _oracles import (
     brute_q1,
     closed_form_q,
     comb0,
+    determinant,
     evaluate_literal,
     evaluate_scalar_loop,
+    expand_to_taylor,
+    matmul,
+    oracle_solve,
     tail_coeffs,
     tail_rows,
 )
@@ -43,36 +45,40 @@ def series_strategy(min_len=1, max_len=13):
         lambda cs: series_from_rationals(1, cs))
 
 
+def fracs(scalars):
+    return [x.as_fraction() for x in scalars]
+
+
 # ---------------------------------------------------------------------------
 # the signed binomial matrix
 # ---------------------------------------------------------------------------
 
 
 def test_matrix_dimension_zero():
-    assert signed_binomial_matrix(0).entries == ((1,),)
+    assert signed_binomial_matrix(0) == ((1,),)
 
 
 def test_matrix_order_two_rows():
     m = signed_binomial_matrix(2)
-    assert m.entries == ((1, 1, 1), (0, -1, -2), (0, 0, 1))
+    assert m == ((1, 1, 1), (0, -1, -2), (0, 0, 1))
 
 
 def test_matrix_row_patterns():
     m = signed_binomial_matrix(6)
-    assert m.entries[0] == (1,) * 7
-    assert m.entries[1] == tuple(-j for j in range(7))
-    assert m[2, 4] == 6
+    assert m[0] == (1,) * 7
+    assert m[1] == tuple(-j for j in range(7))
+    assert m[2][4] == 6
     # upper triangular with alternating unit diagonal
     for i in range(7):
-        assert m[i, i] == (-1) ** i
+        assert m[i][i] == (-1) ** i
         for j in range(i):
-            assert m[i, j] == 0
+            assert m[i][j] == 0
 
 
 @pytest.mark.parametrize("dim", list(range(0, 21)))
 def test_matrix_is_involutory(dim):
     m = signed_binomial_matrix(dim)
-    product = m.multiply(m)
+    product = matmul(m, m)
     for i in range(dim + 1):
         for j in range(dim + 1):
             assert product[i][j] == (1 if i == j else 0)
@@ -80,7 +86,7 @@ def test_matrix_is_involutory(dim):
 
 def test_matrix_determinant_is_alternating_sign_product():
     for dim in range(31):
-        det = signed_binomial_matrix(dim).determinant
+        det = determinant(signed_binomial_matrix(dim))
         expected = 1
         for i in range(dim + 1):
             expected *= (-1) ** i
@@ -95,10 +101,11 @@ def test_matrix_determinant_is_alternating_sign_product():
 
 def test_constant_approximant():
     s = series_from_rationals(1, [Fraction(5, 3)])
-    for build in (coeffs_closed_form, coeffs_via_matrix, coeffs_oracle_solve):
+    for build in (coeffs_closed_form, coeffs_via_matrix):
         approx = build(s, 0)
         assert approx.dimension == 0
         assert approx.coeffs[0].as_fraction() == Fraction(5, 3)
+    assert oracle_solve([Fraction(5, 3)], 0) == [Fraction(5, 3)]
 
 
 def test_closed_form_reciprocal_quarter_leading_coefficients():
@@ -123,7 +130,7 @@ def test_via_matrix_hand_case():
     approx = coeffs_via_matrix(s, 2)
     assert [q.as_fraction() for q in approx.coeffs] == [2, -3, 1]
     assert coeffs_closed_form(s, 2).coeffs == approx.coeffs
-    assert coeffs_oracle_solve(s, 2).coeffs == approx.coeffs
+    assert oracle_solve([0, 1, 0], 2) == fracs(approx.coeffs)
 
 
 @settings(max_examples=50)
@@ -131,10 +138,8 @@ def test_via_matrix_hand_case():
 def test_three_paths_agree_order_six(s):
     a = coeffs_closed_form(s, 6)
     b = coeffs_via_matrix(s, 6)
-    c = coeffs_oracle_solve(s, 6)
-    assert a.coeffs == b.coeffs == c.coeffs
-    assert [q.as_fraction() for q in a.coeffs] == closed_form_q(
-        [x.as_fraction() for x in s.coeffs], 6)
+    assert a.coeffs == b.coeffs
+    assert fracs(a.coeffs) == oracle_solve(fracs(s.coeffs), 6) == closed_form_q(fracs(s.coeffs), 6)
 
 
 def test_three_paths_agree_all_dimensions():
@@ -145,9 +150,8 @@ def test_three_paths_agree_all_dimensions():
             s = series_from_rationals(Fraction(1, 2), coeffs)
             a = coeffs_closed_form(s, m)
             b = coeffs_via_matrix(s, m)
-            c = coeffs_oracle_solve(s, m)
-            assert a.coeffs == b.coeffs == c.coeffs
-            assert [q.as_fraction() for q in a.coeffs] == closed_form_q(coeffs, m)
+            assert a.coeffs == b.coeffs
+            assert fracs(a.coeffs) == oracle_solve(coeffs, m) == closed_form_q(coeffs, m)
 
 
 @settings(max_examples=60)
@@ -160,8 +164,7 @@ def test_kernel_matches_literal_sums_and_solver(coeffs_and_m):
     coeffs, m = coeffs_and_m
     s = series_from_rationals(Fraction(-2, 3), coeffs)
     approx = coeffs_closed_form(s, m)
-    assert [q.as_fraction() for q in approx.coeffs] == closed_form_q(coeffs, m)
-    assert approx.coeffs == coeffs_oracle_solve(s, m).coeffs
+    assert fracs(approx.coeffs) == closed_form_q(coeffs, m) == oracle_solve(coeffs, m)
 
 
 @settings(max_examples=60)
@@ -176,8 +179,7 @@ def test_exact_convolution_is_binomial_convolve_over_common_denominator(coeffs_a
     d, den = exact_convolution(s.coeffs, m)
     assert den == lcm(*(c.denominator for c in coeffs[:m + 1]))
     assert all(type(x) is int for x in d)
-    assert [Fraction(x, den) for x in d] == [v.as_fraction()
-                                             for v in binomial_convolve(s, m).values]
+    assert [Fraction(x, den) for x in d] == fracs(binomial_convolve(s, m))
 
 
 def test_kernel_dimension_200_on_tail_sum():
@@ -191,7 +193,7 @@ def test_kernel_dimension_200_on_tail_sum():
     cols = [tail_coeffs(o, w, sh, x0, m + 1) for o, w, sh in terms]
     s = series_from_rationals(x0, [sum(col) for col in zip(*cols)])
     approx = coeffs_closed_form(s, m)
-    assert expand_to_taylor(approx, m + 1).coeffs == s.coeffs
+    assert expand_to_taylor(fracs(approx.coeffs), m + 1) == fracs(s.coeffs)
     rows = [tail_rows(o, w, sh, x0, m) for o, w, sh in terms]
     assert approx.coeffs[0].as_fraction() == sum(r[0] for r in rows)
     assert approx.coeffs[1].as_fraction() == sum(r[1] for r in rows)
@@ -199,7 +201,7 @@ def test_kernel_dimension_200_on_tail_sum():
 
 def test_insufficient_coefficients_rejected():
     s = series_from_rationals(1, [1, 2])
-    for build in (coeffs_closed_form, coeffs_via_matrix, coeffs_oracle_solve):
+    for build in (coeffs_closed_form, coeffs_via_matrix):
         with pytest.raises(ValueError):
             build(s, 2)
 
@@ -208,12 +210,6 @@ def test_negative_dimension_rejected():
     s = series_from_rationals(1, [1])
     with pytest.raises(ValueError):
         coeffs_closed_form(s, -1)
-
-
-def test_oracle_requires_exact_input():
-    s = series_from_rationals(1, [1, 2, 3]).to_inexact(64)
-    with pytest.raises(ExactnessError):
-        coeffs_oracle_solve(s, 2)
 
 
 @settings(max_examples=30)
@@ -344,48 +340,35 @@ def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):
 
 def test_expand_constant():
     approx = coeffs_closed_form(series_from_rationals(1, [Fraction(5, 2)]), 0)
-    out = expand_to_taylor(approx, 4)
-    assert [c.as_fraction() for c in out.coeffs] == [Fraction(5, 2), 0, 0, 0]
+    assert expand_to_taylor(fracs(approx.coeffs), 4) == [Fraction(5, 2), 0, 0, 0]
 
 
 def test_expand_pure_reciprocal():
     # q = (0, 1) about 1 is exactly 1/x; its expansion alternates signs
-    from invpower.approximant import InversePowerApproximant
-    approx = InversePowerApproximant(1, Scalar.rational(1),
-                                     (Scalar.rational(0), Scalar.rational(1)))
-    out = expand_to_taylor(approx, 3)
-    assert [c.as_fraction() for c in out.coeffs] == [1, -1, 1]
-
-
-def test_expand_requires_positive_length():
-    approx = coeffs_closed_form(series_from_rationals(1, [1]), 0)
-    with pytest.raises(ValueError):
-        expand_to_taylor(approx, 0)
+    assert expand_to_taylor([Fraction(0), Fraction(1)], 3) == [1, -1, 1]
 
 
 @settings(max_examples=60)
 @given(series_strategy())
 def test_round_trip_reproduces_input(s):
     m = s.max_dimension
-    for build in (coeffs_closed_form, coeffs_via_matrix, coeffs_oracle_solve):
-        approx = build(s, m)
-        back = expand_to_taylor(approx, m + 1)
-        assert back.coeffs == s.coeffs
+    coeffs = fracs(s.coeffs)
+    for q in (fracs(coeffs_closed_form(s, m).coeffs), fracs(coeffs_via_matrix(s, m).coeffs),
+              oracle_solve(coeffs, m)):
+        assert expand_to_taylor(q, m + 1) == coeffs
 
 
 def test_expansion_matches_matching_system():
     """Re-expansion coefficients are literally the matching equations:
     c_n = (-1)^n sum_k q_k C(k+n-1, n)."""
-    s = series_from_rationals(1, [3, -2, Fraction(1, 2), 5])
-    approx = coeffs_oracle_solve(s, 3)
-    out = expand_to_taylor(approx, 7)
-    q = [x.as_fraction() for x in approx.coeffs]
+    q = oracle_solve([3, -2, Fraction(1, 2), 5], 3)
+    out = expand_to_taylor(q, 7)
     for n in range(7):
         if n == 0:
             expected = sum(q)
         else:
             expected = (-1) ** n * sum(q[k] * binom(k + n - 1, n) for k in range(1, 4))
-        assert out.coeffs[n].as_fraction() == expected
+        assert out[n] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +397,7 @@ def test_float_mode_no_warning_at_small_dimension():
 def test_float_approximant_rejects_non_finite_coefficients(bad):
     coeffs = (Scalar.approx(1, 64), Scalar(bad, False, 64), Scalar.approx(2, 64))
     series = TaylorSeries(Scalar.rational(1), coeffs)
-    for build in (coeffs_closed_form, coeffs_via_matrix, coeffs_oracle_solve):
+    for build in (coeffs_closed_form, coeffs_via_matrix):
         with pytest.raises(ValueError, match=r"coeffs\[1\] must be finite"):
             build(series, 2)
 

@@ -1,10 +1,17 @@
 import hashlib
+import io
 import json
+import re
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invpower import identities
 from invpower.cli import main
@@ -446,6 +453,81 @@ def test_flags_reject_huge_exponent(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {field}: ") and "decimal exponent beyond" in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["estimate", "--corpus", "one-over-x", "--m-max", "3", "--x0", "1_0"], "bad --x0"),
+    (["approximate", "--corpus", "one-over-x", "--m", "1", "--eval", "\u0661\u0662"], "bad --eval"),
+    (["estimate", "--corpus", "one-over-x", "--m-max", "3", "--tol", "1e-1_0"], "bad --tol"),
+])
+def test_flags_reject_separators_and_non_ascii(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {field}: cannot parse {argv[-1]!r} as an exact rational: "
+                   "only ASCII characters and no '_' separators are allowed\n")
+
+
+# scalar strings the grammar accepts (some only in float mode), and ones it
+# does not: digit separators, non-ASCII digits, malformed rationals
+_GOOD_TEXT = st.sampled_from(["1", "-3/4", "0.25", "7/3", "2.5E-4300", "9e4300", "1e-999999999",
+                              "-1e999999999"])
+_BAD_TEXT = st.sampled_from(["1e4301", "1e1_000_000", "1_0", "\u0661\u0662", "1/0", "0/0", "1//2",
+                             "", "nan", "-inf", "0x10", "1e", "\u00bd", "3/-4"]) | st.text(
+    alphabet="0123456789/._-+eE \u0663", max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _BAD_TEXT,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3)
+# where one edit lands: nowhere, a field, an entry, or the whole document
+_EDITS = (None, ("center",), ("coeffs",), ("coeffs", 1), ("exact",), ("meta",),
+          ("meta", "hypothesis_radius"), ("meta", "description"), ())
+
+
+@st.composite
+def _payloads(draw):
+    """A well-formed coefficient file, then at most one edit: a field
+    dropped, or a value (or the whole document) replaced by any JSON
+    value or scalar text."""
+    payload = {"center": draw(_GOOD_TEXT), "coeffs": draw(st.lists(_GOOD_TEXT, min_size=2, max_size=4)),
+               "exact": draw(st.booleans()),
+               "meta": {"hypothesis_radius": draw(_GOOD_TEXT | st.none()),
+                        "description": draw(st.text(max_size=3))}}
+    edit = draw(st.sampled_from(_EDITS))
+    if edit is None:
+        return payload
+    if not edit:
+        return draw(_JSON)
+    *parents, key = edit
+    owner = payload
+    for parent in parents:
+        owner = owner[parent]
+    if isinstance(key, str) and draw(st.booleans()):
+        del owner[key]
+    else:
+        owner[key] = draw(_GOOD_TEXT | _BAD_TEXT | _JSON)
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(_payloads(), st.sampled_from(["estimate", "approximate"]), st.sampled_from(["exact", "float"]),
+       st.sampled_from(["csv", "json"]))
+def test_any_file_payload_ends_in_output_or_one_error_line(payload, command, mode, fmt):
+    """Whatever JSON a coefficient file holds, a run exits 0 with output or
+    exits 1 with one ``error: <path>: ...`` line; nothing escapes as a
+    traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(payload))
+        size = ["--m-max", "1"] if command == "estimate" else ["--m", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--coeffs", str(path), *size, "--mode", mode, "--format", fmt])
+    if code == 0:
+        assert out.getvalue()
+        assert all(line.startswith("warning: ") for line in err.getvalue().splitlines())
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert re.fullmatch(f"error: {re.escape(str(path))}: [^\n]+\n", err.getvalue())
 
 
 @pytest.mark.parametrize("flag", ["--tol=-1e-9", "--tol=-1/2"])

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invpower.approximant import coeffs_oracle_solve, expand_to_taylor
 from invpower.asymptotics import convergence_table, estimate_limits
 from invpower.corpus import (
     MAX_FILE_COEFFS,
     SHIPPED_CORPUS,
-    Mobius,
     as_tail_terms,
     coefficient_file_payload,
     evaluate_at,
@@ -30,7 +28,7 @@ from invpower.corpus import (
 from invpower.errors import CoefficientFileError, PoleError
 from invpower.scalar import Scalar
 
-from _oracles import tail_coeffs, taylor_scalar_loop
+from _oracles import expand_to_taylor, oracle_solve, tail_coeffs, taylor_scalar_loop
 
 
 def sc(x):
@@ -163,8 +161,8 @@ def test_coefficient_count_positive():
 
 
 def test_mobius_requires_degree_one_denominator():
-    with pytest.raises(ValueError):
-        Mobius(sc(1), sc(0), sc(0), sc(1))
+    with pytest.raises(ValueError, match=r"^mobius quotient needs a degree-1 denominator \(c != 0\)$"):
+        mobius(1, 0, 0, 1)
 
 
 def test_constant_function_has_no_pole():
@@ -367,6 +365,37 @@ def test_nonpositive_radius_hint_rejected(tmp_path, exact, radius):
                               f"got {radius!r}")
 
 
+@pytest.mark.parametrize("payload,field,text", [
+    ({"center": "1_0", "coeffs": ["1"]}, "'center'", "1_0"),
+    ({"center": "1", "coeffs": ["1", "1_000"]}, "'coeffs'[1]", "1_000"),
+    ({"center": "1", "coeffs": ["\u0661\u0662"]}, "'coeffs'[0]", "\u0661\u0662"),
+    ({"center": "1", "coeffs": ["1_0"], "exact": False}, "'coeffs'[0]", "1_0"),
+])
+def test_file_scalars_reject_separators_and_non_ascii(tmp_path, payload, field, text):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CoefficientFileError) as err:
+        load_coefficient_file(str(path))
+    kind = "an exact rational" if payload.get("exact", True) else "a float"
+    assert str(err.value).startswith(
+        f"{path}: field {field}: cannot parse {text!r} as {kind}: only ASCII characters")
+
+
+@pytest.mark.parametrize("meta,field,kind", [
+    ("x", "meta", "an object"),
+    (None, "meta", "an object"),
+    ([{"description": "d"}], "meta", "an object"),
+    ({"description": 5}, "meta.description", "a string"),
+    ({"description": None, "hypothesis_radius": "3"}, "meta.description", "a string"),
+])
+def test_meta_is_an_object_with_a_string_description(tmp_path, meta, field, kind):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1"], "meta": meta}))
+    with pytest.raises(CoefficientFileError) as err:
+        load_coefficient_file(str(path))
+    assert str(err.value) == f"{path}: field '{field}' must be {kind}"
+
+
 def test_undeclared_float_content_points_at_float_mode(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"center": "1", "coeffs": ["0x1.8p3"], "exact": True}))
@@ -383,10 +412,8 @@ def test_undeclared_float_content_points_at_float_mode(tmp_path):
 def test_pipeline_round_trip_for_shipped_corpus():
     for entry in SHIPPED_CORPUS:
         for m in (0, 1, 4, 7):
-            series = taylor_coeffs(entry.function, entry.center, m + 1)
-            approx = coeffs_oracle_solve(series, m)
-            back = expand_to_taylor(approx, m + 1)
-            assert back.coeffs == series.coeffs
+            coeffs = fractions_of(taylor_coeffs(entry.function, entry.center, m + 1))
+            assert expand_to_taylor(oracle_solve(coeffs, m), m + 1) == coeffs
 
 
 def test_estimates_match_known_asymptotes_when_condition_met():

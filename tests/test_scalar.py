@@ -1,13 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invpower.scalar import (
     MIN_PRECISION,
-    PascalCache,
     Scalar,
     binom,
     cancellation_hazard,
@@ -46,32 +46,21 @@ def test_binom_negative_upper_index_rejected():
 
 
 def test_pascal_identity_and_symmetry_up_to_200():
-    cache = PascalCache()
+    """Rows built by the additive recurrence alone, a second route to the
+    numbers ``binom`` computes."""
+    rows = [(1,)]
     for a in range(1, 201):
-        row = cache.row(a)
-        prev = cache.row(a - 1)
-        for b in range(1, a + 1):
-            left = row[b]
-            right = (prev[b] if b < a else 0) + prev[b - 1]
-            assert left == right
-            assert row[b] == row[a - b]
-    # the two computation paths agree
+        prev = rows[-1]
+        rows.append((1, *(prev[b - 1] + prev[b] for b in range(1, a)), 1))
+        assert rows[a] == rows[a][::-1]
     for a in range(0, 201, 7):
-        for b in range(0, a + 1):
-            assert binom(a, b) == cache.binom(a, b)
+        for b in range(-1, a + 2):
+            assert binom(a, b) == (rows[a][b] if 0 <= b <= a else 0)
 
 
 def test_row_sums_are_powers_of_two():
     for a in range(65):
         assert sum(binom(a, b) for b in range(a + 1)) == 2 ** a
-
-
-def test_pascal_cache_rows_match_fresh_rows():
-    cache = PascalCache()
-    cache.row(40)
-    fresh = PascalCache()
-    for a in cache.cached_rows():
-        assert cache.row(a) == fresh.row(a)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +208,30 @@ def test_parse_exact_exponent_limit():
             Scalar.parse(text)
     # a float parse never builds the power of ten, so it keeps the exponent
     assert Scalar.parse("1e999999999", exact=False) > 10 ** 4300
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("text", ["1_0", "1_000", "\u0661\u0662", "1/1_0", "\u0661/2", "1e1_0",
+                                  "1e\u0663", "2.5_0"])
+def test_parse_rejects_separators_and_non_ascii(text, exact):
+    kind = "an exact rational" if exact else "a float"
+    message = f"cannot parse {text!r} as {kind}: only ASCII characters and no '_' separators"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Scalar.parse(text, exact=exact)
+
+
+@example(Fraction(1, 3), Fraction(1, 3), 64, 0, True)
+@example(Fraction(-1, 4), Fraction(-1, 4), 128, 0, False)
+@given(rationals, rationals, st.sampled_from([64, 128]), st.integers(-2000, 2000), st.booleans())
+def test_float_comparisons_match_dyadic_values(a, b, precision, scale, both_float):
+    """Comparisons with a float are exact: they order the dyadic rational
+    the float holds, however far its exponent reaches."""
+    x = Scalar.approx(a * Fraction(2) ** scale, precision)
+    y = Scalar.approx(b, precision) if both_float else Scalar.rational(b)
+    for s, t in ((x, y), (y, x)):
+        fs, ft = s.as_fraction(), t.as_fraction()
+        assert (s < t, s <= t, s == t, s != t, s > t, s >= t) == (
+            fs < ft, fs <= ft, fs == ft, fs != ft, fs > ft, fs >= ft)
 
 
 def test_parse_float_mode():

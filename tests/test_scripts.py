@@ -2,6 +2,7 @@
 as the README shows them."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import invpower
+from invpower import (approximant, asymptotics, cli, corpus, identities, scalar, series,
+                      transforms)
 from invpower.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +68,8 @@ def test_bench_writes_one_column_per_run(tmp_path):
     assert set(doc["columns"]) == {"parent", "change"}
     assert all(set(env) == {"python", "mpmath_backend"} for env in doc["columns"].values())
     for layer in ("convergence_table exact", "convergence_table float128",
-                  "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact"):
+                  "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact",
+                  "binomial_convolve exact"):
         assert all(doc["layers"][layer][column]["50"] > 0 for column in ("parent", "change"))
 
 
@@ -84,3 +89,33 @@ def test_module_entry_point_prints_what_main_prints(capsys):
 ])
 def test_module_entry_point_exit_codes(argv, code):
     assert run_python("-m", "invpower", *argv).returncode == code
+
+
+def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys):
+    """``perfbench/tracer.py`` wraps package functions by module and name,
+    and ``Scalar`` ops on the class, from outside the package: a traced
+    name that moves or goes fails here.  The modules are mapped as
+    ``perfbench/run.py`` maps them."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"": invpower, "scalar": scalar, "series": series, "transforms": transforms,
+               "approximant": approximant, "asymptotics": asymptotics,
+               "identities": identities, "corpus": corpus, "cli": cli}
+    owners = [*modules.values(), scalar.Scalar, series.TaylorSeries]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        assert cli.main(ESTIMATE) == 0
+        approximant.coeffs_via_matrix(series.series_from_rationals(1, [1, 2, 3]), 2)
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert json.loads(capsys.readouterr().out)["command"] == "estimate"
+    counts = tracer.exact_counts()
+    for name in ("cli.main", "approximant.coeffs_via_matrix", "transforms.binomial_convolve"):
+        assert counts[f"{name}.calls"] == (1, "count")
+    assert counts["scalar.ops.calls"][0] > 0
+    assert [len(table.rows) for table in tracer.tables] == [13]
