@@ -8,8 +8,15 @@
 Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
 exact or rounded to 128-bit floats, at each dimension m in ``--sizes``:
 ``taylor_coeffs`` expands it to m + 1 coefficients, and ``evaluate``
-sums its dimension-m approximant at x = 1/2.
-A cell is the median ``time.process_time`` per call over ``--repeat``
+sums its dimension-m approximant at x = 1/2.  ``run_suite`` checks
+every identity tuple with m and k up to the size, as
+``verify-identities --m-max m --k-max m`` does.  ``cli cold start`` is
+a whole ``python -m invpower estimate`` process (exact, ``--m-max m``):
+interpreter start-up, imports, parsing and the command.  It is timed by
+the child CPU time that ``RUSAGE_CHILDREN`` reports, with the bytecode
+cached: the children read and write ``.pyc`` files under a private
+``pycache_prefix``, filled by one unmeasured run first.
+A cell is the median CPU time per call over ``--repeat``
 samples; a sample repeats the call until it has used 0.2 CPU seconds.
 A sample that uses more than ``BUDGET_S`` (10) CPU seconds is stopped
 by a CPU timer, and that size and every larger one of the layer are
@@ -28,10 +35,14 @@ import contextlib
 import gc
 import io
 import json
+import os
 import platform
+import resource
 import signal
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -43,6 +54,7 @@ SIZES = (50, 200, 800, 2000)
 FLOAT_PRECISION = 128
 MIN_SAMPLE_S = 0.2
 BUDGET_S = 10.0
+COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"
 
 
 class OverBudget(BaseException):
@@ -54,13 +66,36 @@ def _over_budget(signum, frame):
     raise OverBudget
 
 
-def layers(sizes):
-    """Layer name -> f(m) that makes one call, for m in ``sizes``; the
-    series and approximants it reads are built here, before any timing."""
+def child_cpu_s() -> float:
+    """CPU seconds used by this process's finished, waited-for children."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def cold_start(src: Path, pycache: str):
+    """f(m) that runs ``python -m invpower estimate`` in a fresh
+    interpreter, after one unmeasured run has cached its bytecode."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src)
+
+    def call(m):
+        argv = [sys.executable, "-X", f"pycache_prefix={pycache}", "-m", "invpower", "estimate",
+                "--corpus", "mobius-2-3-1-2", "--m-max", str(m)]
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL, timeout=60)
+
+    call(1)
+    return call
+
+
+def layers(sizes, src: Path, pycache: str):
+    """Layer name -> (clock, f(m) that makes one call), for m in
+    ``sizes``; the series and approximants it reads are built here,
+    before any timing."""
     from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
     from invpower.asymptotics import convergence_table
     from invpower.cli import main
     from invpower.corpus import mobius, taylor_coeffs
+    from invpower.identities import SuiteRanges, run_suite
     from invpower.scalar import Scalar
     from invpower.transforms import binomial_convolve
 
@@ -81,7 +116,7 @@ def layers(sizes):
         return call
 
     precision = str(FLOAT_PRECISION)
-    return {
+    calls = {
         "taylor_coeffs exact": lambda m: taylor_coeffs(f, center, m + 1),
         "evaluate exact": lambda m: evaluate(approximants[m], point),
         "convergence_table exact": lambda m: convergence_table(exact, m),
@@ -96,20 +131,24 @@ def layers(sizes):
             "--mode", "float", "--precision", precision),
         "cli approximate exact": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
+        "run_suite": lambda m: run_suite(SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
     }
+    return {**{name: (time.process_time, call) for name, call in calls.items()},
+            "cli cold start": (child_cpu_s, cold_start(src, pycache))}
 
 
-def cpu_seconds(call, m):
-    """CPU seconds per call, over as many calls as fill ``MIN_SAMPLE_S``
-    (the CPU clock may tick in milliseconds), or None when the sample
-    runs past ``BUDGET_S``.  Garbage left by earlier layers is collected
-    first, so it is not charged to this one."""
+def cpu_seconds(clock, call, m):
+    """CPU seconds per call on ``clock``, over as many calls as fill
+    ``MIN_SAMPLE_S`` (the CPU clock may tick in milliseconds), or None
+    when the sample runs past ``BUDGET_S`` of this process's CPU.
+    Garbage left by earlier layers is collected first, so it is not
+    charged to this one."""
     gc.collect()
     signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
     try:
-        start = time.process_time()
+        start = clock()
         calls = 0
-        while (elapsed := time.process_time() - start) < MIN_SAMPLE_S:
+        while (elapsed := clock() - start) < MIN_SAMPLE_S:
             call(m)
             calls += 1
         return elapsed / calls
@@ -119,17 +158,17 @@ def cpu_seconds(call, m):
         signal.setitimer(signal.ITIMER_PROF, 0)
 
 
-def measure(sizes, repeat):
+def measure(sizes, repeat, src: Path):
     signal.signal(signal.SIGPROF, _over_budget)
     cells = {}
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as pycache:
         warnings.simplefilter("ignore")
-        for name, call in layers(sizes).items():
+        for name, (clock, call) in layers(sizes, src, pycache).items():
             row = cells[name] = {}
             for m in sizes:
                 times = []
                 for _ in range(repeat):
-                    t = cpu_seconds(call, m)
+                    t = cpu_seconds(clock, call, m)
                     if t is None:
                         break
                     times.append(t)
@@ -154,11 +193,12 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=3, help="calls per cell")
     args = ap.parse_args()
 
-    sys.path.insert(0, str(args.src.resolve()))
-    env, cells = measure(sorted(args.sizes), args.repeat)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    env, cells = measure(sorted(args.sizes), args.repeat, src)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(sizes=sorted(args.sizes), repeat=args.repeat, budget_s=BUDGET_S,
-               float_precision=FLOAT_PRECISION)
+               float_precision=FLOAT_PRECISION, cold_start_bytecode=COLD_START_BYTECODE)
     doc.setdefault("columns", {})[args.column] = env
     for name, row in cells.items():
         doc.setdefault("layers", {}).setdefault(name, {})[args.column] = row

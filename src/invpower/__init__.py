@@ -39,9 +39,18 @@ from .corpus import (
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .identities import IdentityCase, SuiteRanges, SuiteReport, run_suite
 from .scalar import CancellationWarning, Scalar, binom, significand_bits
 from .series import TaylorSeries, series_from_rationals
 from .transforms import binomial_convolve
 
 __version__ = "0.1.0"
+
+_IDENTITY_NAMES = ("IdentityCase", "SuiteRanges", "SuiteReport", "run_suite")
+
+
+def __getattr__(name: str):
+    # the identity suite loads on first use (PEP 562): only verify-identities needs it
+    if name in _IDENTITY_NAMES:
+        from . import identities
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

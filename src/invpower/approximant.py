@@ -29,14 +29,11 @@ are provided and must agree bit-for-bit in exact mode:
   values become ``Scalar`` only at the end.  Float series keep the
   rounding of the literal sums and the cancellation warning: each q_k
   is sum_s W(k, s) c_s summed in order, with the integer weights W from
-  a recurrence, by one integer kernel, :func:`float_dots`.  It runs on
-  signed int mantissas and exponents, and every step (weight, product,
-  partial sum) is correctly rounded to nearest-even at the significand,
-  which is what ``Scalar`` arithmetic does; correct rounding is unique,
-  so the output is bit-identical to the ``Scalar`` literal sums.  A raw
-  mpmath value, and then a ``Scalar``, is built once per q_k.  A series
-  that mixes exact and inexact entries or float widths is first rounded
-  to its narrowest width (:func:`float_coefficients`);
+  a recurrence, by one integer kernel, :func:`float_dots` (its
+  docstring says why its bits equal the ``Scalar`` literal sums).  A
+  raw mpmath value, and then a ``Scalar``, is built once per q_k.  A
+  series that mixes exact and inexact entries or float widths is first
+  rounded to its narrowest width (:func:`float_coefficients`);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
   product with the signed-binomial matrix (-1)**i C(j, i), which is
   its own inverse.
@@ -62,8 +59,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-
-from mpmath.libmp import from_man_exp, mpf_neg
 
 from .errors import PoleError
 from .scalar import (
@@ -188,6 +183,8 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[t
     exponents.  A zero term leaves the partial sum as it is, and one
     that cancels exactly is zero until the next nonzero term.
     """
+    from mpmath.libmp import from_man_exp  # float mode only: exact runs never load mpmath
+
     c = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
     far = 2 * bits + 2
     out = []
@@ -262,6 +259,8 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     _check_input(series, m)
     if series.is_exact:
         return InversePowerApproximant(m, series.center, _exact_coeffs(series.coeffs, m))
+    from mpmath.libmp import mpf_neg  # float mode only: exact runs never load mpmath
+
     _warn_if_cancelling(series, m)
     raw, prec, bits = float_coefficients(series, m + 1)
     sums = float_dots(raw, _weight_rows(m), bits)

@@ -18,12 +18,10 @@ Values become ``Scalar`` only when a row is built.
 
 Float series keep the literal per-row sums of m+1 binomial-weighted
 terms, all rows in one pass of the approximant's float kernel,
-:func:`~invpower.approximant.float_dots`, on signed int mantissas: every
-weight, product and partial sum is correctly rounded to nearest-even at
-the series' significand, and so is every delta.  That is what ``Scalar``
-arithmetic does to the formulas above, and correct rounding is unique,
-so the rows are bit-identical to the ``Scalar`` literal sums, and the
-cancellation warning is that of the formulas.  The weights C(m, s) come
+:func:`~invpower.approximant.float_dots`, whose docstring says why its
+bits equal the ``Scalar`` literal sums; every delta is one correctly
+rounded subtraction, and the cancellation warning is that of the
+formulas.  The weights C(m, s) come
 from row m-1 of Pascal's triangle by adjacent additions, and a
 ``Scalar`` is built once per emitted value.  A series that mixes exact
 and inexact entries or float widths (only the Python API builds one) is
@@ -44,8 +42,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath.libmp import mpf_abs, mpf_sub
 
 from .approximant import exact_convolution, float_coefficients, float_dots
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
@@ -120,6 +116,8 @@ def _float_weights(m_max: int):
 def _float_rows(series: TaylorSeries, m_max: int) -> list[ConvergenceRow]:
     """Rows of a float series by the rounded literal row sums, in one
     kernel pass; a ``Scalar`` is built once per emitted value."""
+    from mpmath.libmp import mpf_abs, mpf_sub  # float mode only: exact runs never load mpmath
+
     raw, prec, bits = float_coefficients(series, m_max + 1)
     sums = float_dots(raw, _float_weights(m_max), bits)
 

@@ -16,6 +16,11 @@ and as budgeted decimals in CSV.  Exit codes: 0 success, 1 operational
 failure (bad flags, I/O, parse), 2 convergence-policy failure under
 ``--require-converged``.  In exact mode identical invocations produce
 byte-identical output.
+
+A call builds only the parser of the subcommand it names; help, usage
+errors and leftover arguments go through the full parser
+(:func:`build_parser`).  An exact run imports neither mpmath nor the
+identity suite.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .corpus import (
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .identities import SuiteRanges, run_suite
 from .scalar import MIN_PRECISION, Scalar
 from .series import TaylorSeries
 
@@ -151,41 +155,65 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="significant digits for CSV rendering, >= 1 (default 30)")
 
 
+def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
+    _add_source_flags(p)
+    p.add_argument("--m-max", type=int, required=True, dest="m_max")
+    p.add_argument("--tol", default="1e-9", help="convergence tolerance (default 1e-9)")
+    _add_mode_flags(p)
+    _add_output_flags(p)
+    p.add_argument("--require-converged", action="store_true", dest="require_converged",
+                   help="exit 2 unless every requested component converged")
+
+
+def _add_approximate_flags(p: argparse.ArgumentParser) -> None:
+    _add_source_flags(p)
+    p.add_argument("--m", type=int, required=True, help="approximant dimension")
+    p.add_argument("--eval", action="append", default=[], metavar="X", dest="eval_points",
+                   help="evaluation point (repeatable; commas allowed)")
+    _add_mode_flags(p)
+    _add_output_flags(p)
+
+
+def _add_verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m-max", type=int, default=25, dest="m_max")
+    p.add_argument("--k-max", type=int, default=25, dest="k_max")
+    _add_output_flags(p)
+
+
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fn", required=True, metavar="NAME", help="corpus function selector")
+    p.add_argument("--params", metavar="LIST")
+    p.add_argument("--x0", metavar="RAT", default="1")
+    p.add_argument("--n", type=int, required=True, help="number of coefficients")
+    p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand, built from ``_SUBCOMMANDS``."""
     parser = _Parser(prog="invpower",
                      description="Estimate f(x) ~ q0 + q1/x from Taylor coefficients.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_est = sub.add_parser("estimate", help="convergence table and limit estimates")
-    _add_source_flags(p_est)
-    p_est.add_argument("--m-max", type=int, required=True, dest="m_max")
-    p_est.add_argument("--tol", default="1e-9", help="convergence tolerance (default 1e-9)")
-    _add_mode_flags(p_est)
-    _add_output_flags(p_est)
-    p_est.add_argument("--require-converged", action="store_true", dest="require_converged",
-                       help="exit 2 unless every requested component converged")
-
-    p_app = sub.add_parser("approximate", help="build and evaluate one approximant")
-    _add_source_flags(p_app)
-    p_app.add_argument("--m", type=int, required=True, help="approximant dimension")
-    p_app.add_argument("--eval", action="append", default=[], metavar="X", dest="eval_points",
-                       help="evaluation point (repeatable; commas allowed)")
-    _add_mode_flags(p_app)
-    _add_output_flags(p_app)
-
-    p_ver = sub.add_parser("verify-identities", help="run the binomial identity suite")
-    p_ver.add_argument("--m-max", type=int, default=25, dest="m_max")
-    p_ver.add_argument("--k-max", type=int, default=25, dest="k_max")
-    _add_output_flags(p_ver)
-
-    p_cor = sub.add_parser("corpus", help="write a coefficient file for a test function")
-    p_cor.add_argument("--fn", required=True, metavar="NAME", help="corpus function selector")
-    p_cor.add_argument("--params", metavar="LIST")
-    p_cor.add_argument("--x0", metavar="RAT", default="1")
-    p_cor.add_argument("--n", type=int, required=True, help="number of coefficients")
-    p_cor.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-
+    for name, (help_text, add_flags, _) in _SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, building only the named subcommand's parser when
+    ``argv[0]`` names one and its flags take every argument.  Anything
+    else -- no arguments, an unknown command, top-level flags, leftover
+    arguments -- goes through the full parser, so its help, usage and
+    error bytes have one source.  The subcommand parser is the one the
+    full parser would build: ``_Parser(prog="invpower NAME")`` with the
+    same flags."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _Parser(prog=f"invpower {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _parse_rational(text: str, what: str) -> Scalar:
@@ -368,8 +396,10 @@ def cmd_approximate(args) -> int:
 def cmd_verify_identities(args) -> int:
     if args.m_max < 0 or args.k_max < 0:
         raise CliError("--m-max and --k-max must be >= 0")
-    ranges = SuiteRanges(tuple(range(args.m_max + 1)), tuple(range(args.k_max + 1)))
-    report = run_suite(ranges)
+    from . import identities  # only this command loads the identity suite
+
+    ranges = identities.SuiteRanges(tuple(range(args.m_max + 1)), tuple(range(args.k_max + 1)))
+    report = identities.run_suite(ranges)
     doc = {"command": "verify-identities", **report.to_json_dict()}
 
     def csv_lines() -> list[str]:
@@ -404,21 +434,25 @@ def cmd_corpus(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "approximate": cmd_approximate,
-    "verify-identities": cmd_verify_identities,
-    "corpus": cmd_corpus,
+# name -> (help, add_flags(parser), command): the one declaration of each
+# subcommand, read by ``build_parser``, ``_parse_args`` and ``main``
+_SUBCOMMANDS = {
+    "estimate": ("convergence table and limit estimates", _add_estimate_flags, cmd_estimate),
+    "approximate": ("build and evaluate one approximant", _add_approximate_flags,
+                    cmd_approximate),
+    "verify-identities": ("run the binomial identity suite", _add_verify_flags,
+                          cmd_verify_identities),
+    "corpus": ("write a coefficient file for a test function", _add_corpus_flags, cmd_corpus),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _COMMANDS[args.command](args)
+            code = _SUBCOMMANDS[args.command][2](args)
         for w in caught:
             sys.stderr.write(f"warning: {w.message}\n")
         return code

@@ -314,6 +314,16 @@ def save_coefficient_file(series: TaylorSeries, path: str, description: str = ""
         fh.write("\n")
 
 
+def _float_parses(text: str, precision: int) -> bool:
+    """Whether a float file could hold ``text``: the exact-parse error
+    suggests float mode only then."""
+    try:
+        Scalar.parse(text, exact=False, precision=precision)
+    except ValueError:
+        return False
+    return True
+
+
 def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
     """Read a coefficient file; exact files parse to exact rationals.
 
@@ -350,7 +360,8 @@ def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
         try:
             return Scalar.parse(text, exact=exact, precision=precision)
         except ValueError as exc:
-            hint = "; declare \"exact\": false to load as floats" if exact else ""
+            hint = "; declare \"exact\": false to load as floats" if exact and _float_parses(
+                text, precision) else ""
             raise CoefficientFileError(f"{path}: field {field}: {exc}{hint}") from None
 
     center = parse("'center'", raw["center"])

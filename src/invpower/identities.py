@@ -46,7 +46,9 @@ The identity families, with the walked side named:
                                Walked: the right side, along rows k-1
                                and k-2.
 
-The ``check_*`` functions select one tuple from a family kernel.
+The ``check_*`` functions do one tuple's share of a family kernel: the
+shift families' right sides are computed over a range of a, and a
+single tuple asks for the range a..a.
 ``run_suite`` enumerates every admissible tuple over rectangular m/k
 ranges and reports pass/fail counts plus the failing tuples (there should
 never be any: these are theorems, so a failure is an implementation bug).
@@ -123,33 +125,46 @@ def _alternating_row_prefix(m: int, k: int) -> tuple[int, list[int]]:
     return lhs, [-c if k % 2 else c]
 
 
-def _convolution(m: int, k: int) -> tuple[int, list[int]]:
-    """The alternating convolution sum_n (-1)^n C(m,n) C(k+n-1,n), and
-    the right sides of the shift family for a = 0..m followed by the
-    closed form (-1)^m C(k-1, m) (k >= 1).
+def _convolution_lhs(m: int, k: int) -> int:
+    """The alternating convolution sum_n (-1)^n C(m,n) C(k+n-1,n)."""
+    return sum(comb(m, n) * comb(k + n - 1, n) * (-1) ** n for n in range(m + 1))
 
-    The shift right side is (-1)^a sum_{j=0..m-a} (-1)^j C(k-1+j, j+a)
-    C(m-a, j); C(k-1, a) is walked over a, and both factors over j.
-    """
-    lhs = sum(comb(m, n) * comb(k + n - 1, n) * (-1) ** n for n in range(m + 1))
+
+def _convolution_shifts(m: int, k: int, first: int, last: int) -> tuple[list[int], int]:
+    """The shift family's right sides
+
+        (-1)^a sum_{j=0..m-a} (-1)^j C(k-1+j, j+a) C(m-a, j)
+
+    for a = first..last (0 <= first <= last <= m, k >= 1), and
+    (-1)^last C(k-1, last), which at last = m is the closed form.
+    C(k-1, a) is walked over a from a = 0, and both factors over j; a
+    single tuple is the range a..a."""
     rhs = []
     start = 1                               # C(k-1, a)
     sign = 1                                # (-1)^a
-    for a in range(m + 1):
-        total = 0
-        if start:                           # else every term has the factor 0
-            t, u, s = start, 1, sign        # C(k-1+j, j+a), C(m-a, j), sign
-            for j in range(m - a + 1):
-                total += s * t * u
-                t = t * (k + j) // (j + a + 1)
-                u = u * (m - a - j) // (j + 1)
-                s = -s
-        rhs.append(total)
-        if a < m:
+    for a in range(last + 1):
+        if a >= first:
+            total = 0
+            if start:                       # else every term has the factor 0
+                t, u, s = start, 1, sign    # C(k-1+j, j+a), C(m-a, j), sign
+                for j in range(m - a + 1):
+                    total += s * t * u
+                    t = t * (k + j) // (j + a + 1)
+                    u = u * (m - a - j) // (j + 1)
+                    s = -s
+            rhs.append(total)
+        if a < last:
             start = start * (k - 1 - a) // (a + 1)
             sign = -sign
-    rhs.append(sign * start)
-    return lhs, rhs
+    return rhs, sign * start
+
+
+def _convolution(m: int, k: int) -> tuple[int, list[int]]:
+    """The alternating convolution, and the right sides of the shift
+    family for a = 0..m followed by the closed form (-1)^m C(k-1, m)
+    (k >= 1)."""
+    rhs, closed = _convolution_shifts(m, k, 0, m)
+    return _convolution_lhs(m, k), [*rhs, closed]
 
 
 def _hockey_stick(k: int, m: int) -> tuple[int, list[int]]:
@@ -161,26 +176,33 @@ def _hockey_stick(k: int, m: int) -> tuple[int, list[int]]:
     return lhs, [c]
 
 
-def _weighted_shift(m: int, k: int) -> tuple[int, list[int]]:
-    """The weighted convolution sum_{n=1..m-1} (-1)^n C(m,n+1) C(k+n-1,k-1)
-    and its right sides for a = 1..m-2 (k >= 2):
+def _weighted_lhs(m: int, k: int) -> int:
+    """The weighted convolution sum_{n=1..m-1} (-1)^n C(m,n+1) C(k+n-1,k-1)."""
+    return sum(comb(m, n + 1) * comb(k + n - 1, k - 1) * (-1) ** n for n in range(1, m))
+
+
+def _weighted_shifts(m: int, k: int, first: int, last: int) -> list[int]:
+    """The weighted family's right sides for a = first..last
+    (1 <= first <= last <= m-2, k >= 2):
 
         (-1)^a sum_{n=1..m-a-1} (-1)^n C(m-a, n+1) C(k+n-1, k-1-a)
         + sum_{r=1..a} (-1)^r (m-r) C(k, r).
 
-    The correction is a running sum over a with C(k, r) walked over r;
-    C(k+n-1, k-1-a) starts from binom(k, k-1-a), whose lower index is
-    negative once a >= k, and is walked over n like C(m-a, n+1).
+    The correction is a running sum over a from a = 1 with C(k, r)
+    walked over r; C(k+n-1, k-1-a) starts from binom(k, k-1-a), whose
+    lower index is negative once a >= k, and is walked over n like
+    C(m-a, n+1).  A single tuple is the range a..a.
     """
-    lhs = sum(comb(m, n + 1) * comb(k + n - 1, k - 1) * (-1) ** n for n in range(1, m))
     rhs = []
     correction = 0
     ck = 1                                  # C(k, r)
     sign = 1                                # (-1)^a
-    for a in range(1, m - 1):
+    for a in range(1, last + 1):
         ck = ck * (k - a + 1) // a
         sign = -sign
         correction += sign * (m - a) * ck
+        if a < first:
+            continue
         shifted = 0
         v = binom(k, k - 1 - a)             # C(k+n-1, k-1-a) at n = 1
         if v:
@@ -192,7 +214,13 @@ def _weighted_shift(m: int, k: int) -> tuple[int, list[int]]:
                 w = w * (m - a - n - 1) // (n + 2)
                 s = -s
         rhs.append(shifted + correction)
-    return lhs, rhs
+    return rhs
+
+
+def _weighted_shift(m: int, k: int) -> tuple[int, list[int]]:
+    """The weighted convolution and its right sides for a = 1..m-2
+    (k >= 2)."""
+    return _weighted_lhs(m, k), _weighted_shifts(m, k, 1, m - 2)
 
 
 def _weighted_convolution(m: int, k: int) -> tuple[int, list[int]]:
@@ -243,16 +271,16 @@ def check_convolution_shift(m: int, k: int, a: int) -> IdentityCase:
     """
     if m < 0 or k < 1 or a < 0 or a > m:
         raise ValueError(f"need m >= 0, k >= 1, 0 <= a <= m, got m={m} k={k} a={a}")
-    lhs, rhs = _convolution(m, k)
-    return _case(CONVOLUTION_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs[a])
+    (rhs,), _ = _convolution_shifts(m, k, a, a)
+    return _case(CONVOLUTION_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, _convolution_lhs(m, k), rhs)
 
 
 def check_alternating_convolution(m: int, k: int) -> IdentityCase:
     """sum (-1)^n C(m,n) C(k+n-1,n) == (-1)^m C(k-1, m)."""
     if m < 0 or k < 1:
         raise ValueError(f"need m >= 0 and k >= 1, got m={m} k={k}")
-    lhs, rhs = _convolution(m, k)
-    return _case(ALTERNATING_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs[-1])
+    _, closed = _convolution_shifts(m, k, m, m)
+    return _case(ALTERNATING_CONVOLUTION_CLOSED, {"m": m, "k": k}, _convolution_lhs(m, k), closed)
 
 
 def check_hockey_stick(k: int, m: int) -> IdentityCase:
@@ -267,8 +295,8 @@ def check_weighted_shift(m: int, k: int, a: int) -> IdentityCase:
     """Weighted convolution vs its a-fold shifted form plus correction."""
     if m <= 1 or k < 2 or a < 1 or a > m - 2:
         raise ValueError(f"need m > 1, k >= 2, 1 <= a <= m-2, got m={m} k={k} a={a}")
-    lhs, rhs = _weighted_shift(m, k)
-    return _case(WEIGHTED_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs[a - 1])
+    (rhs,) = _weighted_shifts(m, k, a, a)
+    return _case(WEIGHTED_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, _weighted_lhs(m, k), rhs)
 
 
 def check_weighted_convolution(m: int, k: int) -> IdentityCase:

@@ -35,24 +35,38 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-from mpmath import mp
-from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    from_int,
-    from_rational,
-    from_str,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_div,
-    mpf_mul,
-    mpf_neg,
-    mpf_sub,
-    to_rational,
-)
+# mpmath carries float mode only, so it is imported by the first float value
+# (``_bind_mpmath``) and a run that stays exact never loads it
+mpmath = mp = None
+finf = fnan = fninf = from_int = from_rational = from_str = normalize = None
+mpf_abs = mpf_add = mpf_cmp = mpf_div = mpf_mul = mpf_neg = mpf_sub = to_rational = None
+
+
+def _bind_mpmath() -> None:
+    """Bind this module's mpmath names, once: the float constructors and
+    ``Scalar.__post_init__`` call it before a float value is used."""
+    global mpmath, mp, finf, fnan, fninf, from_int, from_rational, from_str, normalize
+    global mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_sub, to_rational
+    import mpmath
+    from mpmath import mp
+    from mpmath.libmp import (
+        finf,
+        fnan,
+        fninf,
+        from_int,
+        from_rational,
+        from_str,
+        mpf_abs,
+        mpf_add,
+        mpf_cmp,
+        mpf_div,
+        mpf_mul,
+        mpf_neg,
+        mpf_sub,
+        normalize,
+        to_rational,
+    )
+
 
 MIN_PRECISION = 64
 
@@ -112,10 +126,6 @@ def _wrap(raw) -> mpmath.mpf:
     return mp.make_mpf(raw)
 
 
-def _fraction_to_mpf(f: Fraction, precision: int) -> mpmath.mpf:
-    return _wrap(from_rational(f.numerator, f.denominator, significand_bits(precision), "n"))
-
-
 def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
     p, q = to_rational(_raw(x))
     return Fraction(int(p), int(q))
@@ -164,6 +174,8 @@ class Scalar:
                 return Scalar(Fraction(text), True)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
+        if mp is None:
+            _bind_mpmath()
         bits = significand_bits(precision)
         try:
             _require_plain(text)
@@ -182,16 +194,34 @@ class Scalar:
     def from_raw(raw: tuple, precision: int) -> "Scalar":
         """A float from a raw mpmath value tuple already rounded to the
         significand of ``precision``."""
+        if mp is None:
+            _bind_mpmath()
         return Scalar(_wrap(raw), False, precision)
 
     @staticmethod
     def approx(value: Union[int, Fraction, "Scalar"], precision: int = MIN_PRECISION) -> "Scalar":
-        """Round a value to float mode at the given IEEE-equivalent width."""
+        """Round a value to float mode at the given IEEE-equivalent width.
+
+        A float of another width is re-rounded from its raw mantissa; it
+        is never spelled out as a ``Fraction``, whose denominator would
+        be 2**-exponent (a 332-million-bit int for "1e-99999999").  Zero,
+        an infinity and NaN have no mantissa and keep their value.
+        """
+        if mp is None:
+            _bind_mpmath()
+        bits = significand_bits(precision)
         if isinstance(value, Scalar):
-            if not value.exact and value.precision == precision:
+            if value.exact:
+                value = value.value
+            elif value.precision == precision:
                 return value
-            value = value.as_fraction()
-        return Scalar(_fraction_to_mpf(Fraction(value), precision), False, precision)
+            else:
+                sign, man, exp, bc = raw = _raw(value.value)
+                if man:
+                    raw = normalize(sign, man, exp, bc, bits, "n")
+                return Scalar(_wrap(raw), False, precision)
+        f = Fraction(value)
+        return Scalar(_wrap(from_rational(f.numerator, f.denominator, bits, "n")), False, precision)
 
     def __post_init__(self) -> None:
         if self.exact:
@@ -202,6 +232,8 @@ class Scalar:
         else:
             if self.precision is None or self.precision < MIN_PRECISION:
                 raise ValueError(f"inexact Scalar requires precision >= {MIN_PRECISION}")
+            if mp is None:  # a float built directly from an mpmath value
+                _bind_mpmath()
 
     # -- views ----------------------------------------------------------
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import isfinite
-
 from .scalar import Scalar
 
 
@@ -49,9 +47,12 @@ class TaylorSeries:
         if len(self.coeffs) < count:
             raise ValueError(
                 f"need {count} coefficients, series has only {len(self.coeffs)}")
-        for i, c in enumerate(self.coeffs[:count]):
-            if not (c.exact or isfinite(c.value)):
-                raise ValueError(f"coefficient coeffs[{i}] must be finite, got {c}")
+        inexact = [(i, c) for i, c in enumerate(self.coeffs[:count]) if not c.exact]
+        if inexact:
+            from mpmath import isfinite  # loaded already: the float values hold mpmath numbers
+            for i, c in inexact:
+                if not isfinite(c.value):
+                    raise ValueError(f"coefficient coeffs[{i}] must be finite, got {c}")
 
     def to_inexact(self, precision: int = 64) -> "TaylorSeries":
         """Round every entry to float mode at the given width."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpower import identities
+from invpower import cli, identities
 from invpower.cli import main
 from invpower.corpus import (
     MAX_FILE_COEFFS,
@@ -312,6 +312,52 @@ def test_corpus_file_feeds_estimate(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # flag handling
 # ---------------------------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``; help exits through
+    ``SystemExit`` as argparse raises it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_EST = ["estimate", "--corpus", "one-over-x", "--m-max", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-x"],
+    ["nope"],
+    ["est"],
+    ["--", *_EST],
+    *([name, "-h"] for name in ("estimate", "approximate", "verify-identities", "corpus")),
+    ["estimate", "--he"],
+    ["estimate", "--corpus", "one-over-x"],
+    ["approximate", "--corpus", "one-over-x", "--m", "zz"],
+    [*_EST, "--mode", "fast"],
+    [*_EST, "--digits", "0"],
+    ["estimate", "--corpus", "one-over-x", "--coeffs", "c.json", "--m-max", "3"],
+    ["approximate", "--corpus", "one-over-x", "--m", "2", "--bogus"],
+    ["corpus", "--fn", "one-over-x", "--n", "3", "stray"],
+    [*_EST, "--", "stray"],
+    [*_EST, "--format", "json"],
+    ["approximate", "--corpus", "one-over-x", "--m", "2", "--eval", "3"],
+    ["verify-identities", "--m-max", "2", "--k-max", "2"],
+    ["corpus", "--fn", "one-over-x", "--n", "3"],
+])
+def test_subcommand_parser_matches_full_parser(capsys, monkeypatch, argv):
+    """``main`` builds only the named subcommand's parser; its exit code,
+    stdout and stderr are those of a ``main`` forced through the full
+    parser, for help, usage errors, leftovers and successful runs."""
+    fast = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda args: cli.build_parser().parse_args(args))
+    assert _outcome(capsys, argv) == fast
 
 
 def test_malformed_flags_exit_one(capsys):

@@ -398,10 +398,31 @@ def test_meta_is_an_object_with_a_string_description(tmp_path, meta, field, kind
 
 def test_undeclared_float_content_points_at_float_mode(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"center": "1", "coeffs": ["0x1.8p3"], "exact": True}))
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1e999999"], "exact": True}))
     with pytest.raises(CoefficientFileError) as err:
         load_coefficient_file(str(path))
-    assert "exact" in str(err.value)
+    assert str(err.value).endswith('; declare "exact": false to load as floats')
+
+
+@pytest.mark.parametrize("text,hinted", [
+    ("nan", False),
+    ("inf", False),
+    ("1/0", False),
+    ("1_0", False),
+    ("0x1.8p3", False),
+    ("1e999999", True),
+    ("-2.5e-5000", True),
+])
+def test_float_mode_hint_only_where_a_float_file_would_load(tmp_path, text, hinted):
+    """An exact file's parse error suggests ``"exact": false`` only when
+    float mode would read the same text."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1", text], "exact": True}))
+    with pytest.raises(CoefficientFileError) as err:
+        load_coefficient_file(str(path))
+    message = str(err.value)
+    assert message.startswith(f"{path}: field 'coeffs'[1]: cannot parse {text!r}")
+    assert message.endswith('; declare "exact": false to load as floats') == hinted
 
 
 # ---------------------------------------------------------------------------

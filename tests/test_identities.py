@@ -230,6 +230,24 @@ def test_single_pair_matches_literal_oracle(m, k):
         == (total, total, 0, skipped)
 
 
+@pytest.mark.parametrize("m,k", [(0, 1), (1, 5), (3, 2), (6, 6), (9, 4), (12, 30), (40, 60)])
+def test_single_tuple_checks_agree_with_family_rows(m, k):
+    """A single-tuple check asks the family's right-side code for the one
+    a it needs, and gets the family kernel's entry for that a."""
+    lhs, rhs = identities._convolution(m, k)
+    for a in range(m + 1):
+        case = check_convolution_shift(m, k, a)
+        assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[a], True)
+    case = check_alternating_convolution(m, k)
+    assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[-1], True)
+    if m >= 3 and k >= 2:
+        lhs, rhs = identities._weighted_shift(m, k)
+        assert len(rhs) == m - 2
+        for a in range(1, m - 1):
+            case = check_weighted_shift(m, k, a)
+            assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[a - 1], True)
+
+
 # ---------------------------------------------------------------------------
 # failure path: a kernel returning one wrong right side
 # ---------------------------------------------------------------------------

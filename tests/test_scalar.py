@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational
 
 from invpower.scalar import (
     MIN_PRECISION,
@@ -15,6 +20,8 @@ from invpower.scalar import (
 )
 
 from _oracles import RawFrac
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=200)
 
@@ -232,6 +239,44 @@ def test_float_comparisons_match_dyadic_values(a, b, precision, scale, both_floa
         fs, ft = s.as_fraction(), t.as_fraction()
         assert (s < t, s <= t, s == t, s != t, s > t, s >= t) == (
             fs < ft, fs <= ft, fs == ft, fs != ft, fs > ft, fs >= ft)
+
+
+def _approx_via_fraction(x, precision):
+    """The rounding ``Scalar.approx`` used to do: spell the float out as a
+    Fraction, then round that to the new width."""
+    f = x.as_fraction()
+    return from_rational(f.numerator, f.denominator, significand_bits(precision), "n")
+
+
+@example(Fraction(1, 3), 0, 64, 128)
+@example(Fraction(1, 3), 0, 128, 64)
+@example(Fraction(-2, 3), 3, 256, 64)
+@given(rationals, st.integers(-300, 300), st.sampled_from([64, 80, 128, 256]),
+       st.sampled_from([64, 80, 128, 256]))
+def test_approx_of_float_rounds_the_raw_mantissa(value, scale, source, target):
+    """Widening or narrowing a float re-rounds its raw mantissa to the
+    same bits as rounding the rational it holds."""
+    x = Scalar.approx(value * Fraction(2) ** scale, source)
+    y = Scalar.approx(x, target)
+    assert (y.exact, y.precision) == (False, target)
+    assert y.value._mpf_ == _approx_via_fraction(x, target)
+
+
+def test_approx_of_float_with_a_huge_exponent_finishes():
+    """A parsed 1e-99999999 holds a 2**-332 million exponent; widening it
+    must not expand that into a Fraction (which ran for over a minute)."""
+    probe = ("from invpower.scalar import Scalar\n"
+             "x = Scalar.approx(Scalar.parse('1e-99999999', exact=False, precision=64), 128)\n"
+             "y = Scalar.approx(x, 64)\n"
+             "print(x.precision, y.precision, 0 < y < x * 2, x.value._mpf_[2])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    precision, narrowed, ordered, exponent = proc.stdout.split()
+    assert (precision, narrowed, ordered) == ("128", "64", "True")
+    assert int(exponent) < -332_000_000
 
 
 def test_parse_float_mode():

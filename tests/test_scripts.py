@@ -56,21 +56,22 @@ def test_float_study_output_unchanged():
 
 
 def test_bench_writes_one_column_per_run(tmp_path):
-    """``bench.py`` at its smallest size: two runs share one file, a
-    column each, with every layer timed and the interpreter recorded."""
+    """``bench.py`` at a small size: two runs share one file, a column
+    each, with every layer timed and the interpreter recorded."""
     out = tmp_path / "bench.json"
     for column in ("parent", "change"):
         proc = run_script("bench.py", "--out", str(out), "--column", column,
-                          "--sizes", "50", "--repeat", "1")
+                          "--sizes", "20", "--repeat", "1")
         assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
-    assert doc["sizes"] == [50]
+    assert doc["sizes"] == [20]
     assert set(doc["columns"]) == {"parent", "change"}
     assert all(set(env) == {"python", "mpmath_backend"} for env in doc["columns"].values())
+    assert "pycache_prefix" in doc["cold_start_bytecode"]
     for layer in ("convergence_table exact", "convergence_table float128",
                   "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact",
-                  "binomial_convolve exact"):
-        assert all(doc["layers"][layer][column]["50"] > 0 for column in ("parent", "change"))
+                  "binomial_convolve exact", "run_suite", "cli cold start"):
+        assert all(doc["layers"][layer][column]["20"] > 0 for column in ("parent", "change"))
 
 
 ESTIMATE = ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--format", "json"]
@@ -89,6 +90,30 @@ def test_module_entry_point_prints_what_main_prints(capsys):
 ])
 def test_module_entry_point_exit_codes(argv, code):
     assert run_python("-m", "invpower", *argv).returncode == code
+
+
+# runs ``main`` on its arguments in a fresh interpreter, then prints which of
+# mpmath and the identity suite the run imported
+IMPORT_PROBE = ("import io, sys\nfrom contextlib import redirect_stdout\nfrom invpower.cli import main\n"
+                "with redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+                "print(code, *(m for m in ('mpmath', 'invpower.identities') if m in sys.modules))")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12"], []),
+    (["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--format", "json"], []),
+    (["approximate", "--corpus", "mobius-2-3-1-2", "--m", "6", "--eval", "1/2,3"], []),
+    (["corpus", "--fn", "mobius-2-3-1-2", "--n", "5"], []),
+    (["verify-identities", "--m-max", "3", "--k-max", "3"], ["invpower.identities"]),
+    # the probe sees mpmath when float mode loads it
+    (["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--mode", "float"], ["mpmath"]),
+])
+def test_commands_import_only_what_they_run(argv, loaded):
+    """An exact run never imports mpmath, and only verify-identities
+    imports the identity suite."""
+    proc = run_python("-c", IMPORT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", *loaded]
 
 
 def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys):
