@@ -7,8 +7,10 @@
 
 Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
 exact or rounded to 128-bit floats, at each dimension m in ``--sizes``:
-``taylor_coeffs`` expands it to m + 1 coefficients, and ``evaluate``
-sums its dimension-m approximant at x = 1/2.  ``run_suite`` checks
+``taylor_coeffs`` expands it to m + 1 coefficients, ``evaluate`` sums
+its dimension-m approximant at x = 1/2, and ``estimate_limits`` reads
+the limits off its dimension-m convergence table at tolerance 1e-9.
+The ``cli`` layers call ``main`` in-process.  ``run_suite`` checks
 every identity tuple with m and k up to the size, as
 ``verify-identities --m-max m --k-max m`` does.  ``cli cold start`` is
 a whole ``python -m invpower estimate`` process (exact, ``--m-max m``):
@@ -20,8 +22,8 @@ A cell is the median CPU time per call over ``--repeat``
 samples; a sample repeats the call until it has used 0.2 CPU seconds.
 A sample that uses more than ``BUDGET_S`` (10) CPU seconds is stopped
 by a CPU timer, and that size and every larger one of the layer are
-recorded as null.  The series and approximants are built before the
-timing starts.
+recorded as null.  The series, approximants and tables are built
+before the timing starts.
 
 The output file holds one column per ``--column`` name, each with the
 Python version and mpmath's arithmetic backend it ran under.  An
@@ -89,10 +91,10 @@ def cold_start(src: Path, pycache: str):
 
 def layers(sizes, src: Path, pycache: str):
     """Layer name -> (clock, f(m) that makes one call), for m in
-    ``sizes``; the series and approximants it reads are built here,
+    ``sizes``; the series, approximants and tables it reads are built here,
     before any timing."""
     from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
-    from invpower.asymptotics import convergence_table
+    from invpower.asymptotics import convergence_table, estimate_limits
     from invpower.cli import main
     from invpower.corpus import mobius, taylor_coeffs
     from invpower.identities import SuiteRanges, run_suite
@@ -103,7 +105,8 @@ def layers(sizes, src: Path, pycache: str):
     exact = taylor_coeffs(f, center, max(sizes) + 1)
     floats = exact.to_inexact(FLOAT_PRECISION)
     approximants = {m: coeffs_closed_form(exact, m) for m in sizes}
-    point = Scalar.rational(1, 2)
+    tables = {m: convergence_table(exact, m) for m in sizes}
+    point, tol = Scalar.rational(1, 2), Scalar.rational(1, 10 ** 9)
 
     def cli(*argv):
         def call(m):
@@ -121,11 +124,14 @@ def layers(sizes, src: Path, pycache: str):
         "evaluate exact": lambda m: evaluate(approximants[m], point),
         "convergence_table exact": lambda m: convergence_table(exact, m),
         f"convergence_table float{precision}": lambda m: convergence_table(floats, m),
+        "estimate_limits exact": lambda m: estimate_limits(tables[m], tol),
         "coeffs_closed_form exact": lambda m: coeffs_closed_form(exact, m),
         f"coeffs_closed_form float{precision}": lambda m: coeffs_closed_form(floats, m),
         "coeffs_via_matrix exact": lambda m: coeffs_via_matrix(exact, m),
         "binomial_convolve exact": lambda m: binomial_convolve(exact, m),
-        "cli estimate exact": cli("estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}"),
+        **{f"cli estimate exact {fmt}": cli(
+            "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}", "--format", fmt)
+           for fmt in ("csv", "json")},
         f"cli estimate float{precision}": cli(
             "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}",
             "--mode", "float", "--precision", precision),

@@ -14,7 +14,7 @@ Exact series read both rows off the approximant's one integer kernel,
 :mod:`invpower.approximant`): with the binomial convolution d_N,
 q0(m) = sum_{N<=m} d_N and q1(m) = -sum_{N<=m} N*d_N, so the deltas are
 |d_m| and m*|d_m|, and the whole table costs one O(M**2) convolution.
-Values become ``Scalar`` only when a row is built.
+Values stay integers over the common denominator D until a row is read.
 
 Float series keep the literal per-row sums of m+1 binomial-weighted
 terms, all rows in one pass of the approximant's float kernel,
@@ -42,6 +42,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .approximant import exact_convolution, float_coefficients, float_dots
 from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
@@ -63,13 +64,42 @@ class ConvergenceRow:
     delta1: Scalar | None
 
 
-@dataclass(frozen=True)
 class ConvergenceTable:
-    rows: tuple[ConvergenceRow, ...]
-    m_max: int
+    """Rows m = 0..m_max of the two leading coefficients with deltas.
+
+    A table built by hand holds its rows.  An exact table holds the
+    convolution ``d`` over the common denominator ``den`` and the running
+    numerators (:meth:`numerators`), and builds a row each time it is
+    read.  ``den`` is None for every other table."""
+
+    def __init__(self, rows: tuple[ConvergenceRow, ...], m_max: int,
+                 den: int | None = None, d: list[int] | tuple = ()) -> None:
+        self._rows, self.m_max, self.den, self._d = tuple(rows), m_max, den, d
+        self._n0 = list(accumulate(d))
+        self._n1 = list(accumulate(-m * dm for m, dm in enumerate(d)))
+
+    def numerators(self, m: int) -> tuple[int, int | None, int | None, int | None]:
+        """Numerators over ``den`` of row m's q0, q1, delta0 and delta1,
+        None where the row has no such value; exact tables only."""
+        m = range(self.m_max + 1)[m]
+        dm = self._d[m]
+        return (self._n0[m], self._n1[m] if m else None,
+                abs(dm) if m else None, abs(m * dm) if m >= 2 else None)
 
     def row(self, m: int) -> ConvergenceRow:
-        return self.rows[m]
+        if self.den is None:
+            return self._rows[m]
+        return ConvergenceRow(range(self.m_max + 1)[m], *(
+            n if n is None else Scalar(Fraction(n, self.den), True) for n in self.numerators(m)))
+
+    @property
+    def rows(self) -> tuple[ConvergenceRow, ...]:
+        return self._rows if self.den is None else tuple(map(self.row, range(self.m_max + 1)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvergenceTable):
+            return NotImplemented
+        return (self.m_max, self.rows) == (other.m_max, other.rows)
 
 
 @dataclass(frozen=True)
@@ -81,24 +111,6 @@ class AsymptoticEstimate:
     q0_converged: bool
     q1_converged: bool
     m_used: int
-
-
-def _exact_rows(c: tuple[Scalar, ...], m_max: int) -> list[ConvergenceRow]:
-    """Rows of an exact series as running sums of its binomial convolution."""
-    d, den = exact_convolution(c, m_max)
-
-    def exact(num: int) -> Scalar:
-        return Scalar(Fraction(num, den), True)
-
-    n0, n1 = d[0], 0
-    rows = [ConvergenceRow(0, exact(n0), None, None, None)]
-    for m in range(1, m_max + 1):
-        dm, mdm = d[m], m * d[m]
-        n0 += dm
-        n1 -= mdm
-        rows.append(ConvergenceRow(m, exact(n0), exact(n1), exact(abs(dm)),
-                                   exact(abs(mdm)) if m >= 2 else None))
-    return rows
 
 
 def _float_weights(m_max: int):
@@ -142,7 +154,8 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
     series.require_coefficients(m_max + 1)
     prec = series.float_precision
     if prec is None:
-        return ConvergenceTable(tuple(_exact_rows(series.coeffs, m_max)), m_max)
+        d, den = exact_convolution(series.coeffs, m_max)
+        return ConvergenceTable((), m_max, den, d)
     if cancellation_hazard(m_max, prec):
         warnings.warn(CancellationWarning(
             f"convergence table to dimension {m_max} at {prec}-bit floats: "
@@ -154,24 +167,21 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
 def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:
     """Read limits off the table: last row value, last delta as indicator.
 
-    A component is flagged converged only when its final two deltas are
-    both within tolerance; a single row can never claim convergence.  A
-    table too short for that (under three rows) is read all the same: the
-    last row, its deltas (``None`` where a row has none) and both flags
-    false.
+    A component is flagged converged only when the deltas of the last two
+    rows are both within tolerance, so only those two rows are read; a
+    single row can never claim convergence.  A table too short for that
+    (under three rows) is read all the same: the last row, its deltas
+    (``None`` where a row has none) and both flags false.
     """
-    last = table.rows[-1]
-    deltas0 = [r.delta0 for r in table.rows if r.delta0 is not None]
-    deltas1 = [r.delta1 for r in table.rows if r.delta1 is not None]
-    q0_ok = len(deltas0) >= 2 and all(d <= tol for d in deltas0[-2:])
-    q1_ok = len(deltas1) >= 2 and all(d <= tol for d in deltas1[-2:])
+    last = table.row(-1)
+    tail = [table.row(-2), last] if table.m_max else []
     return AsymptoticEstimate(
         q0=last.q0,
         q1=last.q1,
-        error_indicator_q0=deltas0[-1] if deltas0 else None,
-        error_indicator_q1=deltas1[-1] if deltas1 else None,
-        q0_converged=q0_ok,
-        q1_converged=q1_ok,
+        error_indicator_q0=last.delta0,
+        error_indicator_q1=last.delta1,
+        q0_converged=bool(tail) and all(r.delta0 is not None and r.delta0 <= tol for r in tail),
+        q1_converged=bool(tail) and all(r.delta1 is not None and r.delta1 <= tol for r in tail),
         m_used=table.m_max,
     )
 

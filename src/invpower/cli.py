@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 from .approximant import coeffs_closed_form, evaluate
 from .asymptotics import convergence_table, estimate_limits
 from .corpus import (
+    MAX_FILE_COEFFS,
     CorpusFunction,
     HypothesisReport,
     coefficient_file_payload,
@@ -45,7 +46,7 @@ from .corpus import (
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .scalar import MIN_PRECISION, Scalar
+from .scalar import MIN_PRECISION, Scalar, decimal_renderer, ratio_text
 from .series import TaylorSeries
 
 K_GE_2_NOTE = (
@@ -91,6 +92,14 @@ def _cell(args) -> Callable:
     if args.format == "json":
         return _json_cell
     return functools.partial(_csv_cell, args.digits)
+
+
+def _numerator_cell(args, den: int) -> Callable:
+    """``_cell`` of ``Scalar(Fraction(n, den))`` for a numerator n, without building it."""
+    if args.format == "json":
+        return lambda n: None if n is None else ratio_text(n, den)
+    text = decimal_renderer(den, args.digits)
+    return lambda n: "" if n is None else text(n)
 
 
 def _csv_table(fields: tuple[str, ...], records: list[dict]) -> list[str]:
@@ -259,6 +268,13 @@ def _resolve_series(args, n_coeffs: int) -> tuple[TaylorSeries, CorpusFunction |
     return series, None
 
 
+def _check_size(flag: str, value: int) -> None:
+    """Reject a size flag above the limit coefficient files have, before
+    anything of that length is built."""
+    if value > MAX_FILE_COEFFS:
+        raise CliError(f"{flag} must be <= {MAX_FILE_COEFFS}, got {value}")
+
+
 def _check_precision(args) -> None:
     if args.precision < MIN_PRECISION:
         raise CliError(f"--precision must be >= {MIN_PRECISION}, got {args.precision}")
@@ -281,6 +297,7 @@ _ROW_FIELDS = ("m", "q0", "q1", "delta0", "delta1")
 def cmd_estimate(args) -> int:
     if args.m_max < 0:
         raise CliError("--m-max must be >= 0")
+    _check_size("--m-max", args.m_max)
     tol = _parse_rational(args.tol, "--tol")
     if tol < 0:
         raise CliError(f"--tol must be >= 0, got {args.tol}")
@@ -295,8 +312,13 @@ def cmd_estimate(args) -> int:
     series = _maybe_float(series, args)
     table = convergence_table(series, args.m_max)
     est = estimate_limits(table, tol)
-    rows = [dict(zip(_ROW_FIELDS, map(cell, (r.m, r.q0, r.q1, r.delta0, r.delta1))))
-            for r in table.rows]
+    if table.den is None:
+        rows = [dict(zip(_ROW_FIELDS, map(cell, (r.m, r.q0, r.q1, r.delta0, r.delta1))))
+                for r in table.rows]
+    else:
+        exact = _numerator_cell(args, table.den)
+        rows = [dict(zip(_ROW_FIELDS, (cell(m), *map(exact, table.numerators(m)))))
+                for m in range(table.m_max + 1)]
     summary = {k: cell(v) for k, v in {
         "q0": est.q0,
         "q1": est.q1,
@@ -360,6 +382,7 @@ def _evaluation(approx, source: CorpusFunction | None, x: Scalar) -> tuple:
 def cmd_approximate(args) -> int:
     if args.m < 0:
         raise CliError("--m must be >= 0")
+    _check_size("--m", args.m)
     series, source = _resolve_series(args, args.m + 1)
     series = _maybe_float(series, args)
     approx = coeffs_closed_form(series, args.m)
@@ -396,6 +419,8 @@ def cmd_approximate(args) -> int:
 def cmd_verify_identities(args) -> int:
     if args.m_max < 0 or args.k_max < 0:
         raise CliError("--m-max and --k-max must be >= 0")
+    _check_size("--m-max", args.m_max)
+    _check_size("--k-max", args.k_max)
     from . import identities  # only this command loads the identity suite
 
     ranges = identities.SuiteRanges(tuple(range(args.m_max + 1)), tuple(range(args.k_max + 1)))
@@ -419,6 +444,7 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    _check_size("--n", args.n)
     series, f = _corpus_series(args.fn, args.params, args.x0, args.n)
     report = HypothesisReport(series.center, series.radius_hint)
     description = (

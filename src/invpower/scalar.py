@@ -31,9 +31,9 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 # mpmath carries float mode only, so it is imported by the first float value
 # (``_bind_mpmath``) and a run that stays exact never loads it
@@ -111,6 +111,20 @@ def _int_text(n: int) -> str:
         return str(n)
     except ValueError:
         return format(Decimal(n), "f")
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms as "p/q", or bare "p" when the
+    denominator reduces to 1."""
+    g = math.gcd(num, den)
+    return _int_text(num // g) if g == den else f"{_int_text(num // g)}/{_int_text(den // g)}"
+
+
+def decimal_renderer(den: int, digits: int) -> Callable[[int], str]:
+    """n -> n/den (den > 0) to ``digits`` significant digits, correctly
+    rounded, so reducing n/den first does not change the text."""
+    divide, d = Context(prec=digits).divide, Decimal(den)
+    return lambda n: str(divide(Decimal(n), d))
 
 
 def _require_plain(text: str) -> None:
@@ -268,21 +282,14 @@ class Scalar:
 
     def render_ratio(self) -> str:
         """Render as "p/q" (bare "p" for integers); exact mode only."""
-        f = self.as_fraction()
-        if f.denominator == 1:
-            return _int_text(f.numerator)
-        return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
+        return ratio_text(*self.as_fraction().as_integer_ratio())
 
     def render_decimal(self, digits: int = 30) -> str:
         """Decimal rendering with a significant-digit budget."""
         if digits < 1:
             raise ValueError("digit budget must be positive")
         if self.exact:
-            f = self.value
-            with localcontext() as ctx:
-                ctx.prec = digits
-                d = Decimal(f.numerator) / Decimal(f.denominator)
-            return str(d)
+            return decimal_renderer(self.value.denominator, digits)(self.value.numerator)
         return mpmath.nstr(self.value, min(digits, self._dps()))
 
     # -- arithmetic -----------------------------------------------------

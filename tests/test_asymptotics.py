@@ -411,6 +411,44 @@ def test_estimate_on_short_tables_reports_last_row_unconverged(m_max):
     assert est.m_used == m_max
 
 
+_LAZY_SERIES = {
+    "quarter": (0, 1, Fraction(1, 4), 1),        # rows decay geometrically
+    "x-over-x-plus-1": (1, -1, 1, 1),
+    "reciprocal-at-one": (0, 1, 0, 1),            # every delta from m = 2 on is 0
+    "two-pole": (2, -1, 2, Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("m_max", [*range(7), 60])
+@pytest.mark.parametrize("name", list(_LAZY_SERIES))
+def test_exact_table_reads_as_the_table_built_from_its_rows(name, m_max):
+    """An exact table keeps integers and builds rows when read: every
+    row, the last one by negative index, and the estimate at tolerances
+    on either side of the last two deltas equal those of a table built
+    by hand from its rows."""
+    table, _ = table_for(*_LAZY_SERIES[name], m_max)
+    assert table.den is not None
+    by_hand = ConvergenceTable(tuple(table.rows), table.m_max)
+    assert by_hand.den is None and by_hand == table
+    for m in range(-1, m_max + 1):
+        assert table.row(m) == table.rows[m] == by_hand.row(m)
+    tail = table.rows[-2:]
+    deltas = [d.as_fraction() for r in tail for d in (r.delta0, r.delta1) if d is not None]
+    eps = Fraction(1, 10 ** 80)
+    tols = {0, *(d + s for d in deltas for s in (-eps, 0, eps))}
+    flags = set()
+    for tol in map(sc, sorted(tols)):
+        est = estimate_limits(table, tol)
+        assert est == estimate_limits(by_hand, tol)
+        flags.add((est.q0_converged, est.q1_converged))
+        if m_max >= 2:
+            assert est.q0_converged == all(r.delta0 <= tol for r in tail)
+        if m_max >= 3:
+            assert est.q1_converged == all(r.delta1 <= tol for r in tail)
+    if m_max >= 3 and any(deltas):
+        assert {(False, False), (True, True)} <= flags
+
+
 def test_center_invariance_needs_a_q1_row():
     with pytest.raises(ValueError):
         center_invariance_check(shifted_reciprocal(0, 1, 0), sc(1), sc(2), 0, sc(1))

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
@@ -441,6 +442,28 @@ def test_file_with_too_many_coefficients_rejected(capsys, tmp_path):
     assert out == ""
     assert (f"field 'coeffs' has {MAX_FILE_COEFFS + 1} entries, "
             f"more than the limit of {MAX_FILE_COEFFS}") in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["corpus", "--fn", "one-over-x", "--n"], "--n"),
+    (["estimate", "--corpus", "one-over-x", "--m-max"], "--m-max"),
+    (["approximate", "--corpus", "one-over-x", "--eval", "2", "--m"], "--m"),
+    (["verify-identities", "--k-max", "1", "--m-max"], "--m-max"),
+    (["verify-identities", "--m-max", "1", "--k-max"], "--k-max"),
+])
+@pytest.mark.parametrize("value", [MAX_FILE_COEFFS + 1, 10 ** 9])
+def test_size_flags_capped_at_the_file_limit(capsys, argv, flag, value):
+    """A size flag past the coefficient-file limit is rejected by name
+    before a list of that length is built."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, str(value))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be <= {MAX_FILE_COEFFS}, got {value}\n"
+    assert peak < 1 << 20
 
 
 def test_file_with_nonpositive_radius_rejected(capsys, tmp_path):

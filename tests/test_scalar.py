@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from decimal import Decimal
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,8 @@ from invpower.scalar import (
     Scalar,
     binom,
     cancellation_hazard,
+    decimal_renderer,
+    ratio_text,
     significand_bits,
 )
 
@@ -295,6 +298,36 @@ def test_render_decimal_budget():
     assert Scalar.rational(1, 3).render_decimal(10) == "0.3333333333"
     assert Scalar.rational(7).render_decimal(30) == "7"
     assert Scalar.rational(1, 4).render_decimal(30) == "0.25"
+
+
+_HUGE = 10 ** 4400 + 1  # past the 4,300-digit limit of str(int)
+
+
+@settings(max_examples=300)
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 30), st.integers(1, 10 ** 20),
+       st.integers(1, 60))
+@example(0, 7, 3, 1)
+@example(-_HUGE, 3, 12, 60)
+@example(_HUGE * 7, 1, 5, 30)
+def test_int_renderers_match_the_reduced_fraction(num, den, k, digits):
+    """The CLI renders an exact table's unreduced numerator k*num over k*den:
+    the decimal equals the reduced value's ``render_decimal`` and is
+    correctly rounded, and the ratio equals ``str(Fraction(num, den))``."""
+    value = Fraction(num, den)
+    text = decimal_renderer(k * den, digits)(k * num)
+    assert text == Scalar(value, True).render_decimal(digits)
+    rendered = Decimal(text)
+    assert len(rendered.as_tuple().digits) <= digits
+    assert abs(Fraction(rendered) - value) <= 5 * Fraction(10) ** (rendered.adjusted() - digits)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit to lift
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert ratio_text(k * num, k * den) == expected
 
 
 def test_min_precision_constant():

@@ -70,7 +70,8 @@ def test_bench_writes_one_column_per_run(tmp_path):
     assert "pycache_prefix" in doc["cold_start_bytecode"]
     for layer in ("convergence_table exact", "convergence_table float128",
                   "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact",
-                  "binomial_convolve exact", "run_suite", "cli cold start"):
+                  "binomial_convolve exact", "estimate_limits exact", "cli estimate exact csv",
+                  "cli estimate exact json", "run_suite", "cli cold start"):
         assert all(doc["layers"][layer][column]["20"] > 0 for column in ("parent", "change"))
 
 
