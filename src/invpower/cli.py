@@ -17,10 +17,8 @@ failure (bad flags, I/O, parse), 2 convergence-policy failure under
 ``--require-converged``.  In exact mode identical invocations produce
 byte-identical output.
 
-A call builds only the parser of the subcommand it names; help, usage
-errors and leftover arguments go through the full parser
-(:func:`build_parser`).  An exact run imports neither mpmath nor the
-identity suite.
+``main`` parses through one full parser, built on its first call and
+reused.  An exact run imports neither mpmath nor the identity suite.
 """
 
 from __future__ import annotations
@@ -132,12 +130,17 @@ def _write(args, doc: dict, csv_lines: Callable[[], list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _AtLeastOne(argparse.Action):
-    """Integer flag rejected below 1 while the arguments are parsed."""
+class _Size(argparse.Action):
+    """Integer flag checked while the arguments are parsed.  A value above
+    ``MAX_FILE_COEFFS``, the limit coefficient files have, is rejected by
+    name before anything of that size is built or read at that width; a
+    value below ``const``, when one is set, is a usage error."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            parser.error(f"argument {option_string}: must be >= 1, got {value}")
+        if self.const is not None and value < self.const:
+            parser.error(f"argument {option_string}: must be >= {self.const}, got {value}")
+        if value > MAX_FILE_COEFFS:
+            raise CliError(f"{option_string} must be <= {MAX_FILE_COEFFS}, got {value}")
         setattr(namespace, self.dest, value)
 
 
@@ -153,20 +156,20 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--precision", type=int, default=MIN_PRECISION,
+    p.add_argument("--precision", type=int, default=MIN_PRECISION, action=_Size,
                    help=f"float width in bits, >= {MIN_PRECISION} (float mode only)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p.add_argument("--digits", type=int, default=30, action=_AtLeastOne,
+    p.add_argument("--digits", type=int, default=30, action=_Size, const=1,
                    help="significant digits for CSV rendering, >= 1 (default 30)")
 
 
 def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
     _add_source_flags(p)
-    p.add_argument("--m-max", type=int, required=True, dest="m_max")
+    p.add_argument("--m-max", type=int, required=True, dest="m_max", action=_Size)
     p.add_argument("--tol", default="1e-9", help="convergence tolerance (default 1e-9)")
     _add_mode_flags(p)
     _add_output_flags(p)
@@ -176,7 +179,7 @@ def _add_estimate_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_approximate_flags(p: argparse.ArgumentParser) -> None:
     _add_source_flags(p)
-    p.add_argument("--m", type=int, required=True, help="approximant dimension")
+    p.add_argument("--m", type=int, required=True, action=_Size, help="approximant dimension")
     p.add_argument("--eval", action="append", default=[], metavar="X", dest="eval_points",
                    help="evaluation point (repeatable; commas allowed)")
     _add_mode_flags(p)
@@ -184,8 +187,8 @@ def _add_approximate_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m-max", type=int, default=25, dest="m_max")
-    p.add_argument("--k-max", type=int, default=25, dest="k_max")
+    p.add_argument("--m-max", type=int, default=25, dest="m_max", action=_Size)
+    p.add_argument("--k-max", type=int, default=25, dest="k_max", action=_Size)
     _add_output_flags(p)
 
 
@@ -193,7 +196,8 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fn", required=True, metavar="NAME", help="corpus function selector")
     p.add_argument("--params", metavar="LIST")
     p.add_argument("--x0", metavar="RAT", default="1")
-    p.add_argument("--n", type=int, required=True, help="number of coefficients")
+    p.add_argument("--n", type=int, required=True, action=_Size,
+                   help="number of coefficients")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
 
 
@@ -207,22 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``, building only the named subcommand's parser when
-    ``argv[0]`` names one and its flags take every argument.  Anything
-    else -- no arguments, an unknown command, top-level flags, leftover
-    arguments -- goes through the full parser, so its help, usage and
-    error bytes have one source.  The subcommand parser is the one the
-    full parser would build: ``_Parser(prog="invpower NAME")`` with the
-    same flags."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = _Parser(prog=f"invpower {argv[0]}")
-        _SUBCOMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+# ``main``'s parser, built on its first call and reused: parsing leaves no
+# state in a parser, and ``build_parser()`` still returns a fresh one
+_parser = functools.cache(build_parser)
 
 
 def _parse_rational(text: str, what: str) -> Scalar:
@@ -268,13 +259,6 @@ def _resolve_series(args, n_coeffs: int) -> tuple[TaylorSeries, CorpusFunction |
     return series, None
 
 
-def _check_size(flag: str, value: int) -> None:
-    """Reject a size flag above the limit coefficient files have, before
-    anything of that length is built."""
-    if value > MAX_FILE_COEFFS:
-        raise CliError(f"{flag} must be <= {MAX_FILE_COEFFS}, got {value}")
-
-
 def _check_precision(args) -> None:
     if args.precision < MIN_PRECISION:
         raise CliError(f"--precision must be >= {MIN_PRECISION}, got {args.precision}")
@@ -297,7 +281,6 @@ _ROW_FIELDS = ("m", "q0", "q1", "delta0", "delta1")
 def cmd_estimate(args) -> int:
     if args.m_max < 0:
         raise CliError("--m-max must be >= 0")
-    _check_size("--m-max", args.m_max)
     tol = _parse_rational(args.tol, "--tol")
     if tol < 0:
         raise CliError(f"--tol must be >= 0, got {args.tol}")
@@ -382,7 +365,6 @@ def _evaluation(approx, source: CorpusFunction | None, x: Scalar) -> tuple:
 def cmd_approximate(args) -> int:
     if args.m < 0:
         raise CliError("--m must be >= 0")
-    _check_size("--m", args.m)
     series, source = _resolve_series(args, args.m + 1)
     series = _maybe_float(series, args)
     approx = coeffs_closed_form(series, args.m)
@@ -419,8 +401,6 @@ def cmd_approximate(args) -> int:
 def cmd_verify_identities(args) -> int:
     if args.m_max < 0 or args.k_max < 0:
         raise CliError("--m-max and --k-max must be >= 0")
-    _check_size("--m-max", args.m_max)
-    _check_size("--k-max", args.k_max)
     from . import identities  # only this command loads the identity suite
 
     ranges = identities.SuiteRanges(tuple(range(args.m_max + 1)), tuple(range(args.k_max + 1)))
@@ -444,7 +424,6 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    _check_size("--n", args.n)
     series, f = _corpus_series(args.fn, args.params, args.x0, args.n)
     report = HypothesisReport(series.center, series.radius_hint)
     description = (
@@ -461,7 +440,7 @@ def cmd_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 # name -> (help, add_flags(parser), command): the one declaration of each
-# subcommand, read by ``build_parser``, ``_parse_args`` and ``main``
+# subcommand, read by ``build_parser`` and ``main``
 _SUBCOMMANDS = {
     "estimate": ("convergence table and limit estimates", _add_estimate_flags, cmd_estimate),
     "approximate": ("build and evaluate one approximant", _add_approximate_flags,
@@ -475,7 +454,7 @@ _SUBCOMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = _parser().parse_args(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = _SUBCOMMANDS[args.command][2](args)

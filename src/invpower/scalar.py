@@ -28,6 +28,7 @@ width is 64.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -37,35 +38,15 @@ from typing import Callable, Union
 
 # mpmath carries float mode only, so it is imported by the first float value
 # (``_bind_mpmath``) and a run that stays exact never loads it
-mpmath = mp = None
-finf = fnan = fninf = from_int = from_rational = from_str = normalize = None
-mpf_abs = mpf_add = mpf_cmp = mpf_div = mpf_mul = mpf_neg = mpf_sub = to_rational = None
+mpmath = libmp = None
 
 
 def _bind_mpmath() -> None:
-    """Bind this module's mpmath names, once: the float constructors and
+    """Bind ``mpmath`` and ``libmp``, once: the float constructors and
     ``Scalar.__post_init__`` call it before a float value is used."""
-    global mpmath, mp, finf, fnan, fninf, from_int, from_rational, from_str, normalize
-    global mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_mul, mpf_neg, mpf_sub, to_rational
+    global mpmath, libmp
     import mpmath
-    from mpmath import mp
-    from mpmath.libmp import (
-        finf,
-        fnan,
-        fninf,
-        from_int,
-        from_rational,
-        from_str,
-        mpf_abs,
-        mpf_add,
-        mpf_cmp,
-        mpf_div,
-        mpf_mul,
-        mpf_neg,
-        mpf_sub,
-        normalize,
-        to_rational,
-    )
+    import mpmath.libmp as libmp
 
 
 MIN_PRECISION = 64
@@ -137,11 +118,11 @@ def _raw(x: mpmath.mpf):
 
 
 def _wrap(raw) -> mpmath.mpf:
-    return mp.make_mpf(raw)
+    return mpmath.mp.make_mpf(raw)
 
 
 def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    p, q = to_rational(_raw(x))
+    p, q = libmp.to_rational(_raw(x))
     return Fraction(int(p), int(q))
 
 
@@ -188,19 +169,19 @@ class Scalar:
                 return Scalar(Fraction(text), True)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
-        if mp is None:
+        if libmp is None:
             _bind_mpmath()
         bits = significand_bits(precision)
         try:
             _require_plain(text)
             if "/" in text:
                 num, den = text.split("/", 1)
-                raw = from_rational(int(num), int(den), bits, "n")
+                raw = libmp.from_rational(int(num), int(den), bits, "n")
             else:
-                raw = from_str(text, bits, "n")
+                raw = libmp.from_str(text, bits, "n")
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r} as a float: {exc}") from None
-        if raw in (fnan, finf, fninf):
+        if raw in (libmp.fnan, libmp.finf, libmp.fninf):
             raise ValueError(f"cannot parse {text!r} as a float: not a finite number")
         return Scalar(_wrap(raw), False, precision)
 
@@ -208,7 +189,7 @@ class Scalar:
     def from_raw(raw: tuple, precision: int) -> "Scalar":
         """A float from a raw mpmath value tuple already rounded to the
         significand of ``precision``."""
-        if mp is None:
+        if libmp is None:
             _bind_mpmath()
         return Scalar(_wrap(raw), False, precision)
 
@@ -221,7 +202,7 @@ class Scalar:
         be 2**-exponent (a 332-million-bit int for "1e-99999999").  Zero,
         an infinity and NaN have no mantissa and keep their value.
         """
-        if mp is None:
+        if libmp is None:
             _bind_mpmath()
         bits = significand_bits(precision)
         if isinstance(value, Scalar):
@@ -232,10 +213,11 @@ class Scalar:
             else:
                 sign, man, exp, bc = raw = _raw(value.value)
                 if man:
-                    raw = normalize(sign, man, exp, bc, bits, "n")
+                    raw = libmp.normalize(sign, man, exp, bc, bits, "n")
                 return Scalar(_wrap(raw), False, precision)
         f = Fraction(value)
-        return Scalar(_wrap(from_rational(f.numerator, f.denominator, bits, "n")), False, precision)
+        raw = libmp.from_rational(f.numerator, f.denominator, bits, "n")
+        return Scalar(_wrap(raw), False, precision)
 
     def __post_init__(self) -> None:
         if self.exact:
@@ -246,7 +228,7 @@ class Scalar:
         else:
             if self.precision is None or self.precision < MIN_PRECISION:
                 raise ValueError(f"inexact Scalar requires precision >= {MIN_PRECISION}")
-            if mp is None:  # a float built directly from an mpmath value
+            if libmp is None:  # a float built directly from an mpmath value
                 _bind_mpmath()
 
     # -- views ----------------------------------------------------------
@@ -301,9 +283,9 @@ class Scalar:
         precs = [s.precision for s in (self, other) if not s.exact]
         prec = min(p for p in precs if p is not None)
         bits = significand_bits(prec)
-        x = _raw(self.value) if not self.exact else from_rational(
+        x = _raw(self.value) if not self.exact else libmp.from_rational(
             self.value.numerator, self.value.denominator, bits, "n")
-        y = _raw(other.value) if not other.exact else from_rational(
+        y = _raw(other.value) if not other.exact else libmp.from_rational(
             other.value.numerator, other.value.denominator, bits, "n")
         return x, y, False, prec
 
@@ -315,23 +297,25 @@ class Scalar:
             return Scalar(Fraction(other), True)
         return NotImplemented
 
-    def _binary(self, other, exact_op, mpf_op):
+    def _binary(self, other, exact_op, mpf_name: str):
+        """``exact_op`` on two exact operands, else ``libmp.<mpf_name>``:
+        exact runs never bind ``libmp``, so the float op is looked up by name."""
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         x, y, exact, prec = self._pair(other)
         if exact:
             return Scalar(exact_op(x, y), True)
-        bits = significand_bits(prec)
-        return Scalar(_wrap(mpf_op(x, y, bits, "n")), False, prec)
+        mpf_op = getattr(libmp, mpf_name)
+        return Scalar(_wrap(mpf_op(x, y, significand_bits(prec), "n")), False, prec)
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b, mpf_add)
+        return self._binary(other, operator.add, "mpf_add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b, mpf_sub)
+        return self._binary(other, operator.sub, "mpf_sub")
 
     def __rsub__(self, other):
         other = Scalar._coerce(other)
@@ -340,7 +324,7 @@ class Scalar:
         return other.__sub__(self)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b, mpf_mul)
+        return self._binary(other, operator.mul, "mpf_mul")
 
     __rmul__ = __mul__
 
@@ -350,7 +334,7 @@ class Scalar:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("scalar division by zero")
-        return self._binary(other, lambda a, b: a / b, mpf_div)
+        return self._binary(other, operator.truediv, "mpf_div")
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -361,19 +345,19 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         if self.exact:
             return Scalar(-self.value, True)
-        return Scalar(_wrap(mpf_neg(_raw(self.value))), False, self.precision)
+        return Scalar(_wrap(libmp.mpf_neg(_raw(self.value))), False, self.precision)
 
     def __abs__(self) -> "Scalar":
         if self.exact:
             return Scalar(abs(self.value), True)
-        return Scalar(_wrap(mpf_abs(_raw(self.value))), False, self.precision)
+        return Scalar(_wrap(libmp.mpf_abs(_raw(self.value))), False, self.precision)
 
     # -- comparisons (exact, via the dyadic value of floats) ------------
 
     def _ratio(self) -> tuple[tuple, int]:
         """The value as an exact raw mpmath numerator over a positive int."""
         if self.exact:
-            return from_int(self.value.numerator), self.value.denominator
+            return libmp.from_int(self.value.numerator), self.value.denominator
         return _raw(self.value), 1
 
     def _cmp(self, other) -> int:
@@ -387,7 +371,8 @@ class Scalar:
         # float's binary exponent apart, where its Fraction would spell out
         # 2**exponent (a 400 MB int for a parsed "1e-999999999")
         (a, p), (b, q) = self._ratio(), other._ratio()
-        return mpf_cmp(mpf_mul(a, from_int(q)), mpf_mul(b, from_int(p)))
+        return libmp.mpf_cmp(libmp.mpf_mul(a, libmp.from_int(q)),
+                             libmp.mpf_mul(b, libmp.from_int(p)))
 
     def __eq__(self, other):
         c = self._cmp(other)

@@ -329,7 +329,7 @@ def _outcome(capsys, argv):
 _EST = ["estimate", "--corpus", "one-over-x", "--m-max", "3"]
 
 
-@pytest.mark.parametrize("argv", [
+_PARSE_ARGVS = [
     [],
     ["-h"],
     ["--help"],
@@ -351,14 +351,36 @@ _EST = ["estimate", "--corpus", "one-over-x", "--m-max", "3"]
     ["approximate", "--corpus", "one-over-x", "--m", "2", "--eval", "3"],
     ["verify-identities", "--m-max", "2", "--k-max", "2"],
     ["corpus", "--fn", "one-over-x", "--n", "3"],
-])
-def test_subcommand_parser_matches_full_parser(capsys, monkeypatch, argv):
-    """``main`` builds only the named subcommand's parser; its exit code,
-    stdout and stderr are those of a ``main`` forced through the full
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGVS)
+def test_subcommand_parser_matches_full_parser(capsys, argv):
+    """``main`` reuses one parser; after it has served every other argv it
+    gives this one the exit code, stdout and stderr of a freshly built
     parser, for help, usage errors, leftovers and successful runs."""
-    fast = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_parse_args", lambda args: cli.build_parser().parse_args(args))
-    assert _outcome(capsys, argv) == fast
+    cli._parser.cache_clear()
+    fresh = _outcome(capsys, argv)
+    for other in _PARSE_ARGVS:
+        if other != argv:
+            _outcome(capsys, other)
+    assert _outcome(capsys, argv) == fresh
+
+
+def test_reused_parser_keeps_no_argument_state(capsys):
+    """A flag given to one call is not seen by the next: ``--eval`` appends
+    to its default list, which must stay empty, and ``--digits`` is stored
+    by the size action, which must leave its default alone."""
+    argv = ["approximate", "--corpus", "one-over-x", "--m", "2", "--format", "json"]
+    for points, xs in ((["--eval", "3"], ["3"]), ([], []), (["--eval", "5"], ["5"]), ([], [])):
+        code, out, err = run(capsys, *argv, *points)
+        assert (code, err) == (0, "")
+        assert [e["x"] for e in json.loads(out)["evaluations"]] == xs
+    argv = ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "3"]
+    cli._parser.cache_clear()
+    fresh = _outcome(capsys, argv)
+    _outcome(capsys, [*argv, "--digits", "5"])
+    assert _outcome(capsys, argv) == fresh
 
 
 def test_malformed_flags_exit_one(capsys):
@@ -450,6 +472,13 @@ def test_file_with_too_many_coefficients_rejected(capsys, tmp_path):
     (["approximate", "--corpus", "one-over-x", "--eval", "2", "--m"], "--m"),
     (["verify-identities", "--k-max", "1", "--m-max"], "--m-max"),
     (["verify-identities", "--m-max", "1", "--k-max"], "--k-max"),
+    (["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "3", "--digits"], "--digits"),
+    (["approximate", "--corpus", "one-over-x", "--m", "2", "--eval", "3", "--digits"],
+     "--digits"),
+    (["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "3", "--mode", "float",
+      "--precision"], "--precision"),
+    (["approximate", "--corpus", "one-over-x", "--m", "2", "--eval", "3", "--mode", "float",
+      "--precision"], "--precision"),
 ])
 @pytest.mark.parametrize("value", [MAX_FILE_COEFFS + 1, 10 ** 9])
 def test_size_flags_capped_at_the_file_limit(capsys, argv, flag, value):
