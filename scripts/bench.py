@@ -6,7 +6,8 @@
     python scripts/bench.py --out /tmp/b.json --column x --sizes 50 --repeat 1
 
 Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
-exact or rounded to 128-bit floats, at each dimension m in ``--sizes``:
+exact or rounded to 64- and 128-bit floats, at each dimension m in
+``--sizes``:
 ``taylor_coeffs`` expands it to m + 1 coefficients, ``evaluate`` sums
 its dimension-m approximant at x = 1/2, and ``estimate_limits`` reads
 the limits off its dimension-m convergence table at tolerance 1e-9.
@@ -53,7 +54,7 @@ import mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 200, 800, 2000)
-FLOAT_PRECISION = 128
+FLOAT_PRECISIONS = (64, 128)
 MIN_SAMPLE_S = 0.2
 BUDGET_S = 10.0
 COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"
@@ -103,7 +104,7 @@ def layers(sizes, src: Path, pycache: str):
 
     f, center = mobius(2, 3, 1, 2), Scalar.rational(1)
     exact = taylor_coeffs(f, center, max(sizes) + 1)
-    floats = exact.to_inexact(FLOAT_PRECISION)
+    floats = {p: exact.to_inexact(p) for p in FLOAT_PRECISIONS}
     approximants = {m: coeffs_closed_form(exact, m) for m in sizes}
     tables = {m: convergence_table(exact, m) for m in sizes}
     point, tol = Scalar.rational(1, 2), Scalar.rational(1, 10 ** 9)
@@ -118,23 +119,24 @@ def layers(sizes, src: Path, pycache: str):
                 raise SystemExit(f"{' '.join(args)} exited {code}")
         return call
 
-    precision = str(FLOAT_PRECISION)
     calls = {
         "taylor_coeffs exact": lambda m: taylor_coeffs(f, center, m + 1),
         "evaluate exact": lambda m: evaluate(approximants[m], point),
         "convergence_table exact": lambda m: convergence_table(exact, m),
-        f"convergence_table float{precision}": lambda m: convergence_table(floats, m),
+        **{f"convergence_table float{p}": lambda m, s=s: convergence_table(s, m)
+           for p, s in floats.items()},
         "estimate_limits exact": lambda m: estimate_limits(tables[m], tol),
         "coeffs_closed_form exact": lambda m: coeffs_closed_form(exact, m),
-        f"coeffs_closed_form float{precision}": lambda m: coeffs_closed_form(floats, m),
+        **{f"coeffs_closed_form float{p}": lambda m, s=s: coeffs_closed_form(s, m)
+           for p, s in floats.items()},
         "coeffs_via_matrix exact": lambda m: coeffs_via_matrix(exact, m),
         "binomial_convolve exact": lambda m: binomial_convolve(exact, m),
         **{f"cli estimate exact {fmt}": cli(
             "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}", "--format", fmt)
            for fmt in ("csv", "json")},
-        f"cli estimate float{precision}": cli(
+        **{f"cli estimate float{p}": cli(
             "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}",
-            "--mode", "float", "--precision", precision),
+            "--mode", "float", "--precision", str(p)) for p in FLOAT_PRECISIONS},
         "cli approximate exact": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
         "run_suite": lambda m: run_suite(SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
@@ -204,7 +206,7 @@ def main() -> None:
     env, cells = measure(sorted(args.sizes), args.repeat, src)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(sizes=sorted(args.sizes), repeat=args.repeat, budget_s=BUDGET_S,
-               float_precision=FLOAT_PRECISION, cold_start_bytecode=COLD_START_BYTECODE)
+               float_precisions=list(FLOAT_PRECISIONS), cold_start_bytecode=COLD_START_BYTECODE)
     doc.setdefault("columns", {})[args.column] = env
     for name, row in cells.items():
         doc.setdefault("layers", {}).setdefault(name, {})[args.column] = row

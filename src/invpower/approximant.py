@@ -29,8 +29,9 @@ are provided and must agree bit-for-bit in exact mode:
   values become ``Scalar`` only at the end.  Float series keep the
   rounding of the literal sums and the cancellation warning: each q_k
   is sum_s W(k, s) c_s summed in order, with the integer weights W from
-  a recurrence, by one integer kernel, :func:`float_dots` (its
-  docstring says why its bits equal the ``Scalar`` literal sums).  A
+  a recurrence, by one kernel, :func:`float_dots`: integer steps, or
+  binary64 steps for a 64-bit row that stays in the double range (its
+  docstring says why either gives the ``Scalar`` literal sums).  A
   raw mpmath value, and then a ``Scalar``, is built once per q_k.  A
   series that mixes exact and inexact entries or float widths is first
   rounded to its narrowest width (:func:`float_coefficients`);
@@ -58,7 +59,8 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import lcm, ldexp
 
 from .errors import PoleError
 from .scalar import (
@@ -163,14 +165,14 @@ def _weight_rows(m: int):
         yield w
 
 
-def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[tuple]:
-    """For each row of integer weights w, the literal sum
-    sum_s w[s]*c_s of raw float coefficients c_s, summed in order from
-    s = 0 and rounded as ``Scalar`` arithmetic rounds it, as a raw value.
+def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[int, int]:
+    """sum_s row[s]*c_s of coefficients c_s = man * 2**exp, given as
+    (signed man, exp), summed in order from s = 0 and rounded as
+    ``Scalar`` arithmetic rounds it, as (man, exp) of the result.
 
     A weight wider than ``bits`` is rounded, then its product with c_s,
     then every partial sum: each step is exact on signed int mantissas
-    (x = man * 2**exp) and then rounded to nearest-even at ``bits`` by
+    and then rounded to nearest-even at ``bits`` by
     x <- (x + 2**(n-1) - 1 + bit n of x) >> n, n the excess width.  That
     is the one correctly rounded result, so it equals the rounded
     conversion, product and sum of ``Scalar`` (mpmath) bit for bit; a
@@ -183,45 +185,96 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[t
     exponents.  A zero term leaves the partial sum as it is, and one
     that cancels exactly is zero until the next nonzero term.
     """
-    from mpmath.libmp import from_man_exp  # float mode only: exact runs never load mpmath
+    far = 2 * bits + 2
+    am = ae = 0
+    for w, (cm, ce) in zip(row, c):
+        if not w or not cm:
+            continue
+        pe = ce
+        n = w.bit_length() - bits
+        if n > 0:
+            w = (w + (1 << (n - 1)) - 1 + (w >> n & 1)) >> n
+            pe += n
+        pm = cm * w
+        n = pm.bit_length() - bits
+        if n > 0:
+            pm = (pm + (1 << (n - 1)) - 1 + (pm >> n & 1)) >> n
+            pe += n
+        if not am:
+            am, ae = pm, pe
+            continue
+        gap = ae - pe
+        if gap > far:
+            continue
+        if gap < -far:
+            am, ae = pm, pe
+            continue
+        if gap >= 0:
+            am = (am << gap) + pm
+            ae = pe
+        else:
+            am += pm << -gap
+        n = am.bit_length() - bits
+        if n > 0:
+            am = (am + (1 << (n - 1)) - 1 + (am >> n & 1)) >> n
+            ae += n
+    return am, ae
+
+
+def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[tuple]:
+    """For each row of integer weights w, the literal sum
+    sum_s w[s]*c_s of raw float coefficients c_s, summed in order from
+    s = 0 and rounded as ``Scalar`` arithmetic rounds it, as a raw value.
+
+    A row is summed on integers by :func:`_rounded_dot`, whose docstring
+    says why its bits equal ``Scalar``'s, except at 53 bits
+    (``precision=64``), where a row that provably stays in the binary64
+    range is summed in Python floats.  Python floats are IEEE 754
+    binary64: float(w) is the correctly rounded weight, and each
+    product and partial sum is one round-to-nearest-even step at 53
+    bits, the result :func:`_rounded_dot` computes, unless it overflows
+    or falls below 2**-1022, where binary64 keeps fewer than 53 bits.
+    With e_s = exp + bit length of the mantissa of c_s (so
+    2**(e_s-1) <= |c_s| < 2**e_s), a row of n = min(len(w), len(c))
+    terms takes the float route when
+    * every nonzero c_s, s < n, has -1021 <= e_s <= 1024: it is a
+      normal binary64 number, which ``math.ldexp`` builds exactly;
+    * every |w[s]| < 2**b with b <= 1023, so float(w[s]) <= 2**b is
+      finite, however small the coefficients are;
+    * b + T + bit length of n <= 1024, with T the largest such e_s.
+    Then no step overflows: each rounded product is at most
+    P = 2**(b+T), and, rounding being monotone and k*P a binary64
+    number, the k-th partial sum is at most k*P < 2**1024.  A nonzero
+    product is at least |c_s| >= 2**-1022, so it is normal.  A partial
+    sum may cancel below 2**-1022, but there both sums are exact: the
+    operands are multiples of 2**-1074, so the result has fewer than 53
+    significant bits.  Every other row (a coefficient such as 1e-400 or
+    1e400, which a 64-bit ``Scalar`` keeps, or a weight of 2**1023 or
+    more) and every other width takes :func:`_rounded_dot`.
+    """
+    # float mode only: exact runs never load mpmath
+    from mpmath.libmp import from_float, from_man_exp
 
     c = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
-    far = 2 * bits + 2
+    if bits != 53:
+        return [from_man_exp(*_rounded_dot(row, c, bits)) for row in rows]
+    cf = []  # the leading coefficients that are normal binary64 numbers
+    top = [-1021]  # |c_s| < 2**top[n] for every s < n
+    for cm, ce in c:
+        e = ce + cm.bit_length()
+        if cm and not -1021 <= e <= 1024:
+            break
+        cf.append(ldexp(cm, ce))
+        top.append(max(top[-1], e) if cm else top[-1])
     out = []
     for row in rows:
-        am = ae = 0
-        for w, (cm, ce) in zip(row, c):
-            if not w or not cm:
-                continue
-            pe = ce
-            n = w.bit_length() - bits
-            if n > 0:
-                w = (w + (1 << (n - 1)) - 1 + (w >> n & 1)) >> n
-                pe += n
-            pm = cm * w
-            n = pm.bit_length() - bits
-            if n > 0:
-                pm = (pm + (1 << (n - 1)) - 1 + (pm >> n & 1)) >> n
-                pe += n
-            if not am:
-                am, ae = pm, pe
-                continue
-            gap = ae - pe
-            if gap > far:
-                continue
-            if gap < -far:
-                am, ae = pm, pe
-                continue
-            if gap >= 0:
-                am = (am << gap) + pm
-                ae = pe
-            else:
-                am += pm << -gap
-            n = am.bit_length() - bits
-            if n > 0:
-                am = (am + (1 << (n - 1)) - 1 + (am >> n & 1)) >> n
-                ae += n
-        out.append(from_man_exp(am, ae))
+        n = min(len(row), len(c))
+        b = max(max(row).bit_length(), min(row).bit_length())
+        if n <= len(cf) and b <= 1023 and b + top[n] + n.bit_length() <= 1024:
+            x = reduce(operator.add, map(operator.mul, map(float, row), cf), 0.0)
+            out.append(from_float(x))
+        else:
+            out.append(from_man_exp(*_rounded_dot(row, c, bits)))
     return out
 
 

@@ -157,7 +157,9 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--precision", type=int, default=MIN_PRECISION, action=_Size,
-                   help=f"float width in bits, >= {MIN_PRECISION} (float mode only)")
+                   help=f"float width in bits, >= {MIN_PRECISION} (default {MIN_PRECISION}): "
+                        "float mode's width, and the width at which any mode reads a "
+                        "float --coeffs file")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:

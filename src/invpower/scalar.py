@@ -20,9 +20,11 @@ pushed past the safe range.
 
 Float precision is declared as an IEEE-equivalent storage width in bits
 (64 = double, 128 = quad, ...); the significand actually carried follows
-the IEEE binary interchange rule, so ``precision=64`` computes with 53
-significand bits exactly like a hardware double.  The minimum accepted
-width is 64.
+the IEEE binary interchange rule, so ``precision=64`` rounds to the 53
+significand bits of a hardware double.  The exponent is mpmath's, which
+is unbounded: a 64-bit value has a double's significand but not its
+exponent range, so ``1e-400`` and ``1e400`` stay finite and nonzero, and
+no value is subnormal.  The minimum accepted width is 64.
 """
 
 from __future__ import annotations

@@ -1,20 +1,24 @@
+import functools
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm, ldexp
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from invpower import approximant
 from invpower.approximant import (
     InversePowerApproximant,
+    _rounded_dot,
     _weight_rows,
     coeffs_closed_form,
     coeffs_via_matrix,
     evaluate,
     exact_convolution,
+    float_dots,
     signed_binomial_matrix,
 )
 from invpower.errors import PoleError
@@ -416,3 +420,177 @@ def test_weight_recurrence_matches_alternating_inner_sums():
             assert rows[k] == [0] + [
                 sum((-1) ** n * comb0(m - n, k - n) * comb0(m, s + n) for n in range(k + 1))
                 for s in range(1, m + 1)]
+
+
+# ---------------------------------------------------------------------------
+# float mode: the binary64 route of the float kernel at 53 bits
+# ---------------------------------------------------------------------------
+
+_MANTISSAS = st.integers(1, 2 ** 53 - 1)
+
+
+def _coeff(man: int, e: int) -> tuple[int, int]:
+    """The signed 53-bit coefficient man * 2**(e - bit length of man), as
+    (man, exp), with 2**(e-1) <= |coefficient| < 2**e."""
+    return man, e - abs(man).bit_length()
+
+
+def _raw(c: list[tuple[int, int]]) -> list[tuple]:
+    return [mpmath.libmp.from_man_exp(man, exp) for man, exp in c]
+
+
+def _integer_route(row: list[int], c: list[tuple[int, int]]) -> tuple:
+    return mpmath.libmp.from_man_exp(*_rounded_dot(row, c, 53))
+
+
+@functools.cache
+def _approximant_rows(m: int) -> list[list[int]]:
+    return list(_weight_rows(m))
+
+
+def _weight_slice(draw) -> list[int]:
+    """Up to 12 consecutive weights of a q0 or q1 table row (C(m, s) and
+    C(m, s+1) - m*C(m, s), whose largest pass 2**1023 from m = 1029 and
+    1019 on) or of an approximant row W(k, s), from s = j on; j is drawn
+    near the middle of the row, where the weights are largest, or
+    anywhere."""
+    kind = draw(st.sampled_from(["q0", "q1", "approximant"]))
+    m = draw(st.integers(1, 60) if kind == "approximant" else
+             st.integers(1, 200) | st.integers(1015, 1040))
+    j = draw(st.integers(0, m) | st.integers(max(0, m // 2 - 20), m // 2))
+    s = range(j, min(j + 12, m + 1))
+    if kind == "approximant":
+        return _approximant_rows(m)[draw(st.integers(0, m))][j:s.stop]
+    if kind == "q0":
+        return [comb(m, i) for i in s]
+    return [comb(m, i + 1) - m * comb(m, i) if i else 0 for i in s]
+
+
+@st.composite
+def binary64_rows(draw):
+    """A weight row and 53-bit coefficients (as (man, exp)) for the float
+    kernel, built term by term: random terms with weights from a
+    production row or free (wider than 53 bits too), zero terms, product
+    ties, sum ties, and a term that cancels the partial sum to exactly
+    zero, mid-row or at the end.  The coefficient magnitudes 2**(e-1)
+    come from one band: across the smallest normal binary64 number, near
+    1, or across the largest."""
+    band = draw(st.sampled_from([st.integers(-1030, -1008), st.integers(-70, 70),
+                                 st.integers(990, 1026)]))
+    weights = iter(_weight_slice(draw) if draw(st.booleans()) else [])
+    free = st.integers(-2 ** 60, 2 ** 60) | st.integers(1020, 1026).flatmap(
+        lambda k: st.integers(-2 ** k, 2 ** k))
+    row, c = [], []
+    for kind in draw(st.lists(st.sampled_from(["term", "term", "zero", "product tie",
+                                                "sum tie", "cancel"]), min_size=1, max_size=12)):
+        sign = draw(st.sampled_from([1, -1]))
+        if kind == "term":
+            w = next(weights, None)
+            row.append(draw(free) if w is None else w)
+            c.append(_coeff(sign * draw(_MANTISSAS), draw(band)))
+        elif kind == "zero":
+            row.append(draw(free | st.just(0)))
+            c.append((0, 0))
+        elif kind == "product tie":
+            # an odd weight times an odd mantissa, 53 or 54 bits long: a 54-bit
+            # odd product lies halfway between two 53-bit values
+            w = draw(st.integers(1, 2 ** 27)) * 2 + 1
+            man = draw(st.integers(2 ** (53 - w.bit_length()), 2 ** (54 - w.bit_length()) - 1))
+            row.append(w)
+            c.append(_coeff(sign * (man | 1), draw(band)))
+        else:
+            s_man, s_exp = _rounded_dot(row, c, 53)
+            if not s_man:
+                continue
+            row.append(1)
+            if kind == "cancel":
+                c.append((-s_man, s_exp))
+            else:
+                # an odd multiple of half the partial sum's 53-bit ulp: a tie
+                ulp = s_exp + abs(s_man).bit_length() - 53
+                c.append((sign * (2 * draw(st.integers(0, 3)) + 1), ulp - 1))
+    assume(row)
+    return row, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(binary64_rows())
+@example(([1, 1, 3], [(1, 0), (-1, 0), (5, -2)]))         # cancels mid-row
+@example(([7, 7], [(3, 10), (-3, 10)]))                   # cancels at the end
+@example(([2 ** 27 - 1], [(2 ** 27 + 1, 0)]))             # product tie, rounds up
+@example(([1, 1], [(1, 0), (1, -53)]))                    # sum tie, rounds to even
+@example(([1], [_coeff(1, -1021)]))                       # smallest normal product
+@example(([1], [_coeff(2 ** 53 - 1, -1022)]))             # ... just below it
+@example(([1], [_coeff(2 ** 53 - 1, 1022)]))              # largest one-term sum
+@example(([1], [_coeff(2 ** 53 - 1, 1023)]))              # ... just above it
+@example(([1, 1], [_coeff(2 ** 53 - 1, 1021)] * 2))       # largest two-term sum
+@example(([1, 1], [_coeff(2 ** 53 - 1, 1023)] * 2))       # overflows binary64
+@example(([2 ** 1023 - 1], [_coeff(1, -999)]))            # weight near 2**1023
+@example(([2 ** 1024 - 1], [_coeff(1, -999)]))            # float(w) would overflow
+def test_binary64_route_equals_integer_route(case):
+    row, c = case
+    assert float_dots(_raw(c), [row], 53) == [_integer_route(row, c)]
+
+
+def _counting_integer_route(monkeypatch) -> list:
+    """Make the float kernel record each row it sums on integers."""
+    calls = []
+
+    def counted(row, c, bits):
+        calls.append(row)
+        return _rounded_dot(row, c, bits)
+
+    monkeypatch.setattr(approximant, "_rounded_dot", counted)
+    return calls
+
+
+# (row, coefficients as (man, e) with 2**(e-1) <= |c| < 2**e) on each side
+# of each guard edge: the first of a pair takes the binary64 route, the
+# second the integer route, and the second is a row where plain binary64
+# arithmetic goes wrong
+_GUARD_EDGES = {
+    "smallest normal product": (
+        ([1], [(2 ** 53 - 1, -1021)]),
+        ([1], [(2 ** 53 - 1, -1022)])),
+    "smallest normal coefficient, large weight": (
+        ([2 ** 60], [(2 ** 53 - 1, -1021)]),
+        ([2 ** 60], [(2 ** 53 - 1, -1030)])),
+    "largest partial sum": (
+        ([1, 1], [(2 ** 53 - 1, 1021)] * 2),
+        ([1, 1], [(2 ** 53 - 1, 1024)] * 2)),
+    "weight near 2**1023 with tiny coefficients": (
+        ([2 ** 1023 - 1], [(1, -1000)]),
+        ([2 ** 1024 - 1], [(1, -1000)])),
+}
+
+
+@pytest.mark.parametrize("inside,outside", _GUARD_EDGES.values(), ids=_GUARD_EDGES)
+def test_binary64_guard_edges(monkeypatch, inside, outside):
+    calls = _counting_integer_route(monkeypatch)
+    for row, ce in (inside, outside):
+        c = [_coeff(man, e) for man, e in ce]
+        assert float_dots(_raw(c), [row], 53) == [_integer_route(row, c)]
+    assert calls == [outside[0]]
+
+    def plain(row, c):
+        # binary64 arithmetic with no guard
+        try:
+            acc = 0.0
+            for w, (man, exp) in zip(row, c):
+                acc += float(w) * ldexp(man, exp)
+            return mpmath.libmp.from_float(acc)
+        except OverflowError:
+            return None
+
+    row, ce = outside
+    c = [_coeff(man, e) for man, e in ce]
+    assert plain(row, c) != _integer_route(row, c)
+
+
+def test_other_widths_take_the_integer_route(monkeypatch):
+    calls = _counting_integer_route(monkeypatch)
+    c = [_coeff(3, 1), _coeff(-5, 2)]
+    for bits in (113, 237):
+        assert float_dots(_raw(c), [[1, 2]], bits) == [
+            mpmath.libmp.from_man_exp(*_rounded_dot([1, 2], c, bits))]
+    assert len(calls) == 2

@@ -855,6 +855,30 @@ def test_estimate_float_wide_exponents_output_and_cpu_bound(capsys, tmp_path):
     assert cpu < 5
 
 
+# A 64-bit float file whose entries 1e-400 and -1e-400 lie below the
+# binary64 range and 1e300 near its top: rows up to m = 9 stay within
+# binary64, the later ones do not.  SHA-256 of stdout recorded with the
+# integer float kernel alone, before 64-bit rows were summed in binary64.
+_EDGE_FLOATS = ["1", "-0.5", "0.3", "2.5", "-7", "0.125", "1e-5", "3", "-2", "0.7",
+                "1e-400", "-3", "0.2", "1e300", "4", "-1e-400"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["estimate", "--m-max", "15", "--digits", "17"],
+     "f5a9e51607e905ab0d0eaf19344da2dd02666407a7567f573d9a04e1afb43949"),
+    (["approximate", "--m", "9", "--eval", "1/2,3", "--format", "json"],
+     "bdab3995ad50947313ded849d31ce60d15040f80ec129d62a9684ba1209ca285"),
+    (["approximate", "--m", "15", "--eval", "1/2,3", "--format", "json"],
+     "900287b0a3a44f3a1c59413bcafa0ec1db2f4f82bbea23685a6b2bc379dbc5ec"),
+], ids=["estimate-m15", "approximate-m9", "approximate-m15"])
+def test_float64_file_beyond_binary64_range_output_bytes(capsys, tmp_path, argv, digest):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": _EDGE_FLOATS, "exact": False}))
+    code, out, err = run(capsys, *argv, "--coeffs", str(path), "--mode", "float")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 _CANCEL_64_M60 = ("warning: dimension 60 binomial sums consume ~57 of 64 float bits; "
                   "expect catastrophic cancellation, use exact mode\n")
 

@@ -68,10 +68,13 @@ def test_bench_writes_one_column_per_run(tmp_path):
     assert set(doc["columns"]) == {"parent", "change"}
     assert all(set(env) == {"python", "mpmath_backend"} for env in doc["columns"].values())
     assert "pycache_prefix" in doc["cold_start_bytecode"]
-    for layer in ("convergence_table exact", "convergence_table float128",
+    assert doc["float_precisions"] == [64, 128]
+    for layer in ("convergence_table exact", "convergence_table float64",
+                  "convergence_table float128", "coeffs_closed_form float64",
                   "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact",
                   "binomial_convolve exact", "estimate_limits exact", "cli estimate exact csv",
-                  "cli estimate exact json", "run_suite", "cli cold start"):
+                  "cli estimate exact json", "cli estimate float64", "cli estimate float128",
+                  "run_suite", "cli cold start"):
         assert all(doc["layers"][layer][column]["20"] > 0 for column in ("parent", "change"))
 
 
