@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """How each layer scales: median CPU time per call at fixed sizes.
 
-    python scripts/bench.py --out BENCH_<n>.json --column change
+    python scripts/bench.py --out BENCH_<n>.json --column change --against parent=../parent/src
     python scripts/bench.py --out BENCH_<n>.json --column parent --src ../parent/src
     python scripts/bench.py --out /tmp/b.json --column x --sizes 50 --repeat 1
 
@@ -19,18 +19,24 @@ interpreter start-up, imports, parsing and the command.  It is timed by
 the child CPU time that ``RUSAGE_CHILDREN`` reports, with the bytecode
 cached: the children read and write ``.pyc`` files under a private
 ``pycache_prefix``, filled by one unmeasured run first.
-A cell is the median CPU time per call over ``--repeat``
-samples; a sample repeats the call until it has used 0.2 CPU seconds.
-A sample that uses more than ``BUDGET_S`` (10) CPU seconds is stopped
-by a CPU timer, and that size and every larger one of the layer are
-recorded as null.  The series, approximants and tables are built
-before the timing starts.
+
+A cell is one layer at one size.  Each cell runs in a fresh child
+process, which builds the series, approximant or table the layer reads
+before the timing starts, then takes ``--repeat`` samples; the cell is
+their median CPU time per call.  A sample repeats the call until it has
+used 0.2 CPU seconds.  A sample that uses more than ``BUDGET_S`` (10)
+CPU seconds is stopped by a CPU timer, and that size and every larger
+one of the layer are recorded as null for that source tree.
+
+With ``--against NAME=SRC``, a second source tree is timed in the same
+run, as column NAME: the two trees take turns cell by cell, and which goes first alternates from
+cell to cell, so a swing in the host's speed lands on both columns alike.
+Both columns are written, with the ratio of the first to the second per
+cell under ``ratios``.
 
 The output file holds one column per ``--column`` name, each with the
 Python version and mpmath's arithmetic backend it ran under.  An
-existing file keeps its other columns, so the parent and a change
-(imported from another checkout's ``src`` with ``--src``) share one
-file and compare cell by cell.
+existing file keeps its other columns.
 """
 
 import argparse
@@ -48,6 +54,7 @@ import sys
 import tempfile
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -58,6 +65,7 @@ FLOAT_PRECISIONS = (64, 128)
 MIN_SAMPLE_S = 0.2
 BUDGET_S = 10.0
 COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"
+CELL_PROCESS = "each (layer, size) cell in a fresh child process; --against trees alternate"
 
 
 class OverBudget(BaseException):
@@ -75,25 +83,22 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def cold_start(src: Path, pycache: str):
-    """f(m) that runs ``python -m invpower estimate`` in a fresh
-    interpreter, after one unmeasured run has cached its bytecode."""
+def cold_start(src: Path, pycache: str, m: int):
+    """A call that runs ``python -m invpower estimate --m-max m`` in a
+    fresh interpreter, after one unmeasured run has cached its bytecode."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     env["PYTHONPATH"] = str(src)
-
-    def call(m):
-        argv = [sys.executable, "-X", f"pycache_prefix={pycache}", "-m", "invpower", "estimate",
-                "--corpus", "mobius-2-3-1-2", "--m-max", str(m)]
-        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL, timeout=60)
-
-    call(1)
+    argv = [sys.executable, "-X", f"pycache_prefix={pycache}", "-m", "invpower", "estimate",
+            "--corpus", "mobius-2-3-1-2", "--m-max", str(m)]
+    call = partial(subprocess.run, argv, env=env, check=True, stdout=subprocess.DEVNULL,
+                   timeout=60)
+    call()
     return call
 
 
-def layers(sizes, src: Path, pycache: str):
-    """Layer name -> (clock, f(m) that makes one call), for m in
-    ``sizes``; the series, approximants and tables it reads are built here,
-    before any timing."""
+def layers(src: Path, pycache: str | None):
+    """Layer name -> (clock, prepare): ``prepare(m)`` builds what the
+    layer reads at dimension m and returns the call to time."""
     from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
     from invpower.asymptotics import convergence_table, estimate_limits
     from invpower.cli import main
@@ -103,34 +108,33 @@ def layers(sizes, src: Path, pycache: str):
     from invpower.transforms import binomial_convolve
 
     f, center = mobius(2, 3, 1, 2), Scalar.rational(1)
-    exact = taylor_coeffs(f, center, max(sizes) + 1)
-    floats = {p: exact.to_inexact(p) for p in FLOAT_PRECISIONS}
-    approximants = {m: coeffs_closed_form(exact, m) for m in sizes}
-    tables = {m: convergence_table(exact, m) for m in sizes}
     point, tol = Scalar.rational(1, 2), Scalar.rational(1, 10 ** 9)
 
-    def cli(*argv):
-        def call(m):
-            args = [a.format(m=m) for a in argv]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(args)
-            if code != 0:
-                raise SystemExit(f"{' '.join(args)} exited {code}")
-        return call
+    def series(m, precision=None):
+        exact = taylor_coeffs(f, center, m + 1)
+        return exact if precision is None else exact.to_inexact(precision)
 
-    calls = {
-        "taylor_coeffs exact": lambda m: taylor_coeffs(f, center, m + 1),
-        "evaluate exact": lambda m: evaluate(approximants[m], point),
-        "convergence_table exact": lambda m: convergence_table(exact, m),
-        **{f"convergence_table float{p}": lambda m, s=s: convergence_table(s, m)
-           for p, s in floats.items()},
-        "estimate_limits exact": lambda m: estimate_limits(tables[m], tol),
-        "coeffs_closed_form exact": lambda m: coeffs_closed_form(exact, m),
-        **{f"coeffs_closed_form float{p}": lambda m, s=s: coeffs_closed_form(s, m)
-           for p, s in floats.items()},
-        "coeffs_via_matrix exact": lambda m: coeffs_via_matrix(exact, m),
-        "binomial_convolve exact": lambda m: binomial_convolve(exact, m),
+    def run_cli(args):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+        if code != 0:
+            raise SystemExit(f"{' '.join(args)} exited {code}")
+
+    def cli(*argv):
+        return lambda m: partial(run_cli, [a.format(m=m) for a in argv])
+
+    prepares = {
+        "taylor_coeffs exact": lambda m: partial(taylor_coeffs, f, center, m + 1),
+        "evaluate exact": lambda m: partial(evaluate, coeffs_closed_form(series(m), m), point),
+        **{f"convergence_table {name}": lambda m, p=p: partial(convergence_table, series(m, p), m)
+           for name, p in (("exact", None), *((f"float{p}", p) for p in FLOAT_PRECISIONS))},
+        "estimate_limits exact":
+            lambda m: partial(estimate_limits, convergence_table(series(m), m), tol),
+        **{f"coeffs_closed_form {name}": lambda m, p=p: partial(coeffs_closed_form, series(m, p), m)
+           for name, p in (("exact", None), *((f"float{p}", p) for p in FLOAT_PRECISIONS))},
+        "coeffs_via_matrix exact": lambda m: partial(coeffs_via_matrix, series(m), m),
+        "binomial_convolve exact": lambda m: partial(binomial_convolve, series(m), m),
         **{f"cli estimate exact {fmt}": cli(
             "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}", "--format", fmt)
            for fmt in ("csv", "json")},
@@ -139,25 +143,26 @@ def layers(sizes, src: Path, pycache: str):
             "--mode", "float", "--precision", str(p)) for p in FLOAT_PRECISIONS},
         "cli approximate exact": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
-        "run_suite": lambda m: run_suite(SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
+        "run_suite":
+            lambda m: partial(run_suite, SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
     }
-    return {**{name: (time.process_time, call) for name, call in calls.items()},
-            "cli cold start": (child_cpu_s, cold_start(src, pycache))}
+    return {**{name: (time.process_time, prepare) for name, prepare in prepares.items()},
+            "cli cold start": (child_cpu_s, partial(cold_start, src, pycache))}
 
 
-def cpu_seconds(clock, call, m):
+def cpu_seconds(clock, call):
     """CPU seconds per call on ``clock``, over as many calls as fill
     ``MIN_SAMPLE_S`` (the CPU clock may tick in milliseconds), or None
     when the sample runs past ``BUDGET_S`` of this process's CPU.
-    Garbage left by earlier layers is collected first, so it is not
-    charged to this one."""
+    Garbage left by building the inputs is collected first, so it is
+    not charged to the call."""
     gc.collect()
     signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
     try:
         start = clock()
         calls = 0
         while (elapsed := clock() - start) < MIN_SAMPLE_S:
-            call(m)
+            call()
             calls += 1
         return elapsed / calls
     except OverBudget:
@@ -166,50 +171,103 @@ def cpu_seconds(clock, call, m):
         signal.setitimer(signal.ITIMER_PROF, 0)
 
 
-def measure(sizes, repeat, src: Path):
+def measure_cell(name: str, m: int, repeat: int, src: Path):
+    """Median CPU seconds per call of one layer at one size, in this
+    process, or None when a sample runs over budget."""
+    sys.path.insert(0, str(src))
     signal.signal(signal.SIGPROF, _over_budget)
-    cells = {}
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as pycache:
         warnings.simplefilter("ignore")
-        for name, (clock, call) in layers(sizes, src, pycache).items():
-            row = cells[name] = {}
-            for m in sizes:
-                times = []
-                for _ in range(repeat):
-                    t = cpu_seconds(clock, call, m)
-                    if t is None:
-                        break
-                    times.append(t)
-                row[str(m)] = statistics.median(times) if len(times) == repeat else None
-                print(f"{name:>34} m={m:<5} {row[str(m)]}", file=sys.stderr)
-                if row[str(m)] is None:
-                    row.update((str(n), None) for n in sizes if n > m)
-                    break
-    env = {"python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND}
-    return env, cells
+        clock, prepare = layers(src, pycache)[name]
+        call = prepare(m)
+        times = []
+        for _ in range(repeat):
+            t = cpu_seconds(clock, call)
+            if t is None:
+                return None
+            times.append(t)
+    return statistics.median(times)
+
+
+def run_cell(name: str, m: int, repeat: int, src: Path):
+    """``measure_cell`` in a fresh child process."""
+    argv = [sys.executable, __file__, "--cell", name, "--sizes", str(m), "--repeat", str(repeat),
+            "--src", str(src)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"cell {name!r} m={m} under {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def measure(sizes, repeat, trees):
+    """Column name -> layer name -> size -> seconds, for ``trees``, a
+    list of (column, source tree), taking turns cell by cell."""
+    sys.path.insert(0, str(trees[0][1]))
+    names = list(layers(trees[0][1], pycache=None))
+    cells = {column: {name: {} for name in names} for column, _ in trees}
+    turn = 0
+    for name in names:
+        stopped = set()
+        for m in sizes:
+            order = trees if turn % 2 == 0 else trees[::-1]
+            turn += 1
+            for column, src in order:
+                t = None if column in stopped else run_cell(name, m, repeat, src)
+                if t is None:
+                    stopped.add(column)
+                cells[column][name][str(m)] = t
+                print(f"{name:>34} m={m:<5} {column:>10} {t}", file=sys.stderr)
+    return cells
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", required=True, type=Path, help="JSON file to write or extend")
-    ap.add_argument("--column", required=True, help="column name, e.g. parent or change")
+    ap.add_argument("--out", type=Path, help="JSON file to write or extend")
+    ap.add_argument("--column", help="column name, e.g. parent or change")
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory that holds the invpower package to time")
+    ap.add_argument("--against", metavar="NAME=SRC",
+                    help="column name and package directory of a second tree, timed in turn")
     ap.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
                     default=list(SIZES), help="comma-separated dimensions m")
-    ap.add_argument("--repeat", type=int, default=3, help="calls per cell")
+    ap.add_argument("--repeat", type=int, default=3, help="samples per cell")
+    ap.add_argument("--cell", metavar="LAYER",
+                    help="time one layer at the one size in --sizes in this process, "
+                         "print its seconds")
     args = ap.parse_args()
 
     src = args.src.resolve()
-    sys.path.insert(0, str(src))
-    env, cells = measure(sorted(args.sizes), args.repeat, src)
+    if args.cell:
+        if len(args.sizes) != 1:
+            ap.error("--cell takes one size in --sizes")
+        print(json.dumps(measure_cell(args.cell, args.sizes[0], args.repeat, src)))
+        return
+    if args.out is None or args.column is None:
+        ap.error("--out and --column are required")
+    trees = [(args.column, src)]
+    if args.against:
+        against_column, _, against_src = args.against.partition("=")
+        if not against_column or not against_src or against_column == args.column:
+            ap.error("--against takes NAME=SRC, NAME other than --column")
+        trees.append((against_column, Path(against_src).resolve()))
+    sizes = sorted(args.sizes)
+    cells = measure(sizes, args.repeat, trees)
+    env = {"python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.update(sizes=sorted(args.sizes), repeat=args.repeat, budget_s=BUDGET_S,
-               float_precisions=list(FLOAT_PRECISIONS), cold_start_bytecode=COLD_START_BYTECODE)
-    doc.setdefault("columns", {})[args.column] = env
-    for name, row in cells.items():
-        doc.setdefault("layers", {}).setdefault(name, {})[args.column] = row
+    doc.update(sizes=sizes, repeat=args.repeat, budget_s=BUDGET_S,
+               float_precisions=list(FLOAT_PRECISIONS), cold_start_bytecode=COLD_START_BYTECODE,
+               cell_process=CELL_PROCESS)
+    for column, rows in cells.items():
+        doc.setdefault("columns", {})[column] = env
+        for name, row in rows.items():
+            doc.setdefault("layers", {}).setdefault(name, {})[column] = row
+    if args.against:
+        (top, top_rows), (base, base_rows) = cells.items()
+        doc.setdefault("ratios", {})[f"{top}/{base}"] = {
+            name: {m: None if t is None or base_rows[name][m] is None else t / base_rows[name][m]
+                   for m, t in row.items()}
+            for name, row in top_rows.items()}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -312,7 +312,7 @@ def identity_cases(m: int, k: int) -> tuple[list[tuple], int]:
         lhs, rhs = sides
         cases.append((identity_id, params, lhs, rhs, holds(lhs, rhs)))
 
-    if k > m + 1:
+    if m >= 0 and k > m + 1:
         for n in range(m + 1):
             add("FACTORIAL_DOMINANCE", {"m": m, "k": k, "n": n},
                 factorial_dominance_sides(m, k, n), lambda lhs, rhs: lhs > rhs)
@@ -322,7 +322,7 @@ def identity_cases(m: int, k: int) -> tuple[list[tuple], int]:
         add("ALTERNATING_ROW_PREFIX", {"m": m, "k": k}, alternating_row_prefix_sides(m, k))
     else:
         skipped += 1
-    if k >= 1:
+    if m >= 0 and k >= 1:
         for a in range(m + 1):
             add("CONVOLUTION_SHIFT_FAMILY", {"m": m, "k": k, "a": a},
                 convolution_shift_sides(m, k, a))

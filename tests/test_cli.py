@@ -239,8 +239,8 @@ def test_verify_identities_reports_a_failing_case(capsys, monkeypatch):
     the exit code."""
     original = identities._convolution
 
-    def broken(m, k):
-        lhs, rhs = original(m, k)
+    def broken(m, k, at):
+        lhs, rhs = original(m, k, at)
         return lhs, [r + 1 if (m, k, a) == (2, 3, 1) else r for a, r in enumerate(rhs)]
 
     monkeypatch.setattr(identities, "_convolution", broken)
@@ -258,6 +258,24 @@ def test_verify_identities_reports_a_failing_case(capsys, monkeypatch):
     assert payload["failures"] == [{"identity_id": "CONVOLUTION_SHIFT_FAMILY",
                                     "params": {"m": 2, "k": 3, "a": 1},
                                     "lhs": "1", "rhs": "2", "pass": False}]
+
+
+@pytest.mark.parametrize("m_max,k_max,total,skipped", [
+    (100000, 0, 100000, 600007),
+    (2, 20000, 379985, 160028),
+])
+def test_verify_identities_lopsided_ranges_cpu_bound(capsys, m_max, k_max, total, skipped):
+    """A long range on one axis and a short one on the other costs what
+    the families that run there read: with k = 0 no family builds a row
+    of m+1 terms, and with m <= 2 the band is three columns wide."""
+    start = time.process_time()
+    code, out, err = run(capsys, "verify-identities", "--m-max", str(m_max),
+                         "--k-max", str(k_max))
+    cpu = time.process_time() - start
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["identity_id,params,lhs,rhs,pass", f"# total={total}",
+                                f"# passed={total}", "# failed=0", f"# skipped={skipped}"]
+    assert cpu < 5
 
 
 def test_verify_identities_bad_range(capsys):

@@ -230,18 +230,35 @@ def test_single_pair_matches_literal_oracle(m, k):
         == (total, total, 0, skipped)
 
 
+def test_unordered_ranges_with_negatives_match_single_pairs_and_oracle():
+    """The band is sized by the largest m and k, not the last, and no
+    negative m or k reads a band row or column from the far end."""
+    m_values, k_values = (9, 3, -1, 14), (30, 0, 2, -2, 17)
+    total = skipped = 0
+    for m in m_values:
+        for k in k_values:
+            cases, skips = identity_cases(m, k)
+            single = run_suite(SuiteRanges((m,), (k,)))
+            assert (single.total, single.passed, single.skipped) == (len(cases), len(cases), skips)
+            total += len(cases)
+            skipped += skips
+    report = run_suite(SuiteRanges(m_values, k_values))
+    assert (report.total, report.passed, report.failed, report.skipped) \
+        == (total, total, 0, skipped)
+
+
 @pytest.mark.parametrize("m,k", [(0, 1), (1, 5), (3, 2), (6, 6), (9, 4), (12, 30), (40, 60)])
 def test_single_tuple_checks_agree_with_family_rows(m, k):
     """A single-tuple check asks the family's right-side code for the one
     a it needs, and gets the family kernel's entry for that a."""
-    lhs, rhs = identities._convolution(m, k)
+    lhs, rhs = identities._convolution(m, k, identities._single(m, k))
     for a in range(m + 1):
         case = check_convolution_shift(m, k, a)
         assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[a], True)
     case = check_alternating_convolution(m, k)
     assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[-1], True)
     if m >= 3 and k >= 2:
-        lhs, rhs = identities._weighted_shift(m, k)
+        lhs, rhs = identities._weighted_shift(m, k, identities._single(m, k))
         assert len(rhs) == m - 2
         for a in range(1, m - 1):
             case = check_weighted_shift(m, k, a)
@@ -271,14 +288,14 @@ def test_suite_reports_one_wrong_right_side(monkeypatch, kernel, at, index, iden
 
     def broken(*args):
         lhs, rhs = original(*args)
-        if args == at:
+        if args[:2] == at:
             rhs = list(rhs)
             rhs[index] = lhs + 1
         return lhs, rhs
 
     ranges = SuiteRanges(tuple(range(7)), tuple(range(7)))
     clean = run_suite(ranges)
-    lhs, _ = original(*at)
+    lhs, _ = original(*at, identities._single(*at))
     monkeypatch.setattr(identities, kernel, broken)
     report = run_suite(ranges)
     assert report.failed == 1
@@ -286,3 +303,45 @@ def test_suite_reports_one_wrong_right_side(monkeypatch, kernel, at, index, iden
     assert list(report.failures[0].params) == list(params)
     assert (report.total, report.skipped) == (clean.total, clean.skipped)
     assert report.passed == report.total - 1
+
+
+# ---------------------------------------------------------------------------
+# side independence: a fault in one side's code shows in every family
+# ---------------------------------------------------------------------------
+
+
+def _band_plus_one(original):
+    def band(*args):
+        return [[value + 1 for value in row] for row in original(*args)]
+    return band
+
+
+def _row_plus_one(original):
+    def row(*args):
+        return [value + 1 for value in original(*args)]
+    return row
+
+
+@pytest.mark.parametrize("name,perturbed,side,families", [
+    ("comb", lambda original: lambda n, k: original(n, k) - 1, "lhs", set(IDENTITY_IDS)),
+    ("_band", _band_plus_one, "rhs", set(IDENTITY_IDS)),
+    ("_signed_row", _row_plus_one, "rhs", {CONVOLUTION_SHIFT_FAMILY, WEIGHTED_SHIFT_FAMILY}),
+], ids=["literal-comb", "walked-band", "walked-row"])
+def test_perturbing_one_side_fails_every_family_that_reads_it(monkeypatch, name, perturbed,
+                                                              side, families):
+    """``comb`` feeds only the left sides and the band and signed rows
+    only the right sides: each failure keeps the other side at its oracle
+    value, and every family that reads the perturbed code fails."""
+    ranges = SuiteRanges(tuple(range(8)), tuple(range(8)))
+    monkeypatch.setattr(identities, name, perturbed(getattr(identities, name)))
+    report = run_suite(ranges)
+    assert {case.identity_id for case in report.failures} == families
+    oracle = {(identity_id, tuple(params.items())): (lhs, rhs)
+              for m in ranges.m_values for k in ranges.k_values
+              for identity_id, params, lhs, rhs, _ in identity_cases(m, k)[0]}
+    for case in report.failures:
+        lhs, rhs = oracle[case.identity_id, tuple(case.params.items())]
+        if side == "lhs":
+            assert case.rhs == rhs and case.lhs != lhs
+        else:
+            assert case.lhs == lhs and case.rhs != rhs

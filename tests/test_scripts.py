@@ -56,26 +56,38 @@ def test_float_study_output_unchanged():
 
 
 def test_bench_writes_one_column_per_run(tmp_path):
-    """``bench.py`` at a small size: two runs share one file, a column
-    each, with every layer timed and the interpreter recorded."""
+    """``bench.py`` at a small size, timing two source trees in one run:
+    a column each plus their per-cell ratio, every layer timed, the
+    interpreter recorded, and a column already in the file kept."""
     out = tmp_path / "bench.json"
-    for column in ("parent", "change"):
-        proc = run_script("bench.py", "--out", str(out), "--column", column,
-                          "--sizes", "20", "--repeat", "1")
-        assert proc.returncode == 0, proc.stderr
+    out.write_text(json.dumps({"columns": {"earlier": {}},
+                               "layers": {"run_suite": {"earlier": {"20": 1.0}}}}))
+    proc = run_script("bench.py", "--out", str(out), "--column", "change",
+                      "--against", f"parent={ROOT / 'src'}",
+                      "--sizes", "20", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["sizes"] == [20]
-    assert set(doc["columns"]) == {"parent", "change"}
-    assert all(set(env) == {"python", "mpmath_backend"} for env in doc["columns"].values())
+    assert set(doc["columns"]) == {"earlier", "parent", "change"}
+    assert all(set(env) == {"python", "mpmath_backend"}
+               for column, env in doc["columns"].items() if column != "earlier")
     assert "pycache_prefix" in doc["cold_start_bytecode"]
+    assert "fresh child process" in doc["cell_process"]
     assert doc["float_precisions"] == [64, 128]
+    assert doc["layers"]["run_suite"]["earlier"] == {"20": 1.0}
+    ratios = doc["ratios"]["change/parent"]
     for layer in ("convergence_table exact", "convergence_table float64",
                   "convergence_table float128", "coeffs_closed_form float64",
                   "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact",
                   "binomial_convolve exact", "estimate_limits exact", "cli estimate exact csv",
                   "cli estimate exact json", "cli estimate float64", "cli estimate float128",
                   "run_suite", "cli cold start"):
-        assert all(doc["layers"][layer][column]["20"] > 0 for column in ("parent", "change"))
+        row = doc["layers"][layer]
+        assert all(row[column]["20"] > 0 for column in ("parent", "change"))
+        assert ratios[layer]["20"] == row["change"]["20"] / row["parent"]["20"]
+    # the trees take turns cell by cell, and the first of each pair alternates
+    timed = [line.split()[-2] for line in proc.stderr.splitlines() if " m=20 " in line]
+    assert timed[:4] == ["change", "parent", "parent", "change"]
 
 
 ESTIMATE = ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--format", "json"]
