@@ -22,6 +22,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # literal Scalar row sums that preceded the raw-mpf float loop: the script
 # prints float-mode table rows, so a change in float rounding shows here.
 FLOAT_STUDY_M60 = "44072b04b9eea3e49ea392b6f84f2f925c05f659e3698b5f229e7b227ed6ab1e"
+# SHA-256 of `run_convergence_study.py` at its default --m-max 40, recorded
+# while the residual scan still lived in the package: the script prints
+# exact table rows and the scan's remainder, so a change in either shows here.
+STUDY_M40 = "11afef27209ecef3d47a4a4c5df0fc05bf3b3e902f248ba036dca662b7b7ec27"
 
 
 def run_python(*argv, text=True):
@@ -53,6 +57,12 @@ def test_float_study_output_unchanged():
     proc = run_script("float_cancellation_study.py", "--m-max", "60")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == FLOAT_STUDY_M60
+
+
+def test_convergence_study_output_unchanged():
+    proc = run_script("run_convergence_study.py")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == STUDY_M40
 
 
 def test_bench_writes_one_column_per_run(tmp_path):
