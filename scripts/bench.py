@@ -20,19 +20,20 @@ the child CPU time that ``RUSAGE_CHILDREN`` reports, with the bytecode
 cached: the children read and write ``.pyc`` files under a private
 ``pycache_prefix``, filled by one unmeasured run first.
 
-A cell is one layer at one size.  Each cell runs in a fresh child
-process, which builds the series, approximant or table the layer reads
-before the timing starts, then takes ``--repeat`` samples; the cell is
-their median CPU time per call.  A sample repeats the call until it has
-used 0.2 CPU seconds.  A sample that uses more than ``BUDGET_S`` (10)
-CPU seconds is stopped by a CPU timer, and that size and every larger
-one of the layer are recorded as null for that source tree.
+A cell is one layer at one size, and it is the median CPU time per call
+of its ``--repeat`` samples.  Each sample runs in a fresh child process,
+which builds the series, approximant or table the layer reads before
+the timing starts, then repeats the call until it has used 0.2 CPU
+seconds.  A sample that uses more than ``BUDGET_S`` (10) CPU seconds is
+stopped by a CPU timer, and that size and every larger one of the layer
+are recorded as null for that source tree.
 
 With ``--against NAME=SRC``, a second source tree is timed in the same
-run, as column NAME: the two trees take turns cell by cell, and which goes first alternates from
-cell to cell, so a swing in the host's speed lands on both columns alike.
-Both columns are written, with the ratio of the first to the second per
-cell under ``ratios``.
+run, as column NAME.  The samples come in pairs, one of each tree, and
+which tree goes first alternates from pair to pair, so a swing in the
+host's speed lands on both columns alike.  Both columns are written,
+and per cell ``ratios`` holds the median of the pairs' ratios of the
+first tree to the second.
 
 The output file holds one column per ``--column`` name, each with the
 Python version and mpmath's arithmetic backend it ran under.  An
@@ -65,7 +66,8 @@ FLOAT_PRECISIONS = (64, 128)
 MIN_SAMPLE_S = 0.2
 BUDGET_S = 10.0
 COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"
-CELL_PROCESS = "each (layer, size) cell in a fresh child process; --against trees alternate"
+CELL_PROCESS = ("each sample of a (layer, size) cell in a fresh child process; "
+                "--against trees alternate pair by pair")
 
 
 class OverBudget(BaseException):
@@ -171,28 +173,20 @@ def cpu_seconds(clock, call):
         signal.setitimer(signal.ITIMER_PROF, 0)
 
 
-def measure_cell(name: str, m: int, repeat: int, src: Path):
-    """Median CPU seconds per call of one layer at one size, in this
-    process, or None when a sample runs over budget."""
+def measure_cell(name: str, m: int, src: Path):
+    """One sample of one layer at one size in this process: CPU seconds
+    per call, or None when it runs over budget."""
     sys.path.insert(0, str(src))
     signal.signal(signal.SIGPROF, _over_budget)
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as pycache:
         warnings.simplefilter("ignore")
         clock, prepare = layers(src, pycache)[name]
-        call = prepare(m)
-        times = []
-        for _ in range(repeat):
-            t = cpu_seconds(clock, call)
-            if t is None:
-                return None
-            times.append(t)
-    return statistics.median(times)
+        return cpu_seconds(clock, prepare(m))
 
 
-def run_cell(name: str, m: int, repeat: int, src: Path):
+def run_cell(name: str, m: int, src: Path):
     """``measure_cell`` in a fresh child process."""
-    argv = [sys.executable, __file__, "--cell", name, "--sizes", str(m), "--repeat", str(repeat),
-            "--src", str(src)]
+    argv = [sys.executable, __file__, "--cell", name, "--sizes", str(m), "--src", str(src)]
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"cell {name!r} m={m} under {src} failed:\n{proc.stderr}")
@@ -200,24 +194,36 @@ def run_cell(name: str, m: int, repeat: int, src: Path):
 
 
 def measure(sizes, repeat, trees):
-    """Column name -> layer name -> size -> seconds, for ``trees``, a
-    list of (column, source tree), taking turns cell by cell."""
+    """For ``trees``, a list of (column, source tree): column name ->
+    layer name -> size -> median seconds, and for two trees layer name ->
+    size -> the median of the per-pair ratios of the first tree to the
+    second.  Each cell takes ``repeat`` samples of each tree, in pairs,
+    and the tree that goes first alternates pair by pair."""
     sys.path.insert(0, str(trees[0][1]))
     names = list(layers(trees[0][1], pycache=None))
     cells = {column: {name: {} for name in names} for column, _ in trees}
+    ratios = {name: {} for name in names}
     turn = 0
     for name in names:
         stopped = set()
         for m in sizes:
-            order = trees if turn % 2 == 0 else trees[::-1]
-            turn += 1
-            for column, src in order:
-                t = None if column in stopped else run_cell(name, m, repeat, src)
-                if t is None:
-                    stopped.add(column)
-                cells[column][name][str(m)] = t
-                print(f"{name:>34} m={m:<5} {column:>10} {t}", file=sys.stderr)
-    return cells
+            samples = {column: [] for column, _ in trees}
+            for _ in range(repeat):
+                order = trees if turn % 2 == 0 else trees[::-1]
+                turn += 1
+                for column, src in order:
+                    t = None if column in stopped else run_cell(name, m, src)
+                    if t is None:
+                        stopped.add(column)
+                    samples[column].append(t)
+                    print(f"{name:>34} m={m:<5} {column:>10} {t!r}", file=sys.stderr)
+            for column, times in samples.items():
+                cells[column][name][str(m)] = None if None in times else statistics.median(times)
+            if len(trees) == 2:
+                top, base = samples.values()
+                ratios[name][str(m)] = None if None in top + base else statistics.median(
+                    [a / b for a, b in zip(top, base)])
+    return cells, ratios
 
 
 def main() -> None:
@@ -233,15 +239,15 @@ def main() -> None:
                     default=list(SIZES), help="comma-separated dimensions m")
     ap.add_argument("--repeat", type=int, default=3, help="samples per cell")
     ap.add_argument("--cell", metavar="LAYER",
-                    help="time one layer at the one size in --sizes in this process, "
-                         "print its seconds")
+                    help="take one sample of one layer at the one size in --sizes in this "
+                         "process, print its seconds")
     args = ap.parse_args()
 
     src = args.src.resolve()
     if args.cell:
         if len(args.sizes) != 1:
             ap.error("--cell takes one size in --sizes")
-        print(json.dumps(measure_cell(args.cell, args.sizes[0], args.repeat, src)))
+        print(json.dumps(measure_cell(args.cell, args.sizes[0], src)))
         return
     if args.out is None or args.column is None:
         ap.error("--out and --column are required")
@@ -252,7 +258,7 @@ def main() -> None:
             ap.error("--against takes NAME=SRC, NAME other than --column")
         trees.append((against_column, Path(against_src).resolve()))
     sizes = sorted(args.sizes)
-    cells = measure(sizes, args.repeat, trees)
+    cells, ratios = measure(sizes, args.repeat, trees)
     env = {"python": platform.python_version(), "mpmath_backend": mpmath.libmp.BACKEND}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(sizes=sizes, repeat=args.repeat, budget_s=BUDGET_S,
@@ -263,11 +269,7 @@ def main() -> None:
         for name, row in rows.items():
             doc.setdefault("layers", {}).setdefault(name, {})[column] = row
     if args.against:
-        (top, top_rows), (base, base_rows) = cells.items()
-        doc.setdefault("ratios", {})[f"{top}/{base}"] = {
-            name: {m: None if t is None or base_rows[name][m] is None else t / base_rows[name][m]
-                   for m, t in row.items()}
-            for name, row in top_rows.items()}
+        doc.setdefault("ratios", {})["/".join(cells)] = ratios
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -4,18 +4,24 @@
 For every shipped (function, center) pair: print the sufficient-condition
 report, a thinned convergence table, the limit estimates against the
 analytically known asymptote, and a scaled-remainder scan over a dyadic
-grid.  Everything runs in exact rational arithmetic.
+grid.  Everything runs in exact rational arithmetic.  The scan is the
+claim check in ``tests/_oracles.py``, loaded from the checkout by path.
 """
 
 import argparse
+import importlib.util
+import sys
+from pathlib import Path
 
-from invpower.asymptotics import (
-    asymptotic_residual_scan,
-    convergence_table,
-    estimate_limits,
-)
-from invpower.corpus import SHIPPED_CORPUS, describe, hypothesis_report, known_asymptote, taylor_coeffs
+from invpower.asymptotics import convergence_table, estimate_limits
+from invpower.corpus import (SHIPPED_CORPUS, HypothesisReport, describe, hypothesis_radius,
+                             known_asymptote, taylor_coeffs)
 from invpower.scalar import Scalar
+
+_spec = importlib.util.spec_from_file_location(
+    "_oracles", Path(__file__).resolve().parent.parent / "tests" / "_oracles.py")
+oracles = sys.modules["_oracles"] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
+_spec.loader.exec_module(oracles)
 
 
 def main() -> None:
@@ -30,7 +36,7 @@ def main() -> None:
 
     for entry in SHIPPED_CORPUS:
         f, x0 = entry.function, entry.center
-        cond = hypothesis_report(f, x0)
+        cond = HypothesisReport(x0, hypothesis_radius(f, x0))
         q0_true, q1_true = known_asymptote(f)
 
         print("=" * 78)
@@ -57,7 +63,7 @@ def main() -> None:
               f"q0 err {gap0.render_decimal(3)}, q1 err {gap1}, "
               f"converged = ({est.q0_converged}, {est.q1_converged})")
 
-        scan = asymptotic_residual_scan(f, q0_true, q1_true, grid)
+        scan = oracles.asymptotic_residual_scan(f, q0_true, q1_true, grid)
         top = scan.points[-1]
         print(f"  remainder scan: x^2 |f - q0 - q1/x| at x = 2^20 is "
               f"{top.residual.render_decimal(6)}; growth flagged: {scan.growth_flagged}")

@@ -11,12 +11,8 @@ from .approximant import (
 )
 from .asymptotics import (
     AsymptoticEstimate,
-    CenterInvarianceReport,
     ConvergenceRow,
     ConvergenceTable,
-    ResidualScanReport,
-    asymptotic_residual_scan,
-    center_invariance_check,
     convergence_table,
     estimate_limits,
 )
@@ -28,7 +24,6 @@ from .corpus import (
     TailSum,
     evaluate_at,
     hypothesis_radius,
-    hypothesis_report,
     known_asymptote,
     load_coefficient_file,
     mobius,

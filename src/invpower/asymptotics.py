@@ -7,7 +7,8 @@ For each dimension m the leading approximant coefficients are
 
 and, for a function with the right large-x behaviour, q0(m) -> q0 and
 q1(m) -> q1 with f(x) = q0 + q1/x + O(1/x**2).  Only these two rows are
-evaluated here.
+evaluated here; the checks of the paper's claims about them (center
+invariance, bounded scaled remainder) are test oracles, not package code.
 
 Exact series read both rows off the approximant's one integer kernel,
 :func:`~invpower.approximant.exact_convolution` (derived in
@@ -45,7 +46,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .approximant import exact_convolution, float_coefficients, float_dots
-from .corpus import CorpusFunction, evaluate_at, taylor_coeffs
 from .scalar import (
     CancellationWarning,
     Scalar,
@@ -184,105 +184,3 @@ def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:
         q1_converged=bool(tail) and all(r.delta1 is not None and r.delta1 <= tol for r in tail),
         m_used=table.m_max,
     )
-
-
-@dataclass(frozen=True)
-class CenterInvarianceReport:
-    """Two tables of the same function at different centers, compared."""
-
-    center_a: Scalar
-    center_b: Scalar
-    table_a: ConvergenceTable
-    table_b: ConvergenceTable
-    estimate_a: AsymptoticEstimate
-    estimate_b: AsymptoticEstimate
-    q0_difference: Scalar
-    q1_difference: Scalar
-    q0_agrees: bool
-    q1_agrees: bool
-
-    @property
-    def agrees(self) -> bool:
-        return self.q0_agrees and self.q1_agrees
-
-
-def center_invariance_check(
-    f: CorpusFunction,
-    x0_a: Scalar,
-    x0_b: Scalar,
-    m_max: int,
-    tol: Scalar,
-) -> CenterInvarianceReport:
-    """Expand f at two centers and compare the limit estimates.
-
-    The two leading coefficients do not depend on the expansion center;
-    higher ones do.  Both full tables are reported so disagreement can be
-    inspected row by row.
-    """
-    if m_max < 1:
-        raise ValueError(f"comparing q1 needs m_max >= 1, got {m_max}")
-    series_a = taylor_coeffs(f, x0_a, m_max + 1)
-    series_b = taylor_coeffs(f, x0_b, m_max + 1)
-    table_a = convergence_table(series_a, m_max)
-    table_b = convergence_table(series_b, m_max)
-    est_a = estimate_limits(table_a, tol)
-    est_b = estimate_limits(table_b, tol)
-    d0 = abs(est_a.q0 - est_b.q0)
-    d1 = abs(est_a.q1 - est_b.q1)
-    return CenterInvarianceReport(
-        center_a=x0_a,
-        center_b=x0_b,
-        table_a=table_a,
-        table_b=table_b,
-        estimate_a=est_a,
-        estimate_b=est_b,
-        q0_difference=d0,
-        q1_difference=d1,
-        q0_agrees=d0 <= tol,
-        q1_agrees=d1 <= tol,
-    )
-
-
-@dataclass(frozen=True)
-class ResidualPoint:
-    x: Scalar
-    residual: Scalar
-
-
-@dataclass(frozen=True)
-class ResidualScanReport:
-    """Scaled remainders r(x) = x**2 * |f(x) - q0 - q1/x| over a grid.
-
-    If (q0, q1) really are the leading terms, r stays bounded (it tends
-    to the next expansion coefficient); a wrong q0 makes it grow like
-    x**2, a wrong q1 like x.  ``growth_flagged`` compares the top decade
-    of the grid: failure when r at the largest point exceeds
-    ``growth_factor`` times r at the start of the decade.
-    """
-
-    points: tuple[ResidualPoint, ...]
-    growth_flagged: bool
-    growth_factor: int
-
-
-def asymptotic_residual_scan(
-    f: CorpusFunction,
-    q0: Scalar,
-    q1: Scalar,
-    grid: tuple[Scalar, ...],
-    growth_factor: int = 4,
-) -> ResidualScanReport:
-    if not grid:
-        raise ValueError("empty residual grid")
-    points = []
-    for x in grid:
-        if x.is_zero:
-            raise ValueError("residual scan grid must avoid x = 0")
-        r = abs(evaluate_at(f, x) - q0 - q1 / x) * x * x
-        points.append(ResidualPoint(x, r))
-    points.sort(key=lambda p: p.x.as_fraction())
-    x_max = points[-1].x
-    decade = [p for p in points if 10 * p.x >= x_max]
-    first, last = decade[0].residual, decade[-1].residual
-    flagged = last > growth_factor * first if not first.is_zero else not last.is_zero
-    return ResidualScanReport(tuple(points), flagged, growth_factor)

@@ -225,11 +225,11 @@ def _parse_rational(text: str, what: str) -> Scalar:
         raise CliError(f"bad {what}: {exc}") from None
 
 
-def _corpus_series(selector: str, params: str | None, x0_text: str,
-                   n: int) -> tuple[TaylorSeries, CorpusFunction]:
+def _corpus_series(selector: str, params: str | None, x0_text: str, n: int,
+                   flag: str = "--corpus") -> tuple[TaylorSeries, CorpusFunction]:
     """The first n coefficients of a corpus function, and the function."""
     try:
-        f = resolve_function(selector, params)
+        f = resolve_function(selector, params, flag)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if n < 1:  # only ``corpus --n`` can ask for none; a bad selector is reported first
@@ -426,7 +426,7 @@ def cmd_verify_identities(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    series, f = _corpus_series(args.fn, args.params, args.x0, args.n)
+    series, f = _corpus_series(args.fn, args.params, args.x0, args.n, "--fn")
     report = HypothesisReport(series.center, series.radius_hint)
     description = (
         f"{describe(f)} about x0 = {series.center}; "

@@ -7,11 +7,12 @@ Every corpus function is a finite sum of shifted reciprocals
 which keeps three things computable in closed form: exact Taylor
 coefficients at any non-pole center, the true limits (q0, q1) at
 infinity, and the analyticity radius of the transplanted function
-v(t) = f(1/t + x0 - 1).  That radius is the sufficient condition the
-convergence theory asks for (radius > 2); it is reported, never
-enforced, because the coefficient formulas demonstrably converge for
-some functions that violate it (x/(x+1) expanded at 1 being the shipped
-example).
+v(t) = f(1/t + x0 - 1).  The expansion takes exact parameters and an
+exact center only; float mode rounds the exact coefficients.  That
+radius is the sufficient condition the convergence theory asks for
+(radius > 2); it is reported, never enforced, because the coefficient
+formulas demonstrably converge for some functions that violate it
+(x/(x+1) expanded at 1 being the shipped example).
 
 Mobius quotients (a*x + b)/(c*x + d) with c != 0 are accepted and
 normalized to that shape when they are built.
@@ -24,6 +25,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -89,10 +91,6 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
     raise TypeError(f"not a corpus function: {f!r}")
 
 
-def poles(f: CorpusFunction) -> tuple[Scalar, ...]:
-    return tuple(-t.shift for t in as_tail_terms(f) if not t.weight.is_zero)
-
-
 def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
     result = Scalar.rational(0)
     for t in as_tail_terms(f):
@@ -152,17 +150,6 @@ class HypothesisReport:
         return "unbounded" if self.radius is None else str(self.radius)
 
 
-def hypothesis_report(f: CorpusFunction, x0: Scalar) -> HypothesisReport:
-    return HypothesisReport(x0, hypothesis_radius(f, x0))
-
-
-def _term_base(t: ShiftedReciprocal, x0: Scalar) -> Scalar:
-    base = x0 + t.shift
-    if base.is_zero:
-        raise PoleError(f"expansion center x0 = {x0} is a pole")
-    return base
-
-
 def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> tuple[Scalar, ...]:
     """c_0..c_{n-1} of exact terms about an exact x0.  With weight u/v and
     base x0 + shift = alpha/beta, c_k = (-1)**k u beta**(k+1) / (v alpha**(k+1)):
@@ -173,7 +160,9 @@ def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> t
         coeffs[0] += t.offset.value
         if t.weight.is_zero:
             continue
-        base = _term_base(t, x0).value
+        base = x0.value + t.shift.value
+        if not base:
+            raise PoleError(f"expansion center x0 = {x0} is a pole")
         alpha, beta = base.numerator, base.denominator
         num = t.weight.value.numerator * beta
         den = t.weight.value.denominator * alpha
@@ -185,37 +174,23 @@ def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> t
     return tuple(Scalar(c, True) for c in coeffs)
 
 
-def _scalar_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> tuple[Scalar, ...]:
-    """c_0..c_{n-1} term by term in ``Scalar`` arithmetic."""
-    coeffs = [Scalar.rational(0) for _ in range(n)]
-    for t in terms:
-        coeffs[0] = coeffs[0] + t.offset
-        if t.weight.is_zero:
-            continue
-        inv = 1 / _term_base(t, x0)
-        coeffs[0] = coeffs[0] + t.weight * inv
-        power = inv
-        for k in range(1, n):
-            power = power * inv
-            coeffs[k] = coeffs[k] + (-1) ** k * t.weight * power
-    return tuple(coeffs)
-
-
 def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
     """Coefficients c_0..c_{n-1} of f about x0.
 
     Per term, c_0 = offset + weight/(x0+shift) and
-    c_k = weight * (-1)**k / (x0+shift)**(k+1).  Exact parameters go
-    through :func:`_exact_taylor`; inexact ones, which only the Python
-    API builds, are summed term by term in ``Scalar`` arithmetic, with
-    its rounding.
+    c_k = weight * (-1)**k / (x0+shift)**(k+1), computed exactly by
+    :func:`_exact_taylor`.  An inexact x0, offset, weight or shift (only
+    the Python API builds one) is rejected, naming the field; float mode
+    rounds the exact series (:meth:`TaylorSeries.to_inexact`).
     """
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
     terms = as_tail_terms(f)
-    exact = x0.exact and all(s.exact for t in terms for s in (t.offset, t.weight, t.shift))
-    coeffs = (_exact_taylor if exact else _scalar_taylor)(terms, x0, n)
-    return TaylorSeries(x0, coeffs, radius_hint=hypothesis_radius(f, x0))
+    for name, value in (("x0", x0), *((field, getattr(t, field)) for t in terms
+                                       for field in ("offset", "weight", "shift"))):
+        if not value.exact:
+            raise ValueError(f"{name} must be exact, got {value}")
+    return TaylorSeries(x0, _exact_taylor(terms, x0, n), radius_hint=hypothesis_radius(f, x0))
 
 
 def describe(f: CorpusFunction) -> str:
@@ -257,16 +232,21 @@ SHIPPED_CORPUS: tuple[CorpusEntry, ...] = (
 )
 
 
-def resolve_function(selector: str, params: str | None = None) -> CorpusFunction:
+def resolve_function(selector: str, params: str | None = None,
+                     flag: str = "--corpus") -> CorpusFunction:
     """Turn a CLI selector into a corpus function.
 
     Accepted forms: a registered name ("one-over-x"), a dashed mobius
-    pattern with nonnegative integer entries ("mobius-2-3-1-2"), or a
+    pattern of four nonnegative ASCII integers ("mobius-2-3-1-2"), or a
     family name plus explicit parameters ("mobius" with "2,3,1,2";
-    "shifted-reciprocal" with "c,a,b", rationals allowed).
+    "shifted-reciprocal" with "c,a,b", rationals allowed).  Errors in a
+    mobius pattern name ``flag``, the CLI flag the selector came from.
     """
     if params is not None:
-        values = [Scalar.parse(p.strip()) for p in params.split(",")]
+        try:
+            values = [Scalar.parse(p) for p in params.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad --params: {exc}") from None
         if selector == "mobius":
             if len(values) != 4:
                 raise ValueError("mobius takes 4 parameters: a,b,c,d")
@@ -281,7 +261,15 @@ def resolve_function(selector: str, params: str | None = None) -> CorpusFunction
     if selector.startswith("mobius-"):
         pieces = selector.split("-")[1:]
         if len(pieces) == 4 and all(p.isdigit() for p in pieces):
-            return mobius(*(int(p) for p in pieces))
+            pattern = f"bad {flag}: mobius-<a>-<b>-<c>-<d> entries"
+            if not selector.isascii():
+                raise ValueError(f"{pattern} take ASCII digits only, got {selector!r}")
+            try:
+                entries = [int(p) for p in pieces]
+            except ValueError:  # more digits than int() converts from a string
+                raise ValueError(f"{pattern} take at most {sys.get_int_max_str_digits()} "
+                                 "digits") from None
+            return mobius(*entries)
     raise ValueError(
         f"unknown corpus function {selector!r}; known names: "
         + ", ".join(sorted(NAMED_FUNCTIONS)) + ", mobius-<a>-<b>-<c>-<d>")

@@ -52,11 +52,10 @@ The identity families, with the walked side named:
                                (-1)^(m-1) { m C(k-1,m) + C(k-2,m-1) }.
                                Walked: the right side, from D[k-1-m].
 
-The ``check_*`` functions take one tuple's entry from its family
-kernel's row, run on a band sized for that (m, k).  ``run_suite``
-enumerates every admissible tuple over rectangular m/k ranges and
-reports pass/fail counts plus the failing tuples (there should never be
-any: these are theorems, so a failure is an implementation bug).
+``run_suite`` enumerates every admissible tuple over rectangular m/k
+ranges and reports pass/fail counts plus the failing tuples (there
+should never be any: these are theorems, so a failure is an
+implementation bug).
 """
 
 from __future__ import annotations
@@ -165,11 +164,6 @@ class _Shared:
         return list(map(sub, map(mul, repeat(-self.m), s[1:]), s[2:] + [0]))
 
 
-def _single(m: int, k: int) -> _Shared:
-    """The shared values for one (m, k), on a band just large enough."""
-    return _Shared(_band(k, m), m)
-
-
 # ---------------------------------------------------------------------------
 # family kernels: (literal lhs, [walked rhs per inner parameter]) at one (m, k)
 # ---------------------------------------------------------------------------
@@ -245,77 +239,6 @@ def _weighted_convolution(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
     c = k - 1 - m
     value = m * at.band[c][m] + at.band[c][m - 1] if c >= 0 else 0
     return lhs, [value if m % 2 else -value]
-
-
-# ---------------------------------------------------------------------------
-# single tuples
-# ---------------------------------------------------------------------------
-
-
-def _case(identity_id: str, params: dict[str, int], lhs: int, rhs: int,
-          strict: bool = False) -> IdentityCase:
-    return IdentityCase(identity_id, params, lhs, rhs, lhs > rhs if strict else lhs == rhs)
-
-
-def check_factorial_dominance(m: int, k: int, n: int) -> IdentityCase:
-    """Strict inequality (m+1)! * C(k, m+1) > C(k+n-1, n)."""
-    if m < 0 or n < 0 or k <= m + 1 or n > m:
-        raise ValueError(f"need k > m+1 >= 1 and 0 <= n <= m, got m={m} k={k} n={n}")
-    lhs, rhs = _factorial_dominance(m, k, _single(m, k))
-    return _case(FACTORIAL_DOMINANCE, {"m": m, "k": k, "n": n}, lhs, rhs[n], strict=True)
-
-
-def check_alternating_row_prefix(m: int, k: int) -> IdentityCase:
-    """Partial alternating row sum against the signed previous-row value."""
-    if m < 1 or k < 0 or k > m - 1:
-        raise ValueError(f"need m >= 1 and 0 <= k <= m-1, got m={m} k={k}")
-    lhs, rhs = _alternating_row_prefix(m, k, _single(m, k))
-    return _case(ALTERNATING_ROW_PREFIX, {"m": m, "k": k}, lhs, rhs[0])
-
-
-def check_convolution_shift(m: int, k: int, a: int) -> IdentityCase:
-    """Alternating binomial convolution vs its a-fold re-indexed form.
-
-    The right side is independent of a; a = m collapses it to the closed
-    form checked by :func:`check_alternating_convolution`.
-    """
-    if m < 0 or k < 1 or a < 0 or a > m:
-        raise ValueError(f"need m >= 0, k >= 1, 0 <= a <= m, got m={m} k={k} a={a}")
-    lhs, rhs = _convolution(m, k, _single(m, k))
-    return _case(CONVOLUTION_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs[a])
-
-
-def check_alternating_convolution(m: int, k: int) -> IdentityCase:
-    """sum (-1)^n C(m,n) C(k+n-1,n) == (-1)^m C(k-1, m)."""
-    if m < 0 or k < 1:
-        raise ValueError(f"need m >= 0 and k >= 1, got m={m} k={k}")
-    lhs, rhs = _convolution(m, k, _single(m, k))
-    return _case(ALTERNATING_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs[-1])
-
-
-def check_hockey_stick(k: int, m: int) -> IdentityCase:
-    """Column partial sum: sum_{z<m} C(k+z-2, k-2) == C(k+m-2, k-1)."""
-    if k < 2 or m < 1:
-        raise ValueError(f"need k >= 2 and m >= 1, got k={k} m={m}")
-    lhs, rhs = _hockey_stick(k, m, _single(m, k))
-    return _case(HOCKEY_STICK, {"k": k, "m": m}, lhs, rhs[0])
-
-
-def check_weighted_shift(m: int, k: int, a: int) -> IdentityCase:
-    """Weighted convolution vs its a-fold shifted form plus correction."""
-    if m <= 1 or k < 2 or a < 1 or a > m - 2:
-        raise ValueError(f"need m > 1, k >= 2, 1 <= a <= m-2, got m={m} k={k} a={a}")
-    lhs, rhs = _weighted_shift(m, k, _single(m, k))
-    return _case(WEIGHTED_SHIFT_FAMILY, {"m": m, "k": k, "a": a}, lhs, rhs[a - 1])
-
-
-def check_weighted_convolution(m: int, k: int) -> IdentityCase:
-    """sum { C(m,n+1) - m C(m,n) } (-1)^n C(k+n-1,n)
-    == (-1)^(m-1) { m C(k-1,m) + C(k-2,m-1) }."""
-    if m < 1 or k < 2:
-        raise ValueError(f"need m >= 1 and k >= 2, got m={m} k={k}")
-    lhs, rhs = _weighted_convolution(m, k, _single(m, k))
-    return _case(WEIGHTED_CONVOLUTION_CLOSED, {"m": m, "k": k}, lhs, rhs[0])
 
 
 # ---------------------------------------------------------------------------

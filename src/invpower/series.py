@@ -25,11 +25,6 @@ class TaylorSeries:
             raise ValueError("a Taylor series needs at least one coefficient")
 
     @property
-    def max_dimension(self) -> int:
-        """Largest approximant dimension the stored coefficients support."""
-        return len(self.coeffs) - 1
-
-    @property
     def is_exact(self) -> bool:
         return self.center.exact and all(c.exact for c in self.coeffs)
 

@@ -4,16 +4,24 @@ oracles by the tests.
 Everything here is deliberately written against the standard library
 (``math.comb``, ``fractions.Fraction``) instead of the package under
 test, so closed forms in the package are checked by structurally
-different code.  The float oracles are the one exception: float mode
+different code.  The float oracles are one exception: float mode
 promises the rounding of the literal sums done in ``Scalar`` arithmetic,
-one rounded operation per term, so they are those literal sums.
+one rounded operation per term, so they are those literal sums.  The
+claim checks at the end are the other: they run the package's pipeline
+to test the paper's claims about its output (the limits do not depend
+on the expansion center; the scaled remainder stays bounded), and
+``scripts/run_convergence_study.py`` loads them from this file.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
+from invpower.asymptotics import (AsymptoticEstimate, ConvergenceTable, convergence_table,
+                                  estimate_limits)
+from invpower.corpus import CorpusFunction, evaluate_at, taylor_coeffs
 from invpower.scalar import Scalar
 
 
@@ -236,25 +244,6 @@ def evaluate_scalar_loop(approx, x: Scalar) -> Scalar:
     return result
 
 
-def taylor_scalar_loop(terms, x0: Scalar, n: int) -> list[Scalar]:
-    """c_0..c_{n-1} of a sum of shifted reciprocals by the term-by-term
-    ``Scalar`` loop that ``taylor_coeffs`` runs for inexact parameters:
-    powers of 1/(x0 + shift), each term added in order, every step
-    rounded."""
-    coeffs = [Scalar.rational(0)] * n
-    for t in terms:
-        coeffs[0] = coeffs[0] + t.offset
-        if t.weight.is_zero:
-            continue
-        inv = 1 / (x0 + t.shift)
-        coeffs[0] = coeffs[0] + t.weight * inv
-        power = inv
-        for k in range(1, n):
-            power = power * inv
-            coeffs[k] = coeffs[k] + (-1) ** k * t.weight * power
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # binomial identities: both sides of every family by literal sums
 # ---------------------------------------------------------------------------
@@ -413,3 +402,110 @@ class RawFrac:
 
     def equals(self, other: Fraction) -> bool:
         return self.num * other.denominator == other.numerator * self.den
+
+
+# ---------------------------------------------------------------------------
+# the paper's claims: center invariance and the scaled remainder
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CenterInvarianceReport:
+    """Two tables of the same function at different centers, compared."""
+
+    center_a: Scalar
+    center_b: Scalar
+    table_a: ConvergenceTable
+    table_b: ConvergenceTable
+    estimate_a: AsymptoticEstimate
+    estimate_b: AsymptoticEstimate
+    q0_difference: Scalar
+    q1_difference: Scalar
+    q0_agrees: bool
+    q1_agrees: bool
+
+    @property
+    def agrees(self) -> bool:
+        return self.q0_agrees and self.q1_agrees
+
+
+def center_invariance_check(
+    f: CorpusFunction,
+    x0_a: Scalar,
+    x0_b: Scalar,
+    m_max: int,
+    tol: Scalar,
+) -> CenterInvarianceReport:
+    """Expand f at two centers and compare the limit estimates.
+
+    The two leading coefficients do not depend on the expansion center;
+    higher ones do.  Both full tables are reported so disagreement can be
+    inspected row by row.
+    """
+    if m_max < 1:
+        raise ValueError(f"comparing q1 needs m_max >= 1, got {m_max}")
+    series_a = taylor_coeffs(f, x0_a, m_max + 1)
+    series_b = taylor_coeffs(f, x0_b, m_max + 1)
+    table_a = convergence_table(series_a, m_max)
+    table_b = convergence_table(series_b, m_max)
+    est_a = estimate_limits(table_a, tol)
+    est_b = estimate_limits(table_b, tol)
+    d0 = abs(est_a.q0 - est_b.q0)
+    d1 = abs(est_a.q1 - est_b.q1)
+    return CenterInvarianceReport(
+        center_a=x0_a,
+        center_b=x0_b,
+        table_a=table_a,
+        table_b=table_b,
+        estimate_a=est_a,
+        estimate_b=est_b,
+        q0_difference=d0,
+        q1_difference=d1,
+        q0_agrees=d0 <= tol,
+        q1_agrees=d1 <= tol,
+    )
+
+
+@dataclass(frozen=True)
+class ResidualPoint:
+    x: Scalar
+    residual: Scalar
+
+
+@dataclass(frozen=True)
+class ResidualScanReport:
+    """Scaled remainders r(x) = x**2 * |f(x) - q0 - q1/x| over a grid.
+
+    If (q0, q1) really are the leading terms, r stays bounded (it tends
+    to the next expansion coefficient); a wrong q0 makes it grow like
+    x**2, a wrong q1 like x.  ``growth_flagged`` compares the top decade
+    of the grid: failure when r at the largest point exceeds
+    ``growth_factor`` times r at the start of the decade.
+    """
+
+    points: tuple[ResidualPoint, ...]
+    growth_flagged: bool
+    growth_factor: int
+
+
+def asymptotic_residual_scan(
+    f: CorpusFunction,
+    q0: Scalar,
+    q1: Scalar,
+    grid: tuple[Scalar, ...],
+    growth_factor: int = 4,
+) -> ResidualScanReport:
+    if not grid:
+        raise ValueError("empty residual grid")
+    points = []
+    for x in grid:
+        if x.is_zero:
+            raise ValueError("residual scan grid must avoid x = 0")
+        r = abs(evaluate_at(f, x) - q0 - q1 / x) * x * x
+        points.append(ResidualPoint(x, r))
+    points.sort(key=lambda p: p.x.as_fraction())
+    x_max = points[-1].x
+    decade = [p for p in points if 10 * p.x >= x_max]
+    first, last = decade[0].residual, decade[-1].residual
+    flagged = last > growth_factor * first if not first.is_zero else not last.is_zero
+    return ResidualScanReport(tuple(points), flagged, growth_factor)

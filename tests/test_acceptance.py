@@ -20,12 +20,7 @@ from itertools import count
 import pytest
 
 from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, signed_binomial_matrix
-from invpower.asymptotics import (
-    asymptotic_residual_scan,
-    center_invariance_check,
-    convergence_table,
-    estimate_limits,
-)
+from invpower.asymptotics import convergence_table, estimate_limits
 from invpower.cli import main
 from invpower.corpus import SHIPPED_CORPUS, known_asymptote, mobius, shifted_reciprocal
 from invpower.identities import SuiteRanges, run_suite
@@ -33,8 +28,10 @@ from invpower.scalar import Scalar
 from invpower.series import series_from_rationals
 
 from _oracles import (
+    asymptotic_residual_scan,
     brute_q0,
     brute_q1,
+    center_invariance_check,
     closed_form_q,
     determinant,
     expand_to_taylor,

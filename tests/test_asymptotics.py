@@ -12,8 +12,6 @@ from invpower.approximant import coeffs_closed_form, float_dots
 from invpower.asymptotics import (
     ConvergenceRow,
     ConvergenceTable,
-    asymptotic_residual_scan,
-    center_invariance_check,
     convergence_table,
     estimate_limits,
 )
@@ -23,8 +21,10 @@ from invpower.scalar import CancellationWarning, Scalar, significand_bits
 from invpower.series import TaylorSeries, series_from_rationals
 
 from _oracles import (
+    asymptotic_residual_scan,
     brute_q0,
     brute_q1,
+    center_invariance_check,
     float_closed_form_q,
     float_dot,
     float_table,

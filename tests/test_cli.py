@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -581,6 +582,29 @@ def test_flags_reject_separators_and_non_ascii(capsys, argv, field):
     assert (code, out) == (1, "")
     assert err == (f"error: {field}: cannot parse {argv[-1]!r} as an exact rational: "
                    "only ASCII characters and no '_' separators are allowed\n")
+
+
+_MOBIUS_ENTRIES = "mobius-<a>-<b>-<c>-<d> entries take"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["estimate", "--corpus", "mobius-\u0662-3-1-2", "--m-max", "3"],
+     f"bad --corpus: {_MOBIUS_ENTRIES} ASCII digits only, got 'mobius-\u0662-3-1-2'"),
+    (["estimate", "--corpus", "mobius-\u00b2-3-1-2", "--m-max", "3"],
+     f"bad --corpus: {_MOBIUS_ENTRIES} ASCII digits only, got 'mobius-\u00b2-3-1-2'"),
+    (["corpus", "--fn", "mobius-\u00b2-3-1-2", "--n", "2"],
+     f"bad --fn: {_MOBIUS_ENTRIES} ASCII digits only, got 'mobius-\u00b2-3-1-2'"),
+    (["estimate", "--corpus", f"mobius-{'9' * 5000}-3-1-2", "--m-max", "3"],
+     f"bad --corpus: {_MOBIUS_ENTRIES} at most {sys.get_int_max_str_digits()} digits"),
+    (["estimate", "--corpus", "mobius", "--params", "1,0,x,1", "--m-max", "3"],
+     "bad --params: cannot parse 'x' as an exact rational: Invalid literal for Fraction: 'x'"),
+], ids=["arabic-indic-digit", "superscript-digit", "corpus-fn", "5000-digits", "params"])
+def test_corpus_selector_errors_name_the_flag(capsys, argv, message):
+    """A mobius pattern takes ASCII digits only (``str.isdigit`` alone
+    passes other scripts' digits, which ``int`` reads or rejects), and
+    each malformed selector or parameter is one error line naming its
+    flag."""
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # scalar strings the grammar accepts (some only in float mode), and ones it

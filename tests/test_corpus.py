@@ -10,15 +10,14 @@ from invpower.asymptotics import convergence_table, estimate_limits
 from invpower.corpus import (
     MAX_FILE_COEFFS,
     SHIPPED_CORPUS,
+    HypothesisReport,
     as_tail_terms,
     coefficient_file_payload,
     evaluate_at,
     hypothesis_radius,
-    hypothesis_report,
     known_asymptote,
     load_coefficient_file,
     mobius,
-    poles,
     resolve_function,
     save_coefficient_file,
     shifted_reciprocal,
@@ -28,7 +27,7 @@ from invpower.corpus import (
 from invpower.errors import CoefficientFileError, PoleError
 from invpower.scalar import Scalar
 
-from _oracles import expand_to_taylor, oracle_solve, tail_coeffs, taylor_scalar_loop
+from _oracles import expand_to_taylor, oracle_solve, tail_coeffs
 
 
 def sc(x):
@@ -107,24 +106,16 @@ def test_taylor_coeffs_are_summed_tail_expansions(terms, x0, n):
     assert fractions_of(s) == [sum(col) for col in zip(*cols)]
 
 
-@pytest.mark.parametrize("precision", [64, 128])
-def test_inexact_taylor_coeffs_keep_scalar_loop_rounding(precision):
-    """A float center, or a float weight or shift, keeps the term-by-term
-    ``Scalar`` loop and its rounding, bit for bit."""
-    def fl(x):
-        return Scalar.approx(Fraction(x), precision)
-
-    cases = [
-        (tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), shifted_reciprocal(0, -3, Fraction(-5, 2))),
-         fl(Fraction(3, 2))),
-        (tail_sum(shifted_reciprocal(0, fl(Fraction(1, 3)), 1), shifted_reciprocal(2, 0, 0)), sc(1)),
-        (tail_sum(shifted_reciprocal(Fraction(1, 2), 5, fl(Fraction(-7, 3)))), sc(Fraction(1, 5))),
-    ]
-    for f, x0 in cases:
-        got = taylor_coeffs(f, x0, 20).coeffs
-        want = taylor_scalar_loop(as_tail_terms(f), x0, 20)
-        assert all(not c.exact and c.precision == precision for c in got)
-        assert [c.value._mpf_ for c in got] == [c.value._mpf_ for c in want]
+@pytest.mark.parametrize("field", ["x0", "offset", "weight", "shift"])
+def test_inexact_parameter_rejected_naming_it(field):
+    """The expansion is exact only: a float center, offset, weight or
+    shift is rejected with an error that names it, in any term."""
+    value = Scalar.approx(Fraction(1, 3), 64)
+    params = {"offset": 1, "weight": 2, "shift": Fraction(1, 4), field: value}
+    x0 = params.pop("x0", sc(Fraction(3, 2)))
+    f = tail_sum(shifted_reciprocal(0, -3, Fraction(-5, 2)), shifted_reciprocal(**params))
+    with pytest.raises(ValueError, match=f"^{field} must be exact, got {re.escape(str(value))}$"):
+        taylor_coeffs(f, x0, 20)
 
 
 def test_exact_taylor_coeffs_make_no_scalar_arithmetic_per_coefficient(monkeypatch):
@@ -151,7 +142,7 @@ def test_pole_center_rejected():
     pole_second = tail_sum(shifted_reciprocal(1, 2, 0), shifted_reciprocal(0, -1, Fraction(-3, 2)))
     with pytest.raises(PoleError, match=message.format("3/2")):
         taylor_coeffs(pole_second, sc(Fraction(3, 2)), 5)
-    with pytest.raises(PoleError, match=message.format(r"0\.0")):
+    with pytest.raises(ValueError, match=r"^x0 must be exact, got 0\.0$"):
         taylor_coeffs(shifted_reciprocal(0, 1, 0), Scalar.approx(0, 64), 3)
 
 
@@ -167,7 +158,7 @@ def test_mobius_requires_degree_one_denominator():
 
 def test_constant_function_has_no_pole():
     f = shifted_reciprocal(7, 0, 0)
-    assert poles(f) == ()
+    assert hypothesis_radius(f, sc(0)) is None
     s = taylor_coeffs(f, sc(0), 4)
     assert fractions_of(s) == [7, 0, 0, 0]
 
@@ -206,7 +197,7 @@ def test_evaluate_at_matches_quotient_form():
     (mobius(2, 3, 1, 2), 1, Fraction(1, 2), False),
 ])
 def test_hypothesis_report(f, x0, radius, satisfied):
-    report = hypothesis_report(f, sc(x0))
+    report = HypothesisReport(sc(x0), hypothesis_radius(f, sc(x0)))
     if radius is None:
         assert report.radius is None
     else:
@@ -271,9 +262,8 @@ def test_unknown_selector_rejected():
 
 
 def test_shipped_corpus_covers_both_hypothesis_outcomes():
-    satisfied = []
-    for entry in SHIPPED_CORPUS:
-        satisfied.append(hypothesis_report(entry.function, entry.center).satisfied)
+    satisfied = [HypothesisReport(e.center, hypothesis_radius(e.function, e.center)).satisfied
+                 for e in SHIPPED_CORPUS]
     assert any(satisfied) and not all(satisfied)
 
 
@@ -440,7 +430,8 @@ def test_pipeline_round_trip_for_shipped_corpus():
 def test_estimates_match_known_asymptotes_when_condition_met():
     tol = Fraction(1, 10 ** 6)
     for entry in SHIPPED_CORPUS:
-        if not hypothesis_report(entry.function, entry.center).satisfied:
+        if not HypothesisReport(entry.center,
+                                hypothesis_radius(entry.function, entry.center)).satisfied:
             continue
         series = taylor_coeffs(entry.function, entry.center, 41)
         est = estimate_limits(convergence_table(series, 40), sc(tol))

@@ -16,17 +16,53 @@ from invpower.identities import (
     WEIGHTED_SHIFT_FAMILY,
     IdentityCase,
     SuiteRanges,
-    check_alternating_convolution,
-    check_alternating_row_prefix,
-    check_convolution_shift,
-    check_factorial_dominance,
-    check_hockey_stick,
-    check_weighted_convolution,
-    check_weighted_shift,
     run_suite,
 )
 
 from _oracles import comb0, identity_cases
+
+
+def _at(m, k):
+    """The kernels' shared values at m, on a band just large enough for
+    the pair (m, k)."""
+    return identities._Shared(identities._band(k, m), m)
+
+
+# identity -> (family kernel name, index of a tuple's entry in its right sides)
+_ENTRY = {
+    FACTORIAL_DOMINANCE: ("_factorial_dominance", lambda p: p["n"]),
+    ALTERNATING_ROW_PREFIX: ("_alternating_row_prefix", lambda p: 0),
+    CONVOLUTION_SHIFT_FAMILY: ("_convolution", lambda p: p["a"]),
+    ALTERNATING_CONVOLUTION_CLOSED: ("_convolution", lambda p: -1),
+    HOCKEY_STICK: ("_hockey_stick", lambda p: 0),
+    WEIGHTED_SHIFT_FAMILY: ("_weighted_shift", lambda p: p["a"] - 1),
+    WEIGHTED_CONVOLUTION_CLOSED: ("_weighted_convolution", lambda p: 0),
+}
+
+
+def _kernel_case(identity_id, params):
+    """One admissible tuple's case, read from its family kernel's row."""
+    name, entry = _ENTRY[identity_id]
+    m, k = params["m"], params["k"]
+    lhs, rhs = getattr(identities, name)(*((k, m) if identity_id == HOCKEY_STICK else (m, k)),
+                                         _at(m, k))
+    rhs = rhs[entry(params)]
+    holds = lhs > rhs if identity_id == FACTORIAL_DOMINANCE else lhs == rhs
+    return IdentityCase(identity_id, params, lhs, rhs, holds)
+
+
+def _fields(case):
+    return case.identity_id, list(case.params.items()), case.lhs, case.rhs, case.passed
+
+
+def _case(identity_id, **params):
+    """``_kernel_case``, after checking it against the literal oracle's
+    case field by field, params in order."""
+    case = _kernel_case(identity_id, params)
+    oracle = next(IdentityCase(*c) for c in identity_cases(params["m"], params["k"])[0]
+                  if c[:2] == (identity_id, params))
+    assert _fields(case) == _fields(oracle)
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +76,7 @@ from _oracles import comb0, identity_cases
     (3, 1, -2, -2),      # 1 - 3
 ])
 def test_alternating_row_prefix_values(m, k, lhs, rhs):
-    case = check_alternating_row_prefix(m, k)
+    case = _case(ALTERNATING_ROW_PREFIX, m=m, k=k)
     assert (case.lhs, case.rhs, case.passed) == (lhs, rhs, True)
 
 
@@ -50,7 +86,7 @@ def test_alternating_row_prefix_values(m, k, lhs, rhs):
     (5, 3, 0),           # right side vanishes by the zero convention
 ])
 def test_alternating_convolution_values(m, k, value):
-    case = check_alternating_convolution(m, k)
+    case = _case(ALTERNATING_CONVOLUTION_CLOSED, m=m, k=k)
     assert case.passed and case.lhs == value == case.rhs
 
 
@@ -60,7 +96,7 @@ def test_alternating_convolution_values(m, k, value):
     (3, 2, 0),
 ])
 def test_weighted_convolution_values(m, k, value):
-    case = check_weighted_convolution(m, k)
+    case = _case(WEIGHTED_CONVOLUTION_CLOSED, m=m, k=k)
     assert case.passed and case.lhs == value == case.rhs
 
 
@@ -70,18 +106,18 @@ def test_weighted_convolution_values(m, k, value):
     (0, 2, 0, 2, 1),     # smallest admissible tuple
 ])
 def test_factorial_dominance_values(m, k, n, lhs, rhs):
-    case = check_factorial_dominance(m, k, n)
+    case = _case(FACTORIAL_DOMINANCE, m=m, k=k, n=n)
     assert (case.lhs, case.rhs, case.passed) == (lhs, rhs, True)
 
 
 @pytest.mark.parametrize("m,k,a", [(3, 2, 0), (3, 2, 3), (4, 1, 2)])
 def test_convolution_shift_values(m, k, a):
-    assert check_convolution_shift(m, k, a).passed
+    assert _case(CONVOLUTION_SHIFT_FAMILY, m=m, k=k, a=a).passed
 
 
 @pytest.mark.parametrize("m,k,a", [(3, 3, 1), (5, 4, 3), (4, 2, 2)])
 def test_weighted_shift_values(m, k, a):
-    assert check_weighted_shift(m, k, a).passed
+    assert _case(WEIGHTED_SHIFT_FAMILY, m=m, k=k, a=a).passed
 
 
 @pytest.mark.parametrize("k,m,lhs", [
@@ -90,30 +126,8 @@ def test_weighted_shift_values(m, k, a):
     (4, 3, 10),          # 1+3+6 = C(5,3)
 ])
 def test_hockey_stick_values(k, m, lhs):
-    case = check_hockey_stick(k, m)
+    case = _case(HOCKEY_STICK, k=k, m=m)
     assert case.passed and case.lhs == lhs
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("call", [
-    lambda: check_alternating_row_prefix(3, 3),
-    lambda: check_alternating_row_prefix(0, 0),
-    lambda: check_alternating_convolution(2, 0),
-    lambda: check_weighted_convolution(0, 3),
-    lambda: check_weighted_convolution(3, 1),
-    lambda: check_factorial_dominance(2, 3, 0),   # k must exceed m+1
-    lambda: check_factorial_dominance(2, 5, 3),   # n must not exceed m
-    lambda: check_convolution_shift(3, 2, 4),
-    lambda: check_weighted_shift(3, 2, 2),
-    lambda: check_hockey_stick(1, 3),
-])
-def test_inadmissible_parameters_rejected(call):
-    with pytest.raises(ValueError):
-        call()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +138,7 @@ def test_inadmissible_parameters_rejected(call):
 @settings(max_examples=80)
 @given(st.integers(min_value=0, max_value=18), st.integers(min_value=1, max_value=18))
 def test_alternating_convolution_against_local_sum(m, k):
-    case = check_alternating_convolution(m, k)
+    case = _case(ALTERNATING_CONVOLUTION_CLOSED, m=m, k=k)
     local = sum((-1) ** n * comb0(m, n) * comb0(k + n - 1, n) for n in range(m + 1))
     assert case.lhs == local
     assert case.rhs == (-1) ** m * comb0(k - 1, m)
@@ -136,9 +150,9 @@ def test_alternating_convolution_against_local_sum(m, k):
 def test_shift_family_right_side_independent_of_a(m, k):
     """Every shift depth gives the same right side; the deepest one is the
     closed form."""
-    values = [check_convolution_shift(m, k, a).rhs for a in range(m + 1)]
+    values = [_case(CONVOLUTION_SHIFT_FAMILY, m=m, k=k, a=a).rhs for a in range(m + 1)]
     assert len(set(values)) == 1
-    assert values[0] == check_alternating_convolution(m, k).rhs
+    assert values[0] == _case(ALTERNATING_CONVOLUTION_CLOSED, m=m, k=k).rhs
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +189,7 @@ def test_suite_report_serializes_with_contract_fields():
     text = json.dumps(payload)
     assert json.loads(text) == payload
     assert set(payload) == {"total", "passed", "failed", "skipped", "failures"}
-    case = check_alternating_convolution(2, 4).to_json_dict()
+    case = _case(ALTERNATING_CONVOLUTION_CLOSED, m=2, k=4).to_json_dict()
     assert set(case) == {"identity_id", "params", "lhs", "rhs", "pass"}
     assert case["identity_id"] == ALTERNATING_CONVOLUTION_CLOSED
     assert case["identity_id"] in IDENTITY_IDS
@@ -187,25 +201,14 @@ def test_suite_report_serializes_with_contract_fields():
 # walked kernels against the literal oracle sums
 # ---------------------------------------------------------------------------
 
-_CHECKS = {
-    FACTORIAL_DOMINANCE: check_factorial_dominance,
-    ALTERNATING_ROW_PREFIX: check_alternating_row_prefix,
-    CONVOLUTION_SHIFT_FAMILY: check_convolution_shift,
-    ALTERNATING_CONVOLUTION_CLOSED: check_alternating_convolution,
-    HOCKEY_STICK: check_hockey_stick,
-    WEIGHTED_SHIFT_FAMILY: check_weighted_shift,
-    WEIGHTED_CONVOLUTION_CLOSED: check_weighted_convolution,
-}
-
 
 def _assert_cases_match_oracle(m, k):
-    """Every admissible tuple at (m, k), in suite order: the package's case
-    equals the literal sums' case field by field, params in order."""
+    """Every admissible tuple at (m, k), in suite order: the case read from
+    its family kernel's row equals the literal sums' case field by field,
+    params in order."""
     cases, skipped = identity_cases(m, k)
-    for identity_id, params, lhs, rhs, passed in cases:
-        case = _CHECKS[identity_id](**params)
-        assert (case.identity_id, list(case.params.items()), case.lhs, case.rhs, case.passed) \
-            == (identity_id, list(params.items()), lhs, rhs, passed), (m, k)
+    for case in cases:
+        assert _fields(_kernel_case(*case[:2])) == _fields(IdentityCase(*case)), (m, k)
     return len(cases), skipped
 
 
@@ -247,24 +250,6 @@ def test_unordered_ranges_with_negatives_match_single_pairs_and_oracle():
         == (total, total, 0, skipped)
 
 
-@pytest.mark.parametrize("m,k", [(0, 1), (1, 5), (3, 2), (6, 6), (9, 4), (12, 30), (40, 60)])
-def test_single_tuple_checks_agree_with_family_rows(m, k):
-    """A single-tuple check asks the family's right-side code for the one
-    a it needs, and gets the family kernel's entry for that a."""
-    lhs, rhs = identities._convolution(m, k, identities._single(m, k))
-    for a in range(m + 1):
-        case = check_convolution_shift(m, k, a)
-        assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[a], True)
-    case = check_alternating_convolution(m, k)
-    assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[-1], True)
-    if m >= 3 and k >= 2:
-        lhs, rhs = identities._weighted_shift(m, k, identities._single(m, k))
-        assert len(rhs) == m - 2
-        for a in range(1, m - 1):
-            case = check_weighted_shift(m, k, a)
-            assert (case.lhs, case.rhs, case.passed) == (lhs, rhs[a - 1], True)
-
-
 # ---------------------------------------------------------------------------
 # failure path: a kernel returning one wrong right side
 # ---------------------------------------------------------------------------
@@ -295,7 +280,7 @@ def test_suite_reports_one_wrong_right_side(monkeypatch, kernel, at, index, iden
 
     ranges = SuiteRanges(tuple(range(7)), tuple(range(7)))
     clean = run_suite(ranges)
-    lhs, _ = original(*at, identities._single(*at))
+    lhs, _ = original(*at, _at(*at))
     monkeypatch.setattr(identities, kernel, broken)
     report = run_suite(ranges)
     assert report.failed == 1

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -68,13 +69,16 @@ def test_convergence_study_output_unchanged():
 def test_bench_writes_one_column_per_run(tmp_path):
     """``bench.py`` at a small size, timing two source trees in one run:
     a column each plus their per-cell ratio, every layer timed, the
-    interpreter recorded, and a column already in the file kept."""
+    interpreter recorded, and a column already in the file kept.  Each
+    cell is the median of its samples, each ratio the median of the
+    per-pair ratios, and the tree that goes first alternates pair by
+    pair."""
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"columns": {"earlier": {}},
                                "layers": {"run_suite": {"earlier": {"20": 1.0}}}}))
     proc = run_script("bench.py", "--out", str(out), "--column", "change",
                       "--against", f"parent={ROOT / 'src'}",
-                      "--sizes", "20", "--repeat", "1")
+                      "--sizes", "20", "--repeat", "2")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())
     assert doc["sizes"] == [20]
@@ -85,6 +89,12 @@ def test_bench_writes_one_column_per_run(tmp_path):
     assert "fresh child process" in doc["cell_process"]
     assert doc["float_precisions"] == [64, 128]
     assert doc["layers"]["run_suite"]["earlier"] == {"20": 1.0}
+    # the samples as timed, in order: layer -> [(column, seconds), ...]
+    samples = {}
+    for line in proc.stderr.splitlines():
+        if " m=20 " in line:
+            layer, _, column, seconds = line.strip().rsplit(None, 3)
+            samples.setdefault(layer, []).append((column, float(seconds)))
     ratios = doc["ratios"]["change/parent"]
     for layer in ("convergence_table exact", "convergence_table float64",
                   "convergence_table float128", "coeffs_closed_form float64",
@@ -92,12 +102,15 @@ def test_bench_writes_one_column_per_run(tmp_path):
                   "binomial_convolve exact", "estimate_limits exact", "cli estimate exact csv",
                   "cli estimate exact json", "cli estimate float64", "cli estimate float128",
                   "run_suite", "cli cold start"):
+        assert [column for column, _ in samples[layer]] == ["change", "parent", "parent", "change"]
+        times = {column: [t for c, t in samples[layer] if c == column]
+                 for column in ("parent", "change")}
         row = doc["layers"][layer]
-        assert all(row[column]["20"] > 0 for column in ("parent", "change"))
-        assert ratios[layer]["20"] == row["change"]["20"] / row["parent"]["20"]
-    # the trees take turns cell by cell, and the first of each pair alternates
-    timed = [line.split()[-2] for line in proc.stderr.splitlines() if " m=20 " in line]
-    assert timed[:4] == ["change", "parent", "parent", "change"]
+        for column, sampled in times.items():
+            assert all(t > 0 for t in sampled)
+            assert row[column]["20"] == statistics.median(sampled)
+        assert ratios[layer]["20"] == statistics.median(
+            [c / p for c, p in zip(times["change"], times["parent"])])
 
 
 ESTIMATE = ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12", "--format", "json"]
