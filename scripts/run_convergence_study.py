@@ -36,7 +36,7 @@ def main() -> None:
 
     for entry in SHIPPED_CORPUS:
         f, x0 = entry.function, entry.center
-        cond = HypothesisReport(x0, hypothesis_radius(f, x0))
+        cond = HypothesisReport(hypothesis_radius(f, x0))
         q0_true, q1_true = known_asymptote(f)
 
         print("=" * 78)

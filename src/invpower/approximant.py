@@ -367,7 +367,7 @@ def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
     """
     base = x - approx.center + 1
     if base.is_zero and approx.dimension >= 1:
-        raise PoleError(f"approximant has a pole at x = {approx.center - 1}")
+        raise PoleError(f"approximant has a pole at x = {approx.pole}")
     result = approx.coeffs[0]
     if approx.dimension == 0:
         return result

@@ -15,18 +15,17 @@ Exact series read both rows off the approximant's one integer kernel,
 :mod:`invpower.approximant`): with the binomial convolution d_N,
 q0(m) = sum_{N<=m} d_N and q1(m) = -sum_{N<=m} N*d_N, so the deltas are
 |d_m| and m*|d_m|, and the whole table costs one O(M**2) convolution.
-Values stay integers over the common denominator D until a row is read.
 
 Float series keep the literal per-row sums of m+1 binomial-weighted
 terms, all rows in one pass of the approximant's float kernel,
 :func:`~invpower.approximant.float_dots`, whose docstring says why its
 bits equal the ``Scalar`` literal sums; every delta is one correctly
 rounded subtraction, and the cancellation warning is that of the
-formulas.  The weights C(m, s) come
-from row m-1 of Pascal's triangle by adjacent additions, and a
-``Scalar`` is built once per emitted value.  A series that mixes exact
-and inexact entries or float widths (only the Python API builds one) is
-first rounded to its narrowest width.
+formulas.  The weights C(m, s) come from row m-1 of Pascal's triangle by
+adjacent additions.  A series that mixes exact and inexact entries or
+float widths (only the Python API builds one) is first rounded to its
+narrowest width.  Either table keeps its kernel's values (integers over D,
+or raw mpmath tuples) until a row is read.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -43,7 +42,9 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
+from typing import Callable
 
 from .approximant import exact_convolution, float_coefficients, float_dots
 from .scalar import (
@@ -67,39 +68,32 @@ class ConvergenceRow:
 class ConvergenceTable:
     """Rows m = 0..m_max of the two leading coefficients with deltas.
 
-    A table built by hand holds its rows.  An exact table holds the
-    convolution ``d`` over the common denominator ``den`` and the running
-    numerators (:meth:`numerators`), and builds a row each time it is
-    read.  ``den`` is None for every other table."""
+    ``values[m]`` is row m's (q0, q1, delta0, delta1), None where the row
+    has none, and ``scalar`` makes a ``Scalar`` of a value when a row is
+    read: numerators over the common denominator ``den`` in an exact
+    table, raw mpmath tuples in a float one, ``Scalar``s (read as they
+    are) in one built by hand.  ``den`` is None but for exact tables."""
 
-    def __init__(self, rows: tuple[ConvergenceRow, ...], m_max: int,
-                 den: int | None = None, d: list[int] | tuple = ()) -> None:
-        self._rows, self.m_max, self.den, self._d = tuple(rows), m_max, den, d
-        self._n0 = list(accumulate(d))
-        self._n1 = list(accumulate(-m * dm for m, dm in enumerate(d)))
+    def __init__(self, values: list[tuple], scalar: Callable[..., Scalar] = lambda v: v,
+                 den: int | None = None) -> None:
+        self.values, self.scalar, self.den = values, scalar, den
 
-    def numerators(self, m: int) -> tuple[int, int | None, int | None, int | None]:
-        """Numerators over ``den`` of row m's q0, q1, delta0 and delta1,
-        None where the row has no such value; exact tables only."""
-        m = range(self.m_max + 1)[m]
-        dm = self._d[m]
-        return (self._n0[m], self._n1[m] if m else None,
-                abs(dm) if m else None, abs(m * dm) if m >= 2 else None)
+    @property
+    def m_max(self) -> int:
+        return len(self.values) - 1
 
     def row(self, m: int) -> ConvergenceRow:
-        if self.den is None:
-            return self._rows[m]
-        return ConvergenceRow(range(self.m_max + 1)[m], *(
-            n if n is None else Scalar(Fraction(n, self.den), True) for n in self.numerators(m)))
+        m = range(len(self.values))[m]
+        return ConvergenceRow(m, *(v if v is None else self.scalar(v) for v in self.values[m]))
 
     @property
     def rows(self) -> tuple[ConvergenceRow, ...]:
-        return self._rows if self.den is None else tuple(map(self.row, range(self.m_max + 1)))
+        return tuple(map(self.row, range(len(self.values))))
 
     def __eq__(self, other):
         if not isinstance(other, ConvergenceTable):
             return NotImplemented
-        return (self.m_max, self.rows) == (other.m_max, other.rows)
+        return self.rows == other.rows
 
 
 @dataclass(frozen=True)
@@ -125,26 +119,20 @@ def _float_weights(m_max: int):
         yield [0, *(b - m * a for a, b in zip(row[1:], [*row[2:], 0]))]
 
 
-def _float_rows(series: TaylorSeries, m_max: int) -> list[ConvergenceRow]:
-    """Rows of a float series by the rounded literal row sums, in one
-    kernel pass; a ``Scalar`` is built once per emitted value."""
+def _float_values(series: TaylorSeries, m_max: int) -> list[tuple]:
+    """Raw mpmath rows of a float series by the rounded literal row sums,
+    in one kernel pass; each delta is one rounded subtraction."""
     from mpmath.libmp import mpf_abs, mpf_sub  # float mode only: exact runs never load mpmath
 
-    raw, prec, bits = float_coefficients(series, m_max + 1)
+    raw, _, bits = float_coefficients(series, m_max + 1)
     sums = float_dots(raw, _float_weights(m_max), bits)
+    q = list(zip([sums[0], *sums[1::2]], [None, *sums[2::2]]))
 
-    def value(x: tuple | None) -> Scalar | None:
-        return None if x is None else Scalar.from_raw(x, prec)
+    def delta(x: tuple | None, prev: tuple | None) -> tuple | None:
+        return None if prev is None else mpf_abs(mpf_sub(x, prev, bits, "n"))
 
-    def delta(x: tuple | None, prev: tuple | None) -> Scalar | None:
-        return None if prev is None else value(mpf_abs(mpf_sub(x, prev, bits, "n")))
-
-    rows = []
-    prev0 = prev1 = None
-    for m, (q0, q1) in enumerate(zip([sums[0], *sums[1::2]], [None, *sums[2::2]])):
-        rows.append(ConvergenceRow(m, value(q0), value(q1), delta(q0, prev0), delta(q1, prev1)))
-        prev0, prev1 = q0, q1
-    return rows
+    return [(q0, q1, delta(q0, p0), delta(q1, p1))
+            for (q0, q1), (p0, p1) in zip(q, [(None, None), *q])]
 
 
 def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
@@ -155,13 +143,16 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
     prec = series.float_precision
     if prec is None:
         d, den = exact_convolution(series.coeffs, m_max)
-        return ConvergenceTable((), m_max, den, d)
+        n0, n1 = accumulate(d), accumulate(-m * dm for m, dm in enumerate(d))
+        values = [(a, b if m else None, abs(dm) if m else None, abs(m * dm) if m >= 2 else None)
+                  for m, (dm, a, b) in enumerate(zip(d, n0, n1))]
+        return ConvergenceTable(values, lambda n: Scalar(Fraction(n, den), True), den)
     if cancellation_hazard(m_max, prec):
         warnings.warn(CancellationWarning(
             f"convergence table to dimension {m_max} at {prec}-bit floats: "
             f"binomial weights consume ~{cancellation_bits(m_max)} bits and "
             f"cancellation will dominate; use exact mode"))
-    return ConvergenceTable(tuple(_float_rows(series, m_max)), m_max)
+    return ConvergenceTable(_float_values(series, m_max), partial(Scalar.from_raw, precision=prec))
 
 
 def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:

@@ -291,19 +291,15 @@ def cmd_estimate(args) -> int:
     # radius metadata, never enforced.  A corpus source always has a radius
     # (None: unbounded); in a file null may also mean none was recorded, so
     # nothing is reported for it
-    report = HypothesisReport(series.center, series.radius_hint)
+    report = HypothesisReport(series.radius_hint)
     hypothesis = ({} if source is None and report.radius is None
                   else {"radius": report.radius_text, "satisfied": cell(report.satisfied)})
     series = _maybe_float(series, args)
     table = convergence_table(series, args.m_max)
     est = estimate_limits(table, tol)
-    if table.den is None:
-        rows = [dict(zip(_ROW_FIELDS, map(cell, (r.m, r.q0, r.q1, r.delta0, r.delta1))))
-                for r in table.rows]
-    else:
-        exact = _numerator_cell(args, table.den)
-        rows = [dict(zip(_ROW_FIELDS, (cell(m), *map(exact, table.numerators(m)))))
-                for m in range(table.m_max + 1)]
+    value = (_numerator_cell(args, table.den) if table.den is not None
+             else lambda v: cell(v if v is None else table.scalar(v)))
+    rows = [dict(zip(_ROW_FIELDS, (cell(m), *map(value, vs)))) for m, vs in enumerate(table.values)]
     summary = {k: cell(v) for k, v in {
         "q0": est.q0,
         "q1": est.q1,
@@ -427,7 +423,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_corpus(args) -> int:
     series, f = _corpus_series(args.fn, args.params, args.x0, args.n, "--fn")
-    report = HypothesisReport(series.center, series.radius_hint)
+    report = HypothesisReport(series.radius_hint)
     description = (
         f"{describe(f)} about x0 = {series.center}; "
         f"transplant radius {report.radius_text}, "

@@ -138,7 +138,6 @@ class HypothesisReport:
     """Radius of the transplanted function (``None``: unbounded) and
     whether it clears the sufficient bound (> 2).  Informational only."""
 
-    center: Scalar
     radius: Scalar | None
 
     @property
@@ -232,6 +231,18 @@ SHIPPED_CORPUS: tuple[CorpusEntry, ...] = (
 )
 
 
+# family name -> (constructor, its parameters as ``--params`` lists them)
+_FAMILIES = {"mobius": (mobius, "a,b,c,d"),
+             "shifted-reciprocal": (ShiftedReciprocal, "offset,weight,shift")}
+
+
+def _build(make, entries: list, flag: str) -> CorpusFunction:
+    try:
+        return make(*entries)
+    except ValueError as exc:  # a mobius quotient with c = 0
+        raise ValueError(f"bad {flag}: {exc}") from None
+
+
 def resolve_function(selector: str, params: str | None = None,
                      flag: str = "--corpus") -> CorpusFunction:
     """Turn a CLI selector into a corpus function.
@@ -239,23 +250,25 @@ def resolve_function(selector: str, params: str | None = None,
     Accepted forms: a registered name ("one-over-x"), a dashed mobius
     pattern of four nonnegative ASCII integers ("mobius-2-3-1-2"), or a
     family name plus explicit parameters ("mobius" with "2,3,1,2";
-    "shifted-reciprocal" with "c,a,b", rationals allowed).  Errors in a
-    mobius pattern name ``flag``, the CLI flag the selector came from.
+    "shifted-reciprocal" with "c,a,b", rationals allowed).  Errors in the
+    parameters name --params, and errors in a family name or a mobius
+    pattern name ``flag``, the CLI flag the selector came from.
     """
+    family = _FAMILIES.get(selector)
     if params is not None:
         try:
             values = [Scalar.parse(p) for p in params.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad --params: {exc}") from None
-        if selector == "mobius":
-            if len(values) != 4:
-                raise ValueError("mobius takes 4 parameters: a,b,c,d")
-            return mobius(*values)
-        if selector == "shifted-reciprocal":
-            if len(values) != 3:
-                raise ValueError("shifted-reciprocal takes 3 parameters: offset,weight,shift")
-            return ShiftedReciprocal(*values)
-        raise ValueError(f"--params is only valid with 'mobius' or 'shifted-reciprocal', got {selector!r}")
+        if family is None:
+            raise ValueError(f"--params is only valid with 'mobius' or 'shifted-reciprocal', got {selector!r}")
+        make, names = family
+        arity = names.count(",") + 1
+        if len(values) != arity:
+            raise ValueError(f"bad --params: {selector} takes {arity} parameters: {names}")
+        return _build(make, values, "--params")
+    if family is not None:
+        raise ValueError(f"bad {flag}: {selector} needs --params {family[1]}")
     if selector in NAMED_FUNCTIONS:
         return NAMED_FUNCTIONS[selector]
     if selector.startswith("mobius-"):
@@ -269,7 +282,7 @@ def resolve_function(selector: str, params: str | None = None,
             except ValueError:  # more digits than int() converts from a string
                 raise ValueError(f"{pattern} take at most {sys.get_int_max_str_digits()} "
                                  "digits") from None
-            return mobius(*entries)
+            return _build(mobius, entries, flag)
     raise ValueError(
         f"unknown corpus function {selector!r}; known names: "
         + ", ".join(sorted(NAMED_FUNCTIONS)) + ", mobius-<a>-<b>-<c>-<d>")

@@ -39,10 +39,13 @@ def sc(x):
     return Scalar.rational(x)
 
 
-def table_for(offset, weight, shift, x0, m_max):
+def table_for(offset, weight, shift, x0, m_max, precision=None):
     coeffs = tail_coeffs(Fraction(offset), Fraction(weight), Fraction(shift),
                          Fraction(x0), m_max + 1)
-    return convergence_table(series_from_rationals(Fraction(x0), coeffs), m_max), coeffs
+    series = series_from_rationals(Fraction(x0), coeffs)
+    if precision is not None:
+        series = series.to_inexact(precision)
+    return convergence_table(series, m_max), coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +422,23 @@ _LAZY_SERIES = {
 }
 
 
+# every series as an exact table, then as 64- and 128-bit float tables
+_TABLE_KINDS = [(name, p) for p in (None, 64, 128) for name in _LAZY_SERIES]
+
+
+@pytest.mark.filterwarnings("ignore::invpower.scalar.CancellationWarning")
 @pytest.mark.parametrize("m_max", [*range(7), 60])
-@pytest.mark.parametrize("name", list(_LAZY_SERIES))
-def test_exact_table_reads_as_the_table_built_from_its_rows(name, m_max):
-    """An exact table keeps integers and builds rows when read: every
-    row, the last one by negative index, and the estimate at tolerances
-    on either side of the last two deltas equal those of a table built
-    by hand from its rows."""
-    table, _ = table_for(*_LAZY_SERIES[name], m_max)
-    assert table.den is not None
-    by_hand = ConvergenceTable(tuple(table.rows), table.m_max)
+@pytest.mark.parametrize("name,precision", _TABLE_KINDS,
+                         ids=[n if p is None else f"{n}-float{p}" for n, p in _TABLE_KINDS])
+def test_exact_table_reads_as_the_table_built_from_its_rows(name, precision, m_max):
+    """A table keeps its kernel's values (integers over ``den`` when
+    exact, raw mpmath tuples in float mode) and builds rows when read:
+    every row, the last one by negative index, and the estimate at
+    tolerances on either side of the last two deltas equal those of a
+    table built by hand from its rows."""
+    table, _ = table_for(*_LAZY_SERIES[name], m_max, precision)
+    assert (table.den is not None) == (precision is None)
+    by_hand = ConvergenceTable([(r.q0, r.q1, r.delta0, r.delta1) for r in table.rows])
     assert by_hand.den is None and by_hand == table
     for m in range(-1, m_max + 1):
         assert table.row(m) == table.rows[m] == by_hand.row(m)
@@ -463,7 +473,7 @@ def test_oscillating_deltas_do_not_converge():
         rows.append(ConvergenceRow(m, sc(v), sc(v) if m >= 1 else None,
                                    delta, delta if m >= 2 else None))
         prev = v
-    table = ConvergenceTable(tuple(rows), 4)
+    table = ConvergenceTable([(r.q0, r.q1, r.delta0, r.delta1) for r in rows])
     est = estimate_limits(table, sc(Fraction(1, 1000)))
     assert not est.q0_converged and not est.q1_converged
     assert est.q0.as_fraction() == 0  # estimate still reported
@@ -479,7 +489,7 @@ def test_single_step_agreement_is_not_convergence():
         rows.append(ConvergenceRow(m, sc(v), sc(v) if m >= 1 else None,
                                    delta, delta if m >= 2 else None))
         prev = v
-    table = ConvergenceTable(tuple(rows), 3)
+    table = ConvergenceTable([(r.q0, r.q1, r.delta0, r.delta1) for r in rows])
     est = estimate_limits(table, sc(Fraction(1, 2)))
     assert not est.q0_converged
 

@@ -585,6 +585,7 @@ def test_flags_reject_separators_and_non_ascii(capsys, argv, field):
 
 
 _MOBIUS_ENTRIES = "mobius-<a>-<b>-<c>-<d> entries take"
+_DEGREE_ONE = "mobius quotient needs a degree-1 denominator (c != 0)"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -598,7 +599,22 @@ _MOBIUS_ENTRIES = "mobius-<a>-<b>-<c>-<d> entries take"
      f"bad --corpus: {_MOBIUS_ENTRIES} at most {sys.get_int_max_str_digits()} digits"),
     (["estimate", "--corpus", "mobius", "--params", "1,0,x,1", "--m-max", "3"],
      "bad --params: cannot parse 'x' as an exact rational: Invalid literal for Fraction: 'x'"),
-], ids=["arabic-indic-digit", "superscript-digit", "corpus-fn", "5000-digits", "params"])
+    (["estimate", "--corpus", "mobius", "--params", "1,0,1", "--m-max", "3"],
+     "bad --params: mobius takes 4 parameters: a,b,c,d"),
+    (["estimate", "--corpus", "shifted-reciprocal", "--params", "1,2", "--m-max", "3"],
+     "bad --params: shifted-reciprocal takes 3 parameters: offset,weight,shift"),
+    (["estimate", "--corpus", "mobius", "--params", "1,0,0,1", "--m-max", "3"],
+     f"bad --params: {_DEGREE_ONE}"),
+    (["estimate", "--corpus", "mobius-1-0-0-1", "--m-max", "3"], f"bad --corpus: {_DEGREE_ONE}"),
+    (["corpus", "--fn", "mobius-1-0-0-1", "--n", "3"], f"bad --fn: {_DEGREE_ONE}"),
+    (["estimate", "--corpus", "mobius", "--m-max", "3"],
+     "bad --corpus: mobius needs --params a,b,c,d"),
+    (["estimate", "--corpus", "shifted-reciprocal", "--m-max", "3"],
+     "bad --corpus: shifted-reciprocal needs --params offset,weight,shift"),
+    (["corpus", "--fn", "mobius", "--n", "3"], "bad --fn: mobius needs --params a,b,c,d"),
+], ids=["arabic-indic-digit", "superscript-digit", "corpus-fn", "5000-digits", "params",
+        "params-count", "params-count-shifted", "params-c0", "corpus-c0", "fn-c0",
+        "family-without-params", "shifted-without-params", "fn-family-without-params"])
 def test_corpus_selector_errors_name_the_flag(capsys, argv, message):
     """A mobius pattern takes ASCII digits only (``str.isdigit`` alone
     passes other scripts' digits, which ``int`` reads or rejects), and

@@ -197,7 +197,7 @@ def test_evaluate_at_matches_quotient_form():
     (mobius(2, 3, 1, 2), 1, Fraction(1, 2), False),
 ])
 def test_hypothesis_report(f, x0, radius, satisfied):
-    report = HypothesisReport(sc(x0), hypothesis_radius(f, sc(x0)))
+    report = HypothesisReport(hypothesis_radius(f, sc(x0)))
     if radius is None:
         assert report.radius is None
     else:
@@ -262,7 +262,7 @@ def test_unknown_selector_rejected():
 
 
 def test_shipped_corpus_covers_both_hypothesis_outcomes():
-    satisfied = [HypothesisReport(e.center, hypothesis_radius(e.function, e.center)).satisfied
+    satisfied = [HypothesisReport(hypothesis_radius(e.function, e.center)).satisfied
                  for e in SHIPPED_CORPUS]
     assert any(satisfied) and not all(satisfied)
 
@@ -430,8 +430,7 @@ def test_pipeline_round_trip_for_shipped_corpus():
 def test_estimates_match_known_asymptotes_when_condition_met():
     tol = Fraction(1, 10 ** 6)
     for entry in SHIPPED_CORPUS:
-        if not HypothesisReport(entry.center,
-                                hypothesis_radius(entry.function, entry.center)).satisfied:
+        if not HypothesisReport(hypothesis_radius(entry.function, entry.center)).satisfied:
             continue
         series = taylor_coeffs(entry.function, entry.center, 41)
         est = estimate_limits(convergence_table(series, 40), sc(tol))

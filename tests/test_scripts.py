@@ -8,6 +8,7 @@ import os
 import statistics
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -183,3 +184,19 @@ def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys):
         assert counts[f"{name}.calls"] == (1, "count")
     assert counts["scalar.ops.calls"][0] > 0
     assert [len(table.rows) for table in tracer.tables] == [13]
+
+
+def test_package_binds_only_its_modules():
+    """Every name is imported from its own module: ``import invpower``
+    binds its submodules, ``__version__`` and module dunders, no alias."""
+    for name, value in vars(invpower).items():
+        if not (name.startswith("__") and name.endswith("__")):
+            assert isinstance(value, types.ModuleType), name
+            assert value.__name__ == f"invpower.{name}"
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`:UserWarning")
+def test_pyproject_version_is_the_package_version():
+    """pyproject.toml takes its version from ``invpower.__version__``."""
+    from setuptools.config.pyprojecttoml import read_configuration
+    assert read_configuration(ROOT / "pyproject.toml")["project"]["version"] == invpower.__version__
