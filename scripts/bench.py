@@ -6,7 +6,7 @@
     python scripts/bench.py --out /tmp/b.json --column x --sizes 50 --repeat 1
 
 Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
-exact or rounded to 64- and 128-bit floats, at each dimension m in
+exact or rounded to 64-, 128- and 256-bit floats, at each dimension m in
 ``--sizes``:
 ``taylor_coeffs`` expands it to m + 1 coefficients, ``evaluate`` sums
 its dimension-m approximant at x = 1/2, and ``estimate_limits`` reads
@@ -62,7 +62,7 @@ import mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (50, 200, 800, 2000)
-FLOAT_PRECISIONS = (64, 128)
+FLOAT_PRECISIONS = (64, 128, 256)
 MIN_SAMPLE_S = 0.2
 BUDGET_S = 10.0
 COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"

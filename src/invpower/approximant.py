@@ -172,9 +172,13 @@ def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[i
 
     A weight wider than ``bits`` is rounded, then its product with c_s,
     then every partial sum: each step is exact on signed int mantissas
-    and then rounded to nearest-even at ``bits`` by
-    x <- (x + 2**(n-1) - 1 + bit n of x) >> n, n the excess width.  That
-    is the one correctly rounded result, so it equals the rounded
+    and then rounded to nearest-even at ``bits``, n the excess width,
+    by a floor shift that keeps one guard bit: y = x >> (n-1), plus 2
+    when that bit (bit 0 of y) is set and so is bit 1 or a bit below it
+    (y << (n-1) != x), then x = y >> 1.  ``>>`` floors for either sign,
+    so this rounds x/2**n up exactly when its fraction above the floor
+    is over a half, or a half over an odd floor: round-half-even.  It is
+    the one correctly rounded result, so it equals the rounded
     conversion, product and sum of ``Scalar`` (mpmath) bit for bit; a
     mantissa rounded up to 2**bits is exact and needs no renormalising.
     When the exponents of the partial sum and the next term are more
@@ -193,12 +197,14 @@ def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[i
         pe = ce
         n = w.bit_length() - bits
         if n > 0:
-            w = (w + (1 << (n - 1)) - 1 + (w >> n & 1)) >> n
+            y = w >> (n - 1)
+            w = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != w) else y) >> 1
             pe += n
         pm = cm * w
         n = pm.bit_length() - bits
         if n > 0:
-            pm = (pm + (1 << (n - 1)) - 1 + (pm >> n & 1)) >> n
+            y = pm >> (n - 1)
+            pm = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != pm) else y) >> 1
             pe += n
         if not am:
             am, ae = pm, pe
@@ -216,7 +222,8 @@ def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[i
             am += pm << -gap
         n = am.bit_length() - bits
         if n > 0:
-            am = (am + (1 << (n - 1)) - 1 + (am >> n & 1)) >> n
+            y = am >> (n - 1)
+            am = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != am) else y) >> 1
             ae += n
     return am, ae
 

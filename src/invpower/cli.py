@@ -44,7 +44,7 @@ from .corpus import (
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .scalar import MIN_PRECISION, Scalar, decimal_renderer, ratio_text
+from .scalar import MIN_PRECISION, Scalar, decimal_renderer, float_renderer, ratio_text
 from .series import TaylorSeries
 
 K_GE_2_NOTE = (
@@ -98,6 +98,13 @@ def _numerator_cell(args, den: int) -> Callable:
         return lambda n: None if n is None else ratio_text(n, den)
     text = decimal_renderer(den, args.digits)
     return lambda n: "" if n is None else text(n)
+
+
+def _raw_cell(args, precision: int) -> Callable:
+    """``_cell`` of ``Scalar.from_raw(v, precision)`` for a raw value v, without building it."""
+    text = float_renderer(precision, None if args.format == "json" else args.digits)
+    missing = None if args.format == "json" else ""
+    return lambda v: missing if v is None else text(v)
 
 
 def _csv_table(fields: tuple[str, ...], records: list[dict]) -> list[str]:
@@ -298,7 +305,7 @@ def cmd_estimate(args) -> int:
     table = convergence_table(series, args.m_max)
     est = estimate_limits(table, tol)
     value = (_numerator_cell(args, table.den) if table.den is not None
-             else lambda v: cell(v if v is None else table.scalar(v)))
+             else _raw_cell(args, series.float_precision))
     rows = [dict(zip(_ROW_FIELDS, (cell(m), *map(value, vs)))) for m, vs in enumerate(table.values)]
     summary = {k: cell(v) for k, v in {
         "q0": est.q0,

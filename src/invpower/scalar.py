@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 # mpmath carries float mode only, so it is imported by the first float value
@@ -67,6 +68,7 @@ class CancellationWarning(UserWarning):
     expected to lose most of its significand to cancellation."""
 
 
+@lru_cache(maxsize=None)
 def significand_bits(precision: int) -> int:
     """Significand width of an IEEE-style binary float of total width
     ``precision`` (64 -> 53, 128 -> 113, 256 -> 237)."""
@@ -108,6 +110,15 @@ def decimal_renderer(den: int, digits: int) -> Callable[[int], str]:
     rounded, so reducing n/den first does not change the text."""
     divide, d = Context(prec=digits).divide, Decimal(den)
     return lambda n: str(divide(Decimal(n), d))
+
+
+def float_renderer(precision: int, digits: int | None = None) -> Callable[[tuple], str]:
+    """raw -> ``mpmath.nstr`` of a raw mpmath value of width ``precision``:
+    to the width's decimal digits, or to ``digits`` when that is fewer."""
+    n = int(significand_bits(precision) * 0.30103) + 2
+    if libmp is None:
+        _bind_mpmath()
+    return partial(libmp.to_str, dps=n if digits is None else min(digits, n))
 
 
 def _require_plain(text: str) -> None:
@@ -258,11 +269,8 @@ class Scalar:
         return f"Scalar({mpmath.nstr(self.value, 17)}, prec={self.precision})"
 
     def __str__(self) -> str:
-        return self.render_ratio() if self.exact else mpmath.nstr(self.value, self._dps())
-
-    def _dps(self) -> int:
-        assert self.precision is not None
-        return int(significand_bits(self.precision) * 0.30103) + 2
+        return (self.render_ratio() if self.exact
+                else float_renderer(self.precision)(_raw(self.value)))
 
     def render_ratio(self) -> str:
         """Render as "p/q" (bare "p" for integers); exact mode only."""
@@ -274,7 +282,7 @@ class Scalar:
             raise ValueError("digit budget must be positive")
         if self.exact:
             return decimal_renderer(self.value.denominator, digits)(self.value.numerator)
-        return mpmath.nstr(self.value, min(digits, self._dps()))
+        return float_renderer(self.precision, digits)(_raw(self.value))
 
     # -- arithmetic -----------------------------------------------------
 

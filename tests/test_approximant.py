@@ -22,7 +22,7 @@ from invpower.approximant import (
     signed_binomial_matrix,
 )
 from invpower.errors import PoleError
-from invpower.scalar import CancellationWarning, Scalar, binom
+from invpower.scalar import CancellationWarning, Scalar, binom, significand_bits
 from invpower.series import TaylorSeries, series_from_rationals
 from invpower.transforms import binomial_convolve
 
@@ -35,6 +35,7 @@ from _oracles import (
     evaluate_literal,
     evaluate_scalar_loop,
     expand_to_taylor,
+    float_dot,
     matmul,
     oracle_solve,
     tail_coeffs,
@@ -530,6 +531,90 @@ def binary64_rows(draw):
 def test_binary64_route_equals_integer_route(case):
     row, c = case
     assert float_dots(_raw(c), [row], 53) == [_integer_route(row, c)]
+
+
+# ---------------------------------------------------------------------------
+# float mode: the integer kernel's rounding at 113 and 237 bits
+# ---------------------------------------------------------------------------
+
+
+def _literal_sum(width: int, row: list[int], c: list[tuple[int, int]]) -> tuple:
+    """The ``Scalar`` literal sum of one weight row over the coefficients
+    man * 2**exp, as a raw value: the oracle, not the kernel."""
+    return float_dot([Scalar.from_raw(x, width) for x in _raw(c)], row).value._mpf_
+
+
+@st.composite
+def wide_rows(draw):
+    """A width of 128 or 256 bits (113 or 237 significand bits), a weight
+    row and coefficients (man, exp) at that width, built term by term as
+    ``binary64_rows`` builds them: random terms of either sign, with
+    weights from a production row or free and up to three times wider
+    than the significand, zero terms, weight ties, product ties, sum
+    ties, and a term that cancels the partial sum to exactly zero.  The
+    partial sums that place the ties and cancellations are the
+    ``Scalar`` literal sums."""
+    width = draw(st.sampled_from([128, 256]))
+    bits = significand_bits(width)
+    exps = st.integers(-3 * bits, 3 * bits) | st.integers(-1200, 1200)
+    weights = iter(_weight_slice(draw) if draw(st.booleans()) else [])
+    free = st.integers(-2 ** 60, 2 ** 60) | st.integers(bits - 2, 3 * bits).flatmap(
+        lambda k: st.integers(-2 ** k, 2 ** k))
+    mantissas = st.integers(-(2 ** bits) + 1, 2 ** bits - 1).filter(bool)
+    row, c = [], []
+    for kind in draw(st.lists(st.sampled_from(["term", "term", "zero", "weight tie",
+                                                "product tie", "sum tie", "cancel"]),
+                              min_size=1, max_size=12)):
+        sign = draw(st.sampled_from([1, -1]))
+        if kind == "term":
+            w = next(weights, None)
+            row.append(draw(free) if w is None else w)
+            c.append((draw(mantissas), draw(exps)))
+        elif kind == "weight tie":
+            # bits + 1 significant bits ending in a one, shifted left: the
+            # rounding drops exactly a half
+            odd = draw(st.integers(2 ** bits, 2 ** (bits + 1) - 1)) | 1
+            row.append(sign * odd << draw(st.integers(0, bits)))
+            c.append((draw(mantissas), draw(exps)))
+        elif kind == "zero":
+            row.append(draw(free | st.just(0)))
+            c.append((0, 0))
+        elif kind == "product tie":
+            # an odd weight times an odd mantissa, bits or bits + 1 long: an
+            # odd product of bits + 1 bits lies halfway between two values
+            w = draw(st.integers(1, 2 ** (bits // 2))) * 2 + 1
+            man = draw(st.integers(2 ** (bits - w.bit_length()),
+                                   2 ** (bits + 1 - w.bit_length()) - 1))
+            row.append(sign * w)
+            c.append((man | 1, draw(exps)))
+        elif row:
+            s_sign, s_man, s_exp, s_bc = _literal_sum(width, row, c)
+            if not s_man:
+                continue
+            row.append(1)
+            if kind == "cancel":
+                c.append((s_man if s_sign else -s_man, s_exp))
+            else:
+                # an odd multiple of half the partial sum's ulp: a tie
+                c.append((sign * (2 * draw(st.integers(0, 3)) + 1), s_exp + s_bc - bits - 1))
+    assume(row)
+    return width, row, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_rows())
+@example((128, [2 ** 113 + 1], [(1, 0)]))                  # weight tie, rounds to even
+@example((128, [2 ** 113 + 3], [(1, 0)]))                  # weight tie, rounds up to even
+@example((256, [-(2 ** 237 + 3)], [(3, 5)]))               # negative weight tie, away from 0
+@example((256, [-(2 ** 237 + 1) << 9], [(-3, 5)]))         # negative weight tie, toward 0
+@example((128, [2 ** 56 + 1], [(2 ** 57 - 1, -9)]))        # product tie
+@example((256, [1, 1], [(-1, 0), (-1, -237)]))             # negative sum tie, to even
+@example((256, [1, 1], [(1 - 2 ** 237, 0), (-1, -1)]))     # negative sum tie, away from 0
+@example((128, [3, -3, 1], [(5, 400), (5, 400), (-1, -900)]))  # cancels, then a far term
+def test_integer_kernel_rounds_wide_rows_as_literal_sums(case):
+    width, row, c = case
+    got = mpmath.libmp.from_man_exp(*_rounded_dot(row, c, significand_bits(width)))
+    assert got == _literal_sum(width, row, c)
 
 
 def _counting_integer_route(monkeypatch) -> list:

@@ -21,13 +21,14 @@ from invpower.corpus import (
     MAX_FILE_COEFFS,
     coefficient_file_payload,
     load_coefficient_file,
+    mobius,
     shifted_reciprocal,
     tail_sum,
     taylor_coeffs,
 )
 from invpower.scalar import Scalar
 
-from _oracles import tail_coeffs
+from _oracles import float_table, tail_coeffs
 
 
 def run(capsys, *argv):
@@ -935,6 +936,36 @@ def test_float64_file_beyond_binary64_range_output_bytes(capsys, tmp_path, argv,
     code, out, err = run(capsys, *argv, "--coeffs", str(path), "--mode", "float")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", [["--digits", "3"], ["--format", "json"]], ids=["csv3", "json"])
+@pytest.mark.parametrize("source,precision", [
+    ("mobius", 64), ("mobius", 80), ("mobius", 128), ("mobius", 256), ("edge", 64),
+])
+def test_float_estimate_rows_are_the_scalar_texts(capsys, tmp_path, fmt, source, precision):
+    """Each cell of a float table is the text of the ``Scalar`` of the
+    literal row sum: ``render_decimal(--digits)`` in CSV, ``str`` in
+    JSON, and "" or null where the row has no value."""
+    if source == "edge":
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"center": "1", "coeffs": _EDGE_FLOATS, "exact": False}))
+        argv = ["--coeffs", str(path)]
+        coeffs = load_coefficient_file(str(path), precision=precision).coeffs
+    else:
+        argv = ["--corpus", "mobius-2-3-1-2"]
+        exact = taylor_coeffs(mobius(2, 3, 1, 2), Scalar.rational(1), 13)
+        coeffs = exact.to_inexact(precision).coeffs
+    code, out, err = run(capsys, "estimate", *argv, "--m-max", "12", "--mode", "float",
+                         "--precision", str(precision), *fmt)
+    assert code == 0 and err == ""
+    if fmt[0] == "--format":
+        expected = [{"m": m, **{k: None if v is None else str(v) for k, v in zip(
+            ("q0", "q1", "delta0", "delta1"), vs)}} for m, *vs in float_table(list(coeffs), 12)]
+        assert json.loads(out)["rows"] == expected
+    else:
+        expected = [",".join([str(m), *("" if v is None else v.render_decimal(3) for v in vs)])
+                    for m, *vs in float_table(list(coeffs), 12)]
+        assert out.splitlines()[1:14] == expected
 
 
 _CANCEL_64_M60 = ("warning: dimension 60 binomial sums consume ~57 of 64 float bits; "

@@ -7,10 +7,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational
+from mpmath.libmp import from_man_exp, from_rational
 
 from invpower.scalar import (
     MIN_PRECISION,
@@ -18,6 +19,7 @@ from invpower.scalar import (
     binom,
     cancellation_hazard,
     decimal_renderer,
+    float_renderer,
     ratio_text,
     significand_bits,
 )
@@ -298,6 +300,63 @@ def test_render_decimal_budget():
     assert Scalar.rational(1, 3).render_decimal(10) == "0.3333333333"
     assert Scalar.rational(7).render_decimal(30) == "7"
     assert Scalar.rational(1, 4).render_decimal(30) == "0.25"
+
+
+def _dps(precision: int) -> int:
+    return int(significand_bits(precision) * 0.30103) + 2
+
+
+def _nstr_text(raw: tuple, precision: int, digits: int | None) -> str:
+    """Float text as ``Scalar`` wrote it before ``float_renderer``:
+    ``mpmath.nstr`` to the width's decimal digits, or fewer ``digits``."""
+    dps = _dps(precision)
+    return mpmath.nstr(mpmath.mp.make_mpf(raw), dps if digits is None else min(digits, dps))
+
+
+@st.composite
+def raw_floats(draw):
+    """(width, raw value at that width, digit budget or None): either
+    sign, exponents near 1, across the binary64 range and far beyond it,
+    and budgets of 1, the width's digits, more, or anything between."""
+    precision = draw(st.sampled_from([64, 80, 128, 256]))
+    bits, dps = significand_bits(precision), _dps(precision)
+    man = draw(st.integers(-(2 ** bits) + 1, 2 ** bits - 1))
+    exp = draw(st.integers(-bits - 8, 8) | st.integers(-1400, 1100)
+               | st.integers(-10 ** 8, 10 ** 8))
+    digits = draw(st.sampled_from([None, 1, dps, dps + 1, 3 * dps]) | st.integers(1, 3 * dps))
+    return precision, from_man_exp(man, exp), digits
+
+
+def _parsed(text: str, precision: int) -> tuple:
+    return Scalar.parse(text, exact=False, precision=precision).value._mpf_
+
+
+@settings(max_examples=400)
+@given(raw_floats())
+@example((64, from_man_exp(0, 0), None))
+@example((256, from_man_exp(0, 0), 1))
+@example((64, _parsed("1e-400", 64), 17))
+@example((64, _parsed("-1e-400", 64), None))
+@example((80, _parsed("1e300", 80), 1))
+@example((128, _parsed("-1e300", 128), 100))
+@example((256, _parsed("-1/3", 256), None))
+@example((64, _parsed("7e99999999", 64), 30))
+def test_float_renderer_writes_the_nstr_text(case):
+    """``float_renderer`` and the float text of ``Scalar`` match the
+    ``mpmath.nstr`` text they replace, for every width and budget."""
+    precision, raw, digits = case
+    expected = _nstr_text(raw, precision, digits)
+    assert float_renderer(precision, digits)(raw) == expected
+    value = Scalar.from_raw(raw, precision)
+    assert (str(value) if digits is None else value.render_decimal(digits)) == expected
+
+
+def test_narrow_widths_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="must be >= 64"):
+            significand_bits(63)
+        with pytest.raises(ValueError, match="must be >= 64"):
+            float_renderer(32)
 
 
 _HUGE = 10 ** 4400 + 1  # past the 4,300-digit limit of str(int)

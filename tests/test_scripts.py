@@ -88,7 +88,7 @@ def test_bench_writes_one_column_per_run(tmp_path):
                for column, env in doc["columns"].items() if column != "earlier")
     assert "pycache_prefix" in doc["cold_start_bytecode"]
     assert "fresh child process" in doc["cell_process"]
-    assert doc["float_precisions"] == [64, 128]
+    assert doc["float_precisions"] == [64, 128, 256]
     assert doc["layers"]["run_suite"]["earlier"] == {"20": 1.0}
     # the samples as timed, in order: layer -> [(column, seconds), ...]
     samples = {}
@@ -98,11 +98,12 @@ def test_bench_writes_one_column_per_run(tmp_path):
             samples.setdefault(layer, []).append((column, float(seconds)))
     ratios = doc["ratios"]["change/parent"]
     for layer in ("convergence_table exact", "convergence_table float64",
-                  "convergence_table float128", "coeffs_closed_form float64",
-                  "coeffs_closed_form float128", "taylor_coeffs exact", "evaluate exact",
+                  "convergence_table float128", "convergence_table float256",
+                  "coeffs_closed_form float64", "coeffs_closed_form float128",
+                  "coeffs_closed_form float256", "taylor_coeffs exact", "evaluate exact",
                   "binomial_convolve exact", "estimate_limits exact", "cli estimate exact csv",
                   "cli estimate exact json", "cli estimate float64", "cli estimate float128",
-                  "run_suite", "cli cold start"):
+                  "cli estimate float256", "run_suite", "cli cold start"):
         assert [column for column, _ in samples[layer]] == ["change", "parent", "parent", "change"]
         times = {column: [t for c, t in samples[layer] if c == column]
                  for column in ("parent", "change")}
