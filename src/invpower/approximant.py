@@ -32,7 +32,6 @@ are provided and must agree bit-for-bit in exact mode:
   a recurrence, by one kernel, :func:`float_dots`: integer steps, or
   binary64 steps for a 64-bit row that stays in the double range (its
   docstring says why either gives the ``Scalar`` literal sums).  A
-  raw mpmath value, and then a ``Scalar``, is built once per q_k.  A
   series that mixes exact and inexact entries or float widths is first
   rounded to its narrowest width (:func:`float_coefficients`);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
@@ -135,7 +134,7 @@ def float_coefficients(series: TaylorSeries, count: int) -> tuple[list[tuple], i
     """
     prec = series.float_precision
     coeffs = series.coeffs[:count]
-    return [Scalar.approx(c, prec).value._mpf_ for c in coeffs], prec, significand_bits(prec)
+    return [Scalar.approx(c, prec).value for c in coeffs], prec, significand_bits(prec)
 
 
 def _weight_rows(m: int):
@@ -306,7 +305,7 @@ def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
     p = [d[m]]
     for dn in reversed(d[:m]):
         p = [p[0] + dn, *map(operator.add, p[1:], p), p[-1]]
-    return tuple(Scalar(Fraction(-pk if k % 2 else pk, den), True)
+    return tuple(Scalar(Fraction(-pk if k % 2 else pk, den))
                  for k, pk in enumerate(p))
 
 
@@ -324,7 +323,7 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     _warn_if_cancelling(series, m)
     raw, prec, bits = float_coefficients(series, m + 1)
     sums = float_dots(raw, _weight_rows(m), bits)
-    q = tuple(Scalar.from_raw(mpf_neg(x) if k % 2 else x, prec) for k, x in enumerate(sums))
+    q = tuple(Scalar(mpf_neg(x) if k % 2 else x, prec) for k, x in enumerate(sums))
     return InversePowerApproximant(m, series.center, q)
 
 
@@ -361,7 +360,7 @@ def _exact_value(q: tuple[Scalar, ...], base: Fraction) -> Scalar:
     for n in reversed(nums[:-1]):
         bp *= b
         num = num * a + n * bp
-    return Scalar(Fraction(num, den * bp), True)
+    return Scalar(Fraction(num, den * bp))
 
 
 def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:

@@ -42,7 +42,6 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -146,13 +145,13 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
         n0, n1 = accumulate(d), accumulate(-m * dm for m, dm in enumerate(d))
         values = [(a, b if m else None, abs(dm) if m else None, abs(m * dm) if m >= 2 else None)
                   for m, (dm, a, b) in enumerate(zip(d, n0, n1))]
-        return ConvergenceTable(values, lambda n: Scalar(Fraction(n, den), True), den)
+        return ConvergenceTable(values, lambda n: Scalar(Fraction(n, den)), den)
     if cancellation_hazard(m_max, prec):
         warnings.warn(CancellationWarning(
             f"convergence table to dimension {m_max} at {prec}-bit floats: "
             f"binomial weights consume ~{cancellation_bits(m_max)} bits and "
             f"cancellation will dominate; use exact mode"))
-    return ConvergenceTable(_float_values(series, m_max), partial(Scalar.from_raw, precision=prec))
+    return ConvergenceTable(_float_values(series, m_max), lambda v: Scalar(v, prec))
 
 
 def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:

@@ -101,7 +101,7 @@ def _numerator_cell(args, den: int) -> Callable:
 
 
 def _raw_cell(args, precision: int) -> Callable:
-    """``_cell`` of ``Scalar.from_raw(v, precision)`` for a raw value v, without building it."""
+    """``_cell`` of ``Scalar(v, precision)`` for a raw value v, without building it."""
     text = float_renderer(precision, None if args.format == "json" else args.digits)
     missing = None if args.format == "json" else ""
     return lambda v: missing if v is None else text(v)

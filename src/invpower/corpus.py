@@ -170,7 +170,7 @@ def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> t
             num *= -beta
             den *= alpha
             coeffs[k] += Fraction(num, den)
-    return tuple(Scalar(c, True) for c in coeffs)
+    return tuple(Scalar(c) for c in coeffs)
 
 
 def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:

@@ -3,9 +3,11 @@
 Everything else in the package is built on two primitives:
 
 * :class:`Scalar` -- an immutable number that is either an exact big
-  rational (the default) or a binary float of declared precision.  The
-  exactness flag propagates through arithmetic: any operation touching an
-  inexact operand produces an inexact result.
+  rational (the default) or a binary float of declared precision: a
+  ``Fraction`` with no precision, or a raw mpmath value tuple
+  ``(sign, man, exp, bc)`` rounded to its width.  Exactness is read off
+  the precision and propagates through arithmetic: any operation touching
+  an inexact operand produces an inexact result.
 
 * :func:`binom` -- big-integer binomial coefficients (``math.comb``)
   under the convention ``binom(a, b) == 0`` for ``b < 0`` or ``b > a``.
@@ -41,14 +43,13 @@ from typing import Callable, Union
 
 # mpmath carries float mode only, so it is imported by the first float value
 # (``_bind_mpmath``) and a run that stays exact never loads it
-mpmath = libmp = None
+libmp = None
 
 
 def _bind_mpmath() -> None:
-    """Bind ``mpmath`` and ``libmp``, once: the float constructors and
+    """Bind ``libmp``, once: the float constructors and
     ``Scalar.__post_init__`` call it before a float value is used."""
-    global mpmath, libmp
-    import mpmath
+    global libmp
     import mpmath.libmp as libmp
 
 
@@ -126,38 +127,25 @@ def _require_plain(text: str) -> None:
         raise ValueError("only ASCII characters and no '_' separators are allowed")
 
 
-def _raw(x: mpmath.mpf):
-    return x._mpf_
-
-
-def _wrap(raw) -> mpmath.mpf:
-    return mpmath.mp.make_mpf(raw)
-
-
-def _mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    p, q = libmp.to_rational(_raw(x))
-    return Fraction(int(p), int(q))
-
-
 @dataclass(frozen=True, eq=False)
 class Scalar:
-    """An immutable number carrying its own exactness.
+    """An immutable number: a value and the width it is rounded to.
 
-    ``value`` is a ``Fraction`` when ``exact`` and an ``mpmath.mpf``
-    otherwise; ``precision`` is the declared IEEE-equivalent width of the
-    inexact representation and ``None`` in exact mode.  Fractions are in
-    lowest terms with positive denominator by construction.
+    ``precision`` is ``None`` for an exact value, a ``Fraction`` (in
+    lowest terms with positive denominator by construction).  A float has
+    the declared IEEE-equivalent width ``precision >= 64`` and a raw
+    mpmath value tuple ``(sign, man, exp, bc)`` already rounded to that
+    width's significand.  ``exact`` is derived: ``precision is None``.
     """
 
-    value: Union[Fraction, mpmath.mpf]
-    exact: bool
+    value: Union[Fraction, tuple]
     precision: int | None = None
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def rational(numerator: int | Fraction, denominator: int = 1) -> "Scalar":
-        return Scalar(Fraction(numerator, denominator), True)
+        return Scalar(Fraction(numerator, denominator))
 
     @staticmethod
     def parse(text: str, exact: bool = True, precision: int = MIN_PRECISION) -> "Scalar":
@@ -179,7 +167,7 @@ class Scalar:
                     raise ValueError(
                         f"decimal exponent beyond +/-{MAX_EXACT_EXPONENT}")
                 _require_plain(text)
-                return Scalar(Fraction(text), True)
+                return Scalar(Fraction(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
         if libmp is None:
@@ -196,15 +184,7 @@ class Scalar:
             raise ValueError(f"cannot parse {text!r} as a float: {exc}") from None
         if raw in (libmp.fnan, libmp.finf, libmp.fninf):
             raise ValueError(f"cannot parse {text!r} as a float: not a finite number")
-        return Scalar(_wrap(raw), False, precision)
-
-    @staticmethod
-    def from_raw(raw: tuple, precision: int) -> "Scalar":
-        """A float from a raw mpmath value tuple already rounded to the
-        significand of ``precision``."""
-        if libmp is None:
-            _bind_mpmath()
-        return Scalar(_wrap(raw), False, precision)
+        return Scalar(raw, precision)
 
     @staticmethod
     def approx(value: Union[int, Fraction, "Scalar"], precision: int = MIN_PRECISION) -> "Scalar":
@@ -224,41 +204,48 @@ class Scalar:
             elif value.precision == precision:
                 return value
             else:
-                sign, man, exp, bc = raw = _raw(value.value)
+                sign, man, exp, bc = raw = value.value
                 if man:
                     raw = libmp.normalize(sign, man, exp, bc, bits, "n")
-                return Scalar(_wrap(raw), False, precision)
+                return Scalar(raw, precision)
         f = Fraction(value)
-        raw = libmp.from_rational(f.numerator, f.denominator, bits, "n")
-        return Scalar(_wrap(raw), False, precision)
+        return Scalar(libmp.from_rational(f.numerator, f.denominator, bits, "n"), precision)
 
     def __post_init__(self) -> None:
-        if self.exact:
+        if self.precision is None:
             if not isinstance(self.value, Fraction):
                 raise TypeError("exact Scalar requires a Fraction value")
-            if self.precision is not None:
-                raise ValueError("exact Scalar carries no precision")
-        else:
-            if self.precision is None or self.precision < MIN_PRECISION:
-                raise ValueError(f"inexact Scalar requires precision >= {MIN_PRECISION}")
-            if libmp is None:  # a float built directly from an mpmath value
-                _bind_mpmath()
+            return
+        if self.precision < MIN_PRECISION:
+            raise ValueError(f"inexact Scalar requires precision >= {MIN_PRECISION}")
+        if not isinstance(self.value, tuple):
+            raise TypeError("inexact Scalar requires a raw mpmath value tuple "
+                            f"(sign, man, exp, bc), got {type(self.value).__name__}")
+        if libmp is None:  # a float built directly from a raw value
+            _bind_mpmath()
 
     # -- views ----------------------------------------------------------
+
+    @property
+    def exact(self) -> bool:
+        return self.precision is None
 
     def as_fraction(self) -> Fraction:
         """The exact value; for float mode, the (dyadic) rational the
         float represents exactly."""
         if self.exact:
             return self.value
-        return _mpf_to_fraction(self.value)
+        p, q = libmp.to_rational(self.value)
+        return Fraction(int(p), int(q))
 
     @property
     def is_zero(self) -> bool:
-        return self.value == 0
+        # an infinity and NaN have mantissa 0 too, so a float compares whole
+        return self.value == 0 if self.exact else self.value == libmp.fzero
 
     def __float__(self) -> float:
-        return float(self.value)
+        # nearest double, as float(mpf) gives; to_float's default rounds down
+        return float(self.value) if self.exact else libmp.to_float(self.value, rnd="n")
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -266,11 +253,10 @@ class Scalar:
     def __repr__(self) -> str:
         if self.exact:
             return f"Scalar({self.value})"
-        return f"Scalar({mpmath.nstr(self.value, 17)}, prec={self.precision})"
+        return f"Scalar({libmp.to_str(self.value, 17)}, prec={self.precision})"
 
     def __str__(self) -> str:
-        return (self.render_ratio() if self.exact
-                else float_renderer(self.precision)(_raw(self.value)))
+        return self.render_ratio() if self.exact else float_renderer(self.precision)(self.value)
 
     def render_ratio(self) -> str:
         """Render as "p/q" (bare "p" for integers); exact mode only."""
@@ -282,29 +268,29 @@ class Scalar:
             raise ValueError("digit budget must be positive")
         if self.exact:
             return decimal_renderer(self.value.denominator, digits)(self.value.numerator)
-        return float_renderer(self.precision, digits)(_raw(self.value))
+        return float_renderer(self.precision, digits)(self.value)
 
     # -- arithmetic -----------------------------------------------------
 
     def _pair(self, other: "Scalar"):
-        """Common representation and result metadata for a binary op."""
+        """Both values in a common representation, and the result's
+        precision: None for two exact operands, else the narrower width."""
         if self.exact and other.exact:
-            return self.value, other.value, True, None
-        precs = [s.precision for s in (self, other) if not s.exact]
-        prec = min(p for p in precs if p is not None)
+            return self.value, other.value, None
+        prec = min(s.precision for s in (self, other) if not s.exact)
         bits = significand_bits(prec)
-        x = _raw(self.value) if not self.exact else libmp.from_rational(
+        x = self.value if not self.exact else libmp.from_rational(
             self.value.numerator, self.value.denominator, bits, "n")
-        y = _raw(other.value) if not other.exact else libmp.from_rational(
+        y = other.value if not other.exact else libmp.from_rational(
             other.value.numerator, other.value.denominator, bits, "n")
-        return x, y, False, prec
+        return x, y, prec
 
     @staticmethod
     def _coerce(other) -> "Scalar":
         if isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar(Fraction(other), True)
+            return Scalar(Fraction(other))
         return NotImplemented
 
     def _binary(self, other, exact_op, mpf_name: str):
@@ -313,11 +299,11 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        x, y, exact, prec = self._pair(other)
-        if exact:
-            return Scalar(exact_op(x, y), True)
+        x, y, prec = self._pair(other)
+        if prec is None:
+            return Scalar(exact_op(x, y))
         mpf_op = getattr(libmp, mpf_name)
-        return Scalar(_wrap(mpf_op(x, y, significand_bits(prec), "n")), False, prec)
+        return Scalar(mpf_op(x, y, significand_bits(prec), "n"), prec)
 
     def __add__(self, other):
         return self._binary(other, operator.add, "mpf_add")
@@ -354,13 +340,13 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         if self.exact:
-            return Scalar(-self.value, True)
-        return Scalar(_wrap(libmp.mpf_neg(_raw(self.value))), False, self.precision)
+            return Scalar(-self.value)
+        return Scalar(libmp.mpf_neg(self.value), self.precision)
 
     def __abs__(self) -> "Scalar":
         if self.exact:
-            return Scalar(abs(self.value), True)
-        return Scalar(_wrap(libmp.mpf_abs(_raw(self.value))), False, self.precision)
+            return Scalar(abs(self.value))
+        return Scalar(libmp.mpf_abs(self.value), self.precision)
 
     # -- comparisons (exact, via the dyadic value of floats) ------------
 
@@ -368,7 +354,7 @@ class Scalar:
         """The value as an exact raw mpmath numerator over a positive int."""
         if self.exact:
             return libmp.from_int(self.value.numerator), self.value.denominator
-        return _raw(self.value), 1
+        return self.value, 1
 
     def _cmp(self, other) -> int:
         other = Scalar._coerce(other)

@@ -44,9 +44,9 @@ class TaylorSeries:
                 f"need {count} coefficients, series has only {len(self.coeffs)}")
         inexact = [(i, c) for i, c in enumerate(self.coeffs[:count]) if not c.exact]
         if inexact:
-            from mpmath import isfinite  # loaded already: the float values hold mpmath numbers
+            from mpmath.libmp import finf, fnan, fninf  # loaded already by the float values
             for i, c in inexact:
-                if not isfinite(c.value):
+                if c.value in (finf, fninf, fnan):
                     raise ValueError(f"coefficient coeffs[{i}] must be finite, got {c}")
 
     def to_inexact(self, precision: int = 64) -> "TaylorSeries":

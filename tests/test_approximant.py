@@ -319,7 +319,7 @@ def test_float_evaluate_keeps_scalar_loop_rounding(precision):
                 assert got is approx.coeffs[0] and want is approx.coeffs[0]
                 continue
             assert not got.exact and got.precision == want.precision == precision
-            assert got.value._mpf_ == want.value._mpf_
+            assert got.value == want.value
 
 
 def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):
@@ -400,7 +400,7 @@ def test_float_mode_no_warning_at_small_dimension():
 
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
 def test_float_approximant_rejects_non_finite_coefficients(bad):
-    coeffs = (Scalar.approx(1, 64), Scalar(bad, False, 64), Scalar.approx(2, 64))
+    coeffs = (Scalar.approx(1, 64), Scalar(bad._mpf_, 64), Scalar.approx(2, 64))
     series = TaylorSeries(Scalar.rational(1), coeffs)
     for build in (coeffs_closed_form, coeffs_via_matrix):
         with pytest.raises(ValueError, match=r"coeffs\[1\] must be finite"):
@@ -541,7 +541,7 @@ def test_binary64_route_equals_integer_route(case):
 def _literal_sum(width: int, row: list[int], c: list[tuple[int, int]]) -> tuple:
     """The ``Scalar`` literal sum of one weight row over the coefficients
     man * 2**exp, as a raw value: the oracle, not the kernel."""
-    return float_dot([Scalar.from_raw(x, width) for x in _raw(c)], row).value._mpf_
+    return float_dot([Scalar(x, width) for x in _raw(c)], row).value
 
 
 @st.composite

@@ -205,7 +205,7 @@ def same_float(x, y):
     """Bit-for-bit equality of two float Scalars, or both None."""
     if x is None or y is None:
         return x is y
-    return not x.exact and x.value._mpf_ == y.value._mpf_ and x.precision == y.precision
+    return not x.exact and x.value == y.value and x.precision == y.precision
 
 
 def float_rows_equal(table, expected):
@@ -366,15 +366,15 @@ def test_float_terms_far_from_the_partial_sum_match_literal_sums(width):
 ])
 def test_float_kernel_rounds_wide_weights_as_literal_sums(weights, c, expected):
     coeffs = [Scalar.approx(c, 64)] * len(weights)
-    (got,) = float_dots([x.value._mpf_ for x in coeffs], [weights], significand_bits(64))
-    assert got == float_dot(coeffs, weights).value._mpf_
+    (got,) = float_dots([x.value for x in coeffs], [weights], significand_bits(64))
+    assert got == float_dot(coeffs, weights).value
     if expected is not None:
-        assert Scalar.from_raw(got, 64).as_fraction() == expected
+        assert Scalar(got, 64).as_fraction() == expected
 
 
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
 def test_float_table_rejects_non_finite_coefficients(bad):
-    series = TaylorSeries(Scalar.rational(1), (f64(1), f64(2), Scalar(bad, False, 64)))
+    series = TaylorSeries(Scalar.rational(1), (f64(1), f64(2), Scalar(bad._mpf_, 64)))
     with pytest.raises(ValueError, match=r"coeffs\[2\] must be finite"):
         convergence_table(series, 2)
 

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, from_rational
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational
 
 from invpower.scalar import (
     MIN_PRECISION,
@@ -264,7 +264,7 @@ def test_approx_of_float_rounds_the_raw_mantissa(value, scale, source, target):
     x = Scalar.approx(value * Fraction(2) ** scale, source)
     y = Scalar.approx(x, target)
     assert (y.exact, y.precision) == (False, target)
-    assert y.value._mpf_ == _approx_via_fraction(x, target)
+    assert y.value == _approx_via_fraction(x, target)
 
 
 def test_approx_of_float_with_a_huge_exponent_finishes():
@@ -273,7 +273,7 @@ def test_approx_of_float_with_a_huge_exponent_finishes():
     probe = ("from invpower.scalar import Scalar\n"
              "x = Scalar.approx(Scalar.parse('1e-99999999', exact=False, precision=64), 128)\n"
              "y = Scalar.approx(x, 64)\n"
-             "print(x.precision, y.precision, 0 < y < x * 2, x.value._mpf_[2])")
+             "print(x.precision, y.precision, 0 < y < x * 2, x.value[2])")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -282,6 +282,32 @@ def test_approx_of_float_with_a_huge_exponent_finishes():
     precision, narrowed, ordered, exponent = proc.stdout.split()
     assert (precision, narrowed, ordered) == ("128", "64", "True")
     assert int(exponent) < -332_000_000
+
+
+def test_float_and_is_zero_read_raw_values():
+    """``float()`` gives the nearest double at every width, and a float is
+    zero only when its raw value is mpmath's zero: an infinity and NaN
+    have mantissa 0 too, but are not zero."""
+    for precision in (128, 256):
+        assert float(Scalar.approx(Fraction(1, 10), precision)) == 0.1
+    for precision in (64, 128, 256):
+        zero = Scalar.approx(0, precision)
+        assert zero.is_zero and not zero
+    for special in (finf, fninf, fnan):
+        assert not Scalar(special, 64).is_zero
+
+
+@pytest.mark.parametrize("value, precision, error, message", [
+    (0.5, None, TypeError, "exact Scalar requires a Fraction value"),
+    (mpmath.mpf(1), 64, TypeError, r"raw mpmath value tuple \(sign, man, exp, bc\), got mpf"),
+    (0.5, 128, TypeError, r"raw mpmath value tuple \(sign, man, exp, bc\), got float"),
+    (from_rational(1, 2, 53, "n"), 63, ValueError, "requires precision >= 64"),
+])
+def test_constructor_checks_the_value_form(value, precision, error, message):
+    """An exact value must be a Fraction, a float value the raw tuple
+    (not an ``mpf`` or a Python float), and a float width at least 64."""
+    with pytest.raises(error, match=message):
+        Scalar(value, precision)
 
 
 def test_parse_float_mode():
@@ -328,7 +354,7 @@ def raw_floats(draw):
 
 
 def _parsed(text: str, precision: int) -> tuple:
-    return Scalar.parse(text, exact=False, precision=precision).value._mpf_
+    return Scalar.parse(text, exact=False, precision=precision).value
 
 
 @settings(max_examples=400)
@@ -347,7 +373,7 @@ def test_float_renderer_writes_the_nstr_text(case):
     precision, raw, digits = case
     expected = _nstr_text(raw, precision, digits)
     assert float_renderer(precision, digits)(raw) == expected
-    value = Scalar.from_raw(raw, precision)
+    value = Scalar(raw, precision)
     assert (str(value) if digits is None else value.render_decimal(digits)) == expected
 
 
@@ -374,7 +400,7 @@ def test_int_renderers_match_the_reduced_fraction(num, den, k, digits):
     correctly rounded, and the ratio equals ``str(Fraction(num, den))``."""
     value = Fraction(num, den)
     text = decimal_renderer(k * den, digits)(k * num)
-    assert text == Scalar(value, True).render_decimal(digits)
+    assert text == Scalar(value).render_decimal(digits)
     rendered = Decimal(text)
     assert len(rendered.as_tuple().digits) <= digits
     assert abs(Fraction(rendered) - value) <= 5 * Fraction(10) ** (rendered.adjusted() - digits)

@@ -157,11 +157,14 @@ def test_commands_import_only_what_they_run(argv, loaded):
     assert proc.stdout.split() == ["0", *loaded]
 
 
-def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys):
+@pytest.mark.parametrize("argv", [ESTIMATE, [*ESTIMATE, "--mode", "float", "--precision", "128"]],
+                         ids=["exact", "float"])
+def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys, argv):
     """``perfbench/tracer.py`` wraps package functions by module and name,
     and ``Scalar`` ops on the class, from outside the package: a traced
     name that moves or goes fails here.  The modules are mapped as
-    ``perfbench/run.py`` maps them."""
+    ``perfbench/run.py`` maps them, and the rows of an exact and of a
+    float table are read."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -174,7 +177,7 @@ def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys):
     tracer = tracing.Tracer(modules)
     tracer.install()
     try:
-        assert cli.main(ESTIMATE) == 0
+        assert cli.main(argv) == 0
         approximant.coeffs_via_matrix(series.series_from_rationals(1, [1, 2, 3]), 2)
     finally:
         tracer.uninstall()
