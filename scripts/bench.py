@@ -9,9 +9,9 @@ Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
 exact or rounded to 64-, 128- and 256-bit floats, at each dimension m in
 ``--sizes``:
 ``taylor_coeffs`` expands it to m + 1 coefficients, ``evaluate`` sums
-its dimension-m approximant at x = 1/2, and ``estimate_limits`` reads
-the limits off its dimension-m convergence table at tolerance 1e-9.
-The ``cli`` layers call ``main`` in-process.  ``run_suite`` checks
+its dimension-m approximant at x = 1/2 (exact, and at 128 bits), and
+``estimate_limits`` reads the limits off its dimension-m convergence
+table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process.  ``run_suite`` checks
 every identity tuple with m and k up to the size, as
 ``verify-identities --m-max m --k-max m`` does.  ``cli cold start`` is
 a whole ``python -m invpower estimate`` process (exact, ``--m-max m``):
@@ -128,7 +128,9 @@ def layers(src: Path, pycache: str | None):
 
     prepares = {
         "taylor_coeffs exact": lambda m: partial(taylor_coeffs, f, center, m + 1),
-        "evaluate exact": lambda m: partial(evaluate, coeffs_closed_form(series(m), m), point),
+        **{f"evaluate {name}": lambda m, p=p: partial(
+            evaluate, coeffs_closed_form(series(m, p), m), point)
+           for name, p in (("exact", None), ("float128", 128))},
         **{f"convergence_table {name}": lambda m, p=p: partial(convergence_table, series(m, p), m)
            for name, p in (("exact", None), *((f"float{p}", p) for p in FLOAT_PRECISIONS))},
         "estimate_limits exact":
@@ -145,6 +147,9 @@ def layers(src: Path, pycache: str | None):
             "--mode", "float", "--precision", str(p)) for p in FLOAT_PRECISIONS},
         "cli approximate exact": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
+        "cli approximate float128": cli(
+            "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--mode", "float",
+            "--precision", "128", "--eval", "1/2,3", "--format", "json"),
         "run_suite":
             lambda m: partial(run_suite, SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
     }

@@ -41,10 +41,15 @@ are provided and must agree bit-for-bit in exact mode:
 The tests check both against a fraction-free elimination of the raw
 matching system and against re-expansion of R(x) (``tests/_oracles.py``).
 
-:func:`evaluate` sums R(x) for an exact approximant at an exact point in
-one integer Horner pass over the common denominator of q_0..q_m and
-builds one ``Fraction``; float approximants or points keep the
-term-by-term ``Scalar`` loop and its rounding.
+An :class:`InversePowerApproximant` holds q_0..q_m as its kernel left
+them: integer numerators over D for an exact series, raw mpmath tuples
+and their width for a float one; ``Scalar``s are made only when
+``coeffs`` is read.  :func:`evaluate` sums R(x) for an exact approximant
+at an exact point in one integer Horner pass over those numerators and
+builds one ``Fraction``.  A float approximant or point is summed term by
+term on the raw values, each product and sum rounded as the
+``Scalar`` loop rounds it (``tests/_oracles.py`` keeps that loop as the
+oracle).
 
 Only q_0 and q_1 stabilize to center-independent limits as m grows; the
 entries q_k for k >= 2 are reported but depend on the chosen center and
@@ -58,7 +63,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import lcm, ldexp
 
 from .errors import PoleError
@@ -77,21 +82,42 @@ from .transforms import binomial_convolve
 
 @dataclass(frozen=True)
 class InversePowerApproximant:
-    """Dimension m, expansion center, and coefficients q_0..q_m."""
+    """q_0..q_m of the dimension-m approximant about ``center``, held as
+    its kernel computed them.
 
-    dimension: int
+    An exact approximant has ``den``, the common denominator, and
+    ``values`` are the signed integer numerators of q_0..q_m over it; a
+    float one has ``precision``, the width, and ``values`` are raw mpmath
+    tuples rounded to it.  Exactly one of the two is set, so exactness is
+    fixed when the approximant is built.  ``coeffs`` makes the
+    ``Scalar``s on first read and keeps them.
+    """
+
     center: Scalar
-    coeffs: tuple[Scalar, ...]
+    values: tuple
+    den: int | None = None
+    precision: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != self.dimension + 1:
-            raise ValueError(
-                f"dimension {self.dimension} approximant needs exactly "
-                f"{self.dimension + 1} coefficients, got {len(self.coeffs)}")
+        if not self.values:
+            raise ValueError("an approximant needs at least one coefficient")
+        if (self.den is None) == (self.precision is None):
+            raise ValueError("an approximant takes exactly one of den (exact) "
+                             "and precision (float)")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.values) - 1
+
+    @cached_property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        if self.den is not None:
+            return tuple(Scalar(Fraction(n, self.den)) for n in self.values)
+        return tuple(Scalar(v, self.precision) for v in self.values)
 
     @property
     def is_exact(self) -> bool:
-        return self.center.exact and all(q.exact for q in self.coeffs)
+        return self.den is not None and self.center.exact
 
     @property
     def pole(self) -> Scalar:
@@ -299,14 +325,15 @@ def exact_convolution(c: tuple[Scalar, ...], m: int) -> tuple[list[int], int]:
     return d, den
 
 
-def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
-    """q_0..q_m of an exact series: Horner in (1+y) over its convolution."""
+def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[tuple[int, ...], int]:
+    """q_0..q_m of an exact series as signed numerators over the common
+    denominator D: Horner in (1+y) over its convolution."""
     d, den = exact_convolution(c, m)
     p = [d[m]]
     for dn in reversed(d[:m]):
         p = [p[0] + dn, *map(operator.add, p[1:], p), p[-1]]
-    return tuple(Scalar(Fraction(-pk if k % 2 else pk, den))
-                 for k, pk in enumerate(p))
+    p[1::2] = map(operator.neg, p[1::2])
+    return tuple(p), den
 
 
 def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
@@ -317,20 +344,22 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     negating the sum for odd k equals summing negated weights."""
     _check_input(series, m)
     if series.is_exact:
-        return InversePowerApproximant(m, series.center, _exact_coeffs(series.coeffs, m))
+        nums, den = _exact_coeffs(series.coeffs, m)
+        return InversePowerApproximant(series.center, nums, den=den)
     from mpmath.libmp import mpf_neg  # float mode only: exact runs never load mpmath
 
     _warn_if_cancelling(series, m)
     raw, prec, bits = float_coefficients(series, m + 1)
     sums = float_dots(raw, _weight_rows(m), bits)
-    q = tuple(Scalar(mpf_neg(x) if k % 2 else x, prec) for k, x in enumerate(sums))
-    return InversePowerApproximant(m, series.center, q)
+    q = tuple(mpf_neg(x) if k % 2 else x for k, x in enumerate(sums))
+    return InversePowerApproximant(series.center, q, precision=prec)
 
 
 def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
     """Approximant coefficients via binomial convolution followed by the
     signed-binomial matrix; each q_i sums its row's nonzero terms in
-    column order from an exact zero."""
+    column order from an exact zero.  When any q_i is a float, all are
+    rounded to the narrowest width among them."""
     _check_input(series, m)
     _warn_if_cancelling(series, m)
     d = binomial_convolve(series, m)
@@ -341,20 +370,24 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
             if e:
                 acc = acc + e * dj
         q.append(acc)
-    return InversePowerApproximant(m, series.center, tuple(q))
+    widths = [x.precision for x in q if not x.exact]
+    if widths:
+        prec = min(widths)
+        return InversePowerApproximant(
+            series.center, tuple(Scalar.approx(x, prec).value for x in q), precision=prec)
+    den = lcm(*(x.value.denominator for x in q))
+    return InversePowerApproximant(
+        series.center, tuple(x.value.numerator * (den // x.value.denominator) for x in q),
+        den=den)
 
 
-def _exact_value(q: tuple[Scalar, ...], base: Fraction) -> Scalar:
-    """sum_k q_k / base**k for exact q_0..q_m, in one integer Horner pass.
+def _exact_value(nums: tuple[int, ...], den: int, base: Fraction) -> Scalar:
+    """sum_k q_k / base**k for q_k = nums[k]/den, in one integer Horner pass.
 
-    With 1/base = a/b and q_k = n_k/D over the least common denominator
-    D, the sum is N/(D*b**m) with N = sum_k n_k a**k b**(m-k), and
-    N <- N*a + n_k*b**(m-k) for k = m down to 0 builds N; the one
-    ``Fraction`` reduces it with a single gcd.
+    With 1/base = a/b the sum is N/(den*b**m) with
+    N = sum_k n_k a**k b**(m-k), and N <- N*a + n_k*b**(m-k) for k = m
+    down to 0 builds N; the one ``Fraction`` reduces it with a single gcd.
     """
-    fracs = [x.value for x in q]
-    den = lcm(*(f.denominator for f in fracs))
-    nums = [f.numerator * (den // f.denominator) for f in fracs]
     a, b = base.denominator, base.numerator
     num, bp = nums[-1], 1
     for n in reversed(nums[:-1]):
@@ -363,26 +396,53 @@ def _exact_value(q: tuple[Scalar, ...], base: Fraction) -> Scalar:
     return Scalar(Fraction(num, den * bp))
 
 
+def _float_value(approx: InversePowerApproximant, base: Scalar) -> Scalar:
+    """sum_k q_k / base**k with a float approximant or base, on raw
+    mpmath values, each step rounded as the ``Scalar`` loop rounds it:
+    q_0 plus q_k * base**-k for k = 1..m in order, every product and sum
+    rounded to nearest at the narrower width of the approximant and the
+    base (an exact q_k is rounded to it first).  An exact base keeps the
+    powers of 1/base exact, each rounded to that width where it is used;
+    a float base takes 1/base and each further power as a rounded
+    division and product at the base's own width."""
+    from mpmath.libmp import fone, from_rational, mpf_add, mpf_div, mpf_mul
+
+    prec = min(p for p in (approx.precision, base.precision) if p is not None)
+    bits = significand_bits(prec)
+    q = approx.values
+    if approx.den is not None:
+        q = [from_rational(n, approx.den, bits, "n") for n in q]
+    result = q[0]
+    if base.exact:
+        a, b = base.value.denominator, base.value.numerator
+        pa = pb = 1
+        for qk in q[1:]:
+            pa *= a
+            pb *= b
+            term = mpf_mul(qk, from_rational(pa, pb, bits, "n"), bits, "n")
+            result = mpf_add(result, term, bits, "n")
+        return Scalar(result, prec)
+    base_bits = significand_bits(base.precision)
+    inv = power = mpf_div(fone, base.value, base_bits, "n")
+    for qk in q[1:]:
+        result = mpf_add(result, mpf_mul(qk, power, bits, "n"), bits, "n")
+        power = mpf_mul(power, inv, base_bits, "n")
+    return Scalar(result, prec)
+
+
 def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
     """Evaluate R(x); raises :class:`PoleError` at x = x0 - 1.
 
     A dimension-0 approximant is a constant with no pole at all.  An
     exact approximant at an exact point is summed on integers
-    (:func:`_exact_value`); a float approximant or point term by term in
-    ``Scalar`` arithmetic, with its rounding.
+    (:func:`_exact_value`); a float approximant or point term by term on
+    raw values (:func:`_float_value`), with the ``Scalar`` loop's rounding.
     """
     base = x - approx.center + 1
     if base.is_zero and approx.dimension >= 1:
         raise PoleError(f"approximant has a pole at x = {approx.pole}")
-    result = approx.coeffs[0]
     if approx.dimension == 0:
-        return result
-    if base.exact and approx.is_exact:
-        return _exact_value(approx.coeffs, base.value)
-    inv = 1 / base
-    power = inv
-    for k in range(1, approx.dimension + 1):
-        result = result + approx.coeffs[k] * power
-        power = power * inv
-    return result
-
+        return approx.coeffs[0]
+    if base.exact and approx.den is not None:
+        return _exact_value(approx.values, approx.den, base.value)
+    return _float_value(approx, base)

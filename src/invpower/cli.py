@@ -377,7 +377,9 @@ def cmd_approximate(args) -> int:
     results = [_evaluation(approx, source, x) for x in points]
 
     cell = _cell(args)
-    coeffs = [cell(q) for q in approx.coeffs]
+    value = (_numerator_cell(args, approx.den) if approx.den is not None
+             else _raw_cell(args, approx.precision))
+    coeffs = list(map(value, approx.values))
     evaluations = [dict(zip(_EVAL_FIELDS, map(cell, e))) for e in results]
     doc = {
         "command": "approximate",

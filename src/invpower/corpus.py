@@ -92,8 +92,22 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
 
 
 def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
+    """f(x); raises :class:`PoleError` at a pole.  With x and every term
+    exact the sum is taken over ``Fraction``s, else in ``Scalar``
+    arithmetic with its rounding."""
+    terms = as_tail_terms(f)
+    if x.exact and all(t.offset.exact and t.weight.exact and t.shift.exact for t in terms):
+        xv, total = x.value, Fraction(0)
+        for t in terms:
+            total += t.offset.value
+            if t.weight.value:
+                base = xv + t.shift.value
+                if not base:
+                    raise PoleError(f"pole at x = {x}")
+                total += t.weight.value / base
+        return Scalar(total)
     result = Scalar.rational(0)
-    for t in as_tail_terms(f):
+    for t in terms:
         result = result + t.offset
         if not t.weight.is_zero:
             base = x + t.shift

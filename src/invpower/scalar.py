@@ -216,6 +216,9 @@ class Scalar:
             if not isinstance(self.value, Fraction):
                 raise TypeError("exact Scalar requires a Fraction value")
             return
+        if isinstance(self.precision, bool):
+            raise TypeError("Scalar width must be an int number of bits or None, got "
+                            f"{self.precision}; an exact Scalar is Scalar(fraction)")
         if self.precision < MIN_PRECISION:
             raise ValueError(f"inexact Scalar requires precision >= {MIN_PRECISION}")
         if not isinstance(self.value, tuple):

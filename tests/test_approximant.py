@@ -54,6 +54,13 @@ def fracs(scalars):
     return [x.as_fraction() for x in scalars]
 
 
+def exact_approximant(x0, q) -> InversePowerApproximant:
+    """The exact approximant about x0 with coefficients q (``Fraction``s)."""
+    den = lcm(*(v.denominator for v in q))
+    return InversePowerApproximant(Scalar.rational(x0),
+                                   tuple(v.numerator * (den // v.denominator) for v in q), den=den)
+
+
 # ---------------------------------------------------------------------------
 # the signed binomial matrix
 # ---------------------------------------------------------------------------
@@ -242,9 +249,7 @@ def test_evaluate_constant():
 
 
 def test_evaluate_two_terms():
-    from invpower.approximant import InversePowerApproximant
-    approx = InversePowerApproximant(1, Scalar.rational(1),
-                                     (Scalar.rational(1), Scalar.rational(-1)))
+    approx = InversePowerApproximant(Scalar.rational(1), (1, -1), den=1)
     assert evaluate(approx, Scalar.rational(2)).as_fraction() == Fraction(1, 2)
 
 
@@ -286,8 +291,7 @@ def test_exact_evaluate_matches_literal_sum(q, x0, base):
     sum_k q_k/base**k over ``Fraction``, for negative and 40-digit
     bases, m = 0 and 1 and zero coefficients; at base 0 a dimension
     m >= 1 approximant raises ``PoleError`` and a constant is itself."""
-    approx = InversePowerApproximant(len(q) - 1, Scalar.rational(x0),
-                                     tuple(Scalar.rational(v) for v in q))
+    approx = exact_approximant(x0, q)
     x = Scalar.rational(x0 - 1 + base)
     if base == 0 and len(q) > 1:
         message = f"approximant has a pole at x = {Scalar.rational(x0 - 1)}"
@@ -309,7 +313,8 @@ def test_float_evaluate_keeps_scalar_loop_rounding(precision):
     points = [Fraction(1, 3), Fraction(-7, 3), Fraction(-40), Fraction(10 ** 6), _BIG, -_BIG]
     for m in (0, 1, 2, 7, 30):
         float_q = coeffs_closed_form(floats, m)
-        exact_center = InversePowerApproximant(m, Scalar.rational(1), float_q.coeffs)
+        exact_center = InversePowerApproximant(Scalar.rational(1), float_q.values,
+                                               precision=float_q.precision)
         cases = [(approx, Scalar.rational(x)) for x in points for approx in (float_q, exact_center)]
         cases += [(coeffs_closed_form(exact, m), Scalar.approx(x, precision)) for x in points]
         for approx, x in cases:
@@ -322,6 +327,48 @@ def test_float_evaluate_keeps_scalar_loop_rounding(precision):
             assert got.value == want.value
 
 
+_WIDTHS = (64, 128, 256)
+near_pole = st.one_of(
+    st.builds(lambda sign, k: sign * Fraction(1, 2 ** k), st.sampled_from((1, -1)),
+              st.integers(1, 300)),
+    st.sampled_from((1 / _BIG, -1 / _BIG)))
+
+
+@pytest.mark.parametrize("precision", _WIDTHS)
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.one_of(st.just(Fraction(0)), eval_rationals), min_size=1, max_size=12),
+       eval_rationals, st.one_of(near_pole, eval_rationals.filter(bool)),
+       st.sampled_from(("float center", "exact center", "float point")),
+       st.sampled_from(_WIDTHS))
+@example([Fraction(1, 3), Fraction(-2, 7), Fraction(5)], Fraction(1), Fraction(1, 2 ** 200),
+         "exact center", 64)
+@example([_BIG, Fraction(1), -_BIG], _BIG, -1 / _BIG, "float center", 256)
+@example([Fraction(5, 2), Fraction(-2, 3), Fraction(0), Fraction(9, 4)], Fraction(-4),
+         -Fraction(1, 2 ** 60), "float point", 64)
+@example([Fraction(1), Fraction(-1), Fraction(1, 3)], Fraction(7, 3), Fraction(-1, 2),
+         "float center", 64)
+def test_float_evaluate_equals_scalar_loop(precision, q, x0, base, kind, center_width):
+    """The raw-value float loop equals ``evaluate_scalar_loop`` bit for
+    bit: float q_k about a float center (of its own width, so products
+    and powers round at different widths) and about an exact center, and
+    an exact approximant at a float point, also at bases next to the
+    pole (+-2**-k, +-1/_BIG).  A float base that rounds to zero is the
+    pole."""
+    x = x0 - 1 + base
+    if kind == "float point":
+        approx, point = exact_approximant(x0, q), Scalar.approx(x, precision)
+    else:
+        center = Scalar.approx(x0, center_width) if kind == "float center" else Scalar.rational(x0)
+        raw = tuple(Scalar.approx(v, precision).value for v in q)
+        approx, point = InversePowerApproximant(center, raw, precision=precision), Scalar.rational(x)
+    if (point - approx.center + 1).is_zero and len(q) > 1:
+        with pytest.raises(PoleError):
+            evaluate(approx, point)
+        return
+    got, want = evaluate(approx, point), evaluate_scalar_loop(approx, point)
+    assert got.precision == want.precision and got.value == want.value
+
+
 def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):
     """The exact branch works on ints: its ``Scalar`` operations (the base
     x - x0 + 1) do not grow with the dimension."""
@@ -330,8 +377,7 @@ def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):
     monkeypatch.setattr(Scalar, "_binary", lambda *a: calls.append(1) or binary(*a))
     counts = []
     for m in (3, 40):
-        q = tuple(Scalar.rational(k + 1, 7) for k in range(m + 1))
-        approx = InversePowerApproximant(m, Scalar.rational(1, 2), q)
+        approx = InversePowerApproximant(Scalar.rational(1, 2), tuple(range(1, m + 2)), den=7)
         calls.clear()
         evaluate(approx, Scalar.rational(-9, 4))
         counts.append(len(calls))

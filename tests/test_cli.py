@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invpower import cli, identities
+from invpower.approximant import coeffs_closed_form, evaluate
 from invpower.cli import main
 from invpower.corpus import (
     MAX_FILE_COEFFS,
@@ -213,6 +214,34 @@ def test_approximate_csv_layout(capsys):
     assert "# q[1]=1" in lines
     assert lines[-2] == "10,0.1,0,"
     assert lines[-1] == "100,0.01,0,"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_approximate_makes_no_scalar_or_fraction_per_coefficient(monkeypatch, fmt):
+    """Building an exact approximant and evaluating it, and then the
+    whole ``approximate`` command with its coefficients rendered, make as
+    many ``Scalar``s and ``Fraction``s at m = 40 as at m = 3: the series
+    is built before the count starts, and every later step works on the
+    kernel's integers."""
+    source, made = mobius(2, 3, 1, 2), []
+    post_init, new = Scalar.__post_init__, Fraction.__new__
+    monkeypatch.setattr(Scalar, "__post_init__", lambda self: made.append(1) or post_init(self))
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: made.append(1) or new(cls, *a, **k)))
+
+    def count(m: int) -> tuple[int, int]:
+        series = taylor_coeffs(source, Scalar.rational(1), m + 1)
+        monkeypatch.setattr(cli, "_resolve_series", lambda args, n: (series, source))
+        made.clear()
+        evaluate(coeffs_closed_form(series, m), Scalar.rational(-9, 4))
+        built = len(made)
+        made.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["approximate", "--corpus", "mobius-2-3-1-2", "--m", str(m),
+                         "--eval", "1/2,3,-1/4", "--format", fmt]) == 0
+        return built, len(made)
+
+    assert count(3) == count(40)
 
 
 # ---------------------------------------------------------------------------

@@ -302,10 +302,13 @@ def test_float_and_is_zero_read_raw_values():
     (mpmath.mpf(1), 64, TypeError, r"raw mpmath value tuple \(sign, man, exp, bc\), got mpf"),
     (0.5, 128, TypeError, r"raw mpmath value tuple \(sign, man, exp, bc\), got float"),
     (from_rational(1, 2, 53, "n"), 63, ValueError, "requires precision >= 64"),
+    (Fraction(1), True, TypeError, r"width must be an int .* got True; .* Scalar\(fraction\)"),
+    (Fraction(1), False, TypeError, "width must be an int number of bits or None, got False"),
 ])
 def test_constructor_checks_the_value_form(value, precision, error, message):
     """An exact value must be a Fraction, a float value the raw tuple
-    (not an ``mpf`` or a Python float), and a float width at least 64."""
+    (not an ``mpf`` or a Python float), and a float width an int (not a
+    bool, as an old-style ``Scalar(fraction, True)`` passes) of at least 64."""
     with pytest.raises(error, match=message):
         Scalar(value, precision)
 

@@ -101,9 +101,10 @@ def test_bench_writes_one_column_per_run(tmp_path):
                   "convergence_table float128", "convergence_table float256",
                   "coeffs_closed_form float64", "coeffs_closed_form float128",
                   "coeffs_closed_form float256", "taylor_coeffs exact", "evaluate exact",
-                  "binomial_convolve exact", "estimate_limits exact", "cli estimate exact csv",
-                  "cli estimate exact json", "cli estimate float64", "cli estimate float128",
-                  "cli estimate float256", "run_suite", "cli cold start"):
+                  "evaluate float128", "binomial_convolve exact", "estimate_limits exact",
+                  "cli estimate exact csv", "cli estimate exact json", "cli estimate float64",
+                  "cli estimate float128", "cli estimate float256", "cli approximate float128",
+                  "run_suite", "cli cold start"):
         assert [column for column, _ in samples[layer]] == ["change", "parent", "parent", "change"]
         times = {column: [t for c, t in samples[layer] if c == column]
                  for column in ("parent", "change")}
