@@ -24,16 +24,25 @@ A cell is one layer at one size, and it is the median CPU time per call
 of its ``--repeat`` samples.  Each sample runs in a fresh child process,
 which builds the series, approximant or table the layer reads before
 the timing starts, then repeats the call until it has used 0.2 CPU
-seconds.  A sample that uses more than ``BUDGET_S`` (10) CPU seconds is
-stopped by a CPU timer, and that size and every larger one of the layer
-are recorded as null for that source tree.
+seconds, in chunks of at least 0.02 s.  As perfbench does around each
+request, the child times perfbench's fixed calibration kernel
+(``perfbench/calibration.py``) between chunks and multiplies each
+chunk's CPU seconds by ``REFERENCE_CAL_S`` over the mean of the
+kernel's times on either side of it, so a host that is slower or busier
+for a while is factored out: ``layers`` holds these rescaled seconds,
+``raw_layers`` the CPU seconds as measured.  A sample that runs longer
+than ``BUDGET_S`` (10) seconds is stopped by a wall-clock timer, and
+that size and every larger one of the layer are recorded as null for
+that source tree.  The timer is not a CPU timer: on a 2-vCPU Linux VM
+(kernel 6.18), an armed ``ITIMER_PROF`` made the process CPU clock tick
+in steps of about 4 ms, which read the 0.5 ms calibration kernel as 0.
 
 With ``--against NAME=SRC``, a second source tree is timed in the same
 run, as column NAME.  The samples come in pairs, one of each tree, and
 which tree goes first alternates from pair to pair, so a swing in the
 host's speed lands on both columns alike.  Both columns are written,
 and per cell ``ratios`` holds the median of the pairs' ratios of the
-first tree to the second.
+first tree to the second, in rescaled seconds.
 
 The output file holds one column per ``--column`` name, each with the
 Python version and mpmath's arithmetic backend it ran under.  An
@@ -61,17 +70,24 @@ from pathlib import Path
 import mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "perfbench"))  # appended: nothing there shadows a package
+from calibration import REFERENCE_CAL_S, calibration_s  # noqa: E402
+
 SIZES = (50, 200, 800, 2000)
 FLOAT_PRECISIONS = (64, 128, 256)
 MIN_SAMPLE_S = 0.2
+CHUNK_S = 0.02
 BUDGET_S = 10.0
 COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"
 CELL_PROCESS = ("each sample of a (layer, size) cell in a fresh child process; "
                 "--against trees alternate pair by pair")
+CALIBRATION = ("layers: CPU seconds of each chunk of a sample times REFERENCE_CAL_S over "
+               "the mean of perfbench/calibration.py's kernel timed before and after it; "
+               "raw_layers: CPU seconds as measured")
 
 
 class OverBudget(BaseException):
-    """Raised by the CPU timer; a BaseException, so no ``except
+    """Raised by the budget timer; a BaseException, so no ``except
     Exception`` in the code under test can swallow it."""
 
 
@@ -158,31 +174,40 @@ def layers(src: Path, pycache: str | None):
 
 
 def cpu_seconds(clock, call):
-    """CPU seconds per call on ``clock``, over as many calls as fill
-    ``MIN_SAMPLE_S`` (the CPU clock may tick in milliseconds), or None
-    when the sample runs past ``BUDGET_S`` of this process's CPU.
-    Garbage left by building the inputs is collected first, so it is
-    not charged to the call."""
+    """CPU seconds per call on ``clock``, rescaled (``s``) and as measured
+    (``raw_s``), over as many calls as fill ``MIN_SAMPLE_S`` (the CPU
+    clock may tick in milliseconds), or None when the sample runs past
+    ``BUDGET_S`` seconds.  The calls run in chunks of at least
+    ``CHUNK_S``, and each chunk's seconds are multiplied by
+    ``REFERENCE_CAL_S`` over the mean of the calibration kernel's times
+    before and after it.  Garbage left by building the inputs is
+    collected first, so it is not charged to the call."""
     gc.collect()
-    signal.setitimer(signal.ITIMER_PROF, BUDGET_S)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
-        start = clock()
+        raw = scaled = 0.0
         calls = 0
-        while (elapsed := clock() - start) < MIN_SAMPLE_S:
-            call()
-            calls += 1
-        return elapsed / calls
+        cal = calibration_s()
+        while raw < MIN_SAMPLE_S:
+            start = clock()
+            while (elapsed := clock() - start) < CHUNK_S:
+                call()
+                calls += 1
+            before, cal = cal, calibration_s()
+            raw += elapsed
+            scaled += elapsed * REFERENCE_CAL_S / ((before + cal) / 2)
+        return {"s": scaled / calls, "raw_s": raw / calls}
     except OverBudget:
         return None
     finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def measure_cell(name: str, m: int, src: Path):
-    """One sample of one layer at one size in this process: CPU seconds
-    per call, or None when it runs over budget."""
+    """One sample of one layer at one size in this process: ``cpu_seconds``
+    of its call, or None when it runs over budget."""
     sys.path.insert(0, str(src))
-    signal.signal(signal.SIGPROF, _over_budget)
+    signal.signal(signal.SIGALRM, _over_budget)
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as pycache:
         warnings.simplefilter("ignore")
         clock, prepare = layers(src, pycache)[name]
@@ -199,14 +224,16 @@ def run_cell(name: str, m: int, src: Path):
 
 
 def measure(sizes, repeat, trees):
-    """For ``trees``, a list of (column, source tree): column name ->
-    layer name -> size -> median seconds, and for two trees layer name ->
-    size -> the median of the per-pair ratios of the first tree to the
-    second.  Each cell takes ``repeat`` samples of each tree, in pairs,
-    and the tree that goes first alternates pair by pair."""
+    """For ``trees``, a list of (column, source tree): "s" (rescaled) and
+    "raw_s" (as measured) -> column name -> layer name -> size -> median
+    seconds, and for two trees layer name -> size -> the median of the
+    per-pair ratios of the first tree's rescaled seconds to the second's.
+    Each cell takes ``repeat`` samples of each tree, in pairs, and the
+    tree that goes first alternates pair by pair."""
     sys.path.insert(0, str(trees[0][1]))
     names = list(layers(trees[0][1], pycache=None))
-    cells = {column: {name: {} for name in names} for column, _ in trees}
+    cells = {key: {column: {name: {} for name in names} for column, _ in trees}
+             for key in ("s", "raw_s")}
     ratios = {name: {} for name in names}
     turn = 0
     for name in names:
@@ -221,13 +248,17 @@ def measure(sizes, repeat, trees):
                     if t is None:
                         stopped.add(column)
                     samples[column].append(t)
-                    print(f"{name:>34} m={m:<5} {column:>10} {t!r}", file=sys.stderr)
-            for column, times in samples.items():
-                cells[column][name][str(m)] = None if None in times else statistics.median(times)
+                    s, raw = (None, None) if t is None else (t["s"], t["raw_s"])
+                    print(f"{name:>34} m={m:<5} {column:>10} rescaled {s!r} raw {raw!r}",
+                          file=sys.stderr)
+            for key, table in cells.items():
+                for column, times in samples.items():
+                    table[column][name][str(m)] = None if None in times else statistics.median(
+                        t[key] for t in times)
             if len(trees) == 2:
                 top, base = samples.values()
                 ratios[name][str(m)] = None if None in top + base else statistics.median(
-                    [a / b for a, b in zip(top, base)])
+                    [a["s"] / b["s"] for a, b in zip(top, base)])
     return cells, ratios
 
 
@@ -268,13 +299,14 @@ def main() -> None:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(sizes=sizes, repeat=args.repeat, budget_s=BUDGET_S,
                float_precisions=list(FLOAT_PRECISIONS), cold_start_bytecode=COLD_START_BYTECODE,
-               cell_process=CELL_PROCESS)
-    for column, rows in cells.items():
-        doc.setdefault("columns", {})[column] = env
-        for name, row in rows.items():
-            doc.setdefault("layers", {}).setdefault(name, {})[column] = row
+               cell_process=CELL_PROCESS, calibration=CALIBRATION)
+    for key, field in (("s", "layers"), ("raw_s", "raw_layers")):
+        for column, rows in cells[key].items():
+            doc.setdefault("columns", {})[column] = env
+            for name, row in rows.items():
+                doc.setdefault(field, {}).setdefault(name, {})[column] = row
     if args.against:
-        doc.setdefault("ratios", {})["/".join(cells)] = ratios
+        doc.setdefault("ratios", {})["/".join(cells["s"])] = ratios
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -31,9 +31,7 @@ are provided and must agree bit-for-bit in exact mode:
   is sum_s W(k, s) c_s summed in order, with the integer weights W from
   a recurrence, by one kernel, :func:`float_dots`: integer steps, or
   binary64 steps for a 64-bit row that stays in the double range (its
-  docstring says why either gives the ``Scalar`` literal sums).  A
-  series that mixes exact and inexact entries or float widths is first
-  rounded to its narrowest width (:func:`float_coefficients`);
+  docstring says why either gives the ``Scalar`` literal sums);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
   product with the signed-binomial matrix (-1)**i C(j, i), which is
   its own inverse.
@@ -146,23 +144,6 @@ def _warn_if_cancelling(series: TaylorSeries, m: int) -> None:
             f"{prec} float bits; expect catastrophic cancellation, use exact mode"))
 
 
-def float_coefficients(series: TaylorSeries, count: int) -> tuple[list[tuple], int, int]:
-    """The first ``count`` coefficients of a float series as raw mpmath
-    values, each read through ``Scalar.approx(c, float_precision)``, with
-    that precision and its significand width.
-
-    On a series of one width (all the CLI, float files and ``to_inexact``
-    build) this reads the values as they are.  A mixed series, with exact
-    and inexact entries or several widths, is rounded to its narrowest
-    width first.  :func:`float_dots` works on finite mantissas only; the
-    callers' ``series.require_coefficients`` has rejected an infinity or
-    NaN.
-    """
-    prec = series.float_precision
-    coeffs = series.coeffs[:count]
-    return [Scalar.approx(c, prec).value for c in coeffs], prec, significand_bits(prec)
-
-
 def _weight_rows(m: int):
     """Integer weights W(k, s), s = 0..m, for k = 0, 1, ..., m in turn:
     q_k = (-1)**k sum_s W(k, s) c_s.
@@ -255,7 +236,8 @@ def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[i
 
 def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[tuple]:
     """For each row of integer weights w, the literal sum
-    sum_s w[s]*c_s of raw float coefficients c_s, summed in order from
+    sum_s w[s]*c_s of finite raw float coefficients c_s (a
+    ``TaylorSeries`` holds no infinity or NaN), summed in order from
     s = 0 and rounded as ``Scalar`` arithmetic rounds it, as a raw value.
 
     A row is summed on integers by :func:`_rounded_dot`, whose docstring
@@ -349,8 +331,9 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     from mpmath.libmp import mpf_neg  # float mode only: exact runs never load mpmath
 
     _warn_if_cancelling(series, m)
-    raw, prec, bits = float_coefficients(series, m + 1)
-    sums = float_dots(raw, _weight_rows(m), bits)
+    prec = series.float_precision
+    raw = [c.value for c in series.coeffs[:m + 1]]
+    sums = float_dots(raw, _weight_rows(m), significand_bits(prec))
     q = tuple(mpf_neg(x) if k % 2 else x for k, x in enumerate(sums))
     return InversePowerApproximant(series.center, q, precision=prec)
 
@@ -358,8 +341,8 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
 def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
     """Approximant coefficients via binomial convolution followed by the
     signed-binomial matrix; each q_i sums its row's nonzero terms in
-    column order from an exact zero.  When any q_i is a float, all are
-    rounded to the narrowest width among them."""
+    column order from an exact zero, so a float series gives q_i of its
+    own width."""
     _check_input(series, m)
     _warn_if_cancelling(series, m)
     d = binomial_convolve(series, m)
@@ -370,11 +353,9 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
             if e:
                 acc = acc + e * dj
         q.append(acc)
-    widths = [x.precision for x in q if not x.exact]
-    if widths:
-        prec = min(widths)
-        return InversePowerApproximant(
-            series.center, tuple(Scalar.approx(x, prec).value for x in q), precision=prec)
+    if not series.is_exact:
+        return InversePowerApproximant(series.center, tuple(x.value for x in q),
+                                       precision=series.float_precision)
     den = lcm(*(x.value.denominator for x in q))
     return InversePowerApproximant(
         series.center, tuple(x.value.numerator * (den // x.value.denominator) for x in q),

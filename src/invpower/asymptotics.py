@@ -22,10 +22,8 @@ terms, all rows in one pass of the approximant's float kernel,
 bits equal the ``Scalar`` literal sums; every delta is one correctly
 rounded subtraction, and the cancellation warning is that of the
 formulas.  The weights C(m, s) come from row m-1 of Pascal's triangle by
-adjacent additions.  A series that mixes exact and inexact entries or
-float widths (only the Python API builds one) is first rounded to its
-narrowest width.  Either table keeps its kernel's values (integers over D,
-or raw mpmath tuples) until a row is read.
+adjacent additions.  Either table keeps its kernel's values (integers
+over D, or raw mpmath tuples) until a row is read.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -45,12 +43,13 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
 
-from .approximant import exact_convolution, float_coefficients, float_dots
+from .approximant import exact_convolution, float_dots
 from .scalar import (
     CancellationWarning,
     Scalar,
     cancellation_bits,
     cancellation_hazard,
+    significand_bits,
 )
 from .series import TaylorSeries
 
@@ -123,8 +122,8 @@ def _float_values(series: TaylorSeries, m_max: int) -> list[tuple]:
     in one kernel pass; each delta is one rounded subtraction."""
     from mpmath.libmp import mpf_abs, mpf_sub  # float mode only: exact runs never load mpmath
 
-    raw, _, bits = float_coefficients(series, m_max + 1)
-    sums = float_dots(raw, _float_weights(m_max), bits)
+    bits = significand_bits(series.float_precision)
+    sums = float_dots([c.value for c in series.coeffs[:m_max + 1]], _float_weights(m_max), bits)
     q = list(zip([sums[0], *sums[1::2]], [None, *sums[2::2]]))
 
     def delta(x: tuple | None, prev: tuple | None) -> tuple | None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from typing import Callable, Sequence
@@ -58,6 +59,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # a value such as -3/7, -1e-3 or -1,2 is read as a negative number,
+        # not an option: argparse's own pattern knows only -N and -N.N, and
+        # no option of this CLI starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad flags; this CLI reserves 2 for
     # the convergence policy, so route usage errors through CliError.
     def error(self, message):

@@ -7,12 +7,15 @@ Every corpus function is a finite sum of shifted reciprocals
 which keeps three things computable in closed form: exact Taylor
 coefficients at any non-pole center, the true limits (q0, q1) at
 infinity, and the analyticity radius of the transplanted function
-v(t) = f(1/t + x0 - 1).  The expansion takes exact parameters and an
-exact center only; float mode rounds the exact coefficients.  That
-radius is the sufficient condition the convergence theory asks for
-(radius > 2); it is reported, never enforced, because the coefficient
-formulas demonstrably converge for some functions that violate it
-(x/(x+1) expanded at 1 being the shipped example).
+v(t) = f(1/t + x0 - 1).  Parameters and points are exact: a term
+rejects an inexact parameter when it is built, and the expansion, the
+evaluation and the radius reject an inexact point, each naming the
+field, so all of them compute on ``Fraction``s; float mode rounds the
+exact coefficients.  That radius is the sufficient condition the
+convergence theory asks for (radius > 2); it is reported, never
+enforced, because the coefficient formulas demonstrably converge for
+some functions that violate it (x/(x+1) expanded at 1 being the
+shipped example).
 
 Mobius quotients (a*x + b)/(c*x + d) with c != 0 are accepted and
 normalized to that shape when they are built.
@@ -43,13 +46,24 @@ def _scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar.rational(x)
 
 
+def _require_exact(name: str, value: Scalar) -> Fraction:
+    """The value of an exact ``value``; an inexact one is rejected by name."""
+    if not value.exact:
+        raise ValueError(f"{name} must be exact, got {value}")
+    return value.value
+
+
 @dataclass(frozen=True)
 class ShiftedReciprocal:
-    """f(x) = offset + weight / (x + shift)."""
+    """f(x) = offset + weight / (x + shift), every parameter exact."""
 
     offset: Scalar
     weight: Scalar
     shift: Scalar
+
+    def __post_init__(self) -> None:
+        for field in ("offset", "weight", "shift"):
+            _require_exact(field, getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -72,10 +86,10 @@ def shifted_reciprocal(offset, weight, shift) -> ShiftedReciprocal:
 
 def mobius(a, b, c, d) -> ShiftedReciprocal:
     """(a*x + b) / (c*x + d) with c != 0, as a/c + ((b*c - a*d)/c**2) / (x + d/c)."""
-    a, b, c, d = map(_scalar, (a, b, c, d))
-    if c.is_zero:
+    a, b, c, d = (_require_exact(name, _scalar(v)) for name, v in zip("abcd", (a, b, c, d)))
+    if not c:
         raise ValueError("mobius quotient needs a degree-1 denominator (c != 0)")
-    return ShiftedReciprocal(a / c, (b * c - a * d) / (c * c), d / c)
+    return ShiftedReciprocal(Scalar(a / c), Scalar((b * c - a * d) / (c * c)), Scalar(d / c))
 
 
 def tail_sum(*terms: ShiftedReciprocal) -> TailSum:
@@ -92,59 +106,38 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
 
 
 def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
-    """f(x); raises :class:`PoleError` at a pole.  With x and every term
-    exact the sum is taken over ``Fraction``s, else in ``Scalar``
-    arithmetic with its rounding."""
-    terms = as_tail_terms(f)
-    if x.exact and all(t.offset.exact and t.weight.exact and t.shift.exact for t in terms):
-        xv, total = x.value, Fraction(0)
-        for t in terms:
-            total += t.offset.value
-            if t.weight.value:
-                base = xv + t.shift.value
-                if not base:
-                    raise PoleError(f"pole at x = {x}")
-                total += t.weight.value / base
-        return Scalar(total)
-    result = Scalar.rational(0)
-    for t in terms:
-        result = result + t.offset
-        if not t.weight.is_zero:
-            base = x + t.shift
-            if base.is_zero:
+    """f(x) at an exact x, summed over ``Fraction``s; raises
+    :class:`PoleError` at a pole."""
+    xv, total = _require_exact("x", x), Fraction(0)
+    for t in as_tail_terms(f):
+        total += t.offset.value
+        if t.weight.value:
+            base = xv + t.shift.value
+            if not base:
                 raise PoleError(f"pole at x = {x}")
-            result = result + t.weight / base
-    return result
+            total += t.weight.value / base
+    return Scalar(total)
 
 
 def known_asymptote(f: CorpusFunction) -> tuple[Scalar, Scalar]:
     """The exact limit at infinity and the exact 1/x coefficient."""
-    q0 = Scalar.rational(0)
-    q1 = Scalar.rational(0)
-    for t in as_tail_terms(f):
-        q0 = q0 + t.offset
-        q1 = q1 + t.weight
-    return q0, q1
+    terms = as_tail_terms(f)
+    return Scalar(sum(t.offset.value for t in terms)), Scalar(sum(t.weight.value for t in terms))
 
 
 def hypothesis_radius(f: CorpusFunction, x0: Scalar) -> Scalar | None:
-    """Analyticity radius of v(t) = f(1/t + x0 - 1) about t = 0.
+    """Analyticity radius of v(t) = f(1/t + x0 - 1) about t = 0, for an
+    exact x0.
 
     Each weighted term puts a pole of v at t = -1/(shift + x0 - 1); the
-    radius is the distance to the nearest one.  ``None`` means no finite
-    pole, i.e. unbounded radius.
+    radius is the distance to the nearest one, 1 over the largest
+    |shift + x0 - 1|.  ``None`` means no finite pole, i.e. unbounded
+    radius.
     """
-    radius: Scalar | None = None
-    for t in as_tail_terms(f):
-        if t.weight.is_zero:
-            continue
-        offset = t.shift + x0 - 1
-        if offset.is_zero:
-            continue
-        candidate = 1 / abs(offset)
-        if radius is None or candidate < radius:
-            radius = candidate
-    return radius
+    x0v = _require_exact("x0", x0)
+    largest = max((abs(t.shift.value + x0v - 1) for t in as_tail_terms(f) if t.weight.value),
+                  default=0)
+    return Scalar(1 / largest) if largest else None
 
 
 @dataclass(frozen=True)
@@ -192,18 +185,15 @@ def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
 
     Per term, c_0 = offset + weight/(x0+shift) and
     c_k = weight * (-1)**k / (x0+shift)**(k+1), computed exactly by
-    :func:`_exact_taylor`.  An inexact x0, offset, weight or shift (only
-    the Python API builds one) is rejected, naming the field; float mode
-    rounds the exact series (:meth:`TaylorSeries.to_inexact`).
+    :func:`_exact_taylor`.  An inexact x0 (only the Python API builds
+    one) is rejected by name; float mode rounds the exact series
+    (:meth:`TaylorSeries.to_inexact`).
     """
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
-    terms = as_tail_terms(f)
-    for name, value in (("x0", x0), *((field, getattr(t, field)) for t in terms
-                                       for field in ("offset", "weight", "shift"))):
-        if not value.exact:
-            raise ValueError(f"{name} must be exact, got {value}")
-    return TaylorSeries(x0, _exact_taylor(terms, x0, n), radius_hint=hypothesis_radius(f, x0))
+    _require_exact("x0", x0)
+    return TaylorSeries(x0, _exact_taylor(as_tail_terms(f), x0, n),
+                        radius_hint=hypothesis_radius(f, x0))
 
 
 def describe(f: CorpusFunction) -> str:

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from fractions import Fraction
 from math import comb
@@ -258,27 +259,33 @@ def test_float_rows_and_coefficients_match_literal_sums_past_the_hazard(width):
                zip(q, float_closed_form_q(list(series.coeffs), 70), strict=True))
 
 
-def test_mixed_series_reads_coefficients_at_float_precision():
-    """Exact entries and floats of two widths: the table and the float
-    approximant are those of the series rounded to its narrowest width."""
-    exact = tail_coeffs(Fraction(1), Fraction(-3), Fraction(1, 2), Fraction(1), 31)
-    coeffs = tuple(Scalar.rational(c) if n % 3 == 0 else Scalar.approx(c, 128 * (n % 3))
-                   for n, c in enumerate(exact))
-    mixed = TaylorSeries(Scalar.rational(1), coeffs)
-    assert mixed.float_precision == 128
-    uniform = mixed.to_inexact(128)
-    float_rows_equal(convergence_table(mixed, 30), [
-        (r.m, r.q0, r.q1, r.delta0, r.delta1) for r in convergence_table(uniform, 30).rows])
-    for x, y in zip(coeffs_closed_form(mixed, 30).coeffs, coeffs_closed_form(uniform, 30).coeffs,
-                    strict=True):
-        assert same_float(x, y)
+RULE = ": a series is exact or of one float width (see to_inexact)"
+
+
+@pytest.mark.parametrize("center,coeffs,message", [
+    # an exact center over float coefficients
+    (Scalar.rational(1), (Scalar.approx(1, 128), Scalar.approx(2, 128)),
+     "coeffs[0] has width 128 but the center is exact"),
+    # two float widths
+    (Scalar.approx(1, 128), (Scalar.approx(1, 128), Scalar.approx(2, 128), Scalar.approx(3, 256)),
+     "coeffs[2] has width 256 but the center has width 128"),
+    # a float center over an exact coefficient
+    (Scalar.approx(1, 64), (Scalar.approx(1, 64), Scalar.rational(2)),
+     "coeffs[1] is exact but the center has width 64"),
+], ids=["exact-center", "two-widths", "exact-coefficient"])
+def test_mixed_series_rejected_naming_the_entry(center, coeffs, message):
+    """A series is exact or of one float width: exact and inexact entries,
+    or floats of two widths, are rejected when the series is built, and
+    the error names the first entry off the center's width."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message + RULE)}$"):
+        TaylorSeries(center, coeffs)
 
 
 def assert_literal_sums(c, m):
     """The float table to m and the float approximant at m of the series
     with coefficients c equal the ``Scalar`` literal sums bit for bit;
     returns the table."""
-    series = TaylorSeries(Scalar.rational(1), tuple(c))
+    series = TaylorSeries(Scalar.approx(1, c[0].precision), tuple(c))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CancellationWarning)
         table = convergence_table(series, m)
@@ -374,9 +381,12 @@ def test_float_kernel_rounds_wide_weights_as_literal_sums(weights, c, expected):
 
 @pytest.mark.parametrize("bad", [mpmath.inf, -mpmath.inf, mpmath.nan])
 def test_float_table_rejects_non_finite_coefficients(bad):
-    series = TaylorSeries(Scalar.rational(1), (f64(1), f64(2), Scalar(bad._mpf_, 64)))
+    """An infinity or NaN is rejected when the series is built, before any
+    table reads it."""
     with pytest.raises(ValueError, match=r"coeffs\[2\] must be finite"):
-        convergence_table(series, 2)
+        TaylorSeries(f64(1), (f64(1), f64(2), Scalar(bad._mpf_, 64)))
+    with pytest.raises(ValueError, match=r"^center must be finite"):
+        TaylorSeries(Scalar(bad._mpf_, 64), (f64(1),))
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,27 @@ def test_reused_parser_keeps_no_argument_state(capsys):
     assert _outcome(capsys, argv) == fresh
 
 
+_APPROX = ["approximate", "--corpus", "one-over-x", "--m", "2"]
+
+
+@pytest.mark.parametrize("argv,flag,value,code", [
+    (_EST, "--x0", "-3/7", 0),
+    (["corpus", "--fn", "one-over-x", "--n", "3"], "--x0", "-3/7", 0),
+    (_APPROX, "--eval", "-1/2", 0),
+    (_APPROX, "--eval", "-1e-3", 0),
+    (_EST, "--tol", "-1e-9", 1),
+    (["estimate", "--corpus", "mobius", "--m-max", "3"], "--params", "-1,2,1,3", 0),
+])
+def test_negative_flag_value_reads_as_with_equals(capsys, argv, flag, value, code):
+    """A value that starts with '-' and a digit is the flag's value, not an
+    option: ``FLAG VALUE`` gives the exit code, stdout and stderr of
+    ``FLAG=VALUE``."""
+    spaced = _outcome(capsys, [*argv, flag, value])
+    assert spaced == _outcome(capsys, [*argv, f"{flag}={value}"])
+    assert spaced[0] == code
+    assert "expected one argument" not in spaced[2]
+
+
 def test_malformed_flags_exit_one(capsys):
     code, _, err = run(capsys, "estimate", "--corpus", "one-over-x")
     assert code == 1

@@ -108,14 +108,53 @@ def test_taylor_coeffs_are_summed_tail_expansions(terms, x0, n):
 
 @pytest.mark.parametrize("field", ["x0", "offset", "weight", "shift"])
 def test_inexact_parameter_rejected_naming_it(field):
-    """The expansion is exact only: a float center, offset, weight or
-    shift is rejected with an error that names it, in any term."""
+    """The corpus is exact: a float offset, weight or shift is rejected
+    when its term is built, and a float center when the expansion is
+    asked for, with an error that names it."""
     value = Scalar.approx(Fraction(1, 3), 64)
     params = {"offset": 1, "weight": 2, "shift": Fraction(1, 4), field: value}
-    x0 = params.pop("x0", sc(Fraction(3, 2)))
+    message = f"^{field} must be exact, got {re.escape(str(value))}$"
+    x0 = params.pop("x0", None)
+    if x0 is None:
+        with pytest.raises(ValueError, match=message):
+            shifted_reciprocal(**params)
+        return
     f = tail_sum(shifted_reciprocal(0, -3, Fraction(-5, 2)), shifted_reciprocal(**params))
-    with pytest.raises(ValueError, match=f"^{field} must be exact, got {re.escape(str(value))}$"):
+    with pytest.raises(ValueError, match=message):
         taylor_coeffs(f, x0, 20)
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+def test_inexact_mobius_parameter_rejected_naming_it(name):
+    params = dict(a=2, b=3, c=1, d=2)
+    params[name] = value = Scalar.approx(Fraction(1, 3), 64)
+    with pytest.raises(ValueError, match=f"^{name} must be exact, got {re.escape(str(value))}$"):
+        mobius(**params)
+
+
+def test_inexact_point_rejected_naming_it():
+    """``evaluate_at`` and ``hypothesis_radius`` take exact points only."""
+    f = tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), *as_tail_terms(mobius(2, 3, 1, 2)))
+    point = Scalar.approx(Fraction(1, 2), 64)
+    with pytest.raises(ValueError, match=r"^x must be exact, got 0\.5$"):
+        evaluate_at(f, point)
+    with pytest.raises(ValueError, match=r"^x0 must be exact, got 0\.5$"):
+        hypothesis_radius(f, point)
+
+
+def test_corpus_makes_no_scalar_arithmetic(monkeypatch):
+    """Building, expanding, evaluating and bounding a corpus function
+    computes on ``Fraction``s: no ``Scalar`` arithmetic runs."""
+    calls = []
+    binary = Scalar._binary
+    monkeypatch.setattr(Scalar, "_binary", lambda *a: calls.append(1) or binary(*a))
+    f = tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), *as_tail_terms(mobius(2, 3, 1, 2)))
+    x0 = sc(Fraction(5, 3))
+    known_asymptote(f)
+    hypothesis_radius(f, x0)
+    evaluate_at(f, sc(Fraction(7, 2)))
+    taylor_coeffs(f, x0, 40)
+    assert calls == []
 
 
 def test_exact_taylor_coeffs_make_no_scalar_arithmetic_per_coefficient(monkeypatch):

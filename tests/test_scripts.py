@@ -71,9 +71,10 @@ def test_bench_writes_one_column_per_run(tmp_path):
     """``bench.py`` at a small size, timing two source trees in one run:
     a column each plus their per-cell ratio, every layer timed, the
     interpreter recorded, and a column already in the file kept.  Each
-    cell is the median of its samples, each ratio the median of the
-    per-pair ratios, and the tree that goes first alternates pair by
-    pair."""
+    cell is the median of its samples, rescaled by the calibration kernel
+    in ``layers`` and as measured in ``raw_layers``, each ratio the median
+    of the per-pair ratios of rescaled samples, and the tree that goes
+    first alternates pair by pair."""
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"columns": {"earlier": {}},
                                "layers": {"run_suite": {"earlier": {"20": 1.0}}}}))
@@ -89,13 +90,15 @@ def test_bench_writes_one_column_per_run(tmp_path):
     assert "pycache_prefix" in doc["cold_start_bytecode"]
     assert "fresh child process" in doc["cell_process"]
     assert doc["float_precisions"] == [64, 128, 256]
+    assert "perfbench/calibration.py" in doc["calibration"]
     assert doc["layers"]["run_suite"]["earlier"] == {"20": 1.0}
-    # the samples as timed, in order: layer -> [(column, seconds), ...]
+    assert "earlier" not in doc["raw_layers"]["run_suite"]
+    # the samples as timed, in order: layer -> [(column, rescaled, raw), ...]
     samples = {}
     for line in proc.stderr.splitlines():
         if " m=20 " in line:
-            layer, _, column, seconds = line.strip().rsplit(None, 3)
-            samples.setdefault(layer, []).append((column, float(seconds)))
+            layer, _, column, _, seconds, _, raw = line.strip().rsplit(None, 6)
+            samples.setdefault(layer, []).append((column, float(seconds), float(raw)))
     ratios = doc["ratios"]["change/parent"]
     for layer in ("convergence_table exact", "convergence_table float64",
                   "convergence_table float128", "convergence_table float256",
@@ -105,13 +108,16 @@ def test_bench_writes_one_column_per_run(tmp_path):
                   "cli estimate exact csv", "cli estimate exact json", "cli estimate float64",
                   "cli estimate float128", "cli estimate float256", "cli approximate float128",
                   "run_suite", "cli cold start"):
-        assert [column for column, _ in samples[layer]] == ["change", "parent", "parent", "change"]
-        times = {column: [t for c, t in samples[layer] if c == column]
+        assert [column for column, *_ in samples[layer]] == ["change", "parent", "parent", "change"]
+        times = {column: [t for c, t, _ in samples[layer] if c == column]
                  for column in ("parent", "change")}
-        row = doc["layers"][layer]
+        row, raw_row = doc["layers"][layer], doc["raw_layers"][layer]
         for column, sampled in times.items():
             assert all(t > 0 for t in sampled)
             assert row[column]["20"] == statistics.median(sampled)
+            raw = [r for c, _, r in samples[layer] if c == column]
+            assert all(r > 0 for r in raw)
+            assert raw_row[column]["20"] == statistics.median(raw)
         assert ratios[layer]["20"] == statistics.median(
             [c / p for c, p in zip(times["change"], times["parent"])])
 
