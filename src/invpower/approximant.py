@@ -41,13 +41,13 @@ matching system and against re-expansion of R(x) (``tests/_oracles.py``).
 
 An :class:`InversePowerApproximant` holds q_0..q_m as its kernel left
 them: integer numerators over D for an exact series, raw mpmath tuples
-and their width for a float one; ``Scalar``s are made only when
-``coeffs`` is read.  :func:`evaluate` sums R(x) for an exact approximant
-at an exact point in one integer Horner pass over those numerators and
-builds one ``Fraction``.  A float approximant or point is summed term by
-term on the raw values, each product and sum rounded as the
-``Scalar`` loop rounds it (``tests/_oracles.py`` keeps that loop as the
-oracle).
+of the center's width for a float one; ``Scalar``s are made only when
+``coeffs`` is read.  :func:`evaluate` takes an exact point only.  An
+exact approximant is summed in one integer Horner pass over those
+numerators and builds one ``Fraction``.  A float one is summed term by
+term on the raw values at its center's width, each product and sum
+rounded as the ``Scalar`` loop rounds it (``tests/_oracles.py`` keeps
+that loop as the oracle).
 
 Only q_0 and q_1 stabilize to center-independent limits as m grows; the
 entries q_k for k >= 2 are reported but depend on the chosen center and
@@ -72,6 +72,7 @@ from .scalar import (
     binom,
     cancellation_bits,
     cancellation_hazard,
+    require_exact,
     significand_bits,
 )
 from .series import TaylorSeries
@@ -83,25 +84,25 @@ class InversePowerApproximant:
     """q_0..q_m of the dimension-m approximant about ``center``, held as
     its kernel computed them.
 
-    An exact approximant has ``den``, the common denominator, and
-    ``values`` are the signed integer numerators of q_0..q_m over it; a
-    float one has ``precision``, the width, and ``values`` are raw mpmath
-    tuples rounded to it.  Exactly one of the two is set, so exactness is
-    fixed when the approximant is built.  ``coeffs`` makes the
-    ``Scalar``s on first read and keeps them.
+    The center fixes exactness and width, as it does for a series.  An
+    approximant about an exact center has ``den``, the common
+    denominator, and ``values`` are the signed integer numerators of
+    q_0..q_m over it; one about a float center has no ``den``, and
+    ``values`` are raw mpmath tuples rounded to the center's width.
+    ``coeffs`` makes the ``Scalar``s on first read and keeps them.
     """
 
     center: Scalar
     values: tuple
     den: int | None = None
-    precision: int | None = None
 
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("an approximant needs at least one coefficient")
-        if (self.den is None) == (self.precision is None):
-            raise ValueError("an approximant takes exactly one of den (exact) "
-                             "and precision (float)")
+        if (self.den is None) == self.center.exact:
+            kind = "an exact" if self.center.exact else f"a {self.center.precision}-bit float"
+            raise ValueError(f"den={self.den} about {kind} center: an approximant takes den "
+                             "exactly when its center is exact")
 
     @property
     def dimension(self) -> int:
@@ -111,11 +112,11 @@ class InversePowerApproximant:
     def coeffs(self) -> tuple[Scalar, ...]:
         if self.den is not None:
             return tuple(Scalar(Fraction(n, self.den)) for n in self.values)
-        return tuple(Scalar(v, self.precision) for v in self.values)
+        return tuple(Scalar(v, self.center.precision) for v in self.values)
 
     @property
     def is_exact(self) -> bool:
-        return self.den is not None and self.center.exact
+        return self.den is not None
 
     @property
     def pole(self) -> Scalar:
@@ -331,11 +332,10 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     from mpmath.libmp import mpf_neg  # float mode only: exact runs never load mpmath
 
     _warn_if_cancelling(series, m)
-    prec = series.float_precision
     raw = [c.value for c in series.coeffs[:m + 1]]
-    sums = float_dots(raw, _weight_rows(m), significand_bits(prec))
+    sums = float_dots(raw, _weight_rows(m), significand_bits(series.float_precision))
     q = tuple(mpf_neg(x) if k % 2 else x for k, x in enumerate(sums))
-    return InversePowerApproximant(series.center, q, precision=prec)
+    return InversePowerApproximant(series.center, q)
 
 
 def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
@@ -354,8 +354,7 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
                 acc = acc + e * dj
         q.append(acc)
     if not series.is_exact:
-        return InversePowerApproximant(series.center, tuple(x.value for x in q),
-                                       precision=series.float_precision)
+        return InversePowerApproximant(series.center, tuple(x.value for x in q))
     den = lcm(*(x.value.denominator for x in q))
     return InversePowerApproximant(
         series.center, tuple(x.value.numerator * (den // x.value.denominator) for x in q),
@@ -377,53 +376,38 @@ def _exact_value(nums: tuple[int, ...], den: int, base: Fraction) -> Scalar:
     return Scalar(Fraction(num, den * bp))
 
 
-def _float_value(approx: InversePowerApproximant, base: Scalar) -> Scalar:
-    """sum_k q_k / base**k with a float approximant or base, on raw
-    mpmath values, each step rounded as the ``Scalar`` loop rounds it:
-    q_0 plus q_k * base**-k for k = 1..m in order, every product and sum
-    rounded to nearest at the narrower width of the approximant and the
-    base (an exact q_k is rounded to it first).  An exact base keeps the
-    powers of 1/base exact, each rounded to that width where it is used;
-    a float base takes 1/base and each further power as a rounded
-    division and product at the base's own width."""
-    from mpmath.libmp import fone, from_rational, mpf_add, mpf_div, mpf_mul
+def _float_value(q: tuple, base: Scalar) -> Scalar:
+    """sum_k q_k / base**k for raw float q_k and a float base of their
+    width, each step rounded as the ``Scalar`` loop rounds it: 1/base and
+    each further power a rounded division and product, then q_0 plus
+    q_k * base**-k for k = 1..m in order, every product and sum rounded
+    to nearest at that width."""
+    from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul
 
-    prec = min(p for p in (approx.precision, base.precision) if p is not None)
-    bits = significand_bits(prec)
-    q = approx.values
-    if approx.den is not None:
-        q = [from_rational(n, approx.den, bits, "n") for n in q]
+    bits = significand_bits(base.precision)
     result = q[0]
-    if base.exact:
-        a, b = base.value.denominator, base.value.numerator
-        pa = pb = 1
-        for qk in q[1:]:
-            pa *= a
-            pb *= b
-            term = mpf_mul(qk, from_rational(pa, pb, bits, "n"), bits, "n")
-            result = mpf_add(result, term, bits, "n")
-        return Scalar(result, prec)
-    base_bits = significand_bits(base.precision)
-    inv = power = mpf_div(fone, base.value, base_bits, "n")
+    inv = power = mpf_div(fone, base.value, bits, "n")
     for qk in q[1:]:
         result = mpf_add(result, mpf_mul(qk, power, bits, "n"), bits, "n")
-        power = mpf_mul(power, inv, base_bits, "n")
-    return Scalar(result, prec)
+        power = mpf_mul(power, inv, bits, "n")
+    return Scalar(result, base.precision)
 
 
 def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
-    """Evaluate R(x); raises :class:`PoleError` at x = x0 - 1.
+    """Evaluate R(x) at an exact x; raises :class:`PoleError` at
+    x = x0 - 1.
 
     A dimension-0 approximant is a constant with no pole at all.  An
-    exact approximant at an exact point is summed on integers
-    (:func:`_exact_value`); a float approximant or point term by term on
-    raw values (:func:`_float_value`), with the ``Scalar`` loop's rounding.
+    exact approximant is summed on integers (:func:`_exact_value`); a
+    float one term by term on raw values at its center's width
+    (:func:`_float_value`), with the ``Scalar`` loop's rounding.
     """
+    require_exact("x", x)
     base = x - approx.center + 1
     if base.is_zero and approx.dimension >= 1:
         raise PoleError(f"approximant has a pole at x = {approx.pole}")
     if approx.dimension == 0:
         return approx.coeffs[0]
-    if base.exact and approx.den is not None:
+    if approx.den is not None:
         return _exact_value(approx.values, approx.den, base.value)
-    return _float_value(approx, base)
+    return _float_value(approx.values, base)

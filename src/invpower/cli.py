@@ -386,7 +386,7 @@ def cmd_approximate(args) -> int:
 
     cell = _cell(args)
     value = (_numerator_cell(args, approx.den) if approx.den is not None
-             else _raw_cell(args, approx.precision))
+             else _raw_cell(args, approx.center.precision))
     coeffs = list(map(value, approx.values))
     evaluations = [dict(zip(_EVAL_FIELDS, map(cell, e))) for e in results]
     doc = {

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import CoefficientFileError, PoleError
-from .scalar import Scalar
+from .scalar import Scalar, require_exact
 from .series import TaylorSeries
 
 # Most entries a coefficient file may hold; the count is checked before any
@@ -44,13 +44,6 @@ MAX_FILE_COEFFS = 100_000
 
 def _scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar.rational(x)
-
-
-def _require_exact(name: str, value: Scalar) -> Fraction:
-    """The value of an exact ``value``; an inexact one is rejected by name."""
-    if not value.exact:
-        raise ValueError(f"{name} must be exact, got {value}")
-    return value.value
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,7 @@ class ShiftedReciprocal:
 
     def __post_init__(self) -> None:
         for field in ("offset", "weight", "shift"):
-            _require_exact(field, getattr(self, field))
+            require_exact(field, getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ def shifted_reciprocal(offset, weight, shift) -> ShiftedReciprocal:
 
 def mobius(a, b, c, d) -> ShiftedReciprocal:
     """(a*x + b) / (c*x + d) with c != 0, as a/c + ((b*c - a*d)/c**2) / (x + d/c)."""
-    a, b, c, d = (_require_exact(name, _scalar(v)) for name, v in zip("abcd", (a, b, c, d)))
+    a, b, c, d = (require_exact(name, _scalar(v)) for name, v in zip("abcd", (a, b, c, d)))
     if not c:
         raise ValueError("mobius quotient needs a degree-1 denominator (c != 0)")
     return ShiftedReciprocal(Scalar(a / c), Scalar((b * c - a * d) / (c * c)), Scalar(d / c))
@@ -108,7 +101,7 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
 def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
     """f(x) at an exact x, summed over ``Fraction``s; raises
     :class:`PoleError` at a pole."""
-    xv, total = _require_exact("x", x), Fraction(0)
+    xv, total = require_exact("x", x), Fraction(0)
     for t in as_tail_terms(f):
         total += t.offset.value
         if t.weight.value:
@@ -134,7 +127,7 @@ def hypothesis_radius(f: CorpusFunction, x0: Scalar) -> Scalar | None:
     |shift + x0 - 1|.  ``None`` means no finite pole, i.e. unbounded
     radius.
     """
-    x0v = _require_exact("x0", x0)
+    x0v = require_exact("x0", x0)
     largest = max((abs(t.shift.value + x0v - 1) for t in as_tail_terms(f) if t.weight.value),
                   default=0)
     return Scalar(1 / largest) if largest else None
@@ -191,7 +184,7 @@ def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
     """
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
-    _require_exact("x0", x0)
+    require_exact("x0", x0)
     return TaylorSeries(x0, _exact_taylor(as_tail_terms(f), x0, n),
                         radius_hint=hypothesis_radius(f, x0))
 

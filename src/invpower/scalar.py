@@ -122,6 +122,13 @@ def float_renderer(precision: int, digits: int | None = None) -> Callable[[tuple
     return partial(libmp.to_str, dps=n if digits is None else min(digits, n))
 
 
+def require_exact(name: str, value: Scalar) -> Fraction:
+    """The value of an exact ``value``; an inexact one is rejected by name."""
+    if not value.exact:
+        raise ValueError(f"{name} must be exact, got {value}")
+    return value.value
+
+
 def _require_plain(text: str) -> None:
     if not text.isascii() or "_" in text:
         raise ValueError("only ASCII characters and no '_' separators are allowed")
@@ -188,28 +195,24 @@ class Scalar:
 
     @staticmethod
     def approx(value: Union[int, Fraction, "Scalar"], precision: int = MIN_PRECISION) -> "Scalar":
-        """Round a value to float mode at the given IEEE-equivalent width.
+        """Round an exact value to float mode at the given IEEE-equivalent width.
 
-        A float of another width is re-rounded from its raw mantissa; it
-        is never spelled out as a ``Fraction``, whose denominator would
-        be 2**-exponent (a 332-million-bit int for "1e-99999999").  Zero,
-        an infinity and NaN have no mantissa and keep their value.
+        A float is rounded once, to the width it keeps: one of
+        ``precision`` is returned as it is, and one of another width is
+        rejected, naming both widths.
         """
+        if isinstance(value, Scalar):
+            if not value.exact:
+                if value.precision != precision:
+                    raise ValueError(f"a {value.precision}-bit float cannot be rounded to "
+                                     f"{precision} bits: a float keeps its width")
+                return value
+            value = value.value
         if libmp is None:
             _bind_mpmath()
-        bits = significand_bits(precision)
-        if isinstance(value, Scalar):
-            if value.exact:
-                value = value.value
-            elif value.precision == precision:
-                return value
-            else:
-                sign, man, exp, bc = raw = value.value
-                if man:
-                    raw = libmp.normalize(sign, man, exp, bc, bits, "n")
-                return Scalar(raw, precision)
         f = Fraction(value)
-        return Scalar(libmp.from_rational(f.numerator, f.denominator, bits, "n"), precision)
+        return Scalar(libmp.from_rational(f.numerator, f.denominator, significand_bits(precision),
+                                          "n"), precision)
 
     def __post_init__(self) -> None:
         if self.precision is None:

@@ -59,7 +59,10 @@ class TaylorSeries:
                 f"need {count} coefficients, series has only {len(self.coeffs)}")
 
     def to_inexact(self, precision: int = 64) -> "TaylorSeries":
-        """Round every entry to float mode at the given width."""
+        """Round every entry of an exact series to float mode at the given
+        width; a float series of that width is returned with the same
+        values, and one of another width is rejected (a float keeps its
+        width)."""
         return TaylorSeries(
             Scalar.approx(self.center, precision),
             tuple(Scalar.approx(c, precision) for c in self.coeffs),

@@ -231,9 +231,9 @@ def evaluate_literal(q: list[Fraction], x0: Fraction, x: Fraction) -> Fraction:
 
 def evaluate_scalar_loop(approx, x: Scalar) -> Scalar:
     """R(x) by the term-by-term ``Scalar`` loop, whose rounding
-    ``evaluate`` keeps on raw values for a float approximant or point:
-    powers of 1/base, each term added in order from q_0, every step
-    rounded."""
+    ``evaluate`` keeps on raw values for a float approximant at an exact
+    point: powers of 1/base at the center's width, each term added in
+    order from q_0, every step rounded."""
     result = approx.coeffs[0]
     if approx.dimension == 0:
         return result

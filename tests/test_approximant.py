@@ -1,6 +1,7 @@
 import functools
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from math import comb, lcm, ldexp
 
@@ -304,20 +305,14 @@ def test_exact_evaluate_matches_literal_sum(q, x0, base):
 
 @pytest.mark.parametrize("precision", [64, 128])
 def test_float_evaluate_keeps_scalar_loop_rounding(precision):
-    """A float approximant at an exact point (with a float or an exact
-    center), and an exact one at a float point, round as the
-    term-by-term ``Scalar`` loop rounds, bit for bit."""
+    """A float approximant at an exact point rounds as the term-by-term
+    ``Scalar`` loop rounds, bit for bit."""
     coeffs = tail_coeffs(Fraction(1), Fraction(-1), Fraction(1), Fraction(1), 31)
-    exact = series_from_rationals(1, coeffs)
-    floats = exact.to_inexact(precision)
+    floats = series_from_rationals(1, coeffs).to_inexact(precision)
     points = [Fraction(1, 3), Fraction(-7, 3), Fraction(-40), Fraction(10 ** 6), _BIG, -_BIG]
     for m in (0, 1, 2, 7, 30):
-        float_q = coeffs_closed_form(floats, m)
-        exact_center = InversePowerApproximant(Scalar.rational(1), float_q.values,
-                                               precision=float_q.precision)
-        cases = [(approx, Scalar.rational(x)) for x in points for approx in (float_q, exact_center)]
-        cases += [(coeffs_closed_form(exact, m), Scalar.approx(x, precision)) for x in points]
-        for approx, x in cases:
+        approx = coeffs_closed_form(floats, m)
+        for x in map(Scalar.rational, points):
             got = evaluate(approx, x)
             want = evaluate_scalar_loop(approx, x)
             if m == 0:
@@ -337,36 +332,58 @@ near_pole = st.one_of(
 @pytest.mark.parametrize("precision", _WIDTHS)
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.one_of(st.just(Fraction(0)), eval_rationals), min_size=1, max_size=12),
-       eval_rationals, st.one_of(near_pole, eval_rationals.filter(bool)),
-       st.sampled_from(("float center", "exact center", "float point")),
-       st.sampled_from(_WIDTHS))
-@example([Fraction(1, 3), Fraction(-2, 7), Fraction(5)], Fraction(1), Fraction(1, 2 ** 200),
-         "exact center", 64)
-@example([_BIG, Fraction(1), -_BIG], _BIG, -1 / _BIG, "float center", 256)
+       eval_rationals, st.one_of(near_pole, eval_rationals.filter(bool)))
+@example([Fraction(1, 3), Fraction(-2, 7), Fraction(5)], Fraction(1), Fraction(1, 2 ** 200))
+@example([_BIG, Fraction(1), -_BIG], _BIG, -1 / _BIG)
 @example([Fraction(5, 2), Fraction(-2, 3), Fraction(0), Fraction(9, 4)], Fraction(-4),
-         -Fraction(1, 2 ** 60), "float point", 64)
-@example([Fraction(1), Fraction(-1), Fraction(1, 3)], Fraction(7, 3), Fraction(-1, 2),
-         "float center", 64)
-def test_float_evaluate_equals_scalar_loop(precision, q, x0, base, kind, center_width):
+         -Fraction(1, 2 ** 60))
+@example([Fraction(1), Fraction(-1), Fraction(1, 3)], Fraction(7, 3), Fraction(-1, 2))
+def test_float_evaluate_equals_scalar_loop(precision, q, x0, base):
     """The raw-value float loop equals ``evaluate_scalar_loop`` bit for
-    bit: float q_k about a float center (of its own width, so products
-    and powers round at different widths) and about an exact center, and
-    an exact approximant at a float point, also at bases next to the
-    pole (+-2**-k, +-1/_BIG).  A float base that rounds to zero is the
-    pole."""
-    x = x0 - 1 + base
-    if kind == "float point":
-        approx, point = exact_approximant(x0, q), Scalar.approx(x, precision)
-    else:
-        center = Scalar.approx(x0, center_width) if kind == "float center" else Scalar.rational(x0)
-        raw = tuple(Scalar.approx(v, precision).value for v in q)
-        approx, point = InversePowerApproximant(center, raw, precision=precision), Scalar.rational(x)
-    if (point - approx.center + 1).is_zero and len(q) > 1:
+    bit: float q_k about a float center of their width, at exact points
+    also next to the pole (+-2**-k, +-1/_BIG).  A base x - x0 + 1 that
+    rounds to zero is the pole."""
+    center = Scalar.approx(x0, precision)
+    approx = InversePowerApproximant(center, tuple(Scalar.approx(v, precision).value for v in q))
+    point = Scalar.rational(x0 - 1 + base)
+    if (point - center + 1).is_zero and len(q) > 1:
         with pytest.raises(PoleError):
             evaluate(approx, point)
         return
     got, want = evaluate(approx, point), evaluate_scalar_loop(approx, point)
-    assert got.precision == want.precision and got.value == want.value
+    assert got.precision == want.precision == precision and got.value == want.value
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_evaluate_rejects_a_float_point(exact):
+    """An approximant is evaluated at exact points only: a float x is
+    rejected by name, for an exact and for a float approximant."""
+    series = series_from_rationals(1, [1, 2, 3])
+    approx = coeffs_closed_form(series if exact else series.to_inexact(128), 2)
+    with pytest.raises(ValueError, match=r"^x must be exact, got 0\.5$"):
+        evaluate(approx, Scalar.approx(Fraction(1, 2), 128))
+
+
+@pytest.mark.parametrize("center,den,message", [
+    (Scalar.approx(1, 128), 3, "den=3 about a 128-bit float center"),
+    (Scalar.rational(1), None, "den=None about an exact center"),
+], ids=["den-about-float", "no-den-about-exact"])
+def test_approximant_takes_den_exactly_about_an_exact_center(center, den, message):
+    """The center fixes an approximant's exactness and width: ``den`` is
+    given about an exact center and about no other, and the error names
+    it and the center's width."""
+    rule = ": an approximant takes den exactly when its center is exact"
+    with pytest.raises(ValueError, match=f"^{re.escape(message + rule)}$"):
+        InversePowerApproximant(center, (Scalar.approx(1, 128).value,), den=den)
+
+
+def test_float_approximant_takes_its_centers_width():
+    """A float approximant has no width of its own: its coefficients are
+    read at the center's."""
+    assert "precision" not in {f.name for f in fields(InversePowerApproximant)}
+    approx = coeffs_closed_form(series_from_rationals(1, [1, 2, 3]).to_inexact(256), 2)
+    assert not approx.is_exact
+    assert {q.precision for q in approx.coeffs} == {approx.center.precision} == {256}
 
 
 def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):

@@ -281,6 +281,20 @@ def test_mixed_series_rejected_naming_the_entry(center, coeffs, message):
         TaylorSeries(center, coeffs)
 
 
+@pytest.mark.parametrize("width,other", [(64, 128), (128, 64), (256, 128)])
+def test_to_inexact_keeps_a_float_series_at_its_width(width, other):
+    """``to_inexact`` at a float series' own width returns the same
+    values; at another width it rejects the series, naming both widths."""
+    series = series_from_rationals(Fraction(1, 3), [1, Fraction(-2, 7), Fraction(5, 3)])
+    floats = series.to_inexact(width)
+    same = floats.to_inexact(width)
+    assert same.center is floats.center
+    assert all(a is b for a, b in zip(same.coeffs, floats.coeffs, strict=True))
+    message = f"a {width}-bit float cannot be rounded to {other} bits: a float keeps its width"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        floats.to_inexact(other)
+
+
 def assert_literal_sums(c, m):
     """The float table to m and the float approximant at m of the series
     with coefficients c equal the ``Scalar`` literal sums bit for bit;

@@ -1125,6 +1125,25 @@ _APPROXIMATE_HASHES = [
                                          "--eval=-7/3,-40,123456789012345678901234567890123/987654321098765432109876543210987"],
      "",
      "ca918b10a02f663673ab217e8d50435a4859947c452c07563aa92031a28d5b13"),
+    # Recorded with the float ``evaluate`` that also took an exact base and
+    # an approximant width apart from its center's: 256-bit runs, and
+    # 64-bit points 2**-60 either side of the pole x = 0, where the base
+    # x - x0 + 1 rounds to zero at 64 bits and not at 256.
+    ("float256-mobius-m20-nearpole-csv", ["--corpus", "mobius-2-3-1-2", "--m", "20",
+                                          "--mode", "float", "--precision", "256",
+                                          f"--eval=0,5,1/3,-7/3,1/{2 ** 60},-1/{2 ** 60}"],
+     "",
+     "7922ccc74d7b5b89de9d64e22dc47ea82221e2b513695273aa12226a612c5deb"),
+    ("float256-tailsum3-m30-json", ["--coeffs", "{tailsum3}", "--m", "30", "--mode", "float",
+                                    "--precision", "256", "--format", "json",
+                                    "--eval=-4,-1/4,5/2,0,9"],
+     "",
+     "d29551eb7fe0d04162c76f7973e4a84465c729b97873ef10fd3341c65f664577"),
+    ("float64-mobius-m10-nearpole-csv", ["--corpus", "mobius-2-3-1-2", "--m", "10",
+                                         "--mode", "float", "--precision", "64",
+                                         f"--eval=1/{2 ** 60},-1/{2 ** 60},1/3"],
+     "",
+     "a15d85fa0aed2737e12360eea45eadfcc32b755c6565716af7f7bd99195c8c90"),
 ]
 
 

@@ -246,42 +246,39 @@ def test_float_comparisons_match_dyadic_values(a, b, precision, scale, both_floa
             fs < ft, fs <= ft, fs == ft, fs != ft, fs > ft, fs >= ft)
 
 
-def _approx_via_fraction(x, precision):
-    """The rounding ``Scalar.approx`` used to do: spell the float out as a
-    Fraction, then round that to the new width."""
-    f = x.as_fraction()
-    return from_rational(f.numerator, f.denominator, significand_bits(precision), "n")
+def _width_message(source, target):
+    return f"a {source}-bit float cannot be rounded to {target} bits: a float keeps its width"
 
 
-@example(Fraction(1, 3), 0, 64, 128)
-@example(Fraction(1, 3), 0, 128, 64)
-@example(Fraction(-2, 3), 3, 256, 64)
-@given(rationals, st.integers(-300, 300), st.sampled_from([64, 80, 128, 256]),
-       st.sampled_from([64, 80, 128, 256]))
-def test_approx_of_float_rounds_the_raw_mantissa(value, scale, source, target):
-    """Widening or narrowing a float re-rounds its raw mantissa to the
-    same bits as rounding the rational it holds."""
-    x = Scalar.approx(value * Fraction(2) ** scale, source)
-    y = Scalar.approx(x, target)
-    assert (y.exact, y.precision) == (False, target)
-    assert y.value == _approx_via_fraction(x, target)
+@pytest.mark.parametrize("source,target", [(64, 128), (128, 64), (256, 80)])
+def test_approx_keeps_a_float_at_its_width(source, target):
+    """A float is rounded once: ``approx`` at its own width returns it as it
+    is, and at another width rejects it, naming both widths."""
+    x = Scalar.approx(Fraction(1, 3), source)
+    assert Scalar.approx(x, source) is x
+    with pytest.raises(ValueError, match=f"^{_width_message(source, target)}$"):
+        Scalar.approx(x, target)
 
 
-def test_approx_of_float_with_a_huge_exponent_finishes():
-    """A parsed 1e-99999999 holds a 2**-332 million exponent; widening it
-    must not expand that into a Fraction (which ran for over a minute)."""
+def test_width_rejection_never_reads_the_mantissa():
+    """A parsed 1e-99999999 holds a 2**-332 million exponent; rejecting it
+    at another width, from ``approx`` and from ``to_inexact``, spells out
+    no ``Fraction`` (which would run for over a minute)."""
     probe = ("from invpower.scalar import Scalar\n"
-             "x = Scalar.approx(Scalar.parse('1e-99999999', exact=False, precision=64), 128)\n"
-             "y = Scalar.approx(x, 64)\n"
-             "print(x.precision, y.precision, 0 < y < x * 2, x.value[2])")
+             "from invpower.series import TaylorSeries\n"
+             "x = Scalar.parse('1e-99999999', exact=False, precision=64)\n"
+             "for reround in (lambda: Scalar.approx(x, 128),\n"
+             "                lambda: TaylorSeries(x, (x,)).to_inexact(128)):\n"
+             "    try:\n"
+             "        reround()\n"
+             "    except ValueError as exc:\n"
+             "        print(exc)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    precision, narrowed, ordered, exponent = proc.stdout.split()
-    assert (precision, narrowed, ordered) == ("128", "64", "True")
-    assert int(exponent) < -332_000_000
+    assert proc.stdout.splitlines() == [_width_message(64, 128)] * 2
 
 
 def test_float_and_is_zero_read_raw_values():

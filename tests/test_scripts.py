@@ -180,6 +180,7 @@ def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys, argv):
                "approximant": approximant, "asymptotics": asymptotics,
                "identities": identities, "corpus": corpus, "cli": cli}
     owners = [*modules.values(), scalar.Scalar, series.TaylorSeries]
+    scalar._bind_mpmath()  # a float run binds ``scalar.libmp``; bind it before the snapshot
     before = [dict(vars(owner)) for owner in owners]
     tracer = tracing.Tracer(modules)
     tracer.install()
