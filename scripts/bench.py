@@ -8,7 +8,9 @@
 Every layer runs on mobius(2,3,1,2) about 1 (the function 2 - 1/(x+2)),
 exact or rounded to 64-, 128- and 256-bit floats, at each dimension m in
 ``--sizes``:
-``taylor_coeffs`` expands it to m + 1 coefficients, ``evaluate`` sums
+``taylor_coeffs`` expands it to m + 1 coefficients,
+``load_coefficient_file`` reads them back from the exact coefficient
+file ``corpus --out`` would write, ``evaluate`` sums
 its dimension-m approximant at x = 1/2 (exact, and at 128 bits), and
 ``estimate_limits`` reads the limits off its dimension-m convergence
 table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process.  ``run_suite`` checks
@@ -114,13 +116,15 @@ def cold_start(src: Path, pycache: str, m: int):
     return call
 
 
-def layers(src: Path, pycache: str | None):
+def layers(src: Path, workdir: str | None):
     """Layer name -> (clock, prepare): ``prepare(m)`` builds what the
-    layer reads at dimension m and returns the call to time."""
+    layer reads at dimension m, in the private directory ``workdir``
+    when it is a file, and returns the call to time."""
     from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
     from invpower.asymptotics import convergence_table, estimate_limits
     from invpower.cli import main
-    from invpower.corpus import mobius, taylor_coeffs
+    from invpower.corpus import (load_coefficient_file, mobius, save_coefficient_file,
+                                 taylor_coeffs)
     from invpower.identities import SuiteRanges, run_suite
     from invpower.scalar import Scalar
     from invpower.transforms import binomial_convolve
@@ -131,6 +135,11 @@ def layers(src: Path, pycache: str | None):
     def series(m, precision=None):
         exact = taylor_coeffs(f, center, m + 1)
         return exact if precision is None else exact.to_inexact(precision)
+
+    def coefficient_file(m):
+        path = os.path.join(workdir, "coeffs.json")
+        save_coefficient_file(series(m), path)
+        return path
 
     def run_cli(args):
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -144,6 +153,8 @@ def layers(src: Path, pycache: str | None):
 
     prepares = {
         "taylor_coeffs exact": lambda m: partial(taylor_coeffs, f, center, m + 1),
+        "load_coefficient_file exact":
+            lambda m: partial(load_coefficient_file, coefficient_file(m)),
         **{f"evaluate {name}": lambda m, p=p: partial(
             evaluate, coeffs_closed_form(series(m, p), m), point)
            for name, p in (("exact", None), ("float128", 128))},
@@ -170,7 +181,7 @@ def layers(src: Path, pycache: str | None):
             lambda m: partial(run_suite, SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
     }
     return {**{name: (time.process_time, prepare) for name, prepare in prepares.items()},
-            "cli cold start": (child_cpu_s, partial(cold_start, src, pycache))}
+            "cli cold start": (child_cpu_s, partial(cold_start, src, workdir))}
 
 
 def cpu_seconds(clock, call):
@@ -208,9 +219,9 @@ def measure_cell(name: str, m: int, src: Path):
     of its call, or None when it runs over budget."""
     sys.path.insert(0, str(src))
     signal.signal(signal.SIGALRM, _over_budget)
-    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as pycache:
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as workdir:
         warnings.simplefilter("ignore")
-        clock, prepare = layers(src, pycache)[name]
+        clock, prepare = layers(src, workdir)[name]
         return cpu_seconds(clock, prepare(m))
 
 
@@ -231,7 +242,7 @@ def measure(sizes, repeat, trees):
     Each cell takes ``repeat`` samples of each tree, in pairs, and the
     tree that goes first alternates pair by pair."""
     sys.path.insert(0, str(trees[0][1]))
-    names = list(layers(trees[0][1], pycache=None))
+    names = list(layers(trees[0][1], workdir=None))
     cells = {key: {column: {name: {} for name in names} for column, _ in trees}
              for key in ("s", "raw_s")}
     ratios = {name: {} for name in names}

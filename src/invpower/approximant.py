@@ -62,7 +62,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm, ldexp
+from math import gcd, ldexp
 
 from .errors import PoleError
 from .scalar import (
@@ -75,7 +75,7 @@ from .scalar import (
     require_exact,
     significand_bits,
 )
-from .series import TaylorSeries
+from .series import TaylorSeries, over_common_denominator
 from .transforms import binomial_convolve
 
 
@@ -293,13 +293,17 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[t
     return out
 
 
-def exact_convolution(c: tuple[Scalar, ...], m: int) -> tuple[list[int], int]:
-    """The binomial convolution d_0..d_m of exact c_0..c_m over the least
-    common denominator D of c_0..c_m: ([D*d_0, ..., D*d_m], D).  Entry N
-    depends only on c_0..c_N."""
-    fracs = [x.value for x in c[:m + 1]]
-    den = lcm(*(f.denominator for f in fracs))
-    a = [f.numerator * (den // f.denominator) for f in fracs]
+def exact_convolution(series: TaylorSeries, m: int) -> tuple[list[int], int]:
+    """The binomial convolution d_0..d_m of an exact series' c_0..c_m over
+    the least common denominator D of c_0..c_m: ([D*d_0, ..., D*d_m], D).
+    The series holds its numerators over the least common denominator of
+    all its coefficients, which one gcd with the first m+1 numerators
+    brings down to D.  Entry N depends only on c_0..c_N."""
+    a = series.values[:m + 1]
+    g = gcd(series.den, *a)
+    den = series.den // g
+    if g > 1:
+        a = [x // g for x in a]
     d = [a[0]]
     s = a[1:]
     while s:
@@ -308,10 +312,10 @@ def exact_convolution(c: tuple[Scalar, ...], m: int) -> tuple[list[int], int]:
     return d, den
 
 
-def _exact_coeffs(c: tuple[Scalar, ...], m: int) -> tuple[tuple[int, ...], int]:
+def _exact_coeffs(series: TaylorSeries, m: int) -> tuple[tuple[int, ...], int]:
     """q_0..q_m of an exact series as signed numerators over the common
     denominator D: Horner in (1+y) over its convolution."""
-    d, den = exact_convolution(c, m)
+    d, den = exact_convolution(series, m)
     p = [d[m]]
     for dn in reversed(d[:m]):
         p = [p[0] + dn, *map(operator.add, p[1:], p), p[-1]]
@@ -327,13 +331,13 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     negating the sum for odd k equals summing negated weights."""
     _check_input(series, m)
     if series.is_exact:
-        nums, den = _exact_coeffs(series.coeffs, m)
+        nums, den = _exact_coeffs(series, m)
         return InversePowerApproximant(series.center, nums, den=den)
     from mpmath.libmp import mpf_neg  # float mode only: exact runs never load mpmath
 
     _warn_if_cancelling(series, m)
-    raw = [c.value for c in series.coeffs[:m + 1]]
-    sums = float_dots(raw, _weight_rows(m), significand_bits(series.float_precision))
+    sums = float_dots(series.values[:m + 1], _weight_rows(m),
+                      significand_bits(series.float_precision))
     q = tuple(mpf_neg(x) if k % 2 else x for k, x in enumerate(sums))
     return InversePowerApproximant(series.center, q)
 
@@ -355,10 +359,8 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
         q.append(acc)
     if not series.is_exact:
         return InversePowerApproximant(series.center, tuple(x.value for x in q))
-    den = lcm(*(x.value.denominator for x in q))
-    return InversePowerApproximant(
-        series.center, tuple(x.value.numerator * (den // x.value.denominator) for x in q),
-        den=den)
+    values, den = over_common_denominator(x.value.as_integer_ratio() for x in q)
+    return InversePowerApproximant(series.center, values, den=den)
 
 
 def _exact_value(nums: tuple[int, ...], den: int, base: Fraction) -> Scalar:

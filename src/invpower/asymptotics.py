@@ -123,7 +123,7 @@ def _float_values(series: TaylorSeries, m_max: int) -> list[tuple]:
     from mpmath.libmp import mpf_abs, mpf_sub  # float mode only: exact runs never load mpmath
 
     bits = significand_bits(series.float_precision)
-    sums = float_dots([c.value for c in series.coeffs[:m_max + 1]], _float_weights(m_max), bits)
+    sums = float_dots(series.values[:m_max + 1], _float_weights(m_max), bits)
     q = list(zip([sums[0], *sums[1::2]], [None, *sums[2::2]]))
 
     def delta(x: tuple | None, prev: tuple | None) -> tuple | None:
@@ -140,7 +140,7 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
     series.require_coefficients(m_max + 1)
     prec = series.float_precision
     if prec is None:
-        d, den = exact_convolution(series.coeffs, m_max)
+        d, den = exact_convolution(series, m_max)
         n0, n1 = accumulate(d), accumulate(-m * dm for m, dm in enumerate(d))
         values = [(a, b if m else None, abs(dm) if m else None, abs(m * dm) if m >= 2 else None)
                   for m, (dm, a, b) in enumerate(zip(d, n0, n1))]

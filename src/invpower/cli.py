@@ -264,15 +264,15 @@ def _resolve_series(args, n_coeffs: int) -> tuple[TaylorSeries, CorpusFunction |
     try:
         # precision applies only to files declaring "exact": false, so an
         # exact file ignores it; a too-narrow width is the flag's fault
-        series = load_coefficient_file(args.coeffs,
-                                       precision=max(args.precision, MIN_PRECISION))
+        series = load_coefficient_file(args.coeffs, precision=max(args.precision, MIN_PRECISION),
+                                       count=n_coeffs)
     except CoefficientFileError as exc:
         raise CliError(str(exc)) from None
     if not series.is_exact:
         _check_precision(args)
-    if len(series.coeffs) < n_coeffs:
+    if len(series.values) < n_coeffs:
         raise CliError(
-            f"{args.coeffs}: need {n_coeffs} coefficients, file has {len(series.coeffs)}")
+            f"{args.coeffs}: need {n_coeffs} coefficients, file has {len(series.values)}")
     return series, None
 
 

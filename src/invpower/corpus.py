@@ -10,8 +10,10 @@ infinity, and the analyticity radius of the transplanted function
 v(t) = f(1/t + x0 - 1).  Parameters and points are exact: a term
 rejects an inexact parameter when it is built, and the expansion, the
 evaluation and the radius reject an inexact point, each naming the
-field, so all of them compute on ``Fraction``s; float mode rounds the
-exact coefficients.  That radius is the sufficient condition the
+field, so all of them compute exactly: the evaluation and the radius
+on ``Fraction``s, the expansion on integer numerators over one
+denominator, which become the exact series' ``values`` and ``den``;
+float mode rounds the exact coefficients.  That radius is the sufficient condition the
 convergence theory asks for (radius > 2); it is reported, never
 enforced, because the coefficient formulas demonstrably converge for
 some functions that violate it (x/(x+1) expanded at 1 being the
@@ -22,7 +24,9 @@ normalized to that shape when they are built.
 
 Coefficient files are JSON with every scalar carried as a string
 ("p/q" or decimal), so exact values survive a save/load round trip
-bit for bit.
+bit for bit.  An exact file's entries are read to integer pairs by
+:func:`~invpower.scalar.parse_ratio`, with no ``Fraction`` for a plain
+"p/q" or integer, and become numerators over their common denominator.
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Union
 
 from .errors import CoefficientFileError, PoleError
-from .scalar import Scalar, require_exact
-from .series import TaylorSeries
+from .scalar import Scalar, float_renderer, parse_ratio, ratio_text, require_exact
+from .series import TaylorSeries, over_common_denominator
 
 # Most entries a coefficient file may hold; the count is checked before any
 # entry is parsed, so an oversized file costs no parsing.
@@ -149,44 +155,55 @@ class HypothesisReport:
         return "unbounded" if self.radius is None else str(self.radius)
 
 
-def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar, n: int) -> tuple[Scalar, ...]:
-    """c_0..c_{n-1} of exact terms about an exact x0.  With weight u/v and
-    base x0 + shift = alpha/beta, c_k = (-1)**k u beta**(k+1) / (v alpha**(k+1)):
-    the numerator and denominator are walked on ints by *(-beta) and
-    *alpha, and each term's c_k is one ``Fraction``."""
-    coeffs = [Fraction(0)] * n
+def _exact_taylor(terms: tuple[ShiftedReciprocal, ...], x0: Scalar,
+                  n: int) -> tuple[list[int], int]:
+    """c_0..c_{n-1} of exact terms about an exact x0, as integer
+    numerators over a common denominator D.  With weight u/v and base
+    x0 + shift = alpha/beta, alpha = s*a (a > 0, s = +-1), a term's
+    c_k = (-1)**k u beta**(k+1) / (v alpha**(k+1)) is the numerator
+    u s beta (-s beta)**k a**(n-1-k) over T = v a**n.  D is the lcm of
+    every T and every offset's denominator, and a term's numerators over
+    D are a walk by *(-s beta) from (D/T) u s beta, times the powers of
+    a from a**(n-1) down: all on ints, with no ``Fraction`` per k."""
+    bases = []
     for t in terms:
-        coeffs[0] += t.offset.value
         if t.weight.is_zero:
             continue
         base = x0.value + t.shift.value
         if not base:
             raise PoleError(f"expansion center x0 = {x0} is a pole")
-        alpha, beta = base.numerator, base.denominator
-        num = t.weight.value.numerator * beta
-        den = t.weight.value.denominator * alpha
-        coeffs[0] += Fraction(num, den)
-        for k in range(1, n):
-            num *= -beta
-            den *= alpha
-            coeffs[k] += Fraction(num, den)
-    return tuple(Scalar(c) for c in coeffs)
+        bases.append((t.weight.value, base))
+    den = lcm(*(t.offset.value.denominator for t in terms),
+              *(u.denominator * abs(b.numerator) ** n for u, b in bases))
+    nums = [0] * n
+    for t in terms:
+        nums[0] += t.offset.value.numerator * (den // t.offset.value.denominator)
+    for u, b in bases:
+        a, sb = abs(b.numerator), b.denominator if b > 0 else -b.denominator
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * a)
+        p = den // (u.denominator * powers[-1] * a) * u.numerator * sb
+        for k, power in enumerate(reversed(powers)):
+            nums[k] += p * power
+            p *= -sb
+    return nums, den
 
 
 def taylor_coeffs(f: CorpusFunction, x0: Scalar, n: int) -> TaylorSeries:
     """Coefficients c_0..c_{n-1} of f about x0.
 
     Per term, c_0 = offset + weight/(x0+shift) and
-    c_k = weight * (-1)**k / (x0+shift)**(k+1), computed exactly by
-    :func:`_exact_taylor`.  An inexact x0 (only the Python API builds
-    one) is rejected by name; float mode rounds the exact series
-    (:meth:`TaylorSeries.to_inexact`).
+    c_k = weight * (-1)**k / (x0+shift)**(k+1), computed exactly as
+    integer numerators over one denominator by :func:`_exact_taylor`.
+    An inexact x0 (only the Python API builds one) is rejected by name;
+    float mode rounds the exact series (:meth:`TaylorSeries.to_inexact`).
     """
     if n < 1:
         raise ValueError(f"need at least one coefficient, got n={n}")
     require_exact("x0", x0)
-    return TaylorSeries(x0, _exact_taylor(as_tail_terms(f), x0, n),
-                        radius_hint=hypothesis_radius(f, x0))
+    nums, den = _exact_taylor(as_tail_terms(f), x0, n)
+    return TaylorSeries(x0, tuple(nums), den=den, radius_hint=hypothesis_radius(f, x0))
 
 
 def describe(f: CorpusFunction) -> str:
@@ -293,9 +310,13 @@ def resolve_function(selector: str, params: str | None = None,
 def coefficient_file_payload(series: TaylorSeries, description: str = "") -> dict:
     """The JSON object a coefficient file holds, scalars as strings."""
     radius = series.radius_hint
+    if series.den is not None:
+        coeffs = [ratio_text(n, series.den) for n in series.values]
+    else:
+        coeffs = list(map(float_renderer(series.float_precision), series.values))
     return {
         "center": str(series.center),
-        "coeffs": [str(c) for c in series.coeffs],
+        "coeffs": coeffs,
         "exact": series.is_exact,
         "meta": {
             "hypothesis_radius": str(radius) if radius is not None else None,
@@ -322,10 +343,16 @@ def _float_parses(text: str, precision: int) -> bool:
     return True
 
 
-def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
+def load_coefficient_file(path: str, precision: int = 64,
+                          count: int | None = None) -> TaylorSeries:
     """Read a coefficient file; exact files parse to exact rationals.
 
     ``precision`` applies only when the file declares ``"exact": false``.
+    Every entry is parsed and checked, but with ``count`` the series
+    keeps only the first ``count`` coefficients: an exact series holds
+    every numerator over the common denominator of all it keeps, and
+    spare entries such as 1/k for k up to 20,000 would make that
+    denominator 29,000 bits wide.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -351,19 +378,27 @@ def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
             f"{path}: field 'coeffs' has {len(raw['coeffs'])} entries, "
             f"more than the limit of {MAX_FILE_COEFFS}")
 
-    def parse(field: str, text) -> Scalar:
+    scalar = partial(Scalar.parse, exact=exact, precision=precision)
+
+    def parse(field: str, text, read=scalar):
         if not isinstance(text, str):
             raise CoefficientFileError(
                 f"{path}: field {field}: scalars must be strings, got {type(text).__name__}")
         try:
-            return Scalar.parse(text, exact=exact, precision=precision)
+            return read(text)
         except ValueError as exc:
             hint = "; declare \"exact\": false to load as floats" if exact and _float_parses(
                 text, precision) else ""
             raise CoefficientFileError(f"{path}: field {field}: {exc}{hint}") from None
 
     center = parse("'center'", raw["center"])
-    coeffs = tuple(parse(f"'coeffs'[{i}]", t) for i, t in enumerate(raw["coeffs"]))
+    # an exact file's entries as integer pairs, by the exact grammar of Scalar.parse
+    entries = [parse(f"'coeffs'[{i}]", t, parse_ratio if exact else scalar)
+               for i, t in enumerate(raw["coeffs"])][:count]
+    if exact:
+        values, den = over_common_denominator(entries)
+    else:
+        values, den = tuple(x.value for x in entries), None
     meta = raw.get("meta", {})
     if not isinstance(meta, dict):
         raise CoefficientFileError(f"{path}: field 'meta' must be an object")
@@ -375,4 +410,4 @@ def load_coefficient_file(path: str, precision: int = 64) -> TaylorSeries:
         if radius <= 0:
             raise CoefficientFileError(f"{path}: field 'meta.hypothesis_radius' must be "
                                        f"positive, got {meta['hypothesis_radius']!r}")
-    return TaylorSeries(center, coeffs, radius_hint=radius)
+    return TaylorSeries(center, values, den=den, radius_hint=radius)

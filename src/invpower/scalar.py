@@ -7,7 +7,8 @@ Everything else in the package is built on two primitives:
   ``Fraction`` with no precision, or a raw mpmath value tuple
   ``(sign, man, exp, bc)`` rounded to its width.  Exactness is read off
   the precision and propagates through arithmetic: any operation touching
-  an inexact operand produces an inexact result.
+  an inexact operand produces an inexact result of its width, and floats
+  of two widths are never combined.
 
 * :func:`binom` -- big-integer binomial coefficients (``math.comb``)
   under the convention ``binom(a, b) == 0`` for ``b < 0`` or ``b > a``.
@@ -60,6 +61,8 @@ MIN_PRECISION = 64
 # a billion-digit power of ten.
 MAX_EXACT_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+# an exact text that needs no Fraction: ASCII digits, a minus sign, a slash
+_PLAIN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
 
 ScalarLike = Union["Scalar", int, Fraction]
 
@@ -134,6 +137,30 @@ def _require_plain(text: str) -> None:
         raise ValueError("only ASCII characters and no '_' separators are allowed")
 
 
+def parse_ratio(text: str) -> tuple[int, int]:
+    """The exact rational ``text`` as (num, den) with den > 0, not
+    necessarily in lowest terms: the exact grammar of :meth:`Scalar.parse`.
+
+    ``[-]digits[/digits]`` with a nonzero denominator is read straight to
+    ints; every other text is read by ``Fraction`` after the exponent and
+    character checks, and a zero denominator gets ``Fraction``'s message.
+    """
+    text = text.strip()
+    try:
+        plain = _PLAIN_RATIO.match(text)
+        if plain:
+            num, den = int(plain[1]), int(plain[2] or 1)
+            if den:
+                return num, den
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > MAX_EXACT_EXPONENT:
+            raise ValueError(f"decimal exponent beyond +/-{MAX_EXACT_EXPONENT}")
+        _require_plain(text)
+        return Fraction(text).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Scalar:
     """An immutable number: a value and the width it is rounded to.
@@ -158,25 +185,17 @@ class Scalar:
     def parse(text: str, exact: bool = True, precision: int = MIN_PRECISION) -> "Scalar":
         """Parse ``"p/q"``, plain decimal, or scientific notation.
 
-        In exact mode decimal strings become exact rationals
-        ("0.25" -> 1/4) and a decimal exponent beyond
+        In exact mode (:func:`parse_ratio`) decimal strings become exact
+        rationals ("0.25" -> 1/4) and a decimal exponent beyond
         ``MAX_EXACT_EXPONENT`` in magnitude is rejected; in float mode the
         value is correctly rounded to the significand implied by
         ``precision``, and NaN or an infinity is rejected.  Only ASCII
         characters are read, and no ``_`` digit separators, which
         ``Fraction`` and ``int`` would otherwise accept.
         """
-        text = text.strip()
         if exact:
-            try:
-                exponent = _EXPONENT.search(text)
-                if exponent and abs(int(exponent[1])) > MAX_EXACT_EXPONENT:
-                    raise ValueError(
-                        f"decimal exponent beyond +/-{MAX_EXACT_EXPONENT}")
-                _require_plain(text)
-                return Scalar(Fraction(text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
+            return Scalar(Fraction(*parse_ratio(text)))
+        text = text.strip()
         if libmp is None:
             _bind_mpmath()
         bits = significand_bits(precision)
@@ -280,10 +299,15 @@ class Scalar:
 
     def _pair(self, other: "Scalar"):
         """Both values in a common representation, and the result's
-        precision: None for two exact operands, else the narrower width."""
+        precision: None for two exact operands, else the float width.
+        Two floats of different widths are rejected, naming both: a float
+        keeps its width."""
         if self.exact and other.exact:
             return self.value, other.value, None
-        prec = min(s.precision for s in (self, other) if not s.exact)
+        prec = self.precision if other.exact else other.precision
+        if not self.exact and self.precision != prec:
+            raise ValueError(f"cannot combine a {self.precision}-bit float with a {prec}-bit "
+                             "float: a float keeps its width")
         bits = significand_bits(prec)
         x = self.value if not self.exact else libmp.from_rational(
             self.value.numerator, self.value.denominator, bits, "n")

@@ -350,6 +350,30 @@ def tail_coeffs(offset: Fraction, weight: Fraction, shift: Fraction,
     return out
 
 
+def fraction_walk_taylor(terms: list[tuple[Fraction, Fraction, Fraction]], x0: Fraction,
+                         n: int) -> list[Fraction]:
+    """c_0..c_{n-1} of a sum of offset + weight/(x + shift) terms about
+    x0 by the per-coefficient ``Fraction`` walk the corpus expansion once
+    ran: with weight u/v and base x0 + shift = alpha/beta, the numerator
+    and denominator of each term's c_k are walked by *(-beta) and *alpha,
+    and c_k is added as one ``Fraction``.  A zero base with a nonzero
+    weight raises ``ZeroDivisionError``."""
+    coeffs = [Fraction(0)] * n
+    for offset, weight, shift in terms:
+        coeffs[0] += offset
+        if not weight:
+            continue
+        base = x0 + shift
+        alpha, beta = base.numerator, base.denominator
+        num, den = weight.numerator * beta, weight.denominator * alpha
+        coeffs[0] += Fraction(num, den)
+        for k in range(1, n):
+            num *= -beta
+            den *= alpha
+            coeffs[k] += Fraction(num, den)
+    return coeffs
+
+
 def tail_rows(offset: Fraction, weight: Fraction, shift: Fraction,
               x0: Fraction, m: int) -> tuple[Fraction, Fraction]:
     """Closed-form (q0(m), q1(m)) of offset + weight/(x + shift) about x0.

@@ -1,9 +1,12 @@
 import functools
+import json
 import random
 import re
+import tempfile
 from dataclasses import fields
 from fractions import Fraction
 from math import comb, lcm, ldexp
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -22,6 +25,7 @@ from invpower.approximant import (
     float_dots,
     signed_binomial_matrix,
 )
+from invpower.corpus import load_coefficient_file
 from invpower.errors import PoleError
 from invpower.scalar import CancellationWarning, Scalar, binom, significand_bits
 from invpower.series import TaylorSeries, series_from_rationals
@@ -189,10 +193,35 @@ def test_exact_convolution_is_binomial_convolve_over_common_denominator(coeffs_a
     c_0..c_m, also when the series carries more coefficients."""
     coeffs, m = coeffs_and_m
     s = series_from_rationals(0, coeffs)
-    d, den = exact_convolution(s.coeffs, m)
+    d, den = exact_convolution(s, m)
     assert den == lcm(*(c.denominator for c in coeffs[:m + 1]))
     assert all(type(x) is int for x in d)
     assert [Fraction(x, den) for x in d] == fracs(binomial_convolve(s, m))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.fractions(max_denominator=10 ** 4), st.integers(1, 12)),
+                min_size=2, max_size=16).flatmap(
+    lambda cs: st.tuples(st.just(cs), st.integers(0, len(cs) - 2))))
+def test_exact_convolution_of_a_file_series_is_the_lcm_route_over_its_prefix(entries_and_m):
+    """A file series with spare coefficients and unreduced entries
+    ("k*p/k*q") holds its numerators over the least common denominator
+    of all its entries; the kernel's convolution at m equals the lcm
+    route over c_0..c_m alone: D = lcm of their denominators,
+    a_n = D*c_n, and D*d_N = sum_j C(N-1, j) a_{j+1}."""
+    entries, m = entries_and_m
+    coeffs = [c for c, _ in entries]
+    payload = {"center": "1", "exact": True,
+               "coeffs": [f"{c.numerator * k}/{c.denominator * k}" for c, k in entries]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(payload))
+        series = load_coefficient_file(str(path))
+    assert series.den == lcm(*(c.denominator for c in coeffs))
+    den = lcm(*(c.denominator for c in coeffs[:m + 1]))
+    a = [c.numerator * (den // c.denominator) for c in coeffs[:m + 1]]
+    expected = [a[0], *(sum(comb(n - 1, j) * a[j + 1] for j in range(n)) for n in range(1, m + 1))]
+    assert exact_convolution(series, m) == (expected, den)
 
 
 def test_kernel_dimension_200_on_tail_sum():
@@ -465,9 +494,9 @@ def test_float_mode_no_warning_at_small_dimension():
 def test_float_approximant_rejects_non_finite_coefficients(bad):
     """An infinity or NaN never reaches either construction: the series
     that would hold it is rejected when it is built."""
-    coeffs = (Scalar.approx(1, 64), Scalar(bad._mpf_, 64), Scalar.approx(2, 64))
+    values = (Scalar.approx(1, 64).value, bad._mpf_, Scalar.approx(2, 64).value)
     with pytest.raises(ValueError, match=r"^coefficient coeffs\[1\] must be finite"):
-        TaylorSeries(Scalar.approx(1, 64), coeffs)
+        TaylorSeries(Scalar.approx(1, 64), values)
 
 
 # ---------------------------------------------------------------------------

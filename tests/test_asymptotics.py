@@ -259,26 +259,57 @@ def test_float_rows_and_coefficients_match_literal_sums_past_the_hazard(width):
                zip(q, float_closed_form_q(list(series.coeffs), 70), strict=True))
 
 
-RULE = ": a series is exact or of one float width (see to_inexact)"
+RULE = ": a series takes den exactly when its center is exact"
+ONE, ONE64 = Scalar.rational(1), Scalar.approx(1, 64)
 
 
-@pytest.mark.parametrize("center,coeffs,message", [
-    # an exact center over float coefficients
-    (Scalar.rational(1), (Scalar.approx(1, 128), Scalar.approx(2, 128)),
-     "coeffs[0] has width 128 but the center is exact"),
-    # two float widths
-    (Scalar.approx(1, 128), (Scalar.approx(1, 128), Scalar.approx(2, 128), Scalar.approx(3, 256)),
-     "coeffs[2] has width 256 but the center has width 128"),
-    # a float center over an exact coefficient
-    (Scalar.approx(1, 64), (Scalar.approx(1, 64), Scalar.rational(2)),
-     "coeffs[1] is exact but the center has width 64"),
-], ids=["exact-center", "two-widths", "exact-coefficient"])
-def test_mixed_series_rejected_naming_the_entry(center, coeffs, message):
-    """A series is exact or of one float width: exact and inexact entries,
-    or floats of two widths, are rejected when the series is built, and
-    the error names the first entry off the center's width."""
-    with pytest.raises(ValueError, match=f"^{re.escape(message + RULE)}$"):
-        TaylorSeries(center, coeffs)
+@pytest.mark.parametrize("center,values,den,message", [
+    # an exact center over float values
+    (ONE, (Scalar.approx(1, 128).value, Scalar.approx(2, 128).value), None,
+     "den=None about an exact center" + RULE),
+    # a float center over exact values
+    (ONE64, (1, 2), 1, "den=1 about a 64-bit float center" + RULE),
+], ids=["exact-center", "exact-coefficient"])
+def test_mixed_series_rejected_naming_the_entry(center, values, den, message):
+    """A series is exact or of one float width, fixed by its center: a
+    ``den`` is taken exactly when the center is exact, and the error
+    names it and the center's kind."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TaylorSeries(center, values, den=den)
+
+
+@pytest.mark.parametrize("center,values,den,message", [
+    (ONE, (), 1, "a Taylor series needs at least one coefficient"),
+    (ONE, (1, 2), 0, "den must be a positive int, got 0"),
+    (ONE, (1, 2), -3, "den must be a positive int, got -3"),
+    (ONE, (1, 2), 2.0, "den must be a positive int, got 2.0"),
+    (ONE, (1, 2), True, "den must be a positive int, got True"),
+    (ONE, (1, Fraction(1, 2)), 1, "values[1] must be an int numerator, got Fraction(1, 2)"),
+    (ONE, (1, 2, True), 1, "values[2] must be an int numerator, got True"),
+    (ONE64, (ONE64.value, ONE64), None,
+     "values[1] must be a raw mpmath tuple (sign, man, exp, bc), got Scalar"),
+    (ONE64, (mpmath.mpf(1),), None,
+     "values[0] must be a raw mpmath tuple (sign, man, exp, bc), got mpf"),
+], ids=["empty", "den-zero", "den-negative", "den-float", "den-bool", "value-fraction",
+        "value-bool", "value-scalar", "value-mpf"])
+def test_invalid_series_rejected_naming_the_field(center, values, den, message):
+    """Exact ``values`` are ints over a positive int ``den``, and float
+    ``values`` raw mpmath tuples: anything else is rejected when the
+    series is built, naming the field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TaylorSeries(center, values, den=den)
+
+
+def test_exact_series_brings_den_to_lowest_terms():
+    """Numerators over a denominator that is not the least are brought
+    down by their common gcd when the series is built, and ``coeffs``
+    reads the same rationals."""
+    series = TaylorSeries(ONE, (6, -4, 0, 10), den=8)
+    assert (series.values, series.den) == ((3, -2, 0, 5), 4)
+    assert [c.as_fraction() for c in series.coeffs] == [Fraction(3, 4), Fraction(-1, 2), 0,
+                                                        Fraction(5, 4)]
+    assert TaylorSeries(ONE, (0, 0), den=7).den == 1
+    assert series == TaylorSeries(ONE, (3, -2, 0, 5), den=4)
 
 
 @pytest.mark.parametrize("width,other", [(64, 128), (128, 64), (256, 128)])
@@ -299,7 +330,7 @@ def assert_literal_sums(c, m):
     """The float table to m and the float approximant at m of the series
     with coefficients c equal the ``Scalar`` literal sums bit for bit;
     returns the table."""
-    series = TaylorSeries(Scalar.approx(1, c[0].precision), tuple(c))
+    series = TaylorSeries(Scalar.approx(1, c[0].precision), tuple(x.value for x in c))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CancellationWarning)
         table = convergence_table(series, m)
@@ -398,9 +429,9 @@ def test_float_table_rejects_non_finite_coefficients(bad):
     """An infinity or NaN is rejected when the series is built, before any
     table reads it."""
     with pytest.raises(ValueError, match=r"coeffs\[2\] must be finite"):
-        TaylorSeries(f64(1), (f64(1), f64(2), Scalar(bad._mpf_, 64)))
+        TaylorSeries(f64(1), (f64(1).value, f64(2).value, bad._mpf_))
     with pytest.raises(ValueError, match=r"^center must be finite"):
-        TaylorSeries(Scalar(bad._mpf_, 64), (f64(1),))
+        TaylorSeries(Scalar(bad._mpf_, 64), (f64(1).value,))
 
 
 # ---------------------------------------------------------------------------

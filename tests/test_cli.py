@@ -1231,3 +1231,48 @@ def test_corpus_output_bytes_unchanged(capsys, argv, expected_code, expected_err
     code, out, err = run(capsys, "corpus", *argv)
     assert code == expected_code and err == expected_err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of the stdout and of the stderr, and the exit code, of
+# ``estimate --coeffs c.json --m-max 2 --format json`` on an exact file
+# whose 'coeffs'[1] is the entry.  They pin the exact grammar's accepted
+# texts and error messages on both sides of its split: the plain p/q
+# branch read to ints, and the ``Fraction`` route for every other text.
+_FILE_ENTRY_HASHES = [
+    ("zero-den", "1/0", 1, _EMPTY_SHA,
+     "0de2fbd40d946b0f0346a9235b2c7c5b75b221fa6c0f3113e90875d20617c99e"),
+    ("zero-den-00", "2/00", 1, _EMPTY_SHA,
+     "762fa67dab355635cbb36d1825f2c132457299390ad35a8e8cf3b1ddca7ac678"),
+    ("plus", "+3", 0, "873ef3b8533240ac8d465709f1e7747beaa4a0f53a0dee0245a41e3c3134de17",
+     _EMPTY_SHA),
+    ("spaces", " 4 ", 0, "ad47865f36916918ea75376556ada12ad4b60cfbab1dc03b2bfb501422b5e8b9",
+     _EMPTY_SHA),
+    ("decimal", "0.25", 0, "bdd3aaadbe6aade9a6a659b2cb2fbba8ea5e504712e09785fbd57a609071ca6b",
+     _EMPTY_SHA),
+    ("sci", "1e5", 0, "9376f13e6ae13b8996361feefda18c58c6fe3d5533f6335245bf7f72ea9cbe4f",
+     _EMPTY_SHA),
+    ("huge-exp", "1e99999", 1, _EMPTY_SHA,
+     "eb80d15ec2f4702589672d00fb1d3fcbf0153b9cb02bff463043dd3000a35ea7"),
+    ("arabic-digit", "\u0663", 1, _EMPTY_SHA,
+     "a6d633dcb80857140b47b194d0aa4f8941846c67080ebdcd31aedf5110bb24ef"),
+    ("underscore", "1_0", 1, _EMPTY_SHA,
+     "e904bc849e7c3fe0cc569b87e5a1cf90ad742d86067f58a0ac9f5e4290862f4b"),
+    ("nan", "nan", 1, _EMPTY_SHA,
+     "19cd68405f1ace9d0a043f8d97536f52c2b90e0ebdd71d95ef32bd2d9569b0c6"),
+    ("numerator-4301-digits", "7" * 4301 + "/3", 1, _EMPTY_SHA,
+     "cb6a045ab93a843e637beae9f3d3d109024879d4d6144530dea3c8715ee78c51"),
+]
+
+
+@pytest.mark.parametrize("entry,expected_code,out_digest,err_digest",
+                         [c[1:] for c in _FILE_ENTRY_HASHES], ids=[c[0] for c in _FILE_ENTRY_HASHES])
+def test_exact_file_entry_output_bytes_unchanged(capsys, monkeypatch, tmp_path, entry,
+                                                 expected_code, out_digest, err_digest):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({"center": "1", "coeffs": ["1", entry, "1/3"],
+                                          "exact": True}))
+    code, out, err = run(capsys, "estimate", "--coeffs", "c.json", "--m-max", "2",
+                         "--format", "json")
+    assert code == expected_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == err_digest

@@ -1,11 +1,13 @@
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from invpower.approximant import coeffs_closed_form
 from invpower.asymptotics import convergence_table, estimate_limits
 from invpower.corpus import (
     MAX_FILE_COEFFS,
@@ -27,7 +29,7 @@ from invpower.corpus import (
 from invpower.errors import CoefficientFileError, PoleError
 from invpower.scalar import Scalar
 
-from _oracles import expand_to_taylor, oracle_solve, tail_coeffs
+from _oracles import expand_to_taylor, fraction_walk_taylor, oracle_solve, tail_coeffs
 
 
 def sc(x):
@@ -104,6 +106,25 @@ def test_taylor_coeffs_are_summed_tail_expansions(terms, x0, n):
     cols = [tail_coeffs(o, w, sh, x0, n) for o, w, sh in terms]
     assert s.is_exact and s.center.as_fraction() == x0
     assert fractions_of(s) == [sum(col) for col in zip(*cols)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(rationals, weights, rationals), min_size=1, max_size=3),
+       st.fractions(min_value=-40, max_value=40, max_denominator=60), st.integers(1, 30))
+@example([(Fraction(1, 6), Fraction(4, 9), Fraction(-1, 3))], Fraction(2, 3), 5)
+@example([(Fraction(0), Fraction(2, 5), Fraction(-7, 5)), (Fraction(3, 4), Fraction(6), Fraction(1))],
+         Fraction(-3, 10), 17)
+def test_integer_expansion_equals_the_fraction_walk(terms, x0, n):
+    """The expansion on integer numerators equals the per-coefficient
+    ``Fraction`` walk, and ``den`` is the least common denominator of
+    c_0..c_{n-1}, the numerators being D*c_k."""
+    assume(not any(w != 0 and x0 + sh == 0 for _, w, sh in terms))
+    s = taylor_coeffs(tail_sum(*(shifted_reciprocal(*t) for t in terms)), sc(x0), n)
+    expected = fraction_walk_taylor(terms, x0, n)
+    assert s.den == lcm(*(c.denominator for c in expected))
+    assert all(type(v) is int for v in s.values)
+    assert list(s.values) == [c * s.den for c in expected]
+    assert fractions_of(s) == expected
 
 
 @pytest.mark.parametrize("field", ["x0", "offset", "weight", "shift"])
@@ -368,6 +389,50 @@ def test_malformed_files_give_field_diagnostics(tmp_path, content, needle):
     with pytest.raises(CoefficientFileError) as err:
         load_coefficient_file(str(path))
     assert needle in str(err.value)
+
+
+def test_exact_series_makes_no_fraction_or_scalar_per_coefficient(monkeypatch, tmp_path):
+    """Expanding a corpus function and reading its table and approximant,
+    and loading an exact file, make as many ``Fraction``s and ``Scalar``s
+    for 40 coefficients as for 3: the series holds integer numerators,
+    and a file's plain p/q entries are read to ints."""
+    f = tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), *as_tail_terms(mobius(2, 3, 1, 2)))
+    x0, made = sc(Fraction(5, 3)), []
+    post_init, new = Scalar.__post_init__, Fraction.__new__
+
+    def count(n: int) -> tuple[int, int]:
+        path = tmp_path / f"c{n}.json"
+        save_coefficient_file(taylor_coeffs(f, x0, n), str(path))
+        made.clear()
+        series = taylor_coeffs(f, x0, n)
+        convergence_table(series, n - 1)
+        coeffs_closed_form(series, n - 1)
+        expanded = len(made)
+        made.clear()
+        load_coefficient_file(str(path))
+        return expanded, len(made)
+
+    monkeypatch.setattr(Scalar, "__post_init__", lambda self: made.append(1) or post_init(self))
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **k: made.append(1) or new(cls, *a, **k)))
+    assert count(3) == count(40)
+
+
+def test_count_keeps_the_first_coefficients_after_checking_all(tmp_path):
+    """With ``count`` a file series keeps its first coefficients, over
+    their own least common denominator, and the same rationals as a
+    whole load; every entry is still parsed, so a bad spare one is
+    reported."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1"] + [f"1/{k}" for k in range(1, 300)]}))
+    series = load_coefficient_file(str(path), count=5)
+    assert (series.values, series.den) == ((12, 12, 6, 4, 3), 12)
+    whole = load_coefficient_file(str(path))
+    assert series.coeffs == whole.coeffs[:5]
+    assert load_coefficient_file(str(path), count=1000) == whole
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1", "2", "1/0"]}))
+    with pytest.raises(CoefficientFileError, match=r"field 'coeffs'\[2\]: cannot parse '1/0'"):
+        load_coefficient_file(str(path), count=1)
 
 
 def test_coefficient_count_capped_before_parsing(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import os
 import re
 from decimal import Decimal
@@ -20,6 +22,7 @@ from invpower.scalar import (
     cancellation_hazard,
     decimal_renderer,
     float_renderer,
+    parse_ratio,
     ratio_text,
     significand_bits,
 )
@@ -152,10 +155,20 @@ def test_exact_plus_exact_stays_exact():
     assert (Scalar.rational(1, 3) * Scalar.rational(3)).exact
 
 
-def test_mixed_precision_takes_minimum():
+def test_mixed_precision_rejected_naming_both_widths():
+    """Arithmetic on floats of two widths is rejected, naming both: a
+    float keeps its width.  An exact operand takes the float's width, and
+    comparisons stay exact."""
     a = Scalar.approx(Fraction(1, 3), 128)
     b = Scalar.approx(Fraction(1, 7), 64)
-    assert (a + b).precision == 64
+    for op, (x, y) in itertools.product(
+            (operator.add, operator.sub, operator.mul, operator.truediv), ((a, b), (b, a))):
+        message = (f"cannot combine a {x.precision}-bit float with a {y.precision}-bit float: "
+                   "a float keeps its width")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            op(x, y)
+    assert (a + Fraction(1, 7)).precision == 128 and (1 - b).precision == 64
+    assert b < a
 
 
 def test_precision_floor_enforced():
@@ -222,6 +235,29 @@ def test_parse_exact_exponent_limit():
     assert Scalar.parse("1e999999999", exact=False) > 10 ** 4300
 
 
+@settings(max_examples=300)
+@given(st.from_regex(r"\s{0,2}-?[0-9]{1,40}(/[0-9]{1,40})?\s{0,2}", fullmatch=True))
+@example("1/0")
+@example("-00/000")
+@example("-0")
+@example("0012/0018")
+def test_plain_ratio_branch_equals_fraction(text):
+    """A plain ``[-]digits[/digits]`` text, with surrounding whitespace,
+    reads to ints equal to ``Fraction(text)``, and a zero denominator is
+    rejected with ``Fraction``'s own message."""
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError as exc:
+        message = f"cannot parse {text.strip()!r} as an exact rational: {exc}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_ratio(text)
+        return
+    num, den = parse_ratio(text)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == expected
+    assert Scalar.parse(text).value == expected
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("text", ["1_0", "1_000", "\u0661\u0662", "1/1_0", "\u0661/2", "1e1_0",
                                   "1e\u0663", "2.5_0"])
@@ -268,7 +304,7 @@ def test_width_rejection_never_reads_the_mantissa():
              "from invpower.series import TaylorSeries\n"
              "x = Scalar.parse('1e-99999999', exact=False, precision=64)\n"
              "for reround in (lambda: Scalar.approx(x, 128),\n"
-             "                lambda: TaylorSeries(x, (x,)).to_inexact(128)):\n"
+             "                lambda: TaylorSeries(x, (x.value,)).to_inexact(128)):\n"
              "    try:\n"
              "        reround()\n"
              "    except ValueError as exc:\n"
