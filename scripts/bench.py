@@ -20,7 +20,12 @@ a whole ``python -m invpower estimate`` process (exact, ``--m-max m``):
 interpreter start-up, imports, parsing and the command.  It is timed by
 the child CPU time that ``RUSAGE_CHILDREN`` reports, with the bytecode
 cached: the children read and write ``.pyc`` files under a private
-``pycache_prefix``, filled by one unmeasured run first.
+``pycache_prefix``, filled by one unmeasured run first.  Its twin ``cli
+cold start uncached`` runs the same process with
+``PYTHONDONTWRITEBYTECODE=1`` and no ``pycache_prefix``, as perfbench's
+set-up probes run where that variable is set: the standard library is
+read from its installed cache, and the package, which then has none, is
+compiled by every run.
 
 A cell is one layer at one size, and it is the median CPU time per call
 of its ``--repeat`` samples.  Each sample runs in a fresh child process,
@@ -80,7 +85,9 @@ FLOAT_PRECISIONS = (64, 128, 256)
 MIN_SAMPLE_S = 0.2
 CHUNK_S = 0.02
 BUDGET_S = 10.0
-COLD_START_BYTECODE = "cached under a private pycache_prefix by one unmeasured run"
+COLD_START_BYTECODE = ("cli cold start: cached under a private pycache_prefix by one unmeasured "
+                       "run; cli cold start uncached: PYTHONDONTWRITEBYTECODE=1 and no "
+                       "pycache_prefix, so every run compiles the package")
 CELL_PROCESS = ("each sample of a (layer, size) cell in a fresh child process; "
                 "--against trees alternate pair by pair")
 CALIBRATION = ("layers: CPU seconds of each chunk of a sample times REFERENCE_CAL_S over "
@@ -103,12 +110,17 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def cold_start(src: Path, pycache: str, m: int):
+def cold_start(src: Path, pycache: str | None, m: int):
     """A call that runs ``python -m invpower estimate --m-max m`` in a
-    fresh interpreter, after one unmeasured run has cached its bytecode."""
+    fresh interpreter, after one unmeasured run: with ``pycache`` a
+    directory, that run caches the bytecode under it; with None, no run
+    writes bytecode."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     env["PYTHONPATH"] = str(src)
-    argv = [sys.executable, "-X", f"pycache_prefix={pycache}", "-m", "invpower", "estimate",
+    if pycache is None:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    cache = [] if pycache is None else ["-X", f"pycache_prefix={pycache}"]
+    argv = [sys.executable, *cache, "-m", "invpower", "estimate",
             "--corpus", "mobius-2-3-1-2", "--m-max", str(m)]
     call = partial(subprocess.run, argv, env=env, check=True, stdout=subprocess.DEVNULL,
                    timeout=60)
@@ -181,7 +193,8 @@ def layers(src: Path, workdir: str | None):
             lambda m: partial(run_suite, SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
     }
     return {**{name: (time.process_time, prepare) for name, prepare in prepares.items()},
-            "cli cold start": (child_cpu_s, partial(cold_start, src, workdir))}
+            "cli cold start": (child_cpu_s, partial(cold_start, src, workdir)),
+            "cli cold start uncached": (child_cpu_s, partial(cold_start, src, None))}
 
 
 def cpu_seconds(clock, call):

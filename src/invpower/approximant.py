@@ -59,7 +59,6 @@ from __future__ import annotations
 import operator
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, ldexp
@@ -72,6 +71,7 @@ from .scalar import (
     binom,
     cancellation_bits,
     cancellation_hazard,
+    read_only,
     require_exact,
     significand_bits,
 )
@@ -79,7 +79,6 @@ from .series import TaylorSeries, over_common_denominator
 from .transforms import binomial_convolve
 
 
-@dataclass(frozen=True)
 class InversePowerApproximant:
     """q_0..q_m of the dimension-m approximant about ``center``, held as
     its kernel computed them.
@@ -92,17 +91,27 @@ class InversePowerApproximant:
     ``coeffs`` makes the ``Scalar``s on first read and keeps them.
     """
 
-    center: Scalar
-    values: tuple
-    den: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, center: Scalar, values: tuple, den: int | None = None) -> None:
+        vars(self).update(center=center, values=values, den=den)
+        if not values:
             raise ValueError("an approximant needs at least one coefficient")
-        if (self.den is None) == self.center.exact:
-            kind = "an exact" if self.center.exact else f"a {self.center.precision}-bit float"
-            raise ValueError(f"den={self.den} about {kind} center: an approximant takes den "
+        if (den is None) == center.exact:
+            kind = "an exact" if center.exact else f"a {center.precision}-bit float"
+            raise ValueError(f"den={den} about {kind} center: an approximant takes den "
                              "exactly when its center is exact")
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return self.center, self.values, self.den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "InversePowerApproximant(center={!r}, values={!r}, den={!r})".format(*self._key())
 
     @property
     def dimension(self) -> int:

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .approximant import exact_convolution, float_dots
 from .scalar import (
@@ -54,8 +53,7 @@ from .scalar import (
 from .series import TaylorSeries
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     m: int
     q0: Scalar
     q1: Scalar | None
@@ -94,8 +92,7 @@ class ConvergenceTable:
         return self.rows == other.rows
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     q0: Scalar
     q1: Scalar | None
     error_indicator_q0: Scalar | None

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import CoefficientFileError, PoleError
 from .scalar import Scalar, float_renderer, parse_ratio, ratio_text, require_exact
@@ -52,28 +51,35 @@ def _scalar(x) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar.rational(x)
 
 
-@dataclass(frozen=True)
-class ShiftedReciprocal:
+class ShiftedReciprocal(NamedTuple("ShiftedReciprocal",
+                                   [("offset", Scalar), ("weight", Scalar), ("shift", Scalar)])):
     """f(x) = offset + weight / (x + shift), every parameter exact."""
 
-    offset: Scalar
-    weight: Scalar
-    shift: Scalar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in ("offset", "weight", "shift"):
-            require_exact(field, getattr(self, field))
+    def __new__(cls, offset: Scalar, weight: Scalar, shift: Scalar):
+        for field, value in zip(cls._fields, (offset, weight, shift)):
+            require_exact(field, value)
+        return super().__new__(cls, offset, weight, shift)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TailSum:
+class TailSum(NamedTuple("TailSum", [("terms", tuple)])):
     """A finite sum of shifted-reciprocal terms."""
 
-    terms: tuple[ShiftedReciprocal, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __new__(cls, terms: tuple[ShiftedReciprocal, ...]):
+        if not terms:
             raise ValueError("tail sum needs at least one term")
+        return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 CorpusFunction = Union[ShiftedReciprocal, TailSum]
@@ -139,8 +145,7 @@ def hypothesis_radius(f: CorpusFunction, x0: Scalar) -> Scalar | None:
     return Scalar(1 / largest) if largest else None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Radius of the transplanted function (``None``: unbounded) and
     whether it clears the sufficient bound (> 2).  Informational only."""
 
@@ -228,8 +233,7 @@ NAMED_FUNCTIONS: dict[str, CorpusFunction] = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     function: CorpusFunction
     center: Scalar

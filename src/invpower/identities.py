@@ -60,12 +60,11 @@ implementation bug).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, cycle, repeat
 from math import comb, factorial
 from operator import mul, neg, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 FACTORIAL_DOMINANCE = "FACTORIAL_DOMINANCE"
 ALTERNATING_ROW_PREFIX = "ALTERNATING_ROW_PREFIX"
@@ -88,8 +87,7 @@ IDENTITY_IDS = (
 _SIGNS = (1, -1)
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     identity_id: str
     params: dict[str, int]
     lhs: int
@@ -246,8 +244,7 @@ def _weighted_convolution(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteRanges:
+class SuiteRanges(NamedTuple):
     """Rectangular m/k enumeration ranges; inner parameters (n, a) always
     run over their full admissible span for each (m, k)."""
 
@@ -255,13 +252,23 @@ class SuiteRanges:
     k_values: Sequence[int] = tuple(range(0, 26))
 
 
-@dataclass
 class SuiteReport:
-    total: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    failures: list[IdentityCase] = field(default_factory=list)
+    def __init__(self, total: int = 0, passed: int = 0, failed: int = 0, skipped: int = 0,
+                 failures: list[IdentityCase] | None = None) -> None:
+        self.total, self.passed, self.failed, self.skipped = total, passed, failed, skipped
+        self.failures = [] if failures is None else failures
+
+    def _key(self) -> tuple:
+        return self.total, self.passed, self.failed, self.skipped, self.failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("SuiteReport(total={!r}, passed={!r}, failed={!r}, skipped={!r}, failures={!r})"
+                .format(*self._key()))
 
     def tally(self, identity_id: str, params: dict[str, int], lhs: int,
               rhs_values: Sequence[int], inner: str | None = None, start: int = 0,

@@ -36,7 +36,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -49,7 +48,7 @@ libmp = None
 
 def _bind_mpmath() -> None:
     """Bind ``libmp``, once: the float constructors and
-    ``Scalar.__post_init__`` call it before a float value is used."""
+    ``Scalar.__init__`` call it before a float value is used."""
     global libmp
     import mpmath.libmp as libmp
 
@@ -161,7 +160,13 @@ def parse_ratio(text: str) -> tuple[int, int]:
         raise ValueError(f"cannot parse {text!r} as an exact rational: {exc}") from None
 
 
-@dataclass(frozen=True, eq=False)
+def read_only(self, name: str, value=None) -> None:
+    """``__setattr__`` and ``__delattr__`` of the package's immutable
+    classes, whose ``__init__`` sets each field once."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: "
+                         f"a {type(self).__name__} is immutable")
+
+
 class Scalar:
     """An immutable number: a value and the width it is rounded to.
 
@@ -172,8 +177,7 @@ class Scalar:
     width's significand.  ``exact`` is derived: ``precision is None``.
     """
 
-    value: Union[Fraction, tuple]
-    precision: int | None = None
+    __slots__ = ("value", "precision")
 
     # -- constructors ---------------------------------------------------
 
@@ -233,21 +237,29 @@ class Scalar:
         return Scalar(libmp.from_rational(f.numerator, f.denominator, significand_bits(precision),
                                           "n"), precision)
 
-    def __post_init__(self) -> None:
-        if self.precision is None:
-            if not isinstance(self.value, Fraction):
+    def __init__(self, value: Union[Fraction, tuple], precision: int | None = None) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "precision", precision)
+        if precision is None:
+            if not isinstance(value, Fraction):
                 raise TypeError("exact Scalar requires a Fraction value")
             return
-        if isinstance(self.precision, bool):
+        if isinstance(precision, bool):
             raise TypeError("Scalar width must be an int number of bits or None, got "
-                            f"{self.precision}; an exact Scalar is Scalar(fraction)")
-        if self.precision < MIN_PRECISION:
+                            f"{precision}; an exact Scalar is Scalar(fraction)")
+        if precision < MIN_PRECISION:
             raise ValueError(f"inexact Scalar requires precision >= {MIN_PRECISION}")
-        if not isinstance(self.value, tuple):
+        if not isinstance(value, tuple):
             raise TypeError("inexact Scalar requires a raw mpmath value tuple "
-                            f"(sign, man, exp, bc), got {type(self.value).__name__}")
+                            f"(sign, man, exp, bc), got {type(value).__name__}")
         if libmp is None:  # a float built directly from a raw value
             _bind_mpmath()
+
+    __setattr__ = __delattr__ = read_only
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as the slots cannot be set
+        return Scalar, (self.value, self.precision)
 
     # -- views ----------------------------------------------------------
 

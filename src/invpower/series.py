@@ -22,27 +22,21 @@ enforced.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .scalar import Scalar, significand_bits
+from .scalar import Scalar, read_only, significand_bits
 
 
-@dataclass(frozen=True)
 class TaylorSeries:
-    center: Scalar
-    values: tuple
-    den: int | None = None
-    radius_hint: Scalar | None = None
-
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, center: Scalar, values: tuple, den: int | None = None,
+                 radius_hint: Scalar | None = None) -> None:
+        vars(self).update(center=center, values=values, den=den, radius_hint=radius_hint)
+        if not values:
             raise ValueError("a Taylor series needs at least one coefficient")
-        den, values = self.den, self.values
-        if (den is None) == self.center.exact:
-            kind = "an exact" if self.center.exact else f"a {self.center.precision}-bit float"
+        if (den is None) == center.exact:
+            kind = "an exact" if center.exact else f"a {center.precision}-bit float"
             raise ValueError(f"den={den} about {kind} center: a series takes den exactly "
                              "when its center is exact")
         if den is not None:
@@ -53,20 +47,33 @@ class TaylorSeries:
                     raise ValueError(f"values[{i}] must be an int numerator, got {v!r}")
             g = gcd(den, *values)
             if g > 1:
-                object.__setattr__(self, "values", tuple(v // g for v in values))
-                object.__setattr__(self, "den", den // g)
+                vars(self).update(values=tuple(v // g for v in values), den=den // g)
             return
         from mpmath.libmp import finf, fnan, fninf  # loaded already by the float center
         non_finite = (finf, fninf, fnan)
-        if self.center.value in non_finite:
-            raise ValueError(f"center must be finite, got {self.center}")
+        if center.value in non_finite:
+            raise ValueError(f"center must be finite, got {center}")
         for i, v in enumerate(values):
             if not isinstance(v, tuple):
                 raise ValueError(f"values[{i}] must be a raw mpmath tuple (sign, man, exp, bc), "
                                  f"got {type(v).__name__}")
             if v in non_finite:
                 raise ValueError(f"coefficient coeffs[{i}] must be finite, "
-                                 f"got {Scalar(v, self.center.precision)}")
+                                 f"got {Scalar(v, center.precision)}")
+
+    __setattr__ = __delattr__ = read_only
+
+    def _key(self) -> tuple:
+        return self.center, self.values, self.den, self.radius_hint
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("TaylorSeries(center={!r}, values={!r}, den={!r}, radius_hint={!r})"
+                .format(*self._key()))
 
     @cached_property
     def coeffs(self) -> tuple[Scalar, ...]:

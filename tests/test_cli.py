@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -30,6 +31,8 @@ from invpower.corpus import (
 from invpower.scalar import Scalar
 
 from _oracles import float_table, tail_coeffs
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -224,8 +227,8 @@ def test_exact_approximate_makes_no_scalar_or_fraction_per_coefficient(monkeypat
     is built before the count starts, and every later step works on the
     kernel's integers."""
     source, made = mobius(2, 3, 1, 2), []
-    post_init, new = Scalar.__post_init__, Fraction.__new__
-    monkeypatch.setattr(Scalar, "__post_init__", lambda self: made.append(1) or post_init(self))
+    init, new = Scalar.__init__, Fraction.__new__
+    monkeypatch.setattr(Scalar, "__init__", lambda self, *a: made.append(1) or init(self, *a))
     monkeypatch.setattr(Fraction, "__new__",
                         staticmethod(lambda cls, *a, **k: made.append(1) or new(cls, *a, **k)))
 
@@ -1276,3 +1279,29 @@ def test_exact_file_entry_output_bytes_unchanged(capsys, monkeypatch, tmp_path, 
     assert code == expected_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_digest
     assert hashlib.sha256(err.encode("utf-8")).hexdigest() == err_digest
+
+
+# a fresh interpreter imports the CLI and prints the invpower modules that
+# loaded, then builds the parser, imports the identity suite and prints
+# which of dataclasses and inspect have loaded by then
+IMPORT_GUARD = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport invpower.cli\n"
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'invpower'))\n"
+                "invpower.cli.build_parser()\nimport invpower.identities\n"
+                "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+
+
+def test_cli_start_up_imports_no_dataclasses_or_inspect():
+    """Every CLI process pays for what ``import invpower.cli`` loads: the
+    same nine package modules and neither ``dataclasses`` nor ``inspect``
+    (a dozen stdlib modules between them), so the cost can neither come
+    back nor move into a lazy import.  ``-S`` keeps ``site`` from loading
+    either first."""
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD, SRC], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    package, heavy = proc.stdout.splitlines()
+    assert package.split() == [
+        "invpower", "invpower.approximant", "invpower.asymptotics", "invpower.cli",
+        "invpower.corpus", "invpower.errors", "invpower.scalar", "invpower.series",
+        "invpower.transforms"]
+    assert heavy == ""
