@@ -10,17 +10,20 @@ exact or rounded to 64-, 128- and 256-bit floats, at each dimension m in
 ``--sizes``:
 ``taylor_coeffs`` expands it to m + 1 coefficients,
 ``load_coefficient_file`` reads them back from the exact coefficient
-file ``corpus --out`` would write, ``evaluate`` sums
+file ``corpus --out`` would write, ``to_inexact`` rounds them to 128-bit
+floats and ``float_renderer`` writes those as text, ``evaluate`` sums
 its dimension-m approximant at x = 1/2 (exact, and at 128 bits), and
 ``estimate_limits`` reads the limits off its dimension-m convergence
 table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process.  ``run_suite`` checks
 every identity tuple with m and k up to the size, as
 ``verify-identities --m-max m --k-max m`` does.  ``cli cold start`` is
 a whole ``python -m invpower estimate`` process (exact, ``--m-max m``):
-interpreter start-up, imports, parsing and the command.  It is timed by
-the child CPU time that ``RUSAGE_CHILDREN`` reports, with the bytecode
-cached: the children read and write ``.pyc`` files under a private
-``pycache_prefix``, filled by one unmeasured run first.  Its twin ``cli
+interpreter start-up, imports, parsing and the command.  The process
+times itself (``COLD_START_CHILD``), and it times the calibration
+kernel ten times right before and ten times after the command, so its
+seconds are rescaled by the mean speed of the process that ran them.
+The bytecode is cached: the children read and write ``.pyc`` files
+under a private ``pycache_prefix``, filled by one unmeasured run first.  Its twin ``cli
 cold start uncached`` runs the same process with
 ``PYTHONDONTWRITEBYTECODE=1`` and no ``pycache_prefix``, as perfbench's
 set-up probes run where that variable is set: the standard library is
@@ -63,7 +66,6 @@ import io
 import json
 import os
 import platform
-import resource
 import signal
 import statistics
 import subprocess
@@ -77,7 +79,8 @@ from pathlib import Path
 import mpmath
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "perfbench"))  # appended: nothing there shadows a package
+PERFBENCH = ROOT / "perfbench"
+sys.path.append(str(PERFBENCH))  # appended: nothing there shadows a package
 from calibration import REFERENCE_CAL_S, calibration_s  # noqa: E402
 
 SIZES = (50, 200, 800, 2000)
@@ -104,15 +107,39 @@ def _over_budget(signum, frame):
     raise OverBudget
 
 
-def child_cpu_s() -> float:
-    """CPU seconds used by this process's finished, waited-for children."""
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+# ``python -m invpower`` run by ``runpy``, as ``-m`` runs it, between ten
+# timings of the calibration kernel before it and ten after, in the same
+# process.  Its CPU seconds are the interpreter's start-up, the import of
+# the calibration module (whose ``fractions`` the command imports too) and
+# the command; the last line of stderr reports them with the mean kernel
+# time.  A mean over about 10 ms on each side, not a best of three: in a
+# fresh process on a shared 2-vCPU VM single kernel runs varied twofold
+# from one moment to the next, and best-of-three rescaling spread the
+# cells more than no rescaling did.
+COLD_START_CHILD = """\
+import json, runpy, sys, time
+sys.path.insert(0, {perfbench!r})
+from calibration import calibration_runs
+startup = time.process_time()
+kernel = calibration_runs(10)
+start = time.process_time()
+try:
+    runpy.run_module("invpower", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+cpu = startup + time.process_time() - start
+kernel += calibration_runs(10)
+print(json.dumps([cpu, sum(kernel) / len(kernel)]), file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def cold_start(src: Path, pycache: str | None, m: int):
     """A call that runs ``python -m invpower estimate --m-max m`` in a
-    fresh interpreter, after one unmeasured run: with ``pycache`` a
+    fresh interpreter (``COLD_START_CHILD``) and returns its CPU seconds
+    as measured and rescaled by the calibration kernel the child timed
+    around the command, after one unmeasured run: with ``pycache`` a
     directory, that run caches the bytecode under it; with None, no run
     writes bytecode."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
@@ -120,10 +147,15 @@ def cold_start(src: Path, pycache: str | None, m: int):
     if pycache is None:
         env["PYTHONDONTWRITEBYTECODE"] = "1"
     cache = [] if pycache is None else ["-X", f"pycache_prefix={pycache}"]
-    argv = [sys.executable, *cache, "-m", "invpower", "estimate",
-            "--corpus", "mobius-2-3-1-2", "--m-max", str(m)]
-    call = partial(subprocess.run, argv, env=env, check=True, stdout=subprocess.DEVNULL,
-                   timeout=60)
+    argv = [sys.executable, *cache, "-c", COLD_START_CHILD.format(perfbench=str(PERFBENCH)),
+            "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", str(m)]
+
+    def call():
+        proc = subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        cpu, kernel = json.loads(proc.stderr.splitlines()[-1])
+        return cpu, cpu * REFERENCE_CAL_S / kernel
+
     call()
     return call
 
@@ -131,14 +163,15 @@ def cold_start(src: Path, pycache: str | None, m: int):
 def layers(src: Path, workdir: str | None):
     """Layer name -> (clock, prepare): ``prepare(m)`` builds what the
     layer reads at dimension m, in the private directory ``workdir``
-    when it is a file, and returns the call to time."""
+    when it is a file, and returns the call to time.  The clock is None
+    for a call that times itself in its own process (``cold_start``)."""
     from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
     from invpower.asymptotics import convergence_table, estimate_limits
     from invpower.cli import main
     from invpower.corpus import (load_coefficient_file, mobius, save_coefficient_file,
                                  taylor_coeffs)
     from invpower.identities import SuiteRanges, run_suite
-    from invpower.scalar import Scalar
+    from invpower.scalar import Scalar, float_renderer
     from invpower.transforms import binomial_convolve
 
     f, center = mobius(2, 3, 1, 2), Scalar.rational(1)
@@ -172,6 +205,9 @@ def layers(src: Path, workdir: str | None):
            for name, p in (("exact", None), ("float128", 128))},
         **{f"convergence_table {name}": lambda m, p=p: partial(convergence_table, series(m, p), m)
            for name, p in (("exact", None), *((f"float{p}", p) for p in FLOAT_PRECISIONS))},
+        "to_inexact float128": lambda m: partial(series(m).to_inexact, 128),
+        "float_renderer float128": lambda m: partial(
+            lambda values: list(map(float_renderer(128), values)), series(m, 128).values),
         "estimate_limits exact":
             lambda m: partial(estimate_limits, convergence_table(series(m), m), tol),
         **{f"coeffs_closed_form {name}": lambda m, p=p: partial(coeffs_closed_form, series(m, p), m)
@@ -193,8 +229,8 @@ def layers(src: Path, workdir: str | None):
             lambda m: partial(run_suite, SuiteRanges(tuple(range(m + 1)), tuple(range(m + 1)))),
     }
     return {**{name: (time.process_time, prepare) for name, prepare in prepares.items()},
-            "cli cold start": (child_cpu_s, partial(cold_start, src, workdir)),
-            "cli cold start uncached": (child_cpu_s, partial(cold_start, src, None))}
+            "cli cold start": (None, partial(cold_start, src, workdir)),
+            "cli cold start uncached": (None, partial(cold_start, src, None))}
 
 
 def cpu_seconds(clock, call):
@@ -204,15 +240,23 @@ def cpu_seconds(clock, call):
     ``BUDGET_S`` seconds.  The calls run in chunks of at least
     ``CHUNK_S``, and each chunk's seconds are multiplied by
     ``REFERENCE_CAL_S`` over the mean of the calibration kernel's times
-    before and after it.  Garbage left by building the inputs is
-    collected first, so it is not charged to the call."""
+    before and after it.  With no clock, each call returns its own
+    seconds as measured and rescaled, and they are summed.  Garbage left
+    by building the inputs is collected first, so it is not charged to
+    the call."""
     gc.collect()
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
         raw = scaled = 0.0
         calls = 0
-        cal = calibration_s()
+        cal = None if clock is None else calibration_s()
         while raw < MIN_SAMPLE_S:
+            if clock is None:
+                elapsed, rescaled = call()
+                raw += elapsed
+                scaled += rescaled
+                calls += 1
+                continue
             start = clock()
             while (elapsed := clock() - start) < CHUNK_S:
                 call()

@@ -168,6 +168,8 @@ def _weight_rows(m: int):
     multiplication per weight in place of an O(k) binomial sum.  C(m, s)
     and C(m+1, k) are walked by the exact ratio steps
     C(m, s+1) = C(m, s)·(m−s)/(s+1) and C(m+1, k) = C(m+1, k−1)·(m+2−k)/k.
+    No weight has more than 2m + 1 bits: C(m, s) <= 2**m, and
+    W(k, s) <= sum_N 2**N 2**(N-1) < 4**m.
     """
     row = [1]
     for s in range(m):
@@ -181,70 +183,94 @@ def _weight_rows(m: int):
         yield w
 
 
-def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[int, int]:
+# H[n] = 2**(n-1) - 1, the rounding step of :func:`_rounded_dot` for an
+# excess width n, made when a row first needs it and kept: it starts
+# empty, and no width needs n above 2*bits + 4 (the kernel's docstring)
+_HALVES: dict[int, int] = {}
+
+
+def _rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int,
+                 narrow: bool) -> tuple[int, int]:
     """sum_s row[s]*c_s of coefficients c_s = man * 2**exp, given as
     (signed man, exp), summed in order from s = 0 and rounded as
     ``Scalar`` arithmetic rounds it, as (man, exp) of the result.
 
     A weight wider than ``bits`` is rounded, then its product with c_s,
     then every partial sum: each step is exact on signed int mantissas
-    and then rounded to nearest-even at ``bits``, n the excess width,
-    by a floor shift that keeps one guard bit: y = x >> (n-1), plus 2
-    when that bit (bit 0 of y) is set and so is bit 1 or a bit below it
-    (y << (n-1) != x), then x = y >> 1.  ``>>`` floors for either sign,
-    so this rounds x/2**n up exactly when its fraction above the floor
-    is over a half, or a half over an odd floor: round-half-even.  It is
-    the one correctly rounded result, so it equals the rounded
-    conversion, product and sum of ``Scalar`` (mpmath) bit for bit; a
-    mantissa rounded up to 2**bits is exact and needs no renormalising.
-    When the exponents of the partial sum and the next term are more
-    than 2*bits + 2 apart, the smaller operand is below a quarter of the
-    larger one's ulp, so it could act only as a sticky bit, which never
-    changes a round-to-nearest result: the larger operand is the rounded
-    sum.  That keeps every shift within 2*bits + 2, whatever the
-    exponents.  A zero term leaves the partial sum as it is, and one
-    that cancels exactly is zero until the next nonzero term.
+    and then rounded to nearest-even at ``bits``, n the excess width.
+    ``>>`` floors for either sign, and a product or sum is rounded by
+    x = (x + H[n] + bit n of x) >> n with H[n] = 2**(n-1) - 1: bit n of
+    x is the parity of the floor of x/2**n, and with f the n low bits of
+    x, f + H[n] + parity reaches 2**n exactly when f is over a half, or
+    a half over an odd floor, so x/2**n is rounded half to even.  A
+    weight, whose n has no bound, is shifted first and keeps one guard
+    bit: y = w >> (n-1), plus 2 when that bit (bit 0 of y) is set and so
+    is bit 1 or a bit below it (y << (n-1) != w), then w = y >> 1, the
+    same rounding on the narrower y.  Each is the one correctly rounded
+    result, so it equals the rounded conversion, product and sum of
+    ``Scalar`` (mpmath) bit for bit; a mantissa rounded up to 2**bits is
+    exact and needs no renormalising.  When the exponents of the partial
+    sum and the next term are more than 2*bits + 2 apart, the smaller
+    operand is below a quarter of the larger one's ulp, so it could act
+    only as a sticky bit, which never changes a round-to-nearest result:
+    the larger operand is the rounded sum.  That bounds n: a coefficient
+    has at most ``bits`` bits (a ``TaylorSeries`` holds none wider) and a
+    rounded weight, product or sum at most bits + 1, so a product has at
+    most 2*bits + 1, and a sum of two operands, one shifted by up to
+    2*bits + 2, at most 3*bits + 4: n <= 2*bits + 4 in ``_HALVES``.
+    Reading H[n] there is faster than making 2**(n-1) - 1 at each step.
+    ``narrow`` is the caller's promise that every weight is below
+    2**bits: then no weight's width is read.  A zero product leaves the
+    partial sum as it is, and one that cancels exactly is zero until the
+    next nonzero term.
     """
     far = 2 * bits + 2
     am = ae = 0
     for w, (cm, ce) in zip(row, c):
-        if not w or not cm:
-            continue
-        pe = ce
-        n = w.bit_length() - bits
-        if n > 0:
-            y = w >> (n - 1)
-            w = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != w) else y) >> 1
-            pe += n
+        if not narrow:
+            n = w.bit_length() - bits
+            if n > 0:
+                y = w >> (n - 1)
+                w = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != w) else y) >> 1
+                ce += n
         pm = cm * w
+        if not pm:
+            continue
         n = pm.bit_length() - bits
         if n > 0:
-            y = pm >> (n - 1)
-            pm = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != pm) else y) >> 1
-            pe += n
+            try:
+                half = _HALVES[n]
+            except KeyError:
+                half = _HALVES[n] = (1 << n - 1) - 1
+            pm = (pm + half + (pm >> n & 1)) >> n
+            ce += n
         if not am:
-            am, ae = pm, pe
+            am, ae = pm, ce
             continue
-        gap = ae - pe
+        gap = ae - ce
         if gap > far:
             continue
         if gap < -far:
-            am, ae = pm, pe
+            am, ae = pm, ce
             continue
         if gap >= 0:
             am = (am << gap) + pm
-            ae = pe
+            ae = ce
         else:
             am += pm << -gap
         n = am.bit_length() - bits
         if n > 0:
-            y = am >> (n - 1)
-            am = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != am) else y) >> 1
+            try:
+                half = _HALVES[n]
+            except KeyError:
+                half = _HALVES[n] = (1 << n - 1) - 1
+            am = (am + half + (am >> n & 1)) >> n
             ae += n
     return am, ae
 
 
-def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[tuple]:
+def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int,
+               weight_bits: int) -> list[tuple]:
     """For each row of integer weights w, the literal sum
     sum_s w[s]*c_s of finite raw float coefficients c_s (a
     ``TaylorSeries`` holds no infinity or NaN), summed in order from
@@ -275,13 +301,18 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[t
     significant bits.  Every other row (a coefficient such as 1e-400 or
     1e400, which a 64-bit ``Scalar`` keeps, or a weight of 2**1023 or
     more) and every other width takes :func:`_rounded_dot`.
+    ``weight_bits`` bounds the bit length of every weight: at most
+    ``bits``, no weight is rounded, so the kernel reads no weight's
+    width.  At 53 bits each row's width is read for the route, and it
+    tells the kernel the same.
     """
     # float mode only: exact runs never load mpmath
     from mpmath.libmp import from_float, from_man_exp
 
     c = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
     if bits != 53:
-        return [from_man_exp(*_rounded_dot(row, c, bits)) for row in rows]
+        narrow = weight_bits <= bits
+        return [from_man_exp(*_rounded_dot(row, c, bits, narrow)) for row in rows]
     cf = []  # the leading coefficients that are normal binary64 numbers
     top = [-1021]  # |c_s| < 2**top[n] for every s < n
     for cm, ce in c:
@@ -298,7 +329,7 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int) -> list[t
             x = reduce(operator.add, map(operator.mul, map(float, row), cf), 0.0)
             out.append(from_float(x))
         else:
-            out.append(from_man_exp(*_rounded_dot(row, c, bits)))
+            out.append(from_man_exp(*_rounded_dot(row, c, bits, b <= bits)))
     return out
 
 
@@ -346,7 +377,7 @@ def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
 
     _warn_if_cancelling(series, m)
     sums = float_dots(series.values[:m + 1], _weight_rows(m),
-                      significand_bits(series.float_precision))
+                      significand_bits(series.float_precision), 2 * m + 1)
     q = tuple(mpf_neg(x) if k % 2 else x for k, x in enumerate(sums))
     return InversePowerApproximant(series.center, q)
 

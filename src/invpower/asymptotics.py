@@ -105,7 +105,9 @@ class AsymptoticEstimate(NamedTuple):
 def _float_weights(m_max: int):
     """The float table's weight rows in order: C(m, s) for q0(m), and for
     m >= 1 then C(m, s+1) - m*C(m, s) (zero at s = 0) for q1(m); row m of
-    Pascal's triangle comes from row m-1 by adjacent additions."""
+    Pascal's triangle comes from row m-1 by adjacent additions.  No
+    weight has more than m_max + bit length of m_max + 1 bits:
+    C(m, s) <= 2**m, and |C(m, s+1) - m*C(m, s)| <= m * 2**m."""
     row = [1]
     yield row
     for m in range(1, m_max + 1):
@@ -120,7 +122,8 @@ def _float_values(series: TaylorSeries, m_max: int) -> list[tuple]:
     from mpmath.libmp import mpf_abs, mpf_sub  # float mode only: exact runs never load mpmath
 
     bits = significand_bits(series.float_precision)
-    sums = float_dots(series.values[:m_max + 1], _float_weights(m_max), bits)
+    sums = float_dots(series.values[:m_max + 1], _float_weights(m_max), bits,
+                      m_max + m_max.bit_length() + 1)
     q = list(zip([sums[0], *sums[1::2]], [None, *sums[2::2]]))
 
     def delta(x: tuple | None, prev: tuple | None) -> tuple | None:

@@ -115,13 +115,109 @@ def decimal_renderer(den: int, digits: int) -> Callable[[int], str]:
     return lambda n: str(divide(Decimal(n), d))
 
 
+def round_rational(num: int, den: int, bits: int) -> tuple:
+    """num/den (den != 0) correctly rounded to ``bits`` significant bits,
+    half to even, as a raw mpmath value ``(sign, man, exp, bc)``: the
+    tuple ``libmp.from_rational(num, den, bits, "n")`` returns.
+
+    One ``divmod`` of |num| * 2**shift by |den| gives a quotient q of
+    bits + 2 or bits + 3 bits, n more than ``bits``; the remainder is
+    a sticky bit, or-ed into bit 0 of q, which lies below the rounding
+    half since n >= 2.  Then (q + 2**(n-1) - 1 + bit n of q) >> n
+    rounds q / 2**n half to even, and so rounds num/den: the correctly
+    rounded result is unique, so it is mpmath's bit for bit.  A
+    mantissa that rounds up to 2**bits and every other even one lose
+    their trailing zeros, as mpmath normalises them.  A zero
+    denominator raises ``ZeroDivisionError`` with mpmath's empty
+    message, and num = 0 gives mpmath's zero.
+    """
+    if not den:
+        raise ZeroDivisionError
+    if not num:
+        return 0, 0, 0, 0
+    sign = 1 if (num < 0) != (den < 0) else 0
+    num, den = abs(num), abs(den)
+    shift = bits + 2 + den.bit_length() - num.bit_length()
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    n = q.bit_length() - bits
+    if r:
+        q |= 1
+    q = (q + (1 << n - 1) - 1 + (q >> n & 1)) >> n
+    zeros = (q & -q).bit_length() - 1
+    q >>= zeros
+    return sign, q, n - shift + zeros, q.bit_length()
+
+
+_LOG2_10 = math.log(10, 2)
+
+
 def float_renderer(precision: int, digits: int | None = None) -> Callable[[tuple], str]:
     """raw -> ``mpmath.nstr`` of a raw mpmath value of width ``precision``:
-    to the width's decimal digits, or to ``digits`` when that is fewer."""
+    to the width's decimal digits, or to ``digits`` when that is fewer.
+
+    The text is ``libmp.to_str(raw, dps)``'s, made by its own integer
+    steps with the constants of one dps bound once: the value as a
+    fixed-point integer of ``fixprec`` fractional bits, times
+    10**fixdps (cached per ``fixprec``) shifted right by ``fixprec``,
+    gives the digits that ``to_str`` reads (dps + 3 of them, floored);
+    digit dps + 1 of 5 or more rounds the first dps up, a 9...9 head
+    carrying to 10...0 and one more in the exponent; then the fixed or
+    exponent layout and the stripped trailing zeros.  Every step is an
+    integer or string operation, so the bytes are ``to_str``'s.  Zero,
+    an infinity and NaN, a dps below 1, a value with |exp + bc| > 3500
+    (where ``to_str`` first scales by a power of ten in mpf arithmetic) and a
+    dps whose digits would pass Python's int-to-str digit limit go to
+    ``libmp.to_str`` itself.
+    """
     n = int(significand_bits(precision) * 0.30103) + 2
     if libmp is None:
         _bind_mpmath()
-    return partial(libmp.to_str, dps=n if digits is None else min(digits, n))
+    dps = n if digits is None else min(digits, n)
+    generic = partial(libmp.to_str, dps=dps)
+    # the digits read have at most dps + 7 digits, or 1,054 (2**3500) when
+    # the value needs no fractional bits; 0 means no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if dps < 1 or limit and max(dps + 7, 1054) > limit:
+        return generic
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    min_fixed = min(-(dps // 3), -5)
+    scales = {}  # fixprec -> (fixdps, 10**fixdps)
+
+    def render(raw: tuple) -> str:
+        sign, man, exp, bc = raw
+        top = exp + bc
+        if not man or top > 3500 or top < -3500:
+            return generic(raw)
+        fixprec = bitprec - top if top < bitprec else 0
+        scale = scales.get(fixprec)
+        if scale is None:
+            fixdps = int(fixprec / _LOG2_10 + 0.5)
+            scale = scales[fixprec] = fixdps, 10 ** fixdps
+        fixdps, ten = scale
+        shift = exp + fixprec
+        text = str((man << shift if shift >= 0 else man >> -shift) * ten >> fixprec)
+        exponent = len(text) - fixdps - 1
+        head = text[:dps]
+        if len(text) > dps and text[dps] >= "5":
+            head = str(int(head) + 1)
+            if len(head) > dps:  # 9...9 carried to 10...0
+                head = head[:dps]
+                exponent += 1
+        if min_fixed < exponent < dps:
+            if exponent < 0:
+                text = "0." + "0" * (-exponent - 1) + head
+            else:
+                text = head[:exponent + 1] + "." + head[exponent + 1:]
+            suffix = ""
+        else:
+            text = head[:1] + "." + head[1:]
+            suffix = f"e+{exponent}" if exponent >= 0 else f"e{exponent}"
+        text = text.rstrip("0")
+        if text[-1] == ".":
+            text += "0"
+        return ("-" if sign else "") + text + suffix
+
+    return render
 
 
 def require_exact(name: str, value: Scalar) -> Fraction:
@@ -207,7 +303,7 @@ class Scalar:
             _require_plain(text)
             if "/" in text:
                 num, den = text.split("/", 1)
-                raw = libmp.from_rational(int(num), int(den), bits, "n")
+                raw = round_rational(int(num), int(den), bits)
             else:
                 raw = libmp.from_str(text, bits, "n")
         except (ValueError, ZeroDivisionError) as exc:
@@ -234,8 +330,8 @@ class Scalar:
         if libmp is None:
             _bind_mpmath()
         f = Fraction(value)
-        return Scalar(libmp.from_rational(f.numerator, f.denominator, significand_bits(precision),
-                                          "n"), precision)
+        return Scalar(round_rational(f.numerator, f.denominator, significand_bits(precision)),
+                      precision)
 
     def __init__(self, value: Union[Fraction, tuple], precision: int | None = None) -> None:
         object.__setattr__(self, "value", value)
@@ -321,10 +417,9 @@ class Scalar:
             raise ValueError(f"cannot combine a {self.precision}-bit float with a {prec}-bit "
                              "float: a float keeps its width")
         bits = significand_bits(prec)
-        x = self.value if not self.exact else libmp.from_rational(
-            self.value.numerator, self.value.denominator, bits, "n")
-        y = other.value if not other.exact else libmp.from_rational(
-            other.value.numerator, other.value.denominator, bits, "n")
+        x = self.value if not self.exact else round_rational(*self.value.as_integer_ratio(), bits)
+        y = other.value if not other.exact else round_rational(*other.value.as_integer_ratio(),
+                                                               bits)
         return x, y, prec
 
     @staticmethod

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .scalar import Scalar, read_only, significand_bits
+from .scalar import Scalar, read_only, round_rational, significand_bits
 
 
 class TaylorSeries:
@@ -53,13 +53,17 @@ class TaylorSeries:
         non_finite = (finf, fninf, fnan)
         if center.value in non_finite:
             raise ValueError(f"center must be finite, got {center}")
+        bits = significand_bits(center.precision)
         for i, v in enumerate(values):
-            if not isinstance(v, tuple):
+            if not isinstance(v, tuple) or len(v) != 4:
                 raise ValueError(f"values[{i}] must be a raw mpmath tuple (sign, man, exp, bc), "
                                  f"got {type(v).__name__}")
             if v in non_finite:
                 raise ValueError(f"coefficient coeffs[{i}] must be finite, "
                                  f"got {Scalar(v, center.precision)}")
+            if v[1].bit_length() > bits:
+                raise ValueError(f"values[{i}] has a {v[1].bit_length()}-bit significand, wider "
+                                 f"than the {bits} bits of a {center.precision}-bit float")
 
     __setattr__ = __delattr__ = read_only
 
@@ -104,11 +108,9 @@ class TaylorSeries:
         center = Scalar.approx(self.center, precision)
         if self.den is None:
             return self
-        from mpmath.libmp import from_rational  # float mode only: exact runs never load mpmath
-
-        bits = significand_bits(precision)
-        return TaylorSeries(center, tuple(from_rational(n, self.den, bits, "n")
-                                          for n in self.values), radius_hint=self.radius_hint)
+        bits, den = significand_bits(precision), self.den
+        return TaylorSeries(center, tuple(round_rational(n, den, bits) for n in self.values),
+                            radius_hint=self.radius_hint)
 
 
 def over_common_denominator(ratios: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:

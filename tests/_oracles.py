@@ -188,6 +188,73 @@ def float_dot(c: list[Scalar], weights: list[int]) -> Scalar:
     return acc
 
 
+def guard_bit_rounded_dot(row: list[int], c: list[tuple[int, int]], bits: int) -> tuple[int, int]:
+    """The float kernel as it rounded before its lookup table, kept as the
+    oracle of ``invpower.approximant._rounded_dot``, which must give the
+    same (man, exp) step for step.
+
+    sum_s row[s]*c_s of coefficients c_s = man * 2**exp, given as
+    (signed man, exp), summed in order from s = 0 and rounded as
+    ``Scalar`` arithmetic rounds it, as (man, exp) of the result.
+
+    A weight wider than ``bits`` is rounded, then its product with c_s,
+    then every partial sum: each step is exact on signed int mantissas
+    and then rounded to nearest-even at ``bits``, n the excess width,
+    by a floor shift that keeps one guard bit: y = x >> (n-1), plus 2
+    when that bit (bit 0 of y) is set and so is bit 1 or a bit below it
+    (y << (n-1) != x), then x = y >> 1.  ``>>`` floors for either sign,
+    so this rounds x/2**n up exactly when its fraction above the floor
+    is over a half, or a half over an odd floor: round-half-even.  It is
+    the one correctly rounded result, so it equals the rounded
+    conversion, product and sum of ``Scalar`` (mpmath) bit for bit; a
+    mantissa rounded up to 2**bits is exact and needs no renormalising.
+    When the exponents of the partial sum and the next term are more
+    than 2*bits + 2 apart, the smaller operand is below a quarter of the
+    larger one's ulp, so it could act only as a sticky bit, which never
+    changes a round-to-nearest result: the larger operand is the rounded
+    sum.  That keeps every shift within 2*bits + 2, whatever the
+    exponents.  A zero term leaves the partial sum as it is, and one
+    that cancels exactly is zero until the next nonzero term.
+    """
+    far = 2 * bits + 2
+    am = ae = 0
+    for w, (cm, ce) in zip(row, c):
+        if not w or not cm:
+            continue
+        pe = ce
+        n = w.bit_length() - bits
+        if n > 0:
+            y = w >> (n - 1)
+            w = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != w) else y) >> 1
+            pe += n
+        pm = cm * w
+        n = pm.bit_length() - bits
+        if n > 0:
+            y = pm >> (n - 1)
+            pm = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != pm) else y) >> 1
+            pe += n
+        if not am:
+            am, ae = pm, pe
+            continue
+        gap = ae - pe
+        if gap > far:
+            continue
+        if gap < -far:
+            am, ae = pm, pe
+            continue
+        if gap >= 0:
+            am = (am << gap) + pm
+            ae = pe
+        else:
+            am += pm << -gap
+        n = am.bit_length() - bits
+        if n > 0:
+            y = am >> (n - 1)
+            am = (y + 2 if y & 1 and (y & 2 or y << (n - 1) != am) else y) >> 1
+            ae += n
+    return am, ae
+
+
 def float_table(c: list[Scalar], m_max: int) -> list[tuple]:
     """Rows (m, q0, q1, delta0, delta1) of a float convergence table by
     the literal row sums, with deltas |q(m) - q(m-1)| in ``Scalar``

@@ -41,6 +41,7 @@ from _oracles import (
     evaluate_scalar_loop,
     expand_to_taylor,
     float_dot,
+    guard_bit_rounded_dot,
     matmul,
     oracle_solve,
     tail_coeffs,
@@ -532,8 +533,14 @@ def _raw(c: list[tuple[int, int]]) -> list[tuple]:
     return [mpmath.libmp.from_man_exp(man, exp) for man, exp in c]
 
 
+def _widest(row: list[int]) -> int:
+    """The bit length of the row's widest weight, the bound ``float_dots``
+    takes."""
+    return max((abs(w) for w in row), default=0).bit_length()
+
+
 def _integer_route(row: list[int], c: list[tuple[int, int]]) -> tuple:
-    return mpmath.libmp.from_man_exp(*_rounded_dot(row, c, 53))
+    return mpmath.libmp.from_man_exp(*_rounded_dot(row, c, 53, False))
 
 
 @functools.cache
@@ -592,7 +599,7 @@ def binary64_rows(draw):
             row.append(w)
             c.append(_coeff(sign * (man | 1), draw(band)))
         else:
-            s_man, s_exp = _rounded_dot(row, c, 53)
+            s_man, s_exp = _rounded_dot(row, c, 53, False)
             if not s_man:
                 continue
             row.append(1)
@@ -622,7 +629,7 @@ def binary64_rows(draw):
 @example(([2 ** 1024 - 1], [_coeff(1, -999)]))            # float(w) would overflow
 def test_binary64_route_equals_integer_route(case):
     row, c = case
-    assert float_dots(_raw(c), [row], 53) == [_integer_route(row, c)]
+    assert float_dots(_raw(c), [row], 53, _widest(row)) == [_integer_route(row, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +712,98 @@ def wide_rows(draw):
 @example((128, [3, -3, 1], [(5, 400), (5, 400), (-1, -900)]))  # cancels, then a far term
 def test_integer_kernel_rounds_wide_rows_as_literal_sums(case):
     width, row, c = case
-    got = mpmath.libmp.from_man_exp(*_rounded_dot(row, c, significand_bits(width)))
+    got = mpmath.libmp.from_man_exp(*_rounded_dot(row, c, significand_bits(width), False))
     assert got == _literal_sum(width, row, c)
+
+
+# significand widths of 64-, 80-, 128-, 256-, 1600- and 2200-bit floats: the
+# last two above 1,500 bits, where a table of fixed size would run out
+_KERNEL_BITS = [significand_bits(w) for w in (64, 80, 128, 256, 1600, 2200)]
+
+
+@st.composite
+def kernel_rows(draw):
+    """A significand width, a weight row and coefficients (man, exp) for
+    the float kernel, built term by term on the guard-bit kernel's
+    partial sums: random terms of either sign with weights narrow or
+    2**bits and wider, zero weights and coefficients, weight ties,
+    product ties, sum ties, a term that cancels the partial sum to
+    exactly zero, and a term whose exponent is 2*bits + 2 (``far``) from
+    the partial sum's, give or take two, on either side: within ``far``
+    both operands are added and rounded, beyond it the smaller one is
+    dropped."""
+    bits = draw(st.sampled_from(_KERNEL_BITS))
+    far = 2 * bits + 2
+    exps = st.integers(-3 * bits, 3 * bits)
+    weights = st.integers(-2 ** 60, 2 ** 60) | st.integers(bits, 3 * bits).flatmap(
+        lambda k: st.integers(-2 ** k, 2 ** k))
+    mantissas = st.integers(-(2 ** bits) + 1, 2 ** bits - 1).filter(bool)
+    row, c = [], []
+    for kind in draw(st.lists(st.sampled_from(["term", "term", "zero", "weight tie",
+                                                "product tie", "sum tie", "cancel", "far"]),
+                              min_size=1, max_size=10)):
+        sign = draw(st.sampled_from([1, -1]))
+        if kind == "term":
+            row.append(draw(weights))
+            c.append((draw(mantissas), draw(exps)))
+        elif kind == "zero":
+            row.append(draw(weights | st.just(0)))
+            c.append((0, 0) if row[-1] else (draw(mantissas), draw(exps)))
+        elif kind == "weight tie":
+            odd = draw(st.integers(2 ** bits, 2 ** (bits + 1) - 1)) | 1
+            row.append(sign * odd << draw(st.integers(0, 8)))
+            c.append((draw(mantissas), draw(exps)))
+        elif kind == "product tie":
+            w = draw(st.integers(1, 2 ** (bits // 2))) * 2 + 1
+            man = draw(st.integers(2 ** (bits - w.bit_length()),
+                                   2 ** (bits + 1 - w.bit_length()) - 1))
+            row.append(sign * w)
+            c.append((man | 1, draw(exps)))
+        else:
+            s_man, s_exp = guard_bit_rounded_dot(row, c, bits)
+            if not s_man:
+                continue
+            row.append(1)
+            if kind == "cancel":
+                c.append((-s_man, s_exp))
+            elif kind == "sum tie":
+                ulp = s_exp + abs(s_man).bit_length() - bits
+                c.append((sign * (2 * draw(st.integers(0, 3)) + 1), ulp - 1))
+            else:
+                gap = draw(st.sampled_from([1, -1])) * (far + draw(st.integers(-2, 2)))
+                c.append((draw(mantissas), s_exp - gap))
+    assume(row)
+    return bits, row, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_rows())
+@example((53, [1, 1], [(2 ** 53 - 1, 0), (1, -108)]))          # gap just inside far
+@example((53, [1, 1], [(2 ** 53 - 1, 0), (1, -109)]))          # ... just outside
+@example((53, [1, 1], [(1, 0), (-(2 ** 53) + 1, 108)]))        # far larger term, inside
+@example((53, [1, 1], [(1, 0), (-(2 ** 53) + 1, 109)]))        # ... outside
+@example((113, [3, -3, 1], [(5, 400), (5, 400), (-1, -900)]))  # cancels, then a far term
+@example((1570, [2 ** 1570 + 1, 1], [(1, 0), (-(2 ** 1570) + 3, -3142)]))
+@example((2169, [-(2 ** 6000) - 1, 7], [(2 ** 2169 - 1, -5), (1, 0)]))
+def test_table_kernel_equals_the_guard_bit_kernel(case):
+    """The float kernel's table rounding gives the guard-bit kernel's
+    (man, exp), bit for bit, at 53 bits (the integer route of 64-bit
+    floats) and at every other width, however wide, and so does a row
+    summed as ``narrow`` when no weight reaches 2**bits."""
+    bits, row, c = case
+    expected = guard_bit_rounded_dot(row, c, bits)
+    assert _rounded_dot(row, c, bits, False) == expected
+    if all(abs(w) < 2 ** bits for w in row):
+        assert _rounded_dot(row, c, bits, True) == expected
 
 
 def _counting_integer_route(monkeypatch) -> list:
     """Make the float kernel record each row it sums on integers."""
     calls = []
 
-    def counted(row, c, bits):
+    def counted(row, c, bits, narrow):
         calls.append(row)
-        return _rounded_dot(row, c, bits)
+        return _rounded_dot(row, c, bits, narrow)
 
     monkeypatch.setattr(approximant, "_rounded_dot", counted)
     return calls
@@ -746,7 +834,7 @@ def test_binary64_guard_edges(monkeypatch, inside, outside):
     calls = _counting_integer_route(monkeypatch)
     for row, ce in (inside, outside):
         c = [_coeff(man, e) for man, e in ce]
-        assert float_dots(_raw(c), [row], 53) == [_integer_route(row, c)]
+        assert float_dots(_raw(c), [row], 53, _widest(row)) == [_integer_route(row, c)]
     assert calls == [outside[0]]
 
     def plain(row, c):
@@ -768,6 +856,6 @@ def test_other_widths_take_the_integer_route(monkeypatch):
     calls = _counting_integer_route(monkeypatch)
     c = [_coeff(3, 1), _coeff(-5, 2)]
     for bits in (113, 237):
-        assert float_dots(_raw(c), [[1, 2]], bits) == [
-            mpmath.libmp.from_man_exp(*_rounded_dot([1, 2], c, bits))]
+        assert float_dots(_raw(c), [[1, 2]], bits, 2) == [
+            mpmath.libmp.from_man_exp(*_rounded_dot([1, 2], c, bits, True))]
     assert len(calls) == 2

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invpower import approximant, asymptotics
 from invpower.approximant import coeffs_closed_form, float_dots
 from invpower.asymptotics import (
     ConvergenceRow,
@@ -259,6 +260,31 @@ def test_float_rows_and_coefficients_match_literal_sums_past_the_hazard(width):
                zip(q, float_closed_form_q(list(series.coeffs), 70), strict=True))
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 50, 106, 300])
+def test_float_kernel_callers_bound_every_weight_they_pass(monkeypatch, m):
+    """``convergence_table`` and ``coeffs_closed_form`` tell ``float_dots``
+    a bound on their weights' bit lengths, and a weight under
+    2**significand is then never read for its width: every weight of
+    every row they pass is within the bound they give."""
+    seen = []
+
+    def spy(raw, rows, bits, weight_bits):
+        rows = list(rows)
+        seen.append((rows, weight_bits))
+        return float_dots(raw, rows, bits, weight_bits)
+
+    monkeypatch.setattr(approximant, "float_dots", spy)
+    monkeypatch.setattr(asymptotics, "float_dots", spy)
+    series = series_from_rationals(1, [1] * (m + 1)).to_inexact(128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CancellationWarning)
+        convergence_table(series, m)
+        coeffs_closed_form(series, m)
+    assert len(seen) == 2
+    for rows, bound in seen:
+        assert max(abs(w) for row in rows for w in row).bit_length() <= bound
+
+
 RULE = ": a series takes den exactly when its center is exact"
 ONE, ONE64 = Scalar.rational(1), Scalar.approx(1, 64)
 
@@ -290,12 +316,21 @@ def test_mixed_series_rejected_naming_the_entry(center, values, den, message):
      "values[1] must be a raw mpmath tuple (sign, man, exp, bc), got Scalar"),
     (ONE64, (mpmath.mpf(1),), None,
      "values[0] must be a raw mpmath tuple (sign, man, exp, bc), got mpf"),
+    (ONE64, ((0, 1, 0),), None,
+     "values[0] must be a raw mpmath tuple (sign, man, exp, bc), got tuple"),
+    (ONE64, (ONE64.value, Scalar.approx(Fraction(1, 3), 128).value), None,
+     "values[1] has a 113-bit significand, wider than the 53 bits of a 64-bit float"),
+    (ONE64, ((0, 2**300, 0, 1),), None,
+     "values[0] has a 301-bit significand, wider than the 53 bits of a 64-bit float"),
 ], ids=["empty", "den-zero", "den-negative", "den-float", "den-bool", "value-fraction",
-        "value-bool", "value-scalar", "value-mpf"])
+        "value-bool", "value-scalar", "value-mpf", "value-short-tuple", "value-too-wide",
+        "value-too-wide-bc-understated"])
 def test_invalid_series_rejected_naming_the_field(center, values, den, message):
     """Exact ``values`` are ints over a positive int ``den``, and float
-    ``values`` raw mpmath tuples: anything else is rejected when the
-    series is built, naming the field."""
+    ``values`` raw mpmath tuples whose mantissa is no wider than the
+    center's significand, whatever their ``bc`` says (the float kernel's
+    bound on its rounding steps rests on it): anything else is rejected
+    when the series is built, naming the field."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TaylorSeries(center, values, den=den)
 
@@ -418,7 +453,8 @@ def test_float_terms_far_from_the_partial_sum_match_literal_sums(width):
 ])
 def test_float_kernel_rounds_wide_weights_as_literal_sums(weights, c, expected):
     coeffs = [Scalar.approx(c, 64)] * len(weights)
-    (got,) = float_dots([x.value for x in coeffs], [weights], significand_bits(64))
+    (got,) = float_dots([x.value for x in coeffs], [weights], significand_bits(64),
+                        max(abs(w) for w in weights).bit_length())
     assert got == float_dot(coeffs, weights).value
     if expected is not None:
         assert Scalar(got, 64).as_fraction() == expected

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, from_rational, to_str
 
 from invpower.scalar import (
     MIN_PRECISION,
@@ -24,6 +24,7 @@ from invpower.scalar import (
     float_renderer,
     parse_ratio,
     ratio_text,
+    round_rational,
     significand_bits,
 )
 
@@ -411,6 +412,110 @@ def test_float_renderer_writes_the_nstr_text(case):
     assert float_renderer(precision, digits)(raw) == expected
     value = Scalar(raw, precision)
     assert (str(value) if digits is None else value.render_decimal(digits)) == expected
+
+
+_ORACLE_WIDTHS = [64, 80, 128, 256, 4096]
+_DIGITS_4301 = 10 ** 4300 + 1  # a 4,301-digit numerator
+
+
+@st.composite
+def rationals_to_round(draw):
+    """(num, den, bits): either sign on either part, zero, small and
+    4,301-digit numerators, power-of-two and odd denominators, and exact
+    ties, odd multiples of half an ulp at ``bits``, whose floor is odd
+    (rounds away from zero) or even (rounds toward it)."""
+    bits = significand_bits(draw(st.sampled_from(_ORACLE_WIDTHS)))
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["random", "power of two", "tie", "huge", "zero"]))
+    if kind == "tie":
+        floor = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+        num, den = 2 * floor + 1, 2 ** draw(st.integers(0, 2 * bits))
+        shift = draw(st.integers(0, 40))
+        return sign * num << shift, den << shift, bits
+    if kind == "zero":
+        return 0, sign * draw(st.integers(1, 10 ** 30)), bits
+    num = {"huge": st.just(_DIGITS_4301) | st.integers(10 ** 4300, 10 ** 4301 - 1),
+           "random": st.integers(1, 2 ** 700), "power of two": st.integers(1, 2 ** 700)}[kind]
+    den = (st.integers(0, 3000).map(lambda k: 2 ** k) if kind == "power of two"
+           else st.integers(1, 2 ** 700) | st.integers(1, 10 ** 4301))
+    return sign * draw(num), draw(st.sampled_from([1, -1])) * draw(den), bits
+
+
+@settings(max_examples=500, deadline=None)
+@given(rationals_to_round())
+@example((1, 3, 53))
+@example((2 ** 53 + 1, 2, 53))                         # 2**52 + 1/2: a tie, down to even
+@example((2 ** 53 + 3, 2, 53))                         # 2**52 + 3/2: a tie, up to even
+@example((-(2 ** 53) - 1, 2, 53))                      # negative tie, toward zero
+@example((-(2 ** 53) - 3, 2, 53))                      # negative tie, away from zero
+@example((2 ** 237 - 1, 1, 237))                       # fits exactly
+@example((2 ** 238 - 1, 1, 237))                       # rounds up to 2**238
+@example((0, -7, 113))
+@example((_DIGITS_4301, 3, 4061))
+@example((-1, _DIGITS_4301, 4061))
+def test_round_rational_is_from_rational(case):
+    """``round_rational`` gives mpmath's correctly rounded raw tuple."""
+    num, den, bits = case
+    assert round_rational(num, den, bits) == from_rational(num, den, bits, "n")
+
+
+def test_round_rational_zero_denominator_is_mpmath_error():
+    for num in (0, 1, -5):
+        with pytest.raises(ZeroDivisionError) as caught:
+            round_rational(num, 0, 53)
+        with pytest.raises(ZeroDivisionError) as expected:
+            from_rational(num, 0, 53, "n")
+        assert str(caught.value) == str(expected.value) == ""
+
+
+@st.composite
+def raws_to_render(draw):
+    """(width, raw value at that width): either sign, near 1, near the
+    edges of the fixed layout (10**e with e at min_fixed or at dps, give
+    or take two, and just below them, where the head carries 9...9 to
+    10...0), with |exp + bc| at 3500 give or take one, or anywhere, and
+    zero and the non-finite values."""
+    precision = draw(st.sampled_from(_ORACLE_WIDTHS))
+    bits, dps = significand_bits(precision), _dps(precision)
+    sign = draw(st.sampled_from([1, -1]))
+    kind = draw(st.sampled_from(["random", "power of ten", "below a power of ten",
+                                 "3500", "special"]))
+    if kind == "special":
+        return precision, draw(st.sampled_from([from_man_exp(0, 0), finf, fninf, fnan]))
+    if kind == "3500":
+        man = draw(st.integers(1, 2 ** bits - 1))
+        top = draw(st.sampled_from([1, -1])) * draw(st.integers(3499, 3501))
+        return precision, from_man_exp(sign * man, top - man.bit_length())
+    if kind == "random":
+        man = draw(st.integers(1, 2 ** bits - 1))
+        return precision, from_man_exp(sign * man, draw(st.integers(-bits - 40, 40)
+                                                        | st.integers(-3600, 3600)))
+    e = draw(st.sampled_from([min(-(dps // 3), -5), 0, dps, dps - 1]) | st.integers(-40, 40))
+    e += draw(st.integers(-2, 2))
+    num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+    if kind == "below a power of ten":
+        # 10**e less a few units in the last of 2*dps digits: rounds up to it
+        scale = 10 ** (2 * dps)
+        num, den = num * scale - draw(st.integers(1, 5)), den * scale
+    return precision, round_rational(sign * num, den, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raws_to_render())
+@example((64, round_rational(-9999999999999999999, 10 ** 19, 53)))
+@example((4096, round_rational(10 ** 1300 - 1, 10 ** 1300, significand_bits(4096))))
+@example((128, from_man_exp(3, 3500 - 2)))
+@example((128, from_man_exp(3, 3501 - 2)))
+@example((256, from_man_exp(-3, -3500 - 2)))
+@example((256, from_man_exp(-3, -3501 - 2)))
+def test_float_renderer_is_to_str_at_every_digit_budget(case):
+    """``float_renderer`` gives ``libmp.to_str``'s text at each budget
+    from 1 digit to 5 past the width's digits (which it caps at those)."""
+    precision, raw = case
+    dps = _dps(precision)
+    for digits in range(1, dps + 6):
+        assert float_renderer(precision, digits)(raw) == to_str(raw, min(digits, dps)), digits
+    assert float_renderer(precision)(raw) == to_str(raw, dps)
 
 
 def test_narrow_widths_raise_on_every_call():

@@ -104,7 +104,8 @@ def test_bench_writes_one_column_per_run(tmp_path):
                   "convergence_table float128", "convergence_table float256",
                   "coeffs_closed_form float64", "coeffs_closed_form float128",
                   "coeffs_closed_form float256", "taylor_coeffs exact",
-                  "load_coefficient_file exact", "evaluate exact",
+                  "load_coefficient_file exact", "to_inexact float128",
+                  "float_renderer float128", "evaluate exact",
                   "evaluate float128", "binomial_convolve exact", "estimate_limits exact",
                   "cli estimate exact csv", "cli estimate exact json", "cli estimate float64",
                   "cli estimate float128", "cli estimate float256", "cli approximate float128",
