@@ -1,28 +1,34 @@
 """Executable checks for the binomial identities behind the convergence
 argument.
 
-Each identity is checked one (m, k) pair at a time by a family kernel
-that returns both sides for every inner parameter (n or a) at once.  The
-two sides are computed by structurally different code:
+The suite runs one m at a time.  At each m a family kernel returns both
+sides for every admissible k of the range at once, as vectors over k:
+one left side, and one right side per inner parameter (n or a).  The two
+sides are computed by structurally different code:
 
-* the **literal** side is the term-by-term sum (or product) written in
-  ``math.comb``, evaluated once per (m, k) and compared against every
-  inner parameter.  Its terms run through C-level ``map`` calls, and the
-  signed row (-1)^n comb(m, n) is built once per m, by the first family
-  that reads it;
+* the **literal** side is the term-by-term sum written in ``math.comb``.
+  It reads one table built per suite call, T[k][n] = comb(k-1+n, n) for
+  k >= 1, which holds every left-side binomial of the convolution,
+  weighted and hockey-stick families, and per m the literal row (-1)^n
+  comb(m, n), built only when some k >= 1 is in the range;
 * the **walked** side never calls ``math.comb`` or ``binom``.  It reads
   one Pascal band per suite call, D[c][e] = C(c+e, e) for c up to the
   largest k and e up to the largest m: row 0 is all ones and row c holds
   the prefix sums of row c-1 (the hockey stick).  The shift families also
   read, per m, the signed rows (-1)^(a+j) C(m-a, j): row a = 0 is walked
   by the exact ratio C(m, j+1) = C(m, j)·(m-j)/(j+1), and row a+1 is the
-  negated prefix sums of row a.  A right side is then one band entry or a
-  C-level sum of products of a band slice and a signed row.  A factor
+  negated prefix sums of row a.  The right sides at one (m, inner
+  parameter) are one band entry per k, or the band rows' slices against
+  one signed row, summed for every k in one C-level pass.  A factor
   whose lower index is negative or exceeds its upper one is 0; the code
   drops it rather than reading an index that would wrap.
 
-Neither side reads a value the other computed.  All arithmetic is over
-Python big integers.
+The row prefix family, which has at most m cases at one m, runs one k at
+a time over the m values instead.  Neither side reads a value the other
+computed, and all arithmetic is over Python big integers.  Every case is
+compared on its own: a vector of cases is counted with one
+``sum(map(eq, ...))`` (``gt`` for the strict family), and an
+:class:`IdentityCase` is built only for a failing one.
 
 The identity families, with the walked side named:
 
@@ -47,7 +53,8 @@ The identity families, with the walked side named:
                                Walked: the shifted sums, band row k-1-a
                                against signed row a, and the correction
                                sum_{r<=a} (-1)^r (m-r) C(k,r), a running
-                               sum over a of C(k, r) = D[k-r][r].
+                               vector over k across a, with C(k, r) =
+                               D[k-r][r].
 * WEIGHTED_CONVOLUTION_CLOSED  its endpoint:
                                (-1)^(m-1) { m C(k-1,m) + C(k-2,m-1) }.
                                Walked: the right side, from D[k-1-m].
@@ -60,10 +67,10 @@ implementation bug).
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import accumulate, cycle, repeat
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, cycle, islice, repeat
 from math import comb, factorial
-from operator import mul, neg, sub
+from operator import add, eq, getitem, gt, itemgetter, mul, neg, sub
 from typing import NamedTuple, Sequence
 
 FACTORIAL_DOMINANCE = "FACTORIAL_DOMINANCE"
@@ -105,7 +112,7 @@ class IdentityCase(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# what the kernels read: the walked band and rows, the literal comb row
+# what the kernels read: the walked band and rows, the literal table and row
 # ---------------------------------------------------------------------------
 
 
@@ -128,60 +135,76 @@ def _signed_row(m: int) -> list[int]:
     return row
 
 
-class _Shared:
-    """What the kernels at one m read, each part built by the first kernel
-    that needs it and kept for the rest of that m: the band, the walked
-    signed rows, and on the literal side the row (-1)^n comb(m, n)."""
+def _table(k_top: int, m_top: int) -> list[list[int]]:
+    """The literal table T[k][n] = comb(k-1+n, n) for 1 <= k <= k_top and
+    0 <= n <= m_top; no left side reads a row k = 0, so T[0] is empty."""
+    return [[], *(list(map(comb, range(k - 1, k + m_top), range(m_top + 1)))
+                  for k in range(1, k_top + 1))]
 
-    def __init__(self, band: list[list[int]], m: int):
-        self.band = band
-        self.m = m
-        self._rows: list[list[int]] = []
 
-    def rows(self, depth: int) -> list[list[int]]:
-        """Walked rows with rows[a][j] = (-1)^(a+j) C(m-a, j), for at least
-        a = 0..depth: row a+1 is the negated prefix sums of row a, since
-        sum_{i<=j} (-1)^i C(n, i) = (-1)^j C(n-1, j)."""
-        rows = self._rows
-        if not rows:
-            rows.append(_signed_row(self.m))
-        while len(rows) <= depth:
-            rows.append(list(map(neg, accumulate(rows[-1][:-1]))))
-        return rows
+class _Shared(NamedTuple):
+    """What the kernels at one m read: the band and the walked rows
+    rows[a][j] = (-1)^(a+j) C(m-a, j) on the walked side, the table and
+    the literal row (-1)^n comb(m, n) on the literal side."""
 
-    @cached_property
-    def signed_comb(self) -> list[int]:
-        """Literal (-1)^n comb(m, n) for n = 0..m."""
-        m = self.m
-        return list(map(mul, map(comb, repeat(m), range(m + 1)), cycle(_SIGNS)))
+    band: list[list[int]]
+    rows: list[list[int]]
+    table: list[list[int]]
+    literal: list[int]
 
-    @cached_property
-    def closed_weights(self) -> list[int]:
-        """Literal (-1)^n { comb(m, n+1) - m comb(m, n) } for n = 1..m."""
-        s = self.signed_comb
-        return list(map(sub, map(mul, repeat(-self.m), s[1:]), s[2:] + [0]))
+
+def _shared(m: int, k_top: int, band: list[list[int]], table: list[list[int]]) -> _Shared:
+    """The kernels' values at m >= 0 for a k range that tops out at
+    k_top >= 1: the literal row to n = m, and the walked rows to a =
+    min(m, k_top-1), past which every band row k-1-a is negative.  Row
+    a+1 is the negated prefix sums of row a, since sum_{i<=j} (-1)^i
+    C(n, i) = (-1)^j C(n-1, j)."""
+    rows = [_signed_row(m)]
+    for _ in range(min(m, k_top - 1)):
+        rows.append(list(map(neg, accumulate(rows[-1][:-1]))))
+    literal = list(map(mul, map(comb, repeat(m), range(m + 1)), cycle(_SIGNS)))
+    return _Shared(band, rows, table, literal)
+
+
+def _gather(rows: list, ks: Sequence[int], shift: int):
+    """rows[k - shift] for each k of ks, lazily."""
+    return map(rows.__getitem__, map(sub, ks, repeat(shift)))
+
+
+def _dots(rows, weights: Sequence[int], start: int = 0):
+    """sum_j rows[i][start + j] * weights[j] for each row i, lazily, in one
+    C-level pass; each sum stops at the shorter of the two."""
+    if start:
+        rows = map(getitem, rows, repeat(slice(start, start + len(weights))))
+    return map(sum, map(map, repeat(mul), rows, repeat(weights)))
 
 
 # ---------------------------------------------------------------------------
-# family kernels: (literal lhs, [walked rhs per inner parameter]) at one (m, k)
+# family kernels: (literal lhs over k, [walked rhs over k per inner parameter])
+# at one m for its sorted admissible k values ks; the row prefix swaps m and k
 # ---------------------------------------------------------------------------
 
-
-def _factorial_dominance(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
-    """(m+1)! C(k, m+1) and C(k+n-1, n) for n = 0..m (k > m+1)."""
-    return factorial(m + 1) * comb(k, m + 1), at.band[k - 1][:m + 1]
+_Sides = tuple[list[int], list[Sequence[int]]]
 
 
-def _alternating_row_prefix(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
-    """sum_{n<=k} (-1)^n C(m, n) and (-1)^k C(m-1, k) (0 <= k <= m-1).
-    The left side reads only its k+1 terms, so a run with k = 0 builds no
-    row of m+1 terms."""
-    lhs = sum(map(mul, map(comb, repeat(m), range(k + 1)), cycle(_SIGNS)))
-    c = at.band[k][m - 1 - k]
-    return lhs, [-c if k % 2 else c]
+def _factorial_dominance(m: int, ks: Sequence[int], at: _Shared) -> _Sides:
+    """(m+1)! C(k, m+1) and, for n = 0..m, C(k+n-1, n) (k > m+1)."""
+    lhs = list(map(mul, repeat(factorial(m + 1)), map(comb, ks, repeat(m + 1))))
+    return lhs, list(islice(zip(*_gather(at.band, ks, 1)), m + 1))
 
 
-def _convolution(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
+def _alternating_row_prefix(k: int, ms: Sequence[int], band: list[list[int]]) -> _Sides:
+    """For each m of ms (m > k >= 0), sum_{n<=k} (-1)^n C(m, n) and
+    (-1)^k C(m-1, k) = (-1)^k D[k][m-1-k]: this family runs one k at a
+    time, over the m values above it."""
+    lhs = [0] * len(ms)
+    for n in range(k + 1):
+        lhs = list(map(sub if n % 2 else add, lhs, map(comb, ms, repeat(n))))
+    rhs = map(band[k].__getitem__, map(sub, ms, repeat(k + 1)))
+    return lhs, [list(map(neg, rhs) if k % 2 else rhs)]
+
+
+def _convolution(m: int, ks: Sequence[int], at: _Shared) -> _Sides:
     """The alternating convolution sum_n (-1)^n C(m,n) C(k+n-1,n), and the
     shift family's right sides for a = 0..m,
 
@@ -190,22 +213,26 @@ def _convolution(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
     followed by the closed form (-1)^m C(k-1, m) (k >= 1).  For a <= k-1
     the first factor is D[k-1-a][j+a]; for a > k-1 it is 0, and so is the
     right side."""
-    lhs = sum(map(mul, at.signed_comb, map(comb, range(k - 1, k + m), range(m + 1))))
-    band, top = at.band, min(m, k - 1)
-    rows = at.rows(top)
-    rhs = [sum(map(mul, band[k - 1 - a][a:m + 1], rows[a])) for a in range(top + 1)]
-    rhs += [0] * (m - top)
-    closed = band[k - 1 - m][m] if m <= k - 1 else 0
-    return lhs, [*rhs, -closed if m % 2 else closed]
+    lhs = list(_dots(_gather(at.table, ks, 0), at.literal))
+    band, width = at.band, len(ks)
+    rhs = []
+    for a, row in enumerate(at.rows):
+        lo = bisect_right(ks, a)
+        rhs.append([*repeat(0, lo), *_dots(_gather(band, ks[lo:], a + 1), row, a)])
+    rhs += ([0] * width for _ in range(m + 1 - len(rhs)))
+    lo = bisect_right(ks, m)
+    closed = map(itemgetter(m), _gather(band, ks[lo:], m + 1))
+    rhs.append([*repeat(0, lo), *(map(neg, closed) if m % 2 else closed)])
+    return lhs, rhs
 
 
-def _hockey_stick(k: int, m: int, at: _Shared) -> tuple[int, list[int]]:
+def _hockey_stick(m: int, ks: Sequence[int], at: _Shared) -> _Sides:
     """sum_{z<m} C(k+z-2, k-2) and C(k+m-2, k-1) (k >= 2, m >= 1)."""
-    lhs = sum(map(comb, range(k - 2, k + m - 2), repeat(k - 2)))
-    return lhs, [at.band[k - 1][m - 1]]
+    lhs = list(map(sum, map(islice, _gather(at.table, ks, 1), repeat(m))))
+    return lhs, [list(map(itemgetter(m - 1), _gather(at.band, ks, 1)))]
 
 
-def _weighted_shift(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
+def _weighted_shift(m: int, ks: Sequence[int], at: _Shared) -> _Sides:
     """The weighted convolution sum_{n=1..m-1} (-1)^n C(m,n+1) C(k+n-1,k-1)
     and its right sides for a = 1..m-2 (k >= 2):
 
@@ -213,30 +240,34 @@ def _weighted_shift(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
         + sum_{r=1..a} (-1)^r (m-r) C(k, r).
 
     For a <= k-1, C(k+n-1, k-1-a) = D[k-1-a][n+a]; for a > k-1 it is 0.
-    The correction is a running sum over a, with C(k, r) = D[k-r][r] for
-    r <= k and 0 beyond."""
-    lhs = -sum(map(mul, at.signed_comb[2:], map(comb, range(k, k + m - 1), repeat(k - 1))))
-    band = at.band
-    rows = at.rows(min(m - 2, k - 1))
+    The correction is a running vector over k across a, with C(k, r) =
+    D[k-r][r] for r <= k and 0 beyond."""
+    lhs = list(_dots(_gather(at.table, ks, 0), [0, *map(neg, at.literal[2:])]))
+    band, width = at.band, len(ks)
+    correction = [0] * width
     rhs = []
-    correction = 0
     for a in range(1, m - 1):
-        if a <= k:
-            term = (m - a) * band[k - a][a]
-            correction += -term if a % 2 else term
-        shifted = -sum(map(mul, band[k - 1 - a][a + 1:m], rows[a][2:])) if a < k else 0
-        rhs.append(shifted + correction)
+        lo = bisect_left(ks, a)
+        terms = map(itemgetter(a), _gather(band, ks[lo:], a))
+        weight = a - m if a % 2 else m - a
+        correction[lo:] = map(add, correction[lo:], map(mul, repeat(weight), terms))
+        lo = bisect_right(ks, a)
+        shifted = _dots(_gather(band, ks[lo:], a + 1), [*map(neg, at.rows[a][2:])], a + 1) \
+            if lo < width else ()
+        rhs.append([*correction[:lo], *map(add, shifted, correction[lo:])])
     return lhs, rhs
 
 
-def _weighted_convolution(m: int, k: int, at: _Shared) -> tuple[int, list[int]]:
+def _weighted_convolution(m: int, ks: Sequence[int], at: _Shared) -> _Sides:
     """sum_{n=1..m} {C(m,n+1) - m C(m,n)} (-1)^n C(k+n-1,n) and
     (-1)^(m-1) {m C(k-1,m) + C(k-2,m-1)} (m >= 1, k >= 2).  Both binomials
     of the right side are 0 when m > k-1."""
-    lhs = sum(map(mul, at.closed_weights, map(comb, range(k, k + m), range(1, m + 1))))
-    c = k - 1 - m
-    value = m * at.band[c][m] + at.band[c][m - 1] if c >= 0 else 0
-    return lhs, [value if m % 2 else -value]
+    s = at.literal
+    weights = [0, *map(sub, map(mul, repeat(-m), s[1:]), [*s[2:], 0])]
+    lhs = list(_dots(_gather(at.table, ks, 0), weights))
+    lo = bisect_right(ks, m)
+    closed = _dots(_gather(at.band, ks[lo:], m + 1), (1, m), m - 1)
+    return lhs, [[*repeat(0, lo), *(closed if m % 2 else map(neg, closed))]]
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +301,6 @@ class SuiteReport:
         return ("SuiteReport(total={!r}, passed={!r}, failed={!r}, skipped={!r}, failures={!r})"
                 .format(*self._key()))
 
-    def tally(self, identity_id: str, params: dict[str, int], lhs: int,
-              rhs_values: Sequence[int], inner: str | None = None, start: int = 0,
-              strict: bool = False) -> None:
-        """Count one case per right side against the shared left side:
-        each must equal it, or with ``strict`` lie below it.
-
-        The i-th right side belongs to the inner parameter ``inner`` =
-        ``start + i``.  An :class:`IdentityCase` is built only for a
-        failure, in the order of the right sides.
-        """
-        count = len(rhs_values)
-        self.total += count
-        if strict:
-            all_hold = not rhs_values or lhs > max(rhs_values)
-        else:
-            all_hold = rhs_values.count(lhs) == count
-        if all_hold:
-            self.passed += count
-            return
-        for i, rhs in enumerate(rhs_values, start):
-            if lhs > rhs if strict else lhs == rhs:
-                self.passed += 1
-            else:
-                self.failed += 1
-                case_params = params if inner is None else {**params, inner: i}
-                self.failures.append(IdentityCase(identity_id, case_params, lhs, rhs, False))
-
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
@@ -312,46 +316,78 @@ def run_suite(ranges: SuiteRanges = SuiteRanges()) -> SuiteReport:
 
     (m, k) pairs outside an identity's precondition are counted as
     skipped for that identity; admissible pairs expand to all admissible
-    inner parameters.  Each family kernel runs once per admissible (m, k),
-    on one band built for the whole call.
+    inner parameters.  Each family kernel runs once per m, over the k
+    values sorted so that its admissible ones are one slice, on one band
+    and one table built for the whole call.  The row prefix, whose cases
+    at one m are at most m, runs once per k over the sorted m values
+    instead.  Failures are reported in (m, k, family, inner parameter)
+    order, m and k in range order.
     """
     report = SuiteReport()
-    band = _band(max(ranges.k_values, default=0), max(ranges.m_values, default=0))
-    for m in ranges.m_values:
-        at = _Shared(band, m)
-        for k in ranges.k_values:
-            mk = {"m": m, "k": k}
-            # factorial dominance: k > m+1, all 0 <= n <= m
-            if m >= 0 and k > m + 1:
-                lhs, rhs = _factorial_dominance(m, k, at)
-                report.tally(FACTORIAL_DOMINANCE, mk, lhs, rhs, inner="n", strict=True)
-            else:
-                report.skipped += 1
-            # alternating prefix: uses k as the prefix length
-            if m >= 1 and 0 <= k <= m - 1:
-                report.tally(ALTERNATING_ROW_PREFIX, mk, *_alternating_row_prefix(m, k, at))
-            else:
-                report.skipped += 1
-            # shift family and its closed endpoint share the left side
-            if m >= 0 and k >= 1:
-                lhs, rhs = _convolution(m, k, at)
-                report.tally(CONVOLUTION_SHIFT_FAMILY, mk, lhs, rhs[:-1], inner="a")
-                report.tally(ALTERNATING_CONVOLUTION_CLOSED, mk, lhs, rhs[-1:])
-            else:
-                report.skipped += 2
-            # hockey stick
-            if k >= 2 and m >= 1:
-                report.tally(HOCKEY_STICK, {"k": k, "m": m}, *_hockey_stick(k, m, at))
-            else:
-                report.skipped += 1
-            # weighted family and its closed endpoint
-            if m > 1 and k >= 2 and m - 2 >= 1:
-                lhs, rhs = _weighted_shift(m, k, at)
-                report.tally(WEIGHTED_SHIFT_FAMILY, mk, lhs, rhs, inner="a", start=1)
-            else:
-                report.skipped += 1
-            if m >= 1 and k >= 2:
-                report.tally(WEIGHTED_CONVOLUTION_CLOSED, mk, *_weighted_convolution(m, k, at))
-            else:
-                report.skipped += 1
+    m_values, k_values = ranges.m_values, ranges.k_values
+    m_order = sorted(range(len(m_values)), key=m_values.__getitem__)
+    k_order = sorted(range(len(k_values)), key=k_values.__getitem__)
+    ms, ks = [m_values[i] for i in m_order], [k_values[i] for i in k_order]
+    width = len(ks)
+    k_top, m_top = max(ks, default=0), max(ms, default=0)
+    band, table = _band(k_top, m_top), _table(k_top, m_top)
+    zero, one, two = bisect_left(ks, 0), bisect_left(ks, 1), bisect_left(ks, 2)
+    failures = []  # (m position, k position, family, inner parameter, case)
+
+    def tally(identity_id, sides, m_places, k_places, inner=None, start=0, holds=eq):
+        """Count the cases of one family's side vectors: the i-th entry is
+        at the i-th positions of ``m_places`` and ``k_places`` in the m and
+        k ranges, and the j-th right side at the inner parameter start + j."""
+        lhs, rhs_rows = sides
+        cases = len(lhs) * len(rhs_rows)
+        passed = sum(map(sum, map(map, repeat(holds), repeat(lhs), rhs_rows)))
+        report.total += cases
+        report.passed += passed
+        if passed == cases:
+            return
+        report.failed += cases - passed
+        family, places = IDENTITY_IDS.index(identity_id), list(zip(m_places, k_places))
+        for value, rhs in enumerate(rhs_rows, start):
+            for (m_pos, k_pos), left, right in zip(places, lhs, rhs):
+                if not holds(left, right):
+                    m, k = m_values[m_pos], k_values[k_pos]
+                    params = {"k": k, "m": m} if identity_id == HOCKEY_STICK else {"m": m, "k": k}
+                    if inner:
+                        params[inner] = value
+                    case = IdentityCase(identity_id, params, left, right, False)
+                    failures.append((m_pos, k_pos, family, value, case))
+
+    ks1, pos1, ks2, pos2 = ks[one:], k_order[one:], ks[two:], k_order[two:]
+    for m_pos, m in enumerate(m_values):
+        if m < 0 or one == width:
+            report.skipped += 6 * width
+            continue
+        at, here = _shared(m, k_top, band, table), repeat(m_pos)
+        # factorial dominance: k > m+1, all 0 <= n <= m
+        lo = bisect_left(ks, m + 2)
+        if lo < width:
+            tally(FACTORIAL_DOMINANCE, _factorial_dominance(m, ks[lo:], at), here, k_order[lo:],
+                  "n", holds=gt)
+        # shift family and its closed endpoint share the left side: k >= 1
+        lhs, rhs = _convolution(m, ks1, at)
+        tally(CONVOLUTION_SHIFT_FAMILY, (lhs, rhs[:-1]), here, pos1, "a")
+        tally(ALTERNATING_CONVOLUTION_CLOSED, (lhs, rhs[-1:]), here, pos1)
+        # hockey stick, the weighted family and its closed endpoint: k >= 2
+        if ks2 and m >= 1:
+            tally(HOCKEY_STICK, _hockey_stick(m, ks2, at), here, pos2)
+            if m >= 3:
+                tally(WEIGHTED_SHIFT_FAMILY, _weighted_shift(m, ks2, at), here, pos2, "a", 1)
+            tally(WEIGHTED_CONVOLUTION_CLOSED, _weighted_convolution(m, ks2, at), here, pos2)
+        report.skipped += lo + 2 * one + 2 * (two if m >= 1 else width) \
+            + (two if m >= 3 else width)
+    # alternating prefix: uses k as the prefix length, 0 <= k <= m-1
+    report.skipped += zero * len(ms)
+    for k_pos, k in zip(k_order[zero:], ks[zero:]):
+        lo = bisect_right(ms, k)
+        if lo < len(ms):
+            tally(ALTERNATING_ROW_PREFIX, _alternating_row_prefix(k, ms[lo:], band),
+                  m_order[lo:], repeat(k_pos))
+        report.skipped += lo
+    failures.sort(key=itemgetter(0, 1, 2, 3))
+    report.failures = list(map(itemgetter(4), failures))
     return report

@@ -273,9 +273,10 @@ def test_verify_identities_reports_a_failing_case(capsys, monkeypatch):
     the exit code."""
     original = identities._convolution
 
-    def broken(m, k, at):
-        lhs, rhs = original(m, k, at)
-        return lhs, [r + 1 if (m, k, a) == (2, 3, 1) else r for a, r in enumerate(rhs)]
+    def broken(m, ks, at):
+        lhs, rhs = original(m, ks, at)
+        return lhs, [[r + 1 if (m, k, a) == (2, 3, 1) else r for k, r in zip(ks, row)]
+                     for a, row in enumerate(rhs)]
 
     monkeypatch.setattr(identities, "_convolution", broken)
     code, out, err = run(capsys, "verify-identities", "--m-max", "3", "--k-max", "3")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invpower import identities
+from invpower import cli, identities
 from invpower.identities import (
     ALTERNATING_CONVOLUTION_CLOSED,
     ALTERNATING_ROW_PREFIX,
@@ -23,12 +23,21 @@ from _oracles import comb0, identity_cases
 
 
 def _at(m, k):
-    """The kernels' shared values at m, on a band just large enough for
-    the pair (m, k)."""
-    return identities._Shared(identities._band(k, m), m)
+    """The per-m kernels' shared values at m, on a band and a table just
+    large enough for the pair (m, k), k >= 1."""
+    return identities._shared(m, k, identities._band(k, m), identities._table(k, m))
 
 
-# identity -> (family kernel name, index of a tuple's entry in its right sides)
+def _run_kernel(name, m, k):
+    """A family kernel's sides at one (m, k) alone: the per-m kernels take
+    m and the k vector [k], the row prefix takes k and the m vector [m]."""
+    kernel = getattr(identities, name)
+    if name == "_alternating_row_prefix":
+        return kernel(k, [m], identities._band(k, m))
+    return kernel(m, [k], _at(m, k))
+
+
+# identity -> (family kernel name, index of a tuple's right side vector)
 _ENTRY = {
     FACTORIAL_DOMINANCE: ("_factorial_dominance", lambda p: p["n"]),
     ALTERNATING_ROW_PREFIX: ("_alternating_row_prefix", lambda p: 0),
@@ -41,12 +50,12 @@ _ENTRY = {
 
 
 def _kernel_case(identity_id, params):
-    """One admissible tuple's case, read from its family kernel's row."""
+    """One admissible tuple's case, read from its family kernel's vectors
+    at the one pair (m, k)."""
     name, entry = _ENTRY[identity_id]
-    m, k = params["m"], params["k"]
-    lhs, rhs = getattr(identities, name)(*((k, m) if identity_id == HOCKEY_STICK else (m, k)),
-                                         _at(m, k))
-    rhs = rhs[entry(params)]
+    lhs, rhs = _run_kernel(name, params["m"], params["k"])
+    assert len(lhs) == 1 and all(len(row) == 1 for row in rhs)
+    lhs, rhs = lhs[0], rhs[entry(params)][0]
     holds = lhs > rhs if identity_id == FACTORIAL_DOMINANCE else lhs == rhs
     return IdentityCase(identity_id, params, lhs, rhs, holds)
 
@@ -250,44 +259,120 @@ def test_unordered_ranges_with_negatives_match_single_pairs_and_oracle():
         == (total, total, 0, skipped)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=12), max_size=6),
+       st.lists(st.integers(min_value=-3, max_value=20), max_size=6))
+def test_arbitrary_ranges_count_as_their_single_pairs_and_oracle(m_values, k_values):
+    """Unordered m and k sequences with duplicates and negatives: the
+    suite's counts are the sums over the single-pair runs and over the
+    literal oracle's tuples, so no k is misread when the k values are
+    batched (nor m, for the row prefix)."""
+    report = run_suite(SuiteRanges(m_values, k_values))
+    singles = [run_suite(SuiteRanges((m,), (k,))) for m in m_values for k in k_values]
+    oracle = [identity_cases(m, k) for m in m_values for k in k_values]
+    counts = (report.total, report.passed, report.failed, report.skipped)
+    single = [(r.total, r.passed, r.failed, r.skipped) for r in singles]
+    assert counts == tuple(sum(c[i] for c in single) for i in range(4))
+    total = sum(len(cases) for cases, _ in oracle)
+    assert counts == (total, total, 0, sum(skipped for _, skipped in oracle))
+    assert report.failures == []
+
+
 # ---------------------------------------------------------------------------
 # failure path: a kernel returning one wrong right side
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel,at,index,identity_id,params", [
-    ("_factorial_dominance", (2, 5), 1, FACTORIAL_DOMINANCE, {"m": 2, "k": 5, "n": 1}),
-    ("_alternating_row_prefix", (4, 2), 0, ALTERNATING_ROW_PREFIX, {"m": 4, "k": 2}),
-    ("_convolution", (3, 2), 2, CONVOLUTION_SHIFT_FAMILY, {"m": 3, "k": 2, "a": 2}),
-    ("_convolution", (3, 2), -1, ALTERNATING_CONVOLUTION_CLOSED, {"m": 3, "k": 2}),
-    ("_hockey_stick", (3, 2), 0, HOCKEY_STICK, {"k": 3, "m": 2}),
-    ("_weighted_shift", (5, 4), 2, WEIGHTED_SHIFT_FAMILY, {"m": 5, "k": 4, "a": 3}),
-    ("_weighted_convolution", (4, 3), 0, WEIGHTED_CONVOLUTION_CLOSED, {"m": 4, "k": 3}),
-])
-def test_suite_reports_one_wrong_right_side(monkeypatch, kernel, at, index, identity_id,
-                                             params):
-    """Patch one family kernel so that at the pair ``at`` its right side
-    number ``index`` is lhs + 1, which fails the equalities and the strict
-    inequality alike."""
+def _oracle_lhs(identity_id, params):
+    return next(c[2] for c in identity_cases(params["m"], params["k"])[0]
+                if c[:2] == (identity_id, params))
+
+
+def _break(monkeypatch, kernel, wrong):
+    """Patch one family kernel so that the right side vectors it returns
+    for its first argument ``outer`` are edited by ``wrong[outer]``, a list
+    of (vector element, right side index) pairs: the entry is set to the
+    left side + 1, which fails the equalities and the strict inequality
+    alike.  The per-m kernels' first argument is m and their vectors run
+    over k; the row prefix's are k and m."""
     original = getattr(identities, kernel)
 
-    def broken(*args):
-        lhs, rhs = original(*args)
-        if args[:2] == at:
-            rhs = list(rhs)
-            rhs[index] = lhs + 1
+    def broken(outer, inner_values, at):
+        lhs, rhs = original(outer, inner_values, at)
+        rhs = [list(row) for row in rhs]
+        for value, index in wrong.get(outer, ()):
+            if value in inner_values:
+                i = list(inner_values).index(value)
+                rhs[index][i] = lhs[i] + 1
         return lhs, rhs
 
+    monkeypatch.setattr(identities, kernel, broken)
+
+
+@pytest.mark.parametrize("kernel,outer,value,index,identity_id,params", [
+    ("_factorial_dominance", 2, 5, 1, FACTORIAL_DOMINANCE, {"m": 2, "k": 5, "n": 1}),
+    ("_alternating_row_prefix", 2, 4, 0, ALTERNATING_ROW_PREFIX, {"m": 4, "k": 2}),
+    ("_convolution", 3, 2, 2, CONVOLUTION_SHIFT_FAMILY, {"m": 3, "k": 2, "a": 2}),
+    ("_convolution", 3, 2, -1, ALTERNATING_CONVOLUTION_CLOSED, {"m": 3, "k": 2}),
+    ("_hockey_stick", 2, 3, 0, HOCKEY_STICK, {"k": 3, "m": 2}),
+    ("_weighted_shift", 5, 4, 2, WEIGHTED_SHIFT_FAMILY, {"m": 5, "k": 4, "a": 3}),
+    ("_weighted_convolution", 4, 3, 0, WEIGHTED_CONVOLUTION_CLOSED, {"m": 4, "k": 3}),
+])
+def test_suite_reports_one_wrong_right_side(monkeypatch, kernel, outer, value, index,
+                                             identity_id, params):
+    """One wrong entry in one family kernel's right side vectors is one
+    failure, with that tuple's params in order and its literal left side."""
     ranges = SuiteRanges(tuple(range(7)), tuple(range(7)))
     clean = run_suite(ranges)
-    lhs, _ = original(*at, _at(*at))
-    monkeypatch.setattr(identities, kernel, broken)
+    lhs = _oracle_lhs(identity_id, params)
+    _break(monkeypatch, kernel, {outer: [(value, index)]})
     report = run_suite(ranges)
     assert report.failed == 1
     assert report.failures == [IdentityCase(identity_id, params, lhs, lhs + 1, False)]
     assert list(report.failures[0].params) == list(params)
     assert (report.total, report.skipped) == (clean.total, clean.skipped)
     assert report.passed == report.total - 1
+
+
+# wrong right sides at (m, k) = (3, 2) and (4, 1): the shift family at two
+# shift depths each, and the row prefix, which runs one k at a time
+_ORDER_BREAKS = {"_convolution": {3: [(2, 3), (2, 1)], 4: [(1, 0), (1, 4)]},
+                 "_alternating_row_prefix": {2: [(3, 0)], 1: [(4, 0)]}}
+_ORDER_FAILURES = [  # (m, k, family, inner parameter) order
+    (ALTERNATING_ROW_PREFIX, {"m": 3, "k": 2}),
+    (CONVOLUTION_SHIFT_FAMILY, {"m": 3, "k": 2, "a": 1}),
+    (CONVOLUTION_SHIFT_FAMILY, {"m": 3, "k": 2, "a": 3}),
+    (ALTERNATING_ROW_PREFIX, {"m": 4, "k": 1}),
+    (CONVOLUTION_SHIFT_FAMILY, {"m": 4, "k": 1, "a": 0}),
+    (CONVOLUTION_SHIFT_FAMILY, {"m": 4, "k": 1, "a": 4}),
+]
+
+
+def test_failures_come_in_m_k_family_inner_order(monkeypatch, capsys):
+    """Failures from two families, at two (m, k) pairs and two inner
+    parameters each, come out in (m, k, family, inner) order, m and k in
+    range order, whatever order the kernels found them in; in the CLI's
+    CSV lines and JSON list alike."""
+    for kernel, wrong in _ORDER_BREAKS.items():
+        _break(monkeypatch, kernel, wrong)
+    expected = [IdentityCase(identity_id, params, lhs, lhs + 1, False)
+                for identity_id, params in _ORDER_FAILURES
+                for lhs in [_oracle_lhs(identity_id, params)]]
+    report = run_suite(SuiteRanges(tuple(range(5)), tuple(range(5))))
+    assert report.failures == expected
+    assert [list(c.params) for c in report.failures] == [list(p) for _, p in _ORDER_FAILURES]
+    # the m and k ranges' own order, not sorted order, is what counts
+    backwards = run_suite(SuiteRanges(tuple(range(4, -1, -1)), tuple(range(4, -1, -1))))
+    assert backwards.failures == expected[3:] + expected[:3]
+    assert cli.main(["verify-identities", "--m-max", "4", "--k-max", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:8] == [
+        *(f"{c.identity_id},{';'.join(f'{k}={v}' for k, v in c.params.items())},"
+          f"{c.lhs},{c.rhs},false" for c in expected),
+        f"# total={report.total}"]
+    assert cli.main(["verify-identities", "--m-max", "4", "--k-max", "4",
+                     "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [c.to_json_dict() for c in expected]
 
 
 # ---------------------------------------------------------------------------
