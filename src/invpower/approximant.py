@@ -40,14 +40,15 @@ The tests check both against a fraction-free elimination of the raw
 matching system and against re-expansion of R(x) (``tests/_oracles.py``).
 
 An :class:`InversePowerApproximant` holds q_0..q_m as its kernel left
-them: integer numerators over D for an exact series, raw mpmath tuples
-of the center's width for a float one; ``Scalar``s are made only when
-``coeffs`` is read.  :func:`evaluate` takes an exact point only.  An
-exact approximant is summed in one integer Horner pass over those
-numerators and builds one ``Fraction``.  A float one is summed term by
-term on the raw values at its center's width, each product and sum
-rounded as the ``Scalar`` loop rounds it (``tests/_oracles.py`` keeps
-that loop as the oracle).
+them, in the held-vector form it shares with a series
+(:class:`~invpower.series.HeldVector`): integer numerators over D for an
+exact series, raw mpmath tuples of the center's width for a float one;
+``Scalar``s are made only when ``coeffs`` is read.  :func:`evaluate`
+takes an exact point only.  An exact approximant is summed in one
+integer Horner pass over those numerators and builds one ``Fraction``.
+A float one is summed term by term on the raw values at its center's
+width, each product and sum rounded as the ``Scalar`` loop rounds it
+(``tests/_oracles.py`` keeps that loop as the oracle).
 
 Only q_0 and q_1 stabilize to center-independent limits as m grows; the
 entries q_k for k >= 2 are reported but depend on the chosen center and
@@ -60,7 +61,7 @@ import operator
 import warnings
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd, ldexp
 
 from .errors import PoleError
@@ -71,61 +72,25 @@ from .scalar import (
     binom,
     cancellation_bits,
     cancellation_hazard,
-    read_only,
     require_exact,
     significand_bits,
 )
-from .series import TaylorSeries, over_common_denominator
+from .series import HeldVector, TaylorSeries, over_common_denominator
 from .transforms import binomial_convolve
 
 
-class InversePowerApproximant:
+class InversePowerApproximant(HeldVector):
     """q_0..q_m of the dimension-m approximant about ``center``, held as
-    its kernel computed them.
+    its kernel computed them (:class:`~invpower.series.HeldVector`):
+    signed numerators over ``den`` about an exact center, raw mpmath
+    tuples of the center's width about a float one."""
 
-    The center fixes exactness and width, as it does for a series.  An
-    approximant about an exact center has ``den``, the common
-    denominator, and ``values`` are the signed integer numerators of
-    q_0..q_m over it; one about a float center has no ``den``, and
-    ``values`` are raw mpmath tuples rounded to the center's width.
-    ``coeffs`` makes the ``Scalar``s on first read and keeps them.
-    """
-
-    def __init__(self, center: Scalar, values: tuple, den: int | None = None) -> None:
-        vars(self).update(center=center, values=values, den=den)
-        if not values:
-            raise ValueError("an approximant needs at least one coefficient")
-        if (den is None) == center.exact:
-            kind = "an exact" if center.exact else f"a {center.precision}-bit float"
-            raise ValueError(f"den={den} about {kind} center: an approximant takes den "
-                             "exactly when its center is exact")
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple:
-        return self.center, self.values, self.den
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return "InversePowerApproximant(center={!r}, values={!r}, den={!r})".format(*self._key())
+    _fields = ("center", "values", "den")
+    _names = ("an approximant", "an approximant")
 
     @property
     def dimension(self) -> int:
         return len(self.values) - 1
-
-    @cached_property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        if self.den is not None:
-            return tuple(Scalar(Fraction(n, self.den)) for n in self.values)
-        return tuple(Scalar(v, self.center.precision) for v in self.values)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.den is not None
 
     @property
     def pole(self) -> Scalar:

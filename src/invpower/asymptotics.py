@@ -23,7 +23,8 @@ bits equal the ``Scalar`` literal sums; every delta is one correctly
 rounded subtraction, and the cancellation warning is that of the
 formulas.  The weights C(m, s) come from row m-1 of Pascal's triangle by
 adjacent additions.  Either table keeps its kernel's values (integers
-over D, or raw mpmath tuples) until a row is read.
+over D, or raw mpmath tuples: :func:`~invpower.scalar.held_reader`)
+until a row is read.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -38,9 +39,8 @@ from __future__ import annotations
 
 import operator
 import warnings
-from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .approximant import exact_convolution, float_dots
 from .scalar import (
@@ -48,6 +48,7 @@ from .scalar import (
     Scalar,
     cancellation_bits,
     cancellation_hazard,
+    held_reader,
     significand_bits,
 )
 from .series import TaylorSeries
@@ -65,14 +66,16 @@ class ConvergenceTable:
     """Rows m = 0..m_max of the two leading coefficients with deltas.
 
     ``values[m]`` is row m's (q0, q1, delta0, delta1), None where the row
-    has none, and ``scalar`` makes a ``Scalar`` of a value when a row is
-    read: numerators over the common denominator ``den`` in an exact
-    table, raw mpmath tuples in a float one, ``Scalar``s (read as they
-    are) in one built by hand.  ``den`` is None but for exact tables."""
+    has none, held as :func:`~invpower.scalar.held_reader` reads it: a
+    numerator over ``den`` in an exact table, a raw mpmath tuple of width
+    ``precision`` in a float one.  Rows are made when read."""
 
-    def __init__(self, values: list[tuple], scalar: Callable[..., Scalar] = lambda v: v,
-                 den: int | None = None) -> None:
-        self.values, self.scalar, self.den = values, scalar, den
+    def __init__(self, values: list[tuple], den: int | None = None,
+                 precision: int | None = None) -> None:
+        if (den is None) == (precision is None):
+            raise ValueError(f"den={den}, precision={precision}: a table takes den exactly "
+                             "when it has no float precision")
+        self.values, self.den, self.precision = values, den, precision
 
     @property
     def m_max(self) -> int:
@@ -80,7 +83,8 @@ class ConvergenceTable:
 
     def row(self, m: int) -> ConvergenceRow:
         m = range(len(self.values))[m]
-        return ConvergenceRow(m, *(v if v is None else self.scalar(v) for v in self.values[m]))
+        read = held_reader(self.den, self.precision)
+        return ConvergenceRow(m, *(v if v is None else read(v) for v in self.values[m]))
 
     @property
     def rows(self) -> tuple[ConvergenceRow, ...]:
@@ -144,13 +148,13 @@ def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:
         n0, n1 = accumulate(d), accumulate(-m * dm for m, dm in enumerate(d))
         values = [(a, b if m else None, abs(dm) if m else None, abs(m * dm) if m >= 2 else None)
                   for m, (dm, a, b) in enumerate(zip(d, n0, n1))]
-        return ConvergenceTable(values, lambda n: Scalar(Fraction(n, den)), den)
+        return ConvergenceTable(values, den)
     if cancellation_hazard(m_max, prec):
         warnings.warn(CancellationWarning(
             f"convergence table to dimension {m_max} at {prec}-bit floats: "
             f"binomial weights consume ~{cancellation_bits(m_max)} bits and "
             f"cancellation will dominate; use exact mode"))
-    return ConvergenceTable(_float_values(series, m_max), lambda v: Scalar(v, prec))
+    return ConvergenceTable(_float_values(series, m_max), precision=prec)
 
 
 def estimate_limits(table: ConvergenceTable, tol: Scalar) -> AsymptoticEstimate:

@@ -45,7 +45,7 @@ from .corpus import (
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .scalar import MIN_PRECISION, Scalar, decimal_renderer, float_renderer, ratio_text
+from .scalar import MIN_PRECISION, Scalar, held_renderer
 from .series import TaylorSeries
 
 K_GE_2_NOTE = (
@@ -100,18 +100,12 @@ def _cell(args) -> Callable:
     return functools.partial(_csv_cell, args.digits)
 
 
-def _numerator_cell(args, den: int) -> Callable:
-    """``_cell`` of ``Scalar(Fraction(n, den))`` for a numerator n, without building it."""
-    if args.format == "json":
-        return lambda n: None if n is None else ratio_text(n, den)
-    text = decimal_renderer(den, args.digits)
-    return lambda n: "" if n is None else text(n)
-
-
-def _raw_cell(args, precision: int) -> Callable:
-    """``_cell`` of ``Scalar(v, precision)`` for a raw value v, without building it."""
-    text = float_renderer(precision, None if args.format == "json" else args.digits)
-    missing = None if args.format == "json" else ""
+def _held_cell(args, den: int | None, precision: int | None) -> Callable:
+    """``_cell`` of a held value's ``Scalar`` (``scalar.held_reader``),
+    without building it."""
+    json_out = args.format == "json"
+    text = held_renderer(den, precision, None if json_out else args.digits)
+    missing = None if json_out else ""
     return lambda v: missing if v is None else text(v)
 
 
@@ -312,8 +306,7 @@ def cmd_estimate(args) -> int:
     series = _maybe_float(series, args)
     table = convergence_table(series, args.m_max)
     est = estimate_limits(table, tol)
-    value = (_numerator_cell(args, table.den) if table.den is not None
-             else _raw_cell(args, series.float_precision))
+    value = _held_cell(args, table.den, table.precision)
     rows = [dict(zip(_ROW_FIELDS, (cell(m), *map(value, vs)))) for m, vs in enumerate(table.values)]
     summary = {k: cell(v) for k, v in {
         "q0": est.q0,
@@ -385,8 +378,7 @@ def cmd_approximate(args) -> int:
     results = [_evaluation(approx, source, x) for x in points]
 
     cell = _cell(args)
-    value = (_numerator_cell(args, approx.den) if approx.den is not None
-             else _raw_cell(args, approx.center.precision))
+    value = _held_cell(args, approx.den, approx.float_precision)
     coeffs = list(map(value, approx.values))
     evaluations = [dict(zip(_EVAL_FIELDS, map(cell, e))) for e in results]
     doc = {
@@ -476,10 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for w in caught:
             sys.stderr.write(f"warning: {w.message}\n")
         return code
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (CliError, OSError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

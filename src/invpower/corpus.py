@@ -39,7 +39,7 @@ from math import lcm
 from typing import NamedTuple, Union
 
 from .errors import CoefficientFileError, PoleError
-from .scalar import Scalar, float_renderer, parse_ratio, ratio_text, require_exact
+from .scalar import Scalar, held_renderer, parse_ratio, require_exact
 from .series import TaylorSeries, over_common_denominator
 
 # Most entries a coefficient file may hold; the count is checked before any
@@ -314,13 +314,9 @@ def resolve_function(selector: str, params: str | None = None,
 def coefficient_file_payload(series: TaylorSeries, description: str = "") -> dict:
     """The JSON object a coefficient file holds, scalars as strings."""
     radius = series.radius_hint
-    if series.den is not None:
-        coeffs = [ratio_text(n, series.den) for n in series.values]
-    else:
-        coeffs = list(map(float_renderer(series.float_precision), series.values))
     return {
         "center": str(series.center),
-        "coeffs": coeffs,
+        "coeffs": list(map(held_renderer(series.den, series.float_precision), series.values)),
         "exact": series.is_exact,
         "meta": {
             "hypothesis_radius": str(radius) if radius is not None else None,

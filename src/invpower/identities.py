@@ -73,6 +73,8 @@ from math import comb, factorial
 from operator import add, eq, getitem, gt, itemgetter, mul, neg, sub
 from typing import NamedTuple, Sequence
 
+from .scalar import Fields
+
 FACTORIAL_DOMINANCE = "FACTORIAL_DOMINANCE"
 ALTERNATING_ROW_PREFIX = "ALTERNATING_ROW_PREFIX"
 CONVOLUTION_SHIFT_FAMILY = "CONVOLUTION_SHIFT_FAMILY"
@@ -283,23 +285,13 @@ class SuiteRanges(NamedTuple):
     k_values: Sequence[int] = tuple(range(0, 26))
 
 
-class SuiteReport:
+class SuiteReport(Fields):
+    _fields = ("total", "passed", "failed", "skipped", "failures")
+
     def __init__(self, total: int = 0, passed: int = 0, failed: int = 0, skipped: int = 0,
                  failures: list[IdentityCase] | None = None) -> None:
         self.total, self.passed, self.failed, self.skipped = total, passed, failed, skipped
         self.failures = [] if failures is None else failures
-
-    def _key(self) -> tuple:
-        return self.total, self.passed, self.failed, self.skipped, self.failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return ("SuiteReport(total={!r}, passed={!r}, failed={!r}, skipped={!r}, failures={!r})"
-                .format(*self._key()))
 
     def to_json_dict(self) -> dict:
         return {

@@ -220,6 +220,27 @@ def float_renderer(precision: int, digits: int | None = None) -> Callable[[tuple
     return render
 
 
+def held_reader(den: int | None, precision: int | None) -> Callable[[int | tuple], Scalar]:
+    """held value -> its ``Scalar``.  A series, an approximant and a table
+    hold their values as integer numerators over one denominator ``den``,
+    or as raw mpmath tuples of the width ``precision`` (``den`` None)."""
+    if den is not None:
+        return lambda n: Scalar(Fraction(n, den))
+    return partial(Scalar, precision=precision)
+
+
+def held_renderer(den: int | None, precision: int | None,
+                  digits: int | None = None) -> Callable[[int | tuple], str]:
+    """held value -> the text of its ``Scalar`` (:func:`held_reader`),
+    made without building it: ``str`` when ``digits`` is None, else
+    ``render_decimal(digits)``."""
+    if den is None:
+        return float_renderer(precision, digits)
+    if digits is None:
+        return lambda n: ratio_text(n, den)
+    return decimal_renderer(den, digits)
+
+
 def require_exact(name: str, value: Scalar) -> Fraction:
     """The value of an exact ``value``; an inexact one is rejected by name."""
     if not value.exact:
@@ -261,6 +282,23 @@ def read_only(self, name: str, value=None) -> None:
     classes, whose ``__init__`` sets each field once."""
     raise AttributeError(f"cannot assign to or delete {name!r}: "
                          f"a {type(self).__name__} is immutable")
+
+
+class Fields:
+    """``==`` and ``repr`` field by field over the attributes named in
+    ``_fields``, in order; a value equals only a value of its own class."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
 
 
 class Scalar:
@@ -388,9 +426,6 @@ class Scalar:
             return f"Scalar({self.value})"
         return f"Scalar({libmp.to_str(self.value, 17)}, prec={self.precision})"
 
-    def __str__(self) -> str:
-        return self.render_ratio() if self.exact else float_renderer(self.precision)(self.value)
-
     def render_ratio(self) -> str:
         """Render as "p/q" (bare "p" for integers); exact mode only."""
         return ratio_text(*self.as_fraction().as_integer_ratio())
@@ -399,9 +434,13 @@ class Scalar:
         """Decimal rendering with a significant-digit budget."""
         if digits < 1:
             raise ValueError("digit budget must be positive")
+        return self.__str__(digits)
+
+    def __str__(self, digits: int | None = None) -> str:
+        """The text of ``str``, or with ``digits`` that of ``render_decimal``."""
         if self.exact:
-            return decimal_renderer(self.value.denominator, digits)(self.value.numerator)
-        return float_renderer(self.precision, digits)(self.value)
+            return held_renderer(self.value.denominator, None, digits)(self.value.numerator)
+        return held_renderer(None, self.precision, digits)(self.value)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -510,10 +549,6 @@ class Scalar:
     def __eq__(self, other):
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c == 0
-
-    def __ne__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c != 0
 
     def __lt__(self, other):
         c = self._cmp(other)

@@ -2,7 +2,10 @@
 
 The series is the only input the whole pipeline needs -- the function
 behind it never has to be known.  It holds c_0..c_{n-1} as the kernels
-read them, and the center fixes its width when it is built:
+read them, and the center fixes its width when it is built.  That
+held-vector form, its checks, ``coeffs``, ``is_exact`` and field-wise
+``==`` and ``repr`` come from :class:`HeldVector`, the base it shares with
+:class:`~invpower.approximant.InversePowerApproximant`:
 
 * about an exact center, ``values`` are the integer numerators of the
   coefficients over their least common denominator ``den``; a
@@ -12,7 +15,8 @@ read them, and the center fixes its width when it is built:
   ``(sign, man, exp, bc)`` of the center's width and ``den`` is None
   (:meth:`TaylorSeries.to_inexact` rounds an exact series to one).
 
-``coeffs`` makes the ``Scalar``s only when it is read.  ``radius_hint``
+``coeffs`` makes the ``Scalar``s only when it is read
+(:func:`~invpower.scalar.held_reader`).  ``radius_hint``
 optionally records the analyticity radius of the inverse-variable
 transplant of the source function (see :mod:`invpower.corpus`); it is
 metadata for reporting, exempt from the width rule, and is never
@@ -26,19 +30,48 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .scalar import Scalar, read_only, round_rational, significand_bits
+from .scalar import Fields, Scalar, held_reader, read_only, round_rational, significand_bits
 
 
-class TaylorSeries:
-    def __init__(self, center: Scalar, values: tuple, den: int | None = None,
-                 radius_hint: Scalar | None = None) -> None:
-        vars(self).update(center=center, values=values, den=den, radius_hint=radius_hint)
+class HeldVector(Fields):
+    """A center and values held in the form it fixes
+    (:func:`~invpower.scalar.held_reader`): numerators over ``den`` about
+    an exact center, raw tuples of its width about a float one.
+    A subclass names its ``_fields`` and, in ``_names``, itself as its
+    error texts do, in full and short."""
+
+    def __init__(self, center: Scalar, values: tuple, den: int | None = None, **fields) -> None:
+        vars(self).update(center=center, values=values, den=den, **fields)
         if not values:
-            raise ValueError("a Taylor series needs at least one coefficient")
+            raise ValueError(f"{self._names[0]} needs at least one coefficient")
         if (den is None) == center.exact:
             kind = "an exact" if center.exact else f"a {center.precision}-bit float"
-            raise ValueError(f"den={den} about {kind} center: a series takes den exactly "
-                             "when its center is exact")
+            raise ValueError(f"den={den} about {kind} center: {self._names[1]} takes den "
+                             "exactly when its center is exact")
+
+    __setattr__ = __delattr__ = read_only
+
+    @cached_property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        return tuple(map(held_reader(self.den, self.float_precision), self.values))
+
+    @property
+    def is_exact(self) -> bool:
+        return self.den is not None
+
+    @property
+    def float_precision(self) -> int | None:
+        """The width of every entry, or None when the vector is exact."""
+        return self.center.precision
+
+
+class TaylorSeries(HeldVector):
+    _fields = ("center", "values", "den", "radius_hint")
+    _names = ("a Taylor series", "a series")
+
+    def __init__(self, center: Scalar, values: tuple, den: int | None = None,
+                 radius_hint: Scalar | None = None) -> None:
+        super().__init__(center, values, den, radius_hint=radius_hint)
         if den is not None:
             if type(den) is not int or den < 1:
                 raise ValueError(f"den must be a positive int, got {den!r}")
@@ -64,35 +97,6 @@ class TaylorSeries:
             if v[1].bit_length() > bits:
                 raise ValueError(f"values[{i}] has a {v[1].bit_length()}-bit significand, wider "
                                  f"than the {bits} bits of a {center.precision}-bit float")
-
-    __setattr__ = __delattr__ = read_only
-
-    def _key(self) -> tuple:
-        return self.center, self.values, self.den, self.radius_hint
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return ("TaylorSeries(center={!r}, values={!r}, den={!r}, radius_hint={!r})"
-                .format(*self._key()))
-
-    @cached_property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        if self.den is not None:
-            return tuple(Scalar(Fraction(n, self.den)) for n in self.values)
-        return tuple(Scalar(v, self.center.precision) for v in self.values)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.den is not None
-
-    @property
-    def float_precision(self) -> int | None:
-        """The width of every entry, or None when the series is exact."""
-        return self.center.precision
 
     def require_coefficients(self, count: int) -> None:
         """Check that the series holds ``count`` coefficients."""

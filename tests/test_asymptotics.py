@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from invpower import approximant, asymptotics
 from invpower.approximant import coeffs_closed_form, float_dots
 from invpower.asymptotics import (
-    ConvergenceRow,
     ConvergenceTable,
     convergence_table,
     estimate_limits,
@@ -526,11 +525,25 @@ def test_exact_table_reads_as_the_table_built_from_its_rows(name, precision, m_m
     exact, raw mpmath tuples in float mode) and builds rows when read:
     every row, the last one by negative index, and the estimate at
     tolerances on either side of the last two deltas equal those of a
-    table built by hand from its rows."""
+    table built by hand from its rows (numerators over 3*den, which is
+    not the least denominator, or the rows' raw tuples)."""
     table, _ = table_for(*_LAZY_SERIES[name], m_max, precision)
     assert (table.den is not None) == (precision is None)
-    by_hand = ConvergenceTable([(r.q0, r.q1, r.delta0, r.delta1) for r in table.rows])
-    assert by_hand.den is None and by_hand == table
+    assert table.precision == precision
+    den = None if table.den is None else 3 * table.den
+
+    def held(v):
+        if v is None:
+            return None
+        if den is None:
+            return v.value
+        assert den % v.value.denominator == 0
+        return v.value.numerator * (den // v.value.denominator)
+
+    by_hand = ConvergenceTable([tuple(map(held, r[1:])) for r in table.rows], den=den,
+                               precision=precision)
+    assert by_hand.values != table.values or den is None
+    assert by_hand == table
     for m in range(-1, m_max + 1):
         assert table.row(m) == table.rows[m] == by_hand.row(m)
     tail = table.rows[-2:]
@@ -555,34 +568,42 @@ def test_center_invariance_needs_a_q1_row():
         center_invariance_check(shifted_reciprocal(0, 1, 0), sc(1), sc(2), 0, sc(1))
 
 
+def hand_tables(values):
+    """Two tables built by hand whose rows are q0(m) = q1(m) = values[m]
+    with their deltas |values[m] - values[m-1]| (delta1 from m = 2 on):
+    an exact one of numerators over den = 3, and a 64-bit float one of
+    raw tuples."""
+    rows = [(v, v if m else None, abs(v - p) if m else None, abs(v - p) if m >= 2 else None)
+            for m, (v, p) in enumerate(zip(values, [None, *values]))]
+    exact = ConvergenceTable([tuple(None if v is None else 3 * v for v in r) for r in rows], den=3)
+    raw = [tuple(None if v is None else Scalar.approx(v, 64).value for v in r) for r in rows]
+    return exact, ConvergenceTable(raw, precision=64)
+
+
 def test_oscillating_deltas_do_not_converge():
-    rows = []
-    values = [Fraction(0), Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
-    prev = None
-    for m, v in enumerate(values):
-        delta = abs(sc(v) - sc(prev)) if prev is not None else None
-        rows.append(ConvergenceRow(m, sc(v), sc(v) if m >= 1 else None,
-                                   delta, delta if m >= 2 else None))
-        prev = v
-    table = ConvergenceTable([(r.q0, r.q1, r.delta0, r.delta1) for r in rows])
-    est = estimate_limits(table, sc(Fraction(1, 1000)))
-    assert not est.q0_converged and not est.q1_converged
-    assert est.q0.as_fraction() == 0  # estimate still reported
+    for table in hand_tables([0, 1, 0, 1, 0]):
+        assert [r.delta0 for r in table.rows] == [None, 1, 1, 1, 1]
+        est = estimate_limits(table, sc(Fraction(1, 1000)))
+        assert not est.q0_converged and not est.q1_converged
+        assert est.q0.as_fraction() == 0  # estimate still reported
+        assert est == estimate_limits(table, sc(Fraction(1, 1000)))
 
 
 def test_single_step_agreement_is_not_convergence():
     # last delta tiny, second-to-last large: the two-delta rule holds out
-    rows = []
-    values = [Fraction(0), Fraction(10), Fraction(20), Fraction(20)]
-    prev = None
-    for m, v in enumerate(values):
-        delta = abs(sc(v) - sc(prev)) if prev is not None else None
-        rows.append(ConvergenceRow(m, sc(v), sc(v) if m >= 1 else None,
-                                   delta, delta if m >= 2 else None))
-        prev = v
-    table = ConvergenceTable([(r.q0, r.q1, r.delta0, r.delta1) for r in rows])
-    est = estimate_limits(table, sc(Fraction(1, 2)))
-    assert not est.q0_converged
+    for table in hand_tables([0, 10, 20, 20]):
+        assert [r.delta0 for r in table.rows] == [None, 10, 10, 0]
+        assert not estimate_limits(table, sc(Fraction(1, 2))).q0_converged
+        # with one more agreeing step both of the last two deltas are 0
+        longer = ConvergenceTable([*table.values, table.values[-1]], table.den, table.precision)
+        assert [r.delta0 for r in longer.rows][-2:] == [0, 0]
+        assert estimate_limits(longer, sc(Fraction(1, 2))).q0_converged
+
+
+def test_a_table_holds_one_form():
+    for den, precision in ((None, None), (3, 64)):
+        with pytest.raises(ValueError, match="a table takes den exactly when it has no float"):
+            ConvergenceTable([(0, None, None, None)], den, precision)
 
 
 def test_never_converged_when_final_delta_exceeds_tol():

@@ -127,3 +127,29 @@ def test_records_are_named_tuples():
     entry = CorpusEntry("one-over-x", shifted_reciprocal(0, 1, 0), Scalar.rational(1))
     assert entry == tuple(entry) and entry._fields == ("name", "function", "center")
     assert ConvergenceRow._fields == ("m", "q0", "q1", "delta0", "delta1")
+
+
+def test_repr_names_every_field_in_order():
+    assert repr(exact_series()) == (
+        "TaylorSeries(center=Scalar(3/2), values=(3, 1, -6, 15), den=3, radius_hint=Scalar(4))")
+    assert repr(float_series()) == (
+        "TaylorSeries(center=Scalar(1.5, prec=128), values=((0, 1, 0, 1), "
+        "(0, 6923062478046436838040661772293461, -114, 113), (1, 1, 1, 1), (0, 5, 0, 3)), "
+        "den=None, radius_hint=Scalar(4))")
+    assert repr(InversePowerApproximant(Scalar.rational(1), (1, -2), den=3)) == (
+        "InversePowerApproximant(center=Scalar(1), values=(1, -2), den=3)")
+    assert repr(SuiteReport(4, 3, 1, 2, [failed_case()])) == (
+        "SuiteReport(total=4, passed=3, failed=1, skipped=2, failures=[IdentityCase("
+        "identity_id='hockey_stick', params={'k': 2, 'm': 3}, lhs=10, rhs=9, passed=False)])")
+
+
+def test_a_series_never_equals_an_approximant():
+    """Equal center, values and den do not make a series equal to an
+    approximant: each compares only with its own class."""
+    center = Scalar.rational(1)
+    series = TaylorSeries(center, (1, -2), den=3)
+    approx = InversePowerApproximant(center, (1, -2), den=3)
+    assert (series.center, series.values, series.den) == (approx.center, approx.values, approx.den)
+    assert series != approx and approx != series
+    assert not series == approx and not approx == series
+    assert series.__eq__(approx) is NotImplemented and approx.__eq__(series) is NotImplemented
