@@ -14,7 +14,12 @@ file ``corpus --out`` would write, ``to_inexact`` rounds them to 128-bit
 floats and ``float_renderer`` writes those as text, ``evaluate`` sums
 its dimension-m approximant at x = 1/2 (exact, and at 128 bits), and
 ``estimate_limits`` reads the limits off its dimension-m convergence
-table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process.  ``run_suite`` checks
+table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process;
+the ``cli estimate float*`` cells write CSV, and ``cli estimate float64
+json`` writes JSON, as perfbench's estimate-float requests do.  ``json
+writer`` writes the document of ``estimate --mode float --precision 64
+--format json`` at m: with the CLI's own JSON writer, or with
+``json.dumps(doc, indent=2)`` in a tree whose CLI has none.  ``run_suite`` checks
 every identity tuple with m and k up to the size, as
 ``verify-identities --m-max m --k-max m`` does.  ``cli cold start`` is
 a whole ``python -m invpower estimate`` process (exact, ``--m-max m``):
@@ -165,6 +170,7 @@ def layers(src: Path, workdir: str | None):
     layer reads at dimension m, in the private directory ``workdir``
     when it is a file, and returns the call to time.  The clock is None
     for a call that times itself in its own process (``cold_start``)."""
+    from invpower import cli as cli_module
     from invpower.approximant import coeffs_closed_form, coeffs_via_matrix, evaluate
     from invpower.asymptotics import convergence_table, estimate_limits
     from invpower.cli import main
@@ -196,6 +202,14 @@ def layers(src: Path, workdir: str | None):
     def cli(*argv):
         return lambda m: partial(run_cli, [a.format(m=m) for a in argv])
 
+    def json_writer(m):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", str(m), "--mode", "float",
+                  "--precision", "64", "--format", "json"])
+        write = getattr(cli_module, "_json_text", partial(json.dumps, indent=2))
+        return partial(write, json.loads(out.getvalue()))
+
     prepares = {
         "taylor_coeffs exact": lambda m: partial(taylor_coeffs, f, center, m + 1),
         "load_coefficient_file exact":
@@ -220,6 +234,10 @@ def layers(src: Path, workdir: str | None):
         **{f"cli estimate float{p}": cli(
             "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}",
             "--mode", "float", "--precision", str(p)) for p in FLOAT_PRECISIONS},
+        "cli estimate float64 json": cli(
+            "estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "{m}", "--mode", "float",
+            "--precision", "64", "--format", "json"),
+        "json writer": json_writer,
         "cli approximate exact": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
         "cli approximate float128": cli(

@@ -72,6 +72,7 @@ from .scalar import (
     binom,
     cancellation_bits,
     cancellation_hazard,
+    raw_value,
     require_exact,
     significand_bits,
 )
@@ -269,15 +270,15 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int,
     ``weight_bits`` bounds the bit length of every weight: at most
     ``bits``, no weight is rounded, so the kernel reads no weight's
     width.  At 53 bits each row's width is read for the route, and it
-    tells the kernel the same.
+    tells the kernel the same, unless b = ``weight_bits`` passes the tests
+    with n = len(c), and so passes them for every row at once.  Either
+    route's (man, exp), a float's read off ``float.as_integer_ratio``,
+    becomes a raw value by :func:`~invpower.scalar.raw_value`.
     """
-    # float mode only: exact runs never load mpmath
-    from mpmath.libmp import from_float, from_man_exp
-
     c = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
     if bits != 53:
         narrow = weight_bits <= bits
-        return [from_man_exp(*_rounded_dot(row, c, bits, narrow)) for row in rows]
+        return [raw_value(*_rounded_dot(row, c, bits, narrow)) for row in rows]
     cf = []  # the leading coefficients that are normal binary64 numbers
     top = [-1021]  # |c_s| < 2**top[n] for every s < n
     for cm, ce in c:
@@ -287,15 +288,45 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int,
         cf.append(ldexp(cm, ce))
         top.append(max(top[-1], e) if cm else top[-1])
     out = []
+    every = (len(cf) == len(c) and weight_bits <= 1023
+             and weight_bits + top[-1] + len(c).bit_length() <= 1024)
     for row in rows:
-        n = min(len(row), len(c))
-        b = max(max(row).bit_length(), min(row).bit_length())
-        if n <= len(cf) and b <= 1023 and b + top[n] + n.bit_length() <= 1024:
-            x = reduce(operator.add, map(operator.mul, map(float, row), cf), 0.0)
-            out.append(from_float(x))
+        if not every:
+            n = min(len(row), len(c))
+            b = max(max(row).bit_length(), min(row).bit_length())
+        if every or n <= len(cf) and b <= 1023 and b + top[n] + n.bit_length() <= 1024:
+            man, den = reduce(operator.add, map(operator.mul, map(float, row), cf),
+                              0.0).as_integer_ratio()
+            out.append(raw_value(man, 1 - den.bit_length()))
         else:
-            out.append(from_man_exp(*_rounded_dot(row, c, bits, b <= bits)))
+            out.append(raw_value(*_rounded_dot(row, c, bits, b <= bits)))
     return out
+
+
+def rounded_distance(x: tuple, y: tuple, bits: int) -> tuple:
+    """``libmp.mpf_abs(libmp.mpf_sub(x, y, bits, "n"))`` of finite raw
+    values of at most ``bits`` bits: one exact integer subtraction, then
+    :func:`_rounded_dot`'s rounding step and its rule that an operand
+    more than 2*bits + 2 below the other in exponent, or zero, leaves the
+    other as the result (rounding is symmetric, so |.| may come first)."""
+    xm = -x[1] if x[0] else x[1]
+    ym = y[1] if y[0] else -y[1]
+    gap, far = x[2] - y[2], 2 * bits + 2
+    if not ym or xm and gap > far:
+        return 0, *x[1:]
+    if not xm or gap < -far:
+        return 0, *y[1:]
+    man = abs((xm << gap) + ym if gap >= 0 else xm + (ym << -gap))
+    exp = min(x[2], y[2])
+    n = man.bit_length() - bits
+    if n > 0:
+        try:
+            half = _HALVES[n]
+        except KeyError:
+            half = _HALVES[n] = (1 << n - 1) - 1
+        man = (man + half + (man >> n & 1)) >> n
+        exp += n
+    return raw_value(man, exp)
 
 
 def exact_convolution(series: TaylorSeries, m: int) -> tuple[list[int], int]:

@@ -22,9 +22,9 @@ terms, all rows in one pass of the approximant's float kernel,
 bits equal the ``Scalar`` literal sums; every delta is one correctly
 rounded subtraction, and the cancellation warning is that of the
 formulas.  The weights C(m, s) come from row m-1 of Pascal's triangle by
-adjacent additions.  Either table keeps its kernel's values (integers
-over D, or raw mpmath tuples: :func:`~invpower.scalar.held_reader`)
-until a row is read.
+adjacent additions, and the q1 weights from row m+1 by one product.
+Either table keeps its kernel's values (integers over D, or raw mpmath
+tuples: :func:`~invpower.scalar.held_reader`) until a row is read.
 
 No convergence rate is known in general, so estimation is deliberately
 plain: the estimate is the last row and the error indicator is the last
@@ -42,7 +42,7 @@ import warnings
 from itertools import accumulate
 from typing import NamedTuple
 
-from .approximant import exact_convolution, float_dots
+from .approximant import exact_convolution, float_dots, rounded_distance
 from .scalar import (
     CancellationWarning,
     Scalar,
@@ -108,30 +108,30 @@ class AsymptoticEstimate(NamedTuple):
 
 def _float_weights(m_max: int):
     """The float table's weight rows in order: C(m, s) for q0(m), and for
-    m >= 1 then C(m, s+1) - m*C(m, s) (zero at s = 0) for q1(m); row m of
-    Pascal's triangle comes from row m-1 by adjacent additions.  No
-    weight has more than m_max + bit length of m_max + 1 bits:
-    C(m, s) <= 2**m, and |C(m, s+1) - m*C(m, s)| <= m * 2**m."""
+    m >= 1 then C(m, s+1) - m*C(m, s) for q1(m), which is
+    -s*C(m+1, s+1) (zero at s = 0), as (m - s)*C(m, s) = (s+1)*C(m, s+1):
+    one C-level product of row m+1 of Pascal's triangle, which comes
+    from row m by adjacent additions.  No weight has more than
+    m_max + bit length of m_max + 1 bits: C(m, s) <= 2**m, and
+    |C(m, s+1) - m*C(m, s)| <= m * 2**m."""
     row = [1]
-    yield row
-    for m in range(1, m_max + 1):
-        row = [1, *map(operator.add, row, row[1:]), 1]
+    for m in range(m_max + 1):
         yield row
-        yield [0, *(b - m * a for a, b in zip(row[1:], [*row[2:], 0]))]
+        row = [1, *map(operator.add, row, row[1:]), 1]
+        if m:
+            yield list(map(operator.mul, range(0, -m - 1, -1), row[1:]))
 
 
 def _float_values(series: TaylorSeries, m_max: int) -> list[tuple]:
     """Raw mpmath rows of a float series by the rounded literal row sums,
-    in one kernel pass; each delta is one rounded subtraction."""
-    from mpmath.libmp import mpf_abs, mpf_sub  # float mode only: exact runs never load mpmath
-
+    in one kernel pass; each delta is one rounded integer subtraction."""
     bits = significand_bits(series.float_precision)
     sums = float_dots(series.values[:m_max + 1], _float_weights(m_max), bits,
                       m_max + m_max.bit_length() + 1)
     q = list(zip([sums[0], *sums[1::2]], [None, *sums[2::2]]))
 
     def delta(x: tuple | None, prev: tuple | None) -> tuple | None:
-        return None if prev is None else mpf_abs(mpf_sub(x, prev, bits, "n"))
+        return None if prev is None else rounded_distance(x, prev, bits)
 
     return [(q0, q1, delta(q0, p0), delta(q1, p1))
             for (q0, q1), (p0, p1) in zip(q, [(None, None), *q])]

@@ -11,11 +11,12 @@ Four subcommands:
                             parametric test functions.
 
 Output is UTF-8 with LF line endings, CSV (header row, '#' summary
-comments at the end) or JSON.  Exact rationals render as "p/q" in JSON
-and as budgeted decimals in CSV.  Exit codes: 0 success, 1 operational
-failure (bad flags, I/O, parse), 2 convergence-policy failure under
-``--require-converged``.  In exact mode identical invocations produce
-byte-identical output.
+comments at the end) or JSON, the bytes of ``json.dumps(doc, indent=2)``
+written through json's C encoder (``_json_text``).  Exact rationals
+render as "p/q" in JSON and as budgeted decimals in CSV.  Exit codes:
+0 success, 1 operational failure (bad flags, I/O, parse), 2
+convergence-policy failure under ``--require-converged``.  In exact
+mode identical invocations produce byte-identical output.
 
 ``main`` parses through one full parser, built on its first call and
 reused.  An exact run imports neither mpmath nor the identity suite.
@@ -29,6 +30,7 @@ import json
 import re
 import sys
 import warnings
+from itertools import chain
 from typing import Callable, Sequence
 
 from .approximant import coeffs_closed_form, evaluate
@@ -100,13 +102,10 @@ def _cell(args) -> Callable:
     return functools.partial(_csv_cell, args.digits)
 
 
-def _held_cell(args, den: int | None, precision: int | None) -> Callable:
+def _held_text(args, den: int | None, precision: int | None) -> Callable:
     """``_cell`` of a held value's ``Scalar`` (``scalar.held_reader``),
-    without building it."""
-    json_out = args.format == "json"
-    text = held_renderer(den, precision, None if json_out else args.digits)
-    missing = None if json_out else ""
-    return lambda v: missing if v is None else text(v)
+    without building it; not of a missing value (None)."""
+    return held_renderer(den, precision, None if args.format == "json" else args.digits)
 
 
 def _csv_table(fields: tuple[str, ...], records: list[dict]) -> list[str]:
@@ -125,10 +124,52 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, of a document with
+    string keys, through json's C encoder (which ``indent`` turns off):
+    at depth d, an encoder whose item separator holds the indent of d + 1
+    writes a container of scalars and empty containers in one call, and
+    at d + 1 a list of non-empty flat dicts, whose rows are then split at
+    "},\n<indent>{" (a JSON string holds no raw newline, and no flat
+    dict's value ends in "}").  Anything else is written item by item."""
+    encoder = functools.cache(
+        lambda depth: json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": ")).encode)
+
+    def write(v, depth: int) -> str:
+        is_dict = isinstance(v, dict)
+        if not v or not is_dict and not isinstance(v, (list, tuple)):
+            return encoder(depth)(v)
+        pad = "\n" + "  " * depth
+        inner, deep = pad + "  ", pad + "    "
+        head = tail = ""
+        # a falsy item is a scalar or an empty container, which the encoder
+        # writes as indent=2 does
+        if _SCALARS.issuperset(map(type, filter(None, v.values() if is_dict else v))):
+            body = encoder(depth)(v)[1:-1]
+        elif is_dict:
+            body = ("," + inner).join([encoder(depth)(k) + ": " + write(x, depth + 1)
+                                       for k, x in v.items()])
+        elif set(map(type, v)) == {dict} and all(v) and _SCALARS.issuperset(
+                map(type, chain.from_iterable(map(dict.values, v)))):
+            head, tail = "{" + deep, inner + "}"
+            body = encoder(depth + 1)(v)[2:-2].replace("}," + deep + "{",
+                                                       inner + "}," + inner + "{" + deep)
+        else:
+            body = ("," + inner).join([write(x, depth + 1) for x in v])
+        # one join, so no more than two copies of a long body are held at once
+        return "".join(("{" if is_dict else "[", inner, head, body, tail, pad,
+                        "}" if is_dict else "]"))
+
+    return write(doc, 0)
+
+
 def _write(args, doc: dict, csv_lines: Callable[[], list[str]]) -> None:
     """``doc`` as JSON, or the CSV lines ``csv_lines()`` lays out from it."""
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         text = "\n".join(csv_lines()) + "\n"
     _emit(text, args.out)
@@ -306,8 +347,11 @@ def cmd_estimate(args) -> int:
     series = _maybe_float(series, args)
     table = convergence_table(series, args.m_max)
     est = estimate_limits(table, tol)
-    value = _held_cell(args, table.den, table.precision)
-    rows = [dict(zip(_ROW_FIELDS, (cell(m), *map(value, vs)))) for m, vs in enumerate(table.values)]
+    # rows 0 and 1 miss values; every later row is one map of the renderer
+    text, missing = _held_text(args, table.den, table.precision), cell(None)
+    rows = [dict(zip(_ROW_FIELDS, (cell(m), *(map(text, vs) if m > 1 else
+                                              [missing if v is None else text(v) for v in vs]))))
+            for m, vs in enumerate(table.values)]
     summary = {k: cell(v) for k, v in {
         "q0": est.q0,
         "q1": est.q1,
@@ -378,8 +422,7 @@ def cmd_approximate(args) -> int:
     results = [_evaluation(approx, source, x) for x in points]
 
     cell = _cell(args)
-    value = _held_cell(args, approx.den, approx.float_precision)
-    coeffs = list(map(value, approx.values))
+    coeffs = list(map(_held_text(args, approx.den, approx.float_precision), approx.values))
     evaluations = [dict(zip(_EVAL_FIELDS, map(cell, e))) for e in results]
     doc = {
         "command": "approximate",
@@ -438,7 +481,7 @@ def cmd_corpus(args) -> int:
         f"transplant radius {report.radius_text}, "
         f"sufficient condition {'met' if report.satisfied else 'NOT met'}"
     )
-    _emit(json.dumps(coefficient_file_payload(series, description), indent=2) + "\n", args.out)
+    _emit(_json_text(coefficient_file_payload(series, description)) + "\n", args.out)
     return 0
 
 

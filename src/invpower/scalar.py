@@ -148,6 +148,19 @@ def round_rational(num: int, den: int, bits: int) -> tuple:
     return sign, q, n - shift + zeros, q.bit_length()
 
 
+def raw_value(man: int, exp: int) -> tuple:
+    """man * 2**exp as ``libmp.from_man_exp(man, exp)`` makes it: a raw
+    value (sign, man, exp, bc) with an odd mantissa, or mpmath's zero."""
+    if not man:
+        return 0, 0, 0, 0
+    sign = 0
+    if man < 0:
+        sign, man = 1, -man
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
 _LOG2_10 = math.log(10, 2)
 
 

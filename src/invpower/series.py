@@ -3,7 +3,8 @@
 The series is the only input the whole pipeline needs -- the function
 behind it never has to be known.  It holds c_0..c_{n-1} as the kernels
 read them, and the center fixes its width when it is built.  That
-held-vector form, its checks, ``coeffs``, ``is_exact`` and field-wise
+held-vector form, its checks (int numerators over a positive int
+``den``, or raw 4-tuples), ``coeffs``, ``is_exact`` and field-wise
 ``==`` and ``repr`` come from :class:`HeldVector`, the base it shares with
 :class:`~invpower.approximant.InversePowerApproximant`:
 
@@ -48,6 +49,18 @@ class HeldVector(Fields):
             kind = "an exact" if center.exact else f"a {center.precision}-bit float"
             raise ValueError(f"den={den} about {kind} center: {self._names[1]} takes den "
                              "exactly when its center is exact")
+        # one C-level scan of the value types; the bad index is sought if it fails
+        if den is not None:
+            if type(den) is not int or den < 1:
+                raise ValueError(f"den must be a positive int, got {den!r}")
+            if set(map(type, values)) != {int}:
+                i, v = next((i, v) for i, v in enumerate(values) if type(v) is not int)
+                raise ValueError(f"values[{i}] must be an int numerator, got {v!r}")
+        elif set(map(type, values)) != {tuple} or set(map(len, values)) != {4}:
+            for i, v in enumerate(values):
+                if not isinstance(v, tuple) or len(v) != 4:
+                    raise ValueError(f"values[{i}] must be a raw mpmath tuple "
+                                     f"(sign, man, exp, bc), got {type(v).__name__}")
 
     __setattr__ = __delattr__ = read_only
 
@@ -73,11 +86,6 @@ class TaylorSeries(HeldVector):
                  radius_hint: Scalar | None = None) -> None:
         super().__init__(center, values, den, radius_hint=radius_hint)
         if den is not None:
-            if type(den) is not int or den < 1:
-                raise ValueError(f"den must be a positive int, got {den!r}")
-            for i, v in enumerate(values):
-                if type(v) is not int:
-                    raise ValueError(f"values[{i}] must be an int numerator, got {v!r}")
             g = gcd(den, *values)
             if g > 1:
                 vars(self).update(values=tuple(v // g for v in values), den=den // g)
@@ -88,9 +96,6 @@ class TaylorSeries(HeldVector):
             raise ValueError(f"center must be finite, got {center}")
         bits = significand_bits(center.precision)
         for i, v in enumerate(values):
-            if not isinstance(v, tuple) or len(v) != 4:
-                raise ValueError(f"values[{i}] must be a raw mpmath tuple (sign, man, exp, bc), "
-                                 f"got {type(v).__name__}")
             if v in non_finite:
                 raise ValueError(f"coefficient coeffs[{i}] must be finite, "
                                  f"got {Scalar(v, center.precision)}")

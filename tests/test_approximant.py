@@ -23,11 +23,12 @@ from invpower.approximant import (
     evaluate,
     exact_convolution,
     float_dots,
+    rounded_distance,
     signed_binomial_matrix,
 )
 from invpower.corpus import load_coefficient_file
 from invpower.errors import PoleError
-from invpower.scalar import CancellationWarning, Scalar, binom, significand_bits
+from invpower.scalar import CancellationWarning, Scalar, binom, raw_value, significand_bits
 from invpower.series import TaylorSeries, series_from_rationals
 from invpower.transforms import binomial_convolve
 
@@ -407,6 +408,27 @@ def test_approximant_takes_den_exactly_about_an_exact_center(center, den, messag
         InversePowerApproximant(center, (Scalar.approx(1, 128).value,), den=den)
 
 
+@pytest.mark.parametrize("center,values,den,message", [
+    (Scalar.rational(1), ("x", 2.5), 0, "den must be a positive int, got 0"),
+    (Scalar.rational(1), (1, 2), 0, "den must be a positive int, got 0"),
+    (Scalar.rational(1), (1, 2), True, "den must be a positive int, got True"),
+    (Scalar.rational(1), ("x", 2.5), 1, "values[0] must be an int numerator, got 'x'"),
+    (Scalar.rational(1), (1, 2, 2.5), 3, "values[2] must be an int numerator, got 2.5"),
+    (Scalar.approx(1, 64), ((0, 1, 0, 1), 1), None,
+     "values[1] must be a raw mpmath tuple (sign, man, exp, bc), got int"),
+    (Scalar.approx(1, 64), ((0, 1, 0),), None,
+     "values[0] must be a raw mpmath tuple (sign, man, exp, bc), got tuple"),
+], ids=["text-den-zero", "den-zero", "den-bool", "text-values", "float-value", "int-raw",
+        "short-raw"])
+def test_approximant_rejects_values_and_den_a_series_rejects(center, values, den, message):
+    """An approximant is checked as a series is: int numerators over a
+    positive int ``den``, or raw 4-tuples, and the error names the field.
+    Neither (1, 2) over den=0, which ``evaluate`` would divide by, nor
+    text over den=0 builds."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InversePowerApproximant(center, values, den=den)
+
+
 def test_float_approximant_takes_its_centers_width():
     """A float approximant has no width of its own: its coefficients are
     read at the center's."""
@@ -527,6 +549,70 @@ def _coeff(man: int, e: int) -> tuple[int, int]:
     """The signed 53-bit coefficient man * 2**(e - bit length of man), as
     (man, exp), with 2**(e-1) <= |coefficient| < 2**e."""
     return man, e - abs(man).bit_length()
+
+
+# significand widths of 64-, 128-, 256- and 1600-bit floats
+_DISTANCE_BITS = [significand_bits(w) for w in (64, 128, 256, 1600)]
+
+
+@st.composite
+def distance_operands(draw):
+    """A significand width and two raw values of at most that many bits,
+    by kind: random, a zero operand, equal values, a difference that
+    cancels all but a few bits exactly, a difference that is a tie at the
+    width, and exponents far - 4 .. far + 2 apart either way, far = 2*bits
+    + 2 the kernel's rule (the smaller operand can change the result up
+    to a gap of 2*bits), the larger operand's mantissa narrow or full."""
+    bits = draw(st.sampled_from(_DISTANCE_BITS))
+    full = st.integers(1 - 2 ** bits, 2 ** bits - 1)
+    exp = st.integers(-5000, 5000)
+    kind = draw(st.sampled_from(["random", "zero", "equal", "cancel", "tie", "far"]))
+    xm, xe = draw(full), draw(exp)
+    x = raw_value(xm, xe)
+    if kind == "random":
+        y = raw_value(draw(full), draw(exp))
+    elif kind == "zero":
+        y = raw_value(0, 0)
+        x = draw(st.sampled_from([x, y]))
+    elif kind == "equal":
+        y = x
+    elif kind == "cancel":
+        y = raw_value(xm + draw(st.integers(-3, 3)), xe)
+        assume(abs(y[1]).bit_length() <= bits)
+    elif kind == "tie":
+        # x of a full mantissa M: x -/+ 2**(e-1) odd is (2M -/+ odd) 2**(e-1),
+        # bits + 1 bits wide and odd
+        xm = draw(st.sampled_from([-1, 1])) * draw(st.integers(2 ** (bits - 1) + 8, 2 ** bits - 1))
+        x = raw_value(xm, xe)
+        y = raw_value(draw(st.sampled_from([-1, 1, -3, 3, -5, 5])), xe - 1)
+    else:
+        # odd mantissas keep the exponents as drawn
+        xm = 2 * draw(st.integers(0, 3) | st.integers(2 ** (bits - 2), 2 ** (bits - 1) - 1)) + 1
+        ym = 2 * draw(st.integers(0, 2 ** (bits - 1) - 1)) + 1
+        gap = 2 * bits + 2 + draw(st.integers(-4, 2))
+        x = raw_value(draw(st.sampled_from([-1, 1])) * xm, xe)
+        y = raw_value(draw(st.sampled_from([-1, 1])) * ym, xe - gap)
+    if draw(st.booleans()):
+        x, y = y, x
+    return bits, x, y
+
+
+@settings(max_examples=1500, deadline=None)
+@given(distance_operands())
+@example((53, raw_value(1, 0), raw_value(2 ** 53 - 1, -106)))    # gap far - 2: y counts
+@example((53, raw_value(1, 0), raw_value(2 ** 53 - 1, -107)))    # gap far - 1: y does not
+@example((53, raw_value(-1, 0), raw_value(2 ** 53 - 1, -110)))   # gap far + 2: x is the result
+@example((53, raw_value(2 ** 53 - 1, -110), raw_value(1, 0)))
+@example((113, raw_value(2 ** 112 + 1, 0), raw_value(1, -1)))    # tie, down to even
+@example((113, raw_value(2 ** 112 + 3, 0), raw_value(-1, -1)))   # tie, up to even
+@example((237, raw_value(0, 0), raw_value(-5, 9)))
+@example((1570, raw_value(-7, 3), raw_value(-7, 3)))
+def test_rounded_distance_is_mpmaths_rounded_abs_difference(case):
+    """|x - y| on integers is mpmath's correctly rounded |x - y| bit for
+    bit, at 53, 113, 237 and 1,570 bits."""
+    bits, x, y = case
+    expected = mpmath.libmp.mpf_abs(mpmath.libmp.mpf_sub(x, y, bits, "n"))
+    assert rounded_distance(x, y, bits) == expected
 
 
 def _raw(c: list[tuple[int, int]]) -> list[tuple]:

@@ -284,6 +284,19 @@ def test_float_kernel_callers_bound_every_weight_they_pass(monkeypatch, m):
         assert max(abs(w) for row in rows for w in row).bit_length() <= bound
 
 
+def test_float_weight_rows_are_the_literal_binomial_weights():
+    """The float table's weight rows, up to m = 300: C(m, s) for q0(m)
+    and, from m = 1 (row 0 has no q1), the literal C(m, s+1) - m*C(m, s)
+    for q1(m), which the rows read as -s*C(m+1, s+1) off the next row of
+    Pascal's triangle."""
+    rows = list(asymptotics._float_weights(300))
+    assert len(rows) == 601
+    for m in range(301):
+        assert rows[max(2 * m - 1, 0)] == [comb(m, s) for s in range(m + 1)]
+        if m:
+            assert rows[2 * m] == [comb(m, s + 1) - m * comb(m, s) for s in range(m + 1)]
+
+
 RULE = ": a series takes den exactly when its center is exact"
 ONE, ONE64 = Scalar.rational(1), Scalar.approx(1, 64)
 

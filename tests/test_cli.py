@@ -1306,3 +1306,70 @@ def test_cli_start_up_imports_no_dataclasses_or_inspect():
         "invpower.corpus", "invpower.errors", "invpower.scalar", "invpower.series",
         "invpower.transforms"]
     assert heavy == ""
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+# text with every character a JSON string escapes or a row split could trip
+# on: quotes, backslashes, brackets, the row separator itself, control
+# characters and non-ASCII text
+_WRITER_TEXT = (st.text(st.sampled_from(['"', "\\", "[", "]", "{", "}", ",", ":", " ", "\n",
+                                         "\t", "\x00", "\x1f", "\x7f", "é", "€", "\U0001d11e",
+                                         "a", "0"]), max_size=8)
+                | st.sampled_from(['"},\n    {"', "},\n  {", "}]", "[{", ""]) | st.text(max_size=8))
+_WRITER_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80)
+                  | st.floats() | _WRITER_TEXT)
+_WRITER_FLAT = st.dictionaries(_WRITER_TEXT, _WRITER_SCALAR, max_size=5)
+_WRITER_VALUES = st.recursive(
+    _WRITER_SCALAR | st.lists(_WRITER_FLAT, max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.dictionaries(_WRITER_TEXT, inner, max_size=4)
+                   | st.lists(_WRITER_FLAT, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_WRITER_VALUES)
+def test_json_writer_is_json_dumps_indent_two(value):
+    """The writer's bytes are ``json.dumps(value, indent=2)``'s for any
+    JSON-shaped value: nested and empty containers, lists of flat dicts
+    (empty ones too), strings holding the row separator, and every scalar."""
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_is_json_dumps_indent_two_on_every_command(monkeypatch, tmp_path):
+    """Each command's document, as the command builds it, is written as
+    ``json.dumps(doc, indent=2)`` writes it: an exact and a float estimate,
+    an approximate run with poles and residuals, a ``corpus`` file and a
+    ``verify-identities`` report that lists failures."""
+    docs, writer = [], cli._json_text
+
+    def spy(doc):
+        docs.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    original = identities._convolution
+
+    def broken(m, ks, at):
+        lhs, rhs = original(m, ks, at)
+        return lhs, [[r + 1 if (m + a) % 3 == 0 else r for r in row] for a, row in enumerate(rhs)]
+
+    monkeypatch.setattr(identities, "_convolution", broken)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "12",
+                     "--format", "json"]) == 0
+        assert main(["estimate", "--corpus", "one-over-x", "--m-max", "30", "--mode", "float",
+                     "--precision", "128", "--format", "json"]) == 0
+        assert main(["approximate", "--corpus", "one-over-x", "--m", "6", "--x0", "2",
+                     "--eval", "1/2,1,0,-1", "--format", "json"]) == 0
+        assert main(["corpus", "--fn", "mobius-2-3-1-2", "--n", "9"]) == 0
+        assert main(["verify-identities", "--m-max", "4", "--k-max", "5", "--format", "json"]) == 1
+    assert [doc.get("command") for doc in docs] == [
+        "estimate", "estimate", "approximate", None, "verify-identities"]
+    assert docs[-1]["failures"] and all(isinstance(f["params"], dict) for f in docs[-1]["failures"])
+    assert any(e["error"] == "pole" for e in docs[2]["evaluations"])
+    for doc in docs:
+        assert writer(doc) == json.dumps(doc, indent=2)

@@ -24,6 +24,7 @@ from invpower.scalar import (
     float_renderer,
     parse_ratio,
     ratio_text,
+    raw_value,
     round_rational,
     significand_bits,
 )
@@ -457,6 +458,13 @@ def test_round_rational_is_from_rational(case):
     """``round_rational`` gives mpmath's correctly rounded raw tuple."""
     num, den, bits = case
     assert round_rational(num, den, bits) == from_rational(num, den, bits, "n")
+
+
+@given(st.integers(-2 ** 3000, 2 ** 3000), st.integers(-10 ** 6, 10 ** 6))
+def test_raw_value_is_from_man_exp(man, exp):
+    """``raw_value`` normalises (man, exp) as ``from_man_exp`` does: the
+    sign apart, trailing zeros stripped into the exponent, mpmath's zero."""
+    assert raw_value(man, exp) == from_man_exp(man, exp)
 
 
 def test_round_rational_zero_denominator_is_mpmath_error():

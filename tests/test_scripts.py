@@ -108,7 +108,8 @@ def test_bench_writes_one_column_per_run(tmp_path):
                   "float_renderer float128", "evaluate exact",
                   "evaluate float128", "binomial_convolve exact", "estimate_limits exact",
                   "cli estimate exact csv", "cli estimate exact json", "cli estimate float64",
-                  "cli estimate float128", "cli estimate float256", "cli approximate float128",
+                  "cli estimate float128", "cli estimate float256", "cli estimate float64 json",
+                  "json writer", "cli approximate float128",
                   "run_suite", "cli cold start", "cli cold start uncached"):
         assert [column for column, *_ in samples[layer]] == ["change", "parent", "parent", "change"]
         times = {column: [t for c, t, _ in samples[layer] if c == column]
