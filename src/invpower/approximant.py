@@ -28,10 +28,11 @@ are provided and must agree bit-for-bit in exact mode:
   big-integer additions with no binomial and no rational in the loop;
   values become ``Scalar`` only at the end.  Float series keep the
   rounding of the literal sums and the cancellation warning: each q_k
-  is sum_s W(k, s) c_s summed in order, with the integer weights W from
-  a recurrence, by one kernel, :func:`float_dots`: integer steps, or
-  binary64 steps for a 64-bit row that stays in the double range (its
-  docstring says why either gives the ``Scalar`` literal sums);
+  is sum_s (-1)**k W(k, s) c_s summed in order, with the integer weights
+  W from a recurrence, by one kernel, :func:`float_dots`, which picks
+  one route per call: binary64 steps when every row of a 64-bit series
+  stays in the double range, integer steps otherwise (its docstring
+  says why either gives the ``Scalar`` literal sums);
 * :func:`coeffs_via_matrix`    -- binomial convolution of c followed by a
   product with the signed-binomial matrix (-1)**i C(j, i), which is
   its own inverse.
@@ -121,8 +122,8 @@ def _warn_if_cancelling(series: TaylorSeries, m: int) -> None:
 
 
 def _weight_rows(m: int):
-    """Integer weights W(k, s), s = 0..m, for k = 0, 1, ..., m in turn:
-    q_k = (-1)**k sum_s W(k, s) c_s.
+    """Signed integer weights (-1)**k W(k, s), s = 0..m, for
+    k = 0, 1, ..., m in turn: q_k = sum_s (-1)**k W(k, s) c_s.
 
     W(0, s) = C(m, s); for k >= 1, W(k, 0) = 0 and
     W(k, s) = sum_{N=1..m} C(N, k) C(N-1, s-1), which equals the
@@ -131,9 +132,10 @@ def _weight_rows(m: int):
     (1+y)**(N-1) obeys (x + y + xy) G = (1+x)((1+x)**m (1+y)**m - 1), and
     comparing coefficients gives
     W(k, s) = C(m+1, k) C(m, s) - W(k-1, s+1) - W(k-1, s): one
-    multiplication per weight in place of an O(k) binomial sum.  C(m, s)
-    and C(m+1, k) are walked by the exact ratio steps
-    C(m, s+1) = C(m, s)·(m−s)/(s+1) and C(m+1, k) = C(m+1, k−1)·(m+2−k)/k.
+    multiplication per weight in place of an O(k) binomial sum; signed,
+    S(k, s) = T_k C(m, s) + S(k-1, s+1) + S(k-1, s) for S = (-1)**k W
+    and T_k = (-1)**k C(m+1, k).  C(m, s) and T_k are walked by the exact
+    ratio steps C(m, s+1) = C(m, s)·(m−s)/(s+1) and T_k = −T_{k−1}·(m+2−k)/k.
     No weight has more than 2m + 1 bits: C(m, s) <= 2**m, and
     W(k, s) <= sum_N 2**N 2**(N-1) < 4**m.
     """
@@ -144,8 +146,8 @@ def _weight_rows(m: int):
     yield w
     top = 1
     for k in range(1, m + 1):
-        top = top * (m + 2 - k) // k
-        w = [0, *(top * b - u - v for b, u, v in zip(row[1:], w[1:], [*w[2:], 0]))]
+        top = -top * (m + 2 - k) // k
+        w = [0, *(top * b + u + v for b, u, v in zip(row[1:], w[1:], [*w[2:], 0]))]
         yield w
 
 
@@ -242,65 +244,46 @@ def float_dots(raw: list[tuple], rows: Iterable[list[int]], bits: int,
     ``TaylorSeries`` holds no infinity or NaN), summed in order from
     s = 0 and rounded as ``Scalar`` arithmetic rounds it, as a raw value.
 
-    A row is summed on integers by :func:`_rounded_dot`, whose docstring
-    says why its bits equal ``Scalar``'s, except at 53 bits
-    (``precision=64``), where a row that provably stays in the binary64
-    range is summed in Python floats.  Python floats are IEEE 754
-    binary64: float(w) is the correctly rounded weight, and each
-    product and partial sum is one round-to-nearest-even step at 53
-    bits, the result :func:`_rounded_dot` computes, unless it overflows
-    or falls below 2**-1022, where binary64 keeps fewer than 53 bits.
-    With e_s = exp + bit length of the mantissa of c_s (so
-    2**(e_s-1) <= |c_s| < 2**e_s), a row of n = min(len(w), len(c))
-    terms takes the float route when
-    * every nonzero c_s, s < n, has -1021 <= e_s <= 1024: it is a
-      normal binary64 number, which ``math.ldexp`` builds exactly;
-    * every |w[s]| < 2**b with b <= 1023, so float(w[s]) <= 2**b is
-      finite, however small the coefficients are;
-    * b + T + bit length of n <= 1024, with T the largest such e_s.
+    One route serves the whole call.  At 53 bits (``precision=64``), when
+    every row provably stays in the binary64 range, every row is summed
+    in Python floats; otherwise every row is summed on integers by
+    :func:`_rounded_dot`, whose docstring says why its bits equal
+    ``Scalar``'s.  Python floats are IEEE 754 binary64: float(w) is the
+    correctly rounded weight, and each product and partial sum is one
+    round-to-nearest-even step at 53 bits, the result :func:`_rounded_dot`
+    computes, unless it overflows or falls below 2**-1022, where binary64
+    keeps fewer than 53 bits.  With e_s = exp + bit length of the
+    mantissa of c_s (so 2**(e_s-1) <= |c_s| < 2**e_s) and
+    b = ``weight_bits``, which bounds every weight's bit length, the
+    float route is taken when
+    * every nonzero c_s has -1021 <= e_s <= 1024: it is a normal
+      binary64 number, which ``math.ldexp`` builds exactly;
+    * b <= 1023, so float(w[s]) <= 2**b is finite, however small the
+      coefficients are;
+    * b + T + bit length of len(c) <= 1024, with T the largest e_s.
     Then no step overflows: each rounded product is at most
     P = 2**(b+T), and, rounding being monotone and k*P a binary64
     number, the k-th partial sum is at most k*P < 2**1024.  A nonzero
     product is at least |c_s| >= 2**-1022, so it is normal.  A partial
     sum may cancel below 2**-1022, but there both sums are exact: the
     operands are multiples of 2**-1074, so the result has fewer than 53
-    significant bits.  Every other row (a coefficient such as 1e-400 or
-    1e400, which a 64-bit ``Scalar`` keeps, or a weight of 2**1023 or
-    more) and every other width takes :func:`_rounded_dot`.
-    ``weight_bits`` bounds the bit length of every weight: at most
-    ``bits``, no weight is rounded, so the kernel reads no weight's
-    width.  At 53 bits each row's width is read for the route, and it
-    tells the kernel the same, unless b = ``weight_bits`` passes the tests
-    with n = len(c), and so passes them for every row at once.  Either
-    route's (man, exp), a float's read off ``float.as_integer_ratio``,
-    becomes a raw value by :func:`~invpower.scalar.raw_value`.
+    significant bits.  One coefficient such as 1e-400 or 1e400, which a
+    64-bit ``Scalar`` keeps, or b >= 1024 sends every row to
+    :func:`_rounded_dot`, which reads no weight's width when b <= ``bits``.
+    Either route's (man, exp), a float's read off
+    ``float.as_integer_ratio``, becomes a raw value by
+    :func:`~invpower.scalar.raw_value`.
     """
     c = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
-    if bits != 53:
-        narrow = weight_bits <= bits
-        return [raw_value(*_rounded_dot(row, c, bits, narrow)) for row in rows]
-    cf = []  # the leading coefficients that are normal binary64 numbers
-    top = [-1021]  # |c_s| < 2**top[n] for every s < n
-    for cm, ce in c:
-        e = ce + cm.bit_length()
-        if cm and not -1021 <= e <= 1024:
-            break
-        cf.append(ldexp(cm, ce))
-        top.append(max(top[-1], e) if cm else top[-1])
-    out = []
-    every = (len(cf) == len(c) and weight_bits <= 1023
-             and weight_bits + top[-1] + len(c).bit_length() <= 1024)
-    for row in rows:
-        if not every:
-            n = min(len(row), len(c))
-            b = max(max(row).bit_length(), min(row).bit_length())
-        if every or n <= len(cf) and b <= 1023 and b + top[n] + n.bit_length() <= 1024:
-            man, den = reduce(operator.add, map(operator.mul, map(float, row), cf),
-                              0.0).as_integer_ratio()
-            out.append(raw_value(man, 1 - den.bit_length()))
-        else:
-            out.append(raw_value(*_rounded_dot(row, c, bits, b <= bits)))
-    return out
+    e = [cm.bit_length() + ce for cm, ce in c if cm]
+    if (bits == 53 and weight_bits <= 1023 and all(-1021 <= x <= 1024 for x in e)
+            and weight_bits + max(e, default=-1021) + len(c).bit_length() <= 1024):
+        cf = [ldexp(cm, ce) for cm, ce in c]
+        sums = (reduce(operator.add, map(operator.mul, map(float, row), cf), 0.0) for row in rows)
+        return [raw_value(man, 1 - den.bit_length())
+                for man, den in map(float.as_integer_ratio, sums)]
+    narrow = weight_bits <= bits
+    return [raw_value(*_rounded_dot(row, c, bits, narrow)) for row in rows]
 
 
 def rounded_distance(x: tuple, y: tuple, bits: int) -> tuple:
@@ -362,20 +345,17 @@ def _exact_coeffs(series: TaylorSeries, m: int) -> tuple[tuple[int, ...], int]:
 def coeffs_closed_form(series: TaylorSeries, m: int) -> InversePowerApproximant:
     """Approximant coefficients by the explicit binomial-sum formulas:
     the integer kernel for exact series, the rounded literal sums of
-    :func:`float_dots` over the weights W(k, s) (and the cancellation
-    warning) for float series; rounding to nearest is symmetric, so
-    negating the sum for odd k equals summing negated weights."""
+    :func:`float_dots` over the signed weights (-1)**k W(k, s) (and the
+    cancellation warning) for float series; rounding to nearest is
+    symmetric, so summing negated weights equals negating the sum."""
     _check_input(series, m)
     if series.is_exact:
         nums, den = _exact_coeffs(series, m)
         return InversePowerApproximant(series.center, nums, den=den)
-    from mpmath.libmp import mpf_neg  # float mode only: exact runs never load mpmath
-
     _warn_if_cancelling(series, m)
     sums = float_dots(series.values[:m + 1], _weight_rows(m),
                       significand_bits(series.float_precision), 2 * m + 1)
-    q = tuple(mpf_neg(x) if k % 2 else x for k, x in enumerate(sums))
-    return InversePowerApproximant(series.center, q)
+    return InversePowerApproximant(series.center, tuple(sums))
 
 
 def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .approximant import exact_convolution, float_dots, rounded_distance
@@ -128,13 +128,10 @@ def _float_values(series: TaylorSeries, m_max: int) -> list[tuple]:
     bits = significand_bits(series.float_precision)
     sums = float_dots(series.values[:m_max + 1], _float_weights(m_max), bits,
                       m_max + m_max.bit_length() + 1)
-    q = list(zip([sums[0], *sums[1::2]], [None, *sums[2::2]]))
-
-    def delta(x: tuple | None, prev: tuple | None) -> tuple | None:
-        return None if prev is None else rounded_distance(x, prev, bits)
-
-    return [(q0, q1, delta(q0, p0), delta(q1, p1))
-            for (q0, q1), (p0, p1) in zip(q, [(None, None), *q])]
+    q0, q1 = [sums[0], *sums[1::2]], sums[2::2]
+    d0 = map(rounded_distance, q0[1:], q0, repeat(bits))
+    d1 = map(rounded_distance, q1[1:], q1, repeat(bits))
+    return [(q0[0], None, None, None), *zip(q0[1:], q1, d0, [None, *d1])]
 
 
 def convergence_table(series: TaylorSeries, m_max: int) -> ConvergenceTable:

@@ -60,8 +60,8 @@ MIN_PRECISION = 64
 # a billion-digit power of ten.
 MAX_EXACT_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
 _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
-# an exact text that needs no Fraction: ASCII digits, a minus sign, a slash
-_PLAIN_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+# an exact text that needs no Fraction, and the one form of a float ratio
+_PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?\Z")
 
 ScalarLike = Union["Scalar", int, Fraction]
 
@@ -270,7 +270,7 @@ def parse_ratio(text: str) -> tuple[int, int]:
     """The exact rational ``text`` as (num, den) with den > 0, not
     necessarily in lowest terms: the exact grammar of :meth:`Scalar.parse`.
 
-    ``[-]digits[/digits]`` with a nonzero denominator is read straight to
+    ``[+-]digits[/digits]`` with a nonzero denominator is read straight to
     ints; every other text is read by ``Fraction`` after the exponent and
     character checks, and a zero denominator gets ``Fraction``'s message.
     """
@@ -340,7 +340,8 @@ class Scalar:
         rationals ("0.25" -> 1/4) and a decimal exponent beyond
         ``MAX_EXACT_EXPONENT`` in magnitude is rejected; in float mode the
         value is correctly rounded to the significand implied by
-        ``precision``, and NaN or an infinity is rejected.  Only ASCII
+        ``precision``, NaN or an infinity is rejected, and a ratio has the
+        exact grammar's form ``[+-]digits/digits``.  Only ASCII
         characters are read, and no ``_`` digit separators, which
         ``Fraction`` and ``int`` would otherwise accept.
         """
@@ -353,8 +354,10 @@ class Scalar:
         try:
             _require_plain(text)
             if "/" in text:
-                num, den = text.split("/", 1)
-                raw = round_rational(int(num), int(den), bits)
+                ratio = _PLAIN_RATIO.match(text)
+                if not ratio:
+                    raise ValueError("a ratio must be [+-]digits/digits")
+                raw = round_rational(int(ratio[1]), int(ratio[2]), bits)
             else:
                 raw = libmp.from_str(text, bits, "n")
         except (ValueError, ZeroDivisionError) as exc:

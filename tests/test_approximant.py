@@ -528,13 +528,16 @@ def test_float_approximant_rejects_non_finite_coefficients(bad):
 
 
 def test_weight_recurrence_matches_alternating_inner_sums():
+    """Row k is (-1)**k W(k, s), W the alternating inner sum of the
+    literal formula: q_k = sum_s row[s] c_s."""
     for m in range(30):
         rows = list(_weight_rows(m))
         assert len(rows) == m + 1
         assert rows[0] == [comb0(m, s) for s in range(m + 1)]
         for k in range(1, m + 1):
             assert rows[k] == [0] + [
-                sum((-1) ** n * comb0(m - n, k - n) * comb0(m, s + n) for n in range(k + 1))
+                (-1) ** k * sum((-1) ** n * comb0(m - n, k - n) * comb0(m, s + n)
+                                for n in range(k + 1))
                 for s in range(1, m + 1)]
 
 
@@ -716,6 +719,51 @@ def binary64_rows(draw):
 def test_binary64_route_equals_integer_route(case):
     row, c = case
     assert float_dots(_raw(c), [row], 53, _widest(row)) == [_integer_route(row, c)]
+
+
+@st.composite
+def binary64_row_sets(draw):
+    """53-bit coefficients (man, exp) from one band, near the smallest
+    normal binary64 number, near 1 or below it, sometimes with one entry
+    outside the normal range, and two to five weight rows of up to as
+    many weights, each row's weights under 2**60 or near 2**1023 on
+    either side, so that a set of rows straddles 2**1023."""
+    band = draw(st.sampled_from([st.integers(-1021, -990), st.integers(-70, 70),
+                                 st.integers(-40, -2)]))
+    c = [_coeff(draw(st.sampled_from([1, -1])) * draw(_MANTISSAS), draw(band))
+         for _ in range(draw(st.integers(1, 8)))]
+    if draw(st.booleans()):
+        c[draw(st.integers(0, len(c) - 1))] = _coeff(
+            draw(_MANTISSAS), draw(st.integers(-1100, -1022) | st.integers(1025, 1100)))
+    rows = []
+    for _ in range(draw(st.integers(2, 5))):
+        k = draw(st.integers(1, 60) | st.integers(1018, 1026))
+        rows.append(draw(st.lists(st.integers(-2 ** k, 2 ** k), min_size=1, max_size=len(c))))
+    return rows, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary64_row_sets())
+@example(([[1, 1], [2 ** 1023, 1]], [(1, -30), (1, -40)]))      # weights straddle 2**1023
+@example(([[3], [1, 1]], [(1, 0), _coeff(1, -1030)]))          # a subnormal past row 0's end
+@example(([[3], [5, 1]], [(1, 0), _coeff(1, 1030)]))           # ... or a value past 2**1024
+@example(([[2 ** 1022], [1, 1]], [(1, 0), (1, 0)]))            # b + T + bit length n > 1024
+@example(([[2 ** 1020, 1], [7, 1]], [(1, -30), (3, -8)]))      # every row in binary64
+def test_float_dots_picks_one_route_per_call(case):
+    """At 53 bits the kernel sums every row in binary64 or every row on
+    integers, and either way each row equals the integer route's sum."""
+    rows, c = case
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _rounded_dot(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approximant, "_rounded_dot", counted)
+        got = float_dots(_raw(c), rows, 53, max(map(_widest, rows)))
+    assert got == [_integer_route(row, c) for row in rows]
+    assert len(calls) in (0, len(rows))
 
 
 # ---------------------------------------------------------------------------

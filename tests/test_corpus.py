@@ -504,6 +504,8 @@ def test_undeclared_float_content_points_at_float_mode(tmp_path):
     ("1/0", False),
     ("1_0", False),
     ("0x1.8p3", False),
+    ("3/-4", False),
+    ("1 / 2", False),
     ("1e999999", True),
     ("-2.5e-5000", True),
 ])
@@ -517,6 +519,15 @@ def test_float_mode_hint_only_where_a_float_file_would_load(tmp_path, text, hint
     message = str(err.value)
     assert message.startswith(f"{path}: field 'coeffs'[1]: cannot parse {text!r}")
     assert message.endswith('; declare "exact": false to load as floats') == hinted
+
+
+@pytest.mark.parametrize("text", ["3/-4", "-1/-2", "1 / 2", "1/ 2"])
+def test_float_file_rejects_a_ratio_outside_the_exact_form(tmp_path, text):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"center": "1", "coeffs": ["1", text], "exact": False}))
+    with pytest.raises(CoefficientFileError) as err:
+        load_coefficient_file(str(path))
+    assert str(err.value).startswith(f"{path}: field 'coeffs'[1]: cannot parse {text!r} as a float")
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,32 @@ def test_parse_garbage_rejected():
         Scalar.parse("1/0")
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("text", ["3/-4", "-1/-2", "1 / 2", "1/ 2", "1 /2", "+-1/2", "1/+2",
+                                  "1/2/3", "1.5/2", "1e3/2", "/2", "1/"])
+def test_ratio_outside_the_exact_ratio_form_rejected_in_both_modes(text, exact):
+    """A text with a slash is read in either mode only as
+    ``[+-]digits/digits``, the form ``Fraction`` reads."""
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        Fraction(text)
+    kind = "an exact rational" if exact else "a float"
+    with pytest.raises(ValueError, match=f"^cannot parse {re.escape(repr(text))} as {kind}: "):
+        Scalar.parse(text, exact=exact)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("+3/4", Fraction(3, 4)), ("-6/8", Fraction(-3, 4)), (" 007/2 ", Fraction(7, 2)),
+    ("0/5", Fraction(0)), ("-0/5", Fraction(0)), ("1/3", Fraction(1, 3))])
+def test_float_ratio_is_the_rounded_exact_ratio(text, expected):
+    assert Scalar.parse(text, exact=False) == Scalar.approx(expected)
+    assert Scalar.parse(text).as_fraction() == expected
+
+
+def test_float_zero_denominator_message_unchanged():
+    with pytest.raises(ValueError, match=r"^cannot parse '1/0' as a float: \Z"):
+        Scalar.parse("1/0", exact=False)
+
+
 def test_parse_exact_exponent_limit():
     # the limit is the int-string digit limit; at it the value is still built
     assert Scalar.parse("1e4300").as_fraction() == 10 ** 4300

@@ -1,5 +1,6 @@
 """Static checks of the package source: every module uses each name it
-imports.  The walk is over ``ast`` nodes, so it needs no linter."""
+imports, and reads each private name it defines at module level.  The
+walk is over ``ast`` nodes, so it needs no linter."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,38 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every private module-level function, class or
+    assigned name (one ``_`` prefix, not a dunder) that no expression of
+    the module reads by that name, in any scope: a helper left behind
+    when its last caller goes."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    source = ("import re\n_A = re.compile('a')\n_B, c = 1, 2\n_D: int = 3\n__all__ = ['e']\n\n"
+              "def _f():\n    return _A\n\nclass _G:\n    _h = 1\n\ndef e(_j):\n"
+              "    return _j, c, _D\n\nasync def _i():\n    pass\n")
+    assert unread_private_names(source) == [(3, "_B"), (7, "_f"), (10, "_G"), (16, "_i")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
