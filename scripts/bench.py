@@ -16,7 +16,10 @@ its dimension-m approximant at x = 1/2 (exact, and at 128 bits), and
 ``estimate_limits`` reads the limits off its dimension-m convergence
 table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process;
 the ``cli estimate float*`` cells write CSV, and ``cli estimate float64
-json`` writes JSON, as perfbench's estimate-float requests do.  ``json
+json`` writes JSON, as perfbench's estimate-float requests do.  ``cli
+approximate exact eval8`` writes JSON at eight points shaped like
+perfbench's approximate-eval ones: p/q, integers, decimals, powers of
+ten and the source pole x = -2.  ``json
 writer`` writes the document of ``estimate --mode float --precision 64
 --format json`` at m: with the CLI's own JSON writer, or with
 ``json.dumps(doc, indent=2)`` in a tree whose CLI has none.  ``run_suite`` checks
@@ -240,6 +243,9 @@ def layers(src: Path, workdir: str | None):
         "json writer": json_writer,
         "cli approximate exact": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--eval", "1/2,3"),
+        "cli approximate exact eval8": cli(
+            "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--format", "json",
+            "--eval=185/8,-6,121/4,930.29,-6.81,1000,100000,-2"),
         "cli approximate float128": cli(
             "approximate", "--corpus", "mobius-2-3-1-2", "--m", "{m}", "--mode", "float",
             "--precision", "128", "--eval", "1/2,3", "--format", "json"),

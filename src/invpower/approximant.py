@@ -46,7 +46,7 @@ them, in the held-vector form it shares with a series
 exact series, raw mpmath tuples of the center's width for a float one;
 ``Scalar``s are made only when ``coeffs`` is read.  :func:`evaluate`
 takes an exact point only.  An exact approximant is summed in one
-integer Horner pass over those numerators and builds one ``Fraction``.
+integer Horner pass over those numerators (:func:`evaluate_ratio`).
 A float one is summed term by term on the raw values at its center's
 width, each product and sum rounded as the ``Scalar`` loop rounds it
 (``tests/_oracles.py`` keeps that loop as the oracle).
@@ -73,6 +73,7 @@ from .scalar import (
     binom,
     cancellation_bits,
     cancellation_hazard,
+    ratio_text,
     raw_value,
     require_exact,
     significand_bits,
@@ -379,19 +380,24 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
     return InversePowerApproximant(series.center, values, den=den)
 
 
-def _exact_value(nums: tuple[int, ...], den: int, base: Fraction) -> Scalar:
-    """sum_k q_k / base**k for q_k = nums[k]/den, in one integer Horner pass.
-
-    With 1/base = a/b the sum is N/(den*b**m) with
-    N = sum_k n_k a**k b**(m-k), and N <- N*a + n_k*b**(m-k) for k = m
-    down to 0 builds N; the one ``Fraction`` reduces it with a single gcd.
-    """
-    a, b = base.denominator, base.numerator
-    num, bp = nums[-1], 1
+def evaluate_ratio(approx: InversePowerApproximant, num: int, den: int) -> tuple[int, int]:
+    """R(x) of an exact approximant at x = num/den (den > 0) as an integer
+    pair (p, q), q > 0, not in lowest terms; :class:`PoleError` at x0 - 1
+    when m >= 1.  With the base x - x0 + 1 = b/a reduced, b > 0, and
+    q_k = n_k/D, R(x) = N/(D*b**m) for N = sum_k n_k a**k b**(m-k), which
+    the Horner pass N <- N*a + n_k*b**(m-k), k = m down to 0, builds."""
+    nums, (cn, cd) = approx.values, approx.center.value.as_integer_ratio()
+    a, b = den * cd, num * cd - (cn - cd) * den
+    if len(nums) > 1:
+        if not b:
+            raise PoleError(f"approximant has a pole at x = {ratio_text(cn - cd, cd)}")
+        g = gcd(a, b) if b > 0 else -gcd(a, b)
+        a, b = a // g, b // g
+    p, bp = nums[-1], 1
     for n in reversed(nums[:-1]):
         bp *= b
-        num = num * a + n * bp
-    return Scalar(Fraction(num, den * bp))
+        p = p * a + n * bp
+    return p, approx.den * bp
 
 
 def _float_value(q: tuple, base: Scalar) -> Scalar:
@@ -413,19 +419,16 @@ def _float_value(q: tuple, base: Scalar) -> Scalar:
 
 def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
     """Evaluate R(x) at an exact x; raises :class:`PoleError` at
-    x = x0 - 1.
-
-    A dimension-0 approximant is a constant with no pole at all.  An
-    exact approximant is summed on integers (:func:`_exact_value`); a
-    float one term by term on raw values at its center's width
-    (:func:`_float_value`), with the ``Scalar`` loop's rounding.
-    """
-    require_exact("x", x)
+    x = x0 - 1.  A dimension-0 approximant is a constant with no pole.
+    An exact approximant gives :func:`evaluate_ratio`'s pair as one
+    ``Fraction``; a float one is summed term by term on raw values at its
+    center's width (:func:`_float_value`), rounded as the ``Scalar`` loop."""
+    xv = require_exact("x", x)
+    if approx.den is not None:
+        return Scalar(Fraction(*evaluate_ratio(approx, xv.numerator, xv.denominator)))
     base = x - approx.center + 1
     if base.is_zero and approx.dimension >= 1:
         raise PoleError(f"approximant has a pole at x = {approx.pole}")
     if approx.dimension == 0:
         return approx.coeffs[0]
-    if approx.den is not None:
-        return _exact_value(approx.values, approx.den, base.value)
     return _float_value(approx.values, base)

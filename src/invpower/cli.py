@@ -33,7 +33,7 @@ import warnings
 from itertools import chain
 from typing import Callable, Sequence
 
-from .approximant import coeffs_closed_form, evaluate
+from .approximant import coeffs_closed_form, evaluate, evaluate_ratio
 from .asymptotics import convergence_table, estimate_limits
 from .corpus import (
     MAX_FILE_COEFFS,
@@ -42,12 +42,13 @@ from .corpus import (
     coefficient_file_payload,
     describe,
     evaluate_at,
+    evaluate_ratio_at,
     load_coefficient_file,
     resolve_function,
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .scalar import MIN_PRECISION, Scalar, held_renderer
+from .scalar import MIN_PRECISION, Scalar, held_renderer, parse_ratio
 from .series import TaylorSeries
 
 K_GE_2_NOTE = (
@@ -268,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _parse_rational(text: str, what: str) -> Scalar:
+def _parse_ratio(text: str, what: str) -> tuple[int, int]:
     try:
-        return Scalar.parse(text, exact=True)
+        return parse_ratio(text)
     except ValueError as exc:
         raise CliError(f"bad {what}: {exc}") from None
 
@@ -284,7 +285,7 @@ def _corpus_series(selector: str, params: str | None, x0_text: str, n: int,
         raise CliError(str(exc)) from None
     if n < 1:  # only ``corpus --n`` can ask for none; a bad selector is reported first
         raise CliError("--n must be >= 1")
-    x0 = _parse_rational(x0_text, "--x0")
+    x0 = Scalar.rational(*_parse_ratio(x0_text, "--x0"))
     try:
         return taylor_coeffs(f, x0, n), f
     except PoleError as exc:
@@ -333,7 +334,7 @@ _ROW_FIELDS = ("m", "q0", "q1", "delta0", "delta1")
 def cmd_estimate(args) -> int:
     if args.m_max < 0:
         raise CliError("--m-max must be >= 0")
-    tol = _parse_rational(args.tol, "--tol")
+    tol = Scalar.rational(*_parse_ratio(args.tol, "--tol"))
     if tol < 0:
         raise CliError(f"--tol must be >= 0, got {args.tol}")
     series, source = _resolve_series(args, args.m_max + 1)
@@ -387,26 +388,24 @@ def cmd_estimate(args) -> int:
 _EVAL_FIELDS = ("x", "value", "residual", "error")
 
 
-def _parse_eval_points(raw: list[str]) -> list[Scalar]:
-    points = []
-    for chunk in raw:
-        for piece in chunk.split(","):
-            piece = piece.strip()
-            if piece:
-                points.append(_parse_rational(piece, "--eval"))
-    return points
-
-
-def _evaluation(approx, source: CorpusFunction | None, x: Scalar) -> tuple:
-    """(x, value, residual, error); a pole is reported there, not raised."""
+def _evaluation(approx, source: CorpusFunction | None, x: tuple[int, int]) -> tuple:
+    """(x, value, residual, error) at x = (num, den); a pole is reported
+    there, not raised.  An exact approximant's values are integer pairs
+    (num, den > 0), the residual one cross-multiplication; a float
+    one's are ``Scalar``s."""
+    exact = approx.den is not None
     try:
-        value = evaluate(approx, x)
+        value = evaluate_ratio(approx, *x) if exact else evaluate(approx, Scalar.rational(*x))
     except PoleError:
         return x, None, None, "pole"
     residual = error = None
     if source is not None:
         try:
-            residual = evaluate_at(source, x) - value
+            if exact:
+                (fn, fd), (vn, vd) = evaluate_ratio_at(source, *x), value
+                residual = fn * vd - vn * fd, fd * vd
+            else:
+                residual = evaluate_at(source, Scalar.rational(*x)) - value
         except PoleError:
             error = "source pole"
     return x, value, residual, error
@@ -418,12 +417,16 @@ def cmd_approximate(args) -> int:
     series, source = _resolve_series(args, args.m + 1)
     series = _maybe_float(series, args)
     approx = coeffs_closed_form(series, args.m)
-    points = _parse_eval_points(args.eval_points)
+    points = [_parse_ratio(piece, "--eval") for chunk in args.eval_points
+              for piece in map(str.strip, chunk.split(",")) if piece]
     results = [_evaluation(approx, source, x) for x in points]
 
     cell = _cell(args)
     coeffs = list(map(_held_text(args, approx.den, approx.float_precision), approx.values))
-    evaluations = [dict(zip(_EVAL_FIELDS, map(cell, e))) for e in results]
+    # an exact point or value, a pair (num, den), is written by held_renderer over den
+    evaluations = [dict(zip(_EVAL_FIELDS, (_held_text(args, v[1], None)(v[0])
+                                           if type(v) is tuple else cell(v) for v in e)))
+                   for e in results]
     doc = {
         "command": "approximate",
         "mode": args.mode,

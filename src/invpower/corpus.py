@@ -10,14 +10,14 @@ infinity, and the analyticity radius of the transplanted function
 v(t) = f(1/t + x0 - 1).  Parameters and points are exact: a term
 rejects an inexact parameter when it is built, and the expansion, the
 evaluation and the radius reject an inexact point, each naming the
-field, so all of them compute exactly: the evaluation and the radius
-on ``Fraction``s, the expansion on integer numerators over one
-denominator, which become the exact series' ``values`` and ``den``;
-float mode rounds the exact coefficients.  That radius is the sufficient condition the
-convergence theory asks for (radius > 2); it is reported, never
-enforced, because the coefficient formulas demonstrably converge for
-some functions that violate it (x/(x+1) expanded at 1 being the
-shipped example).
+field, so all of them compute exactly: the radius on ``Fraction``s,
+the evaluation as one integer pair, the expansion on integer numerators
+over one denominator, which become the exact series' ``values`` and
+``den``; float mode rounds the exact coefficients.  That radius is the
+sufficient condition the convergence theory asks for (radius > 2); it
+is reported, never enforced, because the coefficient formulas
+demonstrably converge for some functions that violate it (x/(x+1)
+expanded at 1 being the shipped example).
 
 Mobius quotients (a*x + b)/(c*x + d) with c != 0 are accepted and
 normalized to that shape when they are built.
@@ -39,7 +39,7 @@ from math import lcm
 from typing import NamedTuple, Union
 
 from .errors import CoefficientFileError, PoleError
-from .scalar import Scalar, held_renderer, parse_ratio, require_exact
+from .scalar import Scalar, held_renderer, parse_ratio, ratio_text, require_exact
 from .series import TaylorSeries, over_common_denominator
 
 # Most entries a coefficient file may hold; the count is checked before any
@@ -110,18 +110,28 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
     raise TypeError(f"not a corpus function: {f!r}")
 
 
-def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
-    """f(x) at an exact x, summed over ``Fraction``s; raises
-    :class:`PoleError` at a pole."""
-    xv, total = require_exact("x", x), Fraction(0)
+def evaluate_ratio_at(f: CorpusFunction, num: int, den: int) -> tuple[int, int]:
+    """f(x) at x = num/den (den > 0) as an integer pair (p, q), q > 0, not
+    in lowest terms; raises :class:`PoleError` at a pole.  A term u/v +
+    (w/z)/(x + r/s) is (u*z*b + w*den*s*v)/(v*z*b) for b = num*s + r*den,
+    added to the sum by one cross-multiplication."""
+    p, q = 0, 1
     for t in as_tail_terms(f):
-        total += t.offset.value
-        if t.weight.value:
-            base = xv + t.shift.value
-            if not base:
-                raise PoleError(f"pole at x = {x}")
-            total += t.weight.value / base
-    return Scalar(total)
+        (u, v), (w, z), (r, s) = (c.value.as_integer_ratio() for c in t)
+        if w:
+            b = num * s + r * den
+            if not b:
+                raise PoleError(f"pole at x = {ratio_text(num, den)}")
+            u, v = u * z * b + w * den * s * v, v * z * b
+        p, q = p * v + u * q, q * v
+    return (p, q) if q > 0 else (-p, -q)
+
+
+def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
+    """f(x) at an exact x: :func:`evaluate_ratio_at`'s integer pair as one
+    ``Fraction``; raises :class:`PoleError` at a pole."""
+    xv = require_exact("x", x)
+    return Scalar(Fraction(*evaluate_ratio_at(f, xv.numerator, xv.denominator)))
 
 
 def known_asymptote(f: CorpusFunction) -> tuple[Scalar, Scalar]:

@@ -63,8 +63,6 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 # an exact text that needs no Fraction, and the one form of a float ratio
 _PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?\Z")
 
-ScalarLike = Union["Scalar", int, Fraction]
-
 
 class CancellationWarning(UserWarning):
     """Raised via ``warnings.warn`` when a float-mode binomial sum is

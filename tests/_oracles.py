@@ -296,6 +296,24 @@ def evaluate_literal(q: list[Fraction], x0: Fraction, x: Fraction) -> Fraction:
     return q[0] + sum((qk / base ** k for k, qk in enumerate(q[1:], 1)), Fraction(0))
 
 
+def horner_value(q: list[Fraction], x0: Fraction, x: Fraction) -> Fraction:
+    """R(x) by Horner in 1/(x - x0 + 1) over ``Fraction``: q_0 when
+    m = 0, else ZeroDivisionError at the pole x = x0 - 1."""
+    if len(q) == 1:
+        return q[0]
+    inv, acc = 1 / (x - x0 + 1), Fraction(0)
+    for qk in reversed(q):
+        acc = acc * inv + qk
+    return acc
+
+
+def tail_value(terms: list[tuple[Fraction, Fraction, Fraction]], x: Fraction) -> Fraction:
+    """f(x) of a sum of offset + weight/(x + shift) terms over
+    ``Fraction``; ZeroDivisionError at a pole of a weighted term."""
+    return sum((offset + (weight / (x + shift) if weight else 0)
+                for offset, weight, shift in terms), Fraction(0))
+
+
 def evaluate_scalar_loop(approx, x: Scalar) -> Scalar:
     """R(x) by the term-by-term ``Scalar`` loop, whose rounding
     ``evaluate`` keeps on raw values for a float approximant at an exact

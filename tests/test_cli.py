@@ -8,12 +8,12 @@ import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invpower import cli, identities
@@ -30,7 +30,8 @@ from invpower.corpus import (
 )
 from invpower.scalar import Scalar
 
-from _oracles import float_table, tail_coeffs
+from _oracles import (closed_form_q, float_table, fraction_walk_taylor, horner_value,
+                      tail_coeffs, tail_value)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -223,28 +224,105 @@ def test_approximate_csv_layout(capsys):
 def test_exact_approximate_makes_no_scalar_or_fraction_per_coefficient(monkeypatch, fmt):
     """Building an exact approximant and evaluating it, and then the
     whole ``approximate`` command with its coefficients rendered, make as
-    many ``Scalar``s and ``Fraction``s at m = 40 as at m = 3: the series
-    is built before the count starts, and every later step works on the
-    kernel's integers."""
+    many ``Scalar``s and ``Fraction``s at m = 40 as at m = 3, and the
+    command as many with eight ``p/q`` points, each with a residual, as
+    with one: the series is built before the count starts, and every
+    later step works on the kernel's integers and the points' pairs."""
     source, made = mobius(2, 3, 1, 2), []
     init, new = Scalar.__init__, Fraction.__new__
     monkeypatch.setattr(Scalar, "__init__", lambda self, *a: made.append(1) or init(self, *a))
     monkeypatch.setattr(Fraction, "__new__",
                         staticmethod(lambda cls, *a, **k: made.append(1) or new(cls, *a, **k)))
 
-    def count(m: int) -> tuple[int, int]:
+    def count(m: int, points: str) -> tuple[int, int]:
         series = taylor_coeffs(source, Scalar.rational(1), m + 1)
         monkeypatch.setattr(cli, "_resolve_series", lambda args, n: (series, source))
         made.clear()
         evaluate(coeffs_closed_form(series, m), Scalar.rational(-9, 4))
         built = len(made)
         made.clear()
-        with redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with redirect_stdout(out):
             assert main(["approximate", "--corpus", "mobius-2-3-1-2", "--m", str(m),
-                         "--eval", "1/2,3,-1/4", "--format", fmt]) == 0
+                         "--eval", points, "--format", fmt]) == 0
+        assert "pole" not in out.getvalue()
         return built, len(made)
 
-    assert count(3) == count(40)
+    eight = "1/2,3/1,-1/4,7/3,-9/2,100/7,5/8,-3/7"
+    assert count(3, eight) == count(40, eight)
+    assert count(40, "1/2") == count(40, eight)
+
+
+_SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _eval_texts(draw):
+    """An ``--eval`` text: an unreduced p/q, a decimal or a scientific literal."""
+    form = draw(st.sampled_from(["ratio", "decimal", "scientific"]))
+    k = draw(st.integers(-2000, 2000))
+    if form == "ratio":
+        return f"{k}/{draw(st.integers(1, 12))}"
+    if form == "decimal":
+        return str(Decimal(k).scaleb(-draw(st.integers(0, 3))))
+    return f"{k // 20}e{draw(st.integers(-3, 3))}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(x0=_SMALL, terms=st.lists(st.tuples(_SMALL, _SMALL, _SMALL), min_size=1, max_size=2),
+       m=st.integers(0, 6), use_file=st.booleans(), digits=st.integers(1, 60), data=st.data())
+def test_exact_evaluations_match_fraction_oracle(x0, terms, m, use_file, digits, data):
+    """Every cell of an exact ``approximate`` run, about a corpus source
+    (one term, with residuals) or a coefficient file (one or two terms),
+    equals the ``Fraction`` Horner and f(x) of ``_oracles``: in lowest
+    terms in JSON, as the ``Decimal`` quotient at ``--digits`` in CSV.
+    The points include the pole x0 - 1, a negative base x0 - 2 and a
+    pole of the source."""
+    assume(all(x0 + shift for _, weight, shift in terms if weight))
+    if not use_file:
+        terms = terms[:1]
+    special = [x0 - 1, x0 - 2, *(-shift for _, weight, shift in terms if weight)]
+    texts = data.draw(st.permutations(data.draw(st.lists(_eval_texts(), max_size=4))
+                                      + [str(x) for x in special]))
+    q = closed_form_q(fraction_walk_taylor(terms, x0, m + 1), m)
+    rows = []
+    for x in map(Fraction, texts):
+        if m >= 1 and x == x0 - 1:
+            rows.append((x, None, None, "pole"))
+            continue
+        value = horner_value(q, x0, x)
+        try:
+            residual = None if use_file else tail_value(terms, x) - value
+        except ZeroDivisionError:
+            rows.append((x, value, None, "source pole"))
+            continue
+        rows.append((x, value, residual, None))
+    want_code = 1 if all(r[3] == "pole" for r in rows) else 0
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if use_file:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps({"center": str(x0), "exact": True, "coeffs": [
+                str(c) for c in fraction_walk_taylor(terms, x0, m + 1)]}))
+            source = ["--coeffs", str(path)]
+        else:
+            source = ["--corpus", "shifted-reciprocal", f"--x0={x0}",
+                      "--params=" + ",".join(map(str, terms[0]))]
+        argv = ["approximate", *source, "--m", str(m), "--eval=" + ",".join(texts)]
+        with redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, "--format", "json"]) == want_code
+        assert json.loads(out.getvalue())["evaluations"] == [
+            dict(zip(("x", "value", "residual", "error"),
+                     (*(None if v is None else str(v) for v in r[:3]), r[3]))) for r in rows]
+        with redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, f"--digits={digits}"]) == want_code
+
+    def decimal(v) -> str:
+        return "" if v is None else str(Context(prec=digits).divide(Decimal(v.numerator),
+                                                                    Decimal(v.denominator)))
+
+    table = out.getvalue().split("x,value,residual,error\n")[1].splitlines()
+    assert table == [",".join([*map(decimal, r[:3]), r[3] or ""]) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1148,6 +1226,31 @@ _APPROXIMATE_HASHES = [
                                          f"--eval=1/{2 ** 60},-1/{2 ** 60},1/3"],
      "",
      "a15d85fa0aed2737e12360eea45eadfcc32b755c6565716af7f7bd99195c8c90"),
+    # Recorded with the ``Scalar`` base, ``Fraction`` source sum and
+    # ``Scalar`` residual that preceded the integer-pair evaluation: decimal
+    # and scientific points with a source pole, and an exact-mode run on a
+    # float coefficient file, whose approximant is a float one.
+    ("mobius-m30-decimal-csv20", ["--corpus", "mobius-2-3-1-2", "--m", "30", "--digits", "20",
+                                  "--eval=930.29,-6.81,1e-3,1000000,-2"],
+     "",
+     "cd306f908ba21efc74842b9ae808e8d748b9a5c246d78a4cc94e987edd934427"),
+    ("mobius-m30-decimal-json", ["--corpus", "mobius-2-3-1-2", "--m", "30", "--format", "json",
+                                 "--eval=930.29,-6.81,1e-3,1000000,-2"],
+     "",
+     "2f1f597a04744f3f9ef8902709fe9e90b04a0c45c991d7ed0133c01732a2dd56"),
+    ("shifted-x0-m12-decimal-csv20", ["--corpus", "shifted-reciprocal", "--params", "1/3,-2,1/2",
+                                      "--x0", "3/2", "--m", "12", "--digits", "20",
+                                      "--eval=930.29,-6.81", "--eval=1e-3,1000000,-1/2,1/2"],
+     "",
+     "789c78168c9d2c9ed15cc93c9f9c49e972caf29de4bd4869d93d62ed71f2a460"),
+    ("floatdec-exact-m20-csv", ["--coeffs", "{floatdec}", "--m", "20",
+                                "--eval=0,5,1/3,-7/3,930.29,1e-3"],
+     "",
+     "4d201c4dc2013efedd22c498d6e2176afc1f45a694928165665c4e196c962286"),
+    ("floatdec-exact-m20-json", ["--coeffs", "{floatdec}", "--m", "20", "--format", "json",
+                                 "--eval=0,5,1/3,-7/3,930.29,1e-3"],
+     "",
+     "44075cadda4b600ba11639cd8d6bda9a29cdc06241686a6a8084e744ef786125"),
 ]
 
 
