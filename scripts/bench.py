@@ -12,7 +12,9 @@ exact or rounded to 64-, 128- and 256-bit floats, at each dimension m in
 ``load_coefficient_file`` reads them back from the exact coefficient
 file ``corpus --out`` would write, ``to_inexact`` rounds them to 128-bit
 floats and ``float_renderer`` writes those as text, ``evaluate`` sums
-its dimension-m approximant at x = 1/2 (exact, and at 128 bits), and
+its dimension-m approximant at x = 1/2 (exact, and at 128 bits; the
+point is the pair (1, 2), or a ``Scalar`` in a tree whose ``evaluate``
+takes one), and
 ``estimate_limits`` reads the limits off its dimension-m convergence
 table at tolerance 1e-9.  The ``cli`` layers call ``main`` in-process;
 the ``cli estimate float*`` cells write CSV, and ``cli estimate float64
@@ -70,6 +72,7 @@ existing file keeps its other columns.
 import argparse
 import contextlib
 import gc
+import inspect
 import io
 import json
 import os
@@ -205,6 +208,12 @@ def layers(src: Path, workdir: str | None):
     def cli(*argv):
         return lambda m: partial(run_cli, [a.format(m=m) for a in argv])
 
+    def evaluation(m, precision):
+        approx = coeffs_closed_form(series(m, precision), m)
+        if len(inspect.signature(evaluate).parameters) == 3:  # evaluate(approx, num, den)
+            return partial(evaluate, approx, *point.value.as_integer_ratio())
+        return partial(evaluate, approx, point)
+
     def json_writer(m):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -217,8 +226,7 @@ def layers(src: Path, workdir: str | None):
         "taylor_coeffs exact": lambda m: partial(taylor_coeffs, f, center, m + 1),
         "load_coefficient_file exact":
             lambda m: partial(load_coefficient_file, coefficient_file(m)),
-        **{f"evaluate {name}": lambda m, p=p: partial(
-            evaluate, coeffs_closed_form(series(m, p), m), point)
+        **{f"evaluate {name}": lambda m, p=p: evaluation(m, p)
            for name, p in (("exact", None), ("float128", 128))},
         **{f"convergence_table {name}": lambda m, p=p: partial(convergence_table, series(m, p), m)
            for name, p in (("exact", None), *((f"float{p}", p) for p in FLOAT_PRECISIONS))},

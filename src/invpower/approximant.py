@@ -45,11 +45,12 @@ them, in the held-vector form it shares with a series
 (:class:`~invpower.series.HeldVector`): integer numerators over D for an
 exact series, raw mpmath tuples of the center's width for a float one;
 ``Scalar``s are made only when ``coeffs`` is read.  :func:`evaluate`
-takes an exact point only.  An exact approximant is summed in one
-integer Horner pass over those numerators (:func:`evaluate_ratio`).
-A float one is summed term by term on the raw values at its center's
-width, each product and sum rounded as the ``Scalar`` loop rounds it
-(``tests/_oracles.py`` keeps that loop as the oracle).
+takes a point as an integer pair (num, den > 0) and returns R(x) in the
+same held format: an exact approximant's as an integer pair, from one
+Horner pass over its numerators, a float one's as a raw value of its
+center's width, summed term by term with each step rounded as the
+``Scalar`` loop rounds it (``tests/_oracles.py`` keeps that loop as the
+oracle).
 
 Only q_0 and q_1 stabilize to center-independent limits as m grows; the
 entries q_k for k >= 2 are reported but depend on the chosen center and
@@ -61,7 +62,6 @@ from __future__ import annotations
 import operator
 import warnings
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import reduce
 from math import gcd, ldexp
 
@@ -69,13 +69,14 @@ from .errors import PoleError
 from .scalar import (
     ZERO,
     CancellationWarning,
-    Scalar,
     binom,
     cancellation_bits,
     cancellation_hazard,
+    float_renderer,
     ratio_text,
     raw_value,
-    require_exact,
+    require_den,
+    round_rational,
     significand_bits,
 )
 from .series import HeldVector, TaylorSeries, over_common_denominator
@@ -94,11 +95,6 @@ class InversePowerApproximant(HeldVector):
     @property
     def dimension(self) -> int:
         return len(self.values) - 1
-
-    @property
-    def pole(self) -> Scalar:
-        """The one point where R(x) is undefined: x = x0 - 1."""
-        return self.center - 1
 
 
 def signed_binomial_matrix(m: int) -> tuple[tuple[int, ...], ...]:
@@ -380,55 +376,50 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
     return InversePowerApproximant(series.center, values, den=den)
 
 
-def evaluate_ratio(approx: InversePowerApproximant, num: int, den: int) -> tuple[int, int]:
-    """R(x) of an exact approximant at x = num/den (den > 0) as an integer
-    pair (p, q), q > 0, not in lowest terms; :class:`PoleError` at x0 - 1
-    when m >= 1.  With the base x - x0 + 1 = b/a reduced, b > 0, and
-    q_k = n_k/D, R(x) = N/(D*b**m) for N = sum_k n_k a**k b**(m-k), which
-    the Horner pass N <- N*a + n_k*b**(m-k), k = m down to 0, builds."""
-    nums, (cn, cd) = approx.values, approx.center.value.as_integer_ratio()
-    a, b = den * cd, num * cd - (cn - cd) * den
-    if len(nums) > 1:
-        if not b:
-            raise PoleError(f"approximant has a pole at x = {ratio_text(cn - cd, cd)}")
-        g = gcd(a, b) if b > 0 else -gcd(a, b)
-        a, b = a // g, b // g
-    p, bp = nums[-1], 1
-    for n in reversed(nums[:-1]):
-        bp *= b
-        p = p * a + n * bp
-    return p, approx.den * bp
+def evaluate(approx: InversePowerApproximant, num: int, den: int) -> tuple:
+    """R(x) at x = num/den, den a positive int, in the approximant's held
+    format; :class:`PoleError` at x0 - 1 when m >= 1 (a dimension-0
+    approximant is a constant with no pole).
 
+    Exact: an integer pair (p, q), q > 0, not in lowest terms.  With the
+    base x - x0 + 1 = b/a reduced, b > 0, and q_k = n_k/D,
+    R(x) = N/(D*b**m) for N = sum_k n_k a**k b**(m-k), which the Horner
+    pass N <- N*a + n_k*b**(m-k), k = m down to 0, builds.
 
-def _float_value(q: tuple, base: Scalar) -> Scalar:
-    """sum_k q_k / base**k for raw float q_k and a float base of their
-    width, each step rounded as the ``Scalar`` loop rounds it: 1/base and
-    each further power a rounded division and product, then q_0 plus
-    q_k * base**-k for k = 1..m in order, every product and sum rounded
-    to nearest at that width."""
-    from mpmath.libmp import fone, mpf_add, mpf_div, mpf_mul
+    Float: a raw value of the center's width, rounded as the ``Scalar``
+    loop rounds it (``tests/_oracles.py`` keeps that loop): x rounded to
+    the width, then x - x0 and + 1, 1/base and each further power a
+    rounded division and product, then q_0 plus q_k * base**-k for
+    k = 1..m in order, every step rounded to nearest.  A base that rounds
+    to zero is the pole."""
+    require_den(den)
+    q = approx.values
+    if approx.den is not None:
+        cn, cd = approx.center.value.as_integer_ratio()
+        a, b = den * cd, num * cd - (cn - cd) * den
+        if len(q) > 1:
+            if not b:
+                raise PoleError(f"approximant has a pole at x = {ratio_text(cn - cd, cd)}")
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+        p, bp = q[-1], 1
+        for n in reversed(q[:-1]):
+            bp *= b
+            p = p * a + n * bp
+        return p, approx.den * bp
+    if len(q) == 1:
+        return q[0]
+    from mpmath.libmp import fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub
 
-    bits = significand_bits(base.precision)
+    precision, center = approx.float_precision, approx.center.value
+    bits = significand_bits(precision)
+    base = mpf_add(mpf_sub(round_rational(num, den, bits), center, bits, "n"), fone, bits, "n")
+    if base == fzero:
+        pole = mpf_sub(center, fone, bits, "n")
+        raise PoleError(f"approximant has a pole at x = {float_renderer(precision)(pole)}")
     result = q[0]
-    inv = power = mpf_div(fone, base.value, bits, "n")
+    inv = power = mpf_div(fone, base, bits, "n")
     for qk in q[1:]:
         result = mpf_add(result, mpf_mul(qk, power, bits, "n"), bits, "n")
         power = mpf_mul(power, inv, bits, "n")
-    return Scalar(result, base.precision)
-
-
-def evaluate(approx: InversePowerApproximant, x: Scalar) -> Scalar:
-    """Evaluate R(x) at an exact x; raises :class:`PoleError` at
-    x = x0 - 1.  A dimension-0 approximant is a constant with no pole.
-    An exact approximant gives :func:`evaluate_ratio`'s pair as one
-    ``Fraction``; a float one is summed term by term on raw values at its
-    center's width (:func:`_float_value`), rounded as the ``Scalar`` loop."""
-    xv = require_exact("x", x)
-    if approx.den is not None:
-        return Scalar(Fraction(*evaluate_ratio(approx, xv.numerator, xv.denominator)))
-    base = x - approx.center + 1
-    if base.is_zero and approx.dimension >= 1:
-        raise PoleError(f"approximant has a pole at x = {approx.pole}")
-    if approx.dimension == 0:
-        return approx.coeffs[0]
-    return _float_value(approx.values, base)
+    return result

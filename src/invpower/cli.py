@@ -33,7 +33,7 @@ import warnings
 from itertools import chain
 from typing import Callable, Sequence
 
-from .approximant import coeffs_closed_form, evaluate, evaluate_ratio
+from .approximant import coeffs_closed_form, evaluate
 from .asymptotics import convergence_table, estimate_limits
 from .corpus import (
     MAX_FILE_COEFFS,
@@ -42,13 +42,13 @@ from .corpus import (
     coefficient_file_payload,
     describe,
     evaluate_at,
-    evaluate_ratio_at,
     load_coefficient_file,
     resolve_function,
     taylor_coeffs,
 )
 from .errors import CoefficientFileError, PoleError
-from .scalar import MIN_PRECISION, Scalar, held_renderer, parse_ratio
+from .scalar import (MIN_PRECISION, Scalar, held_renderer, parse_ratio, round_rational,
+                     significand_bits)
 from .series import TaylorSeries
 
 K_GE_2_NOTE = (
@@ -390,25 +390,24 @@ _EVAL_FIELDS = ("x", "value", "residual", "error")
 
 def _evaluation(approx, source: CorpusFunction | None, x: tuple[int, int]) -> tuple:
     """(x, value, residual, error) at x = (num, den); a pole is reported
-    there, not raised.  An exact approximant's values are integer pairs
-    (num, den > 0), the residual one cross-multiplication; a float
-    one's are ``Scalar``s."""
-    exact = approx.den is not None
+    there, not raised.  The value and residual are held as the
+    approximant holds its coefficients: integer pairs (num, den > 0) when
+    it is exact, raw values of its width when it is a float one."""
     try:
-        value = evaluate_ratio(approx, *x) if exact else evaluate(approx, Scalar.rational(*x))
+        value = evaluate(approx, *x)
     except PoleError:
         return x, None, None, "pole"
-    residual = error = None
-    if source is not None:
-        try:
-            if exact:
-                (fn, fd), (vn, vd) = evaluate_ratio_at(source, *x), value
-                residual = fn * vd - vn * fd, fd * vd
-            else:
-                residual = evaluate_at(source, Scalar.rational(*x)) - value
-        except PoleError:
-            error = "source pole"
-    return x, value, residual, error
+    if source is None:
+        return x, value, None, None
+    try:
+        fn, fd = evaluate_at(source, *x)
+    except PoleError:
+        return x, value, None, "source pole"
+    if approx.is_exact:
+        return x, value, (fn * value[1] - value[0] * fd, fd * value[1]), None
+    from mpmath.libmp import mpf_sub  # loaded already by the float approximant
+    bits = significand_bits(approx.float_precision)
+    return x, value, mpf_sub(round_rational(fn, fd, bits), value, bits, "n"), None
 
 
 def cmd_approximate(args) -> int:
@@ -422,11 +421,18 @@ def cmd_approximate(args) -> int:
     results = [_evaluation(approx, source, x) for x in points]
 
     cell = _cell(args)
-    coeffs = list(map(_held_text(args, approx.den, approx.float_precision), approx.values))
-    # an exact point or value, a pair (num, den), is written by held_renderer over den
-    evaluations = [dict(zip(_EVAL_FIELDS, (_held_text(args, v[1], None)(v[0])
-                                           if type(v) is tuple else cell(v) for v in e)))
-                   for e in results]
+    text = _held_text(args, approx.den, approx.float_precision)
+    coeffs = list(map(text, approx.values))
+
+    def pair(v: tuple[int, int]) -> str:
+        return _held_text(args, v[1], None)(v[0])
+
+    # a point is a pair, and so are an exact approximant's value and residual;
+    # a float one's are raw values of its width, written as its coefficients
+    held = pair if approx.is_exact else text
+    evaluations = [dict(zip(_EVAL_FIELDS, (pair(x), *(cell(v) if v is None else held(v)
+                                                      for v in vr), cell(error))))
+                   for x, *vr, error in results]
     doc = {
         "command": "approximate",
         "mode": args.mode,

@@ -8,12 +8,13 @@ which keeps three things computable in closed form: exact Taylor
 coefficients at any non-pole center, the true limits (q0, q1) at
 infinity, and the analyticity radius of the transplanted function
 v(t) = f(1/t + x0 - 1).  Parameters and points are exact: a term
-rejects an inexact parameter when it is built, and the expansion, the
-evaluation and the radius reject an inexact point, each naming the
-field, so all of them compute exactly: the radius on ``Fraction``s,
-the evaluation as one integer pair, the expansion on integer numerators
-over one denominator, which become the exact series' ``values`` and
-``den``; float mode rounds the exact coefficients.  That radius is the
+rejects an inexact parameter when it is built, the expansion and the
+radius reject an inexact center, each naming the field, and the
+evaluation takes its point as an integer pair (num, den > 0).  So all
+of them compute exactly: the radius on ``Fraction``s, the evaluation
+on that pair to another, the expansion on integer numerators over one
+denominator, which become the exact series' ``values`` and ``den``;
+float mode rounds the exact coefficients.  That radius is the
 sufficient condition the convergence theory asks for (radius > 2); it
 is reported, never enforced, because the coefficient formulas
 demonstrably converge for some functions that violate it (x/(x+1)
@@ -39,7 +40,8 @@ from math import lcm
 from typing import NamedTuple, Union
 
 from .errors import CoefficientFileError, PoleError
-from .scalar import Scalar, held_renderer, parse_ratio, ratio_text, require_exact
+from .scalar import (Scalar, held_renderer, parse_ratio, ratio_text, require_den,
+                     require_exact)
 from .series import TaylorSeries, over_common_denominator
 
 # Most entries a coefficient file may hold; the count is checked before any
@@ -110,11 +112,12 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
     raise TypeError(f"not a corpus function: {f!r}")
 
 
-def evaluate_ratio_at(f: CorpusFunction, num: int, den: int) -> tuple[int, int]:
-    """f(x) at x = num/den (den > 0) as an integer pair (p, q), q > 0, not
-    in lowest terms; raises :class:`PoleError` at a pole.  A term u/v +
-    (w/z)/(x + r/s) is (u*z*b + w*den*s*v)/(v*z*b) for b = num*s + r*den,
-    added to the sum by one cross-multiplication."""
+def evaluate_at(f: CorpusFunction, num: int, den: int) -> tuple[int, int]:
+    """f(x) at x = num/den, den a positive int, as an integer pair (p, q),
+    q > 0, not in lowest terms; raises :class:`PoleError` at a pole.  A
+    term u/v + (w/z)/(x + r/s) is (u*z*b + w*den*s*v)/(v*z*b) for
+    b = num*s + r*den, added to the sum by one cross-multiplication."""
+    require_den(den)
     p, q = 0, 1
     for t in as_tail_terms(f):
         (u, v), (w, z), (r, s) = (c.value.as_integer_ratio() for c in t)
@@ -125,13 +128,6 @@ def evaluate_ratio_at(f: CorpusFunction, num: int, den: int) -> tuple[int, int]:
             u, v = u * z * b + w * den * s * v, v * z * b
         p, q = p * v + u * q, q * v
     return (p, q) if q > 0 else (-p, -q)
-
-
-def evaluate_at(f: CorpusFunction, x: Scalar) -> Scalar:
-    """f(x) at an exact x: :func:`evaluate_ratio_at`'s integer pair as one
-    ``Fraction``; raises :class:`PoleError` at a pole."""
-    xv = require_exact("x", x)
-    return Scalar(Fraction(*evaluate_ratio_at(f, xv.numerator, xv.denominator)))
 
 
 def known_asymptote(f: CorpusFunction) -> tuple[Scalar, Scalar]:

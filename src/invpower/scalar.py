@@ -259,6 +259,12 @@ def require_exact(name: str, value: Scalar) -> Fraction:
     return value.value
 
 
+def require_den(den: int) -> None:
+    """Reject, by name, a denominator that is not a positive int."""
+    if type(den) is not int or den < 1:
+        raise ValueError(f"den must be a positive int, got {den!r}")
+
+
 def _require_plain(text: str) -> None:
     if not text.isascii() or "_" in text:
         raise ValueError("only ASCII characters and no '_' separators are allowed")

@@ -31,7 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .scalar import Fields, Scalar, held_reader, read_only, round_rational, significand_bits
+from .scalar import (Fields, Scalar, held_reader, read_only, require_den, round_rational,
+                     significand_bits)
 
 
 class HeldVector(Fields):
@@ -51,8 +52,7 @@ class HeldVector(Fields):
                              "exactly when its center is exact")
         # one C-level scan of the value types; the bad index is sought if it fails
         if den is not None:
-            if type(den) is not int or den < 1:
-                raise ValueError(f"den must be a positive int, got {den!r}")
+            require_den(den)
             if set(map(type, values)) != {int}:
                 i, v = next((i, v) for i, v in enumerate(values) if type(v) is not int)
                 raise ValueError(f"values[{i}] must be an int numerator, got {v!r}")

@@ -22,7 +22,7 @@ from math import comb, factorial, lcm
 from invpower.asymptotics import (AsymptoticEstimate, ConvergenceTable, convergence_table,
                                   estimate_limits)
 from invpower.corpus import CorpusFunction, evaluate_at, taylor_coeffs
-from invpower.scalar import Scalar
+from invpower.scalar import Scalar, significand_bits
 
 
 def comb0(a: int, b: int) -> int:
@@ -330,6 +330,31 @@ def evaluate_scalar_loop(approx, x: Scalar) -> Scalar:
     return result
 
 
+def float_evaluation(terms: list[tuple[Fraction, Fraction, Fraction]], approx,
+                     x: Fraction) -> tuple:
+    """(value, residual, error) of a float approximant's ``approximate``
+    cell at an exact x, about a source of offset + weight/(x + shift)
+    terms, as raw values: R(x) by :func:`evaluate_scalar_loop`, f(x) by
+    :func:`tail_value` correctly rounded to the approximant's width by
+    ``libmp.from_rational``, and f(x) - R(x) by ``libmp.mpf_sub``, each
+    rounded to nearest.  The error is "pole" where the loop divides by a
+    base that rounds to zero, "source pole" where ``tail_value`` divides
+    by zero."""
+    from mpmath import libmp
+
+    try:
+        value = evaluate_scalar_loop(approx, Scalar.rational(x))
+    except ZeroDivisionError:
+        return None, None, "pole"
+    try:
+        fx = tail_value(terms, x)
+    except ZeroDivisionError:
+        return value.value, None, "source pole"
+    bits = significand_bits(value.precision)
+    exact = libmp.from_rational(fx.numerator, fx.denominator, bits, "n")
+    return value.value, libmp.mpf_sub(exact, value.value, bits, "n"), None
+
+
 # ---------------------------------------------------------------------------
 # binomial identities: both sides of every family by literal sums
 # ---------------------------------------------------------------------------
@@ -611,7 +636,8 @@ def asymptotic_residual_scan(
     for x in grid:
         if x.is_zero:
             raise ValueError("residual scan grid must avoid x = 0")
-        r = abs(evaluate_at(f, x) - q0 - q1 / x) * x * x
+        fx = Scalar(Fraction(*evaluate_at(f, *x.as_fraction().as_integer_ratio())))
+        r = abs(fx - q0 - q1 / x) * x * x
         points.append(ResidualPoint(x, r))
     points.sort(key=lambda p: p.x.as_fraction())
     x_max = points[-1].x

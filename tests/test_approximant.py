@@ -277,19 +277,18 @@ def test_construction_is_linear_in_coefficients(s, t):
 def test_evaluate_constant():
     approx = coeffs_closed_form(series_from_rationals(1, [7]), 0)
     for x in (0, 2, 100):
-        assert evaluate(approx, Scalar.rational(x)).as_fraction() == 7
+        assert evaluate(approx, x, 1) == (7, 1)
 
 
 def test_evaluate_two_terms():
     approx = InversePowerApproximant(Scalar.rational(1), (1, -1), den=1)
-    assert evaluate(approx, Scalar.rational(2)).as_fraction() == Fraction(1, 2)
+    assert Fraction(*evaluate(approx, 2, 1)) == Fraction(1, 2)
 
 
 def test_evaluate_at_pole_raises():
     approx = coeffs_closed_form(series_from_rationals(1, [1, 2]), 1)
-    assert approx.pole.as_fraction() == 0
-    with pytest.raises(PoleError):
-        evaluate(approx, Scalar.rational(0))
+    with pytest.raises(PoleError, match="^approximant has a pole at x = 0$"):
+        evaluate(approx, 0, 1)
 
 
 def test_evaluate_tracks_source_function():
@@ -298,8 +297,7 @@ def test_evaluate_tracks_source_function():
     coeffs = tail_coeffs(Fraction(1), Fraction(-1), Fraction(1), Fraction(1), 12)
     s = series_from_rationals(1, coeffs)
     approx = coeffs_closed_form(s, 8)
-    value = evaluate(approx, Scalar.rational(10))
-    residual = Fraction(10, 11) - value.as_fraction()
+    residual = Fraction(10, 11) - Fraction(*evaluate(approx, 10, 1))
     assert abs(residual) <= Fraction(1, 2 ** 8)
     assert residual == Fraction(387420489, 563200000000)  # frozen from the exact build
 
@@ -324,14 +322,15 @@ def test_exact_evaluate_matches_literal_sum(q, x0, base):
     bases, m = 0 and 1 and zero coefficients; at base 0 a dimension
     m >= 1 approximant raises ``PoleError`` and a constant is itself."""
     approx = exact_approximant(x0, q)
-    x = Scalar.rational(x0 - 1 + base)
+    x = x0 - 1 + base
     if base == 0 and len(q) > 1:
         message = f"approximant has a pole at x = {Scalar.rational(x0 - 1)}"
         with pytest.raises(PoleError, match=f"^{re.escape(message)}$"):
-            evaluate(approx, x)
+            evaluate(approx, *x.as_integer_ratio())
         return
-    value = evaluate(approx, x)
-    assert value.exact and value.as_fraction() == evaluate_literal(q, x0, x.as_fraction())
+    num, den = evaluate(approx, *x.as_integer_ratio())
+    assert type(num) is type(den) is int and den > 0
+    assert Fraction(num, den) == evaluate_literal(q, x0, x)
 
 
 @pytest.mark.parametrize("precision", [64, 128])
@@ -343,14 +342,13 @@ def test_float_evaluate_keeps_scalar_loop_rounding(precision):
     points = [Fraction(1, 3), Fraction(-7, 3), Fraction(-40), Fraction(10 ** 6), _BIG, -_BIG]
     for m in (0, 1, 2, 7, 30):
         approx = coeffs_closed_form(floats, m)
-        for x in map(Scalar.rational, points):
-            got = evaluate(approx, x)
-            want = evaluate_scalar_loop(approx, x)
+        for x in points:
+            got = evaluate(approx, *x.as_integer_ratio())
+            want = evaluate_scalar_loop(approx, Scalar.rational(x))
             if m == 0:
-                assert got is approx.coeffs[0] and want is approx.coeffs[0]
+                assert got is approx.values[0] and want is approx.coeffs[0]
                 continue
-            assert not got.exact and got.precision == want.precision == precision
-            assert got.value == want.value
+            assert want.precision == precision and got == want.value
 
 
 _WIDTHS = (64, 128, 256)
@@ -373,26 +371,29 @@ def test_float_evaluate_equals_scalar_loop(precision, q, x0, base):
     """The raw-value float loop equals ``evaluate_scalar_loop`` bit for
     bit: float q_k about a float center of their width, at exact points
     also next to the pole (+-2**-k, +-1/_BIG).  A base x - x0 + 1 that
-    rounds to zero is the pole."""
+    rounds to zero is the pole, named by x0 - 1 at the center's width."""
     center = Scalar.approx(x0, precision)
     approx = InversePowerApproximant(center, tuple(Scalar.approx(v, precision).value for v in q))
     point = Scalar.rational(x0 - 1 + base)
+    pair = point.as_fraction().as_integer_ratio()
     if (point - center + 1).is_zero and len(q) > 1:
-        with pytest.raises(PoleError):
-            evaluate(approx, point)
+        message = f"approximant has a pole at x = {center - 1}"
+        with pytest.raises(PoleError, match=f"^{re.escape(message)}$"):
+            evaluate(approx, *pair)
         return
-    got, want = evaluate(approx, point), evaluate_scalar_loop(approx, point)
-    assert got.precision == want.precision == precision and got.value == want.value
+    got, want = evaluate(approx, *pair), evaluate_scalar_loop(approx, point)
+    assert want.precision == precision and got == want.value
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_evaluate_rejects_a_float_point(exact):
-    """An approximant is evaluated at exact points only: a float x is
-    rejected by name, for an exact and for a float approximant."""
+@pytest.mark.parametrize("den", [0, -3, True, 2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_evaluate_rejects_a_den_that_is_not_a_positive_int(exact, den):
+    """A point is a pair (num, den): ``evaluate`` rejects a ``den`` that
+    is not a positive int by name, as an approximant rejects its own."""
     series = series_from_rationals(1, [1, 2, 3])
     approx = coeffs_closed_form(series if exact else series.to_inexact(128), 2)
-    with pytest.raises(ValueError, match=r"^x must be exact, got 0\.5$"):
-        evaluate(approx, Scalar.approx(Fraction(1, 2), 128))
+    with pytest.raises(ValueError, match=f"^den must be a positive int, got {re.escape(repr(den))}$"):
+        evaluate(approx, 1, den)
 
 
 @pytest.mark.parametrize("center,den,message", [
@@ -438,19 +439,22 @@ def test_float_approximant_takes_its_centers_width():
     assert {q.precision for q in approx.coeffs} == {approx.center.precision} == {256}
 
 
-def test_exact_evaluate_makes_no_scalar_arithmetic_per_term(monkeypatch):
-    """The exact branch works on ints: its ``Scalar`` operations (the base
-    x - x0 + 1) do not grow with the dimension."""
+def test_evaluate_makes_no_scalar_arithmetic(monkeypatch):
+    """Both branches work on ints and raw values: no ``Scalar`` operation
+    runs, whatever the dimension, also at the pole."""
     calls = []
     binary = Scalar._binary
     monkeypatch.setattr(Scalar, "_binary", lambda *a: calls.append(1) or binary(*a))
-    counts = []
     for m in (3, 40):
-        approx = InversePowerApproximant(Scalar.rational(1, 2), tuple(range(1, m + 2)), den=7)
-        calls.clear()
-        evaluate(approx, Scalar.rational(-9, 4))
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        exact = InversePowerApproximant(Scalar.rational(1, 2), tuple(range(1, m + 2)), den=7)
+        center = Scalar.approx(Fraction(1, 2), 128)
+        floats = InversePowerApproximant(center, tuple(Scalar.approx(k, 128).value
+                                                       for k in range(1, m + 2)))
+        for approx in (exact, floats):
+            evaluate(approx, -9, 4)
+            with pytest.raises(PoleError):
+                evaluate(approx, -1, 2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

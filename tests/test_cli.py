@@ -30,8 +30,8 @@ from invpower.corpus import (
 )
 from invpower.scalar import Scalar
 
-from _oracles import (closed_form_q, float_table, fraction_walk_taylor, horner_value,
-                      tail_coeffs, tail_value)
+from _oracles import (closed_form_q, float_evaluation, float_table, fraction_walk_taylor,
+                      horner_value, tail_coeffs, tail_value)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -238,7 +238,7 @@ def test_exact_approximate_makes_no_scalar_or_fraction_per_coefficient(monkeypat
         series = taylor_coeffs(source, Scalar.rational(1), m + 1)
         monkeypatch.setattr(cli, "_resolve_series", lambda args, n: (series, source))
         made.clear()
-        evaluate(coeffs_closed_form(series, m), Scalar.rational(-9, 4))
+        evaluate(coeffs_closed_form(series, m), -9, 4)
         built = len(made)
         made.clear()
         out = io.StringIO()
@@ -323,6 +323,28 @@ def test_exact_evaluations_match_fraction_oracle(x0, terms, m, use_file, digits,
 
     table = out.getvalue().split("x,value,residual,error\n")[1].splitlines()
     assert table == [",".join([*map(decimal, r[:3]), r[3] or ""]) for r in rows]
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+@settings(max_examples=60, deadline=None)
+@given(x0=_SMALL, terms=st.lists(st.tuples(_SMALL, _SMALL, _SMALL), min_size=1, max_size=2),
+       m=st.integers(0, 8), data=st.data())
+def test_float_evaluation_cells_match_libmp_oracle(precision, x0, terms, m, data):
+    """Every cell of a float ``approximate`` evaluation about a corpus
+    source, value, residual and error, equals ``float_evaluation`` of
+    ``_oracles`` bit for bit: at the pole x0 - 1, at points 2**-k either
+    side of it, at the source's poles and elsewhere."""
+    assume(all(x0 + shift for _, weight, shift in terms if weight))
+    f = tail_sum(*(shifted_reciprocal(*t) for t in terms))
+    series = taylor_coeffs(f, Scalar.rational(x0), m + 1).to_inexact(precision)
+    approx = coeffs_closed_form(series, m)
+    near_pole = st.builds(lambda sign, k: x0 - 1 + sign * Fraction(1, 2 ** k),
+                          st.sampled_from((1, -1)), st.integers(1, 300))
+    poles = [x0 - 1, *(-shift for _, weight, shift in terms if weight)]
+    x = data.draw(st.one_of(near_pole, st.sampled_from(poles), _SMALL,
+                            st.fractions(max_denominator=10 ** 30)))
+    got = cli._evaluation(approx, f, x.as_integer_ratio())
+    assert got == (x.as_integer_ratio(), *float_evaluation(terms, approx, x))
 
 
 # ---------------------------------------------------------------------------
@@ -1251,6 +1273,27 @@ _APPROXIMATE_HASHES = [
                                  "--eval=0,5,1/3,-7/3,930.29,1e-3"],
      "",
      "44075cadda4b600ba11639cd8d6bda9a29cdc06241686a6a8084e744ef786125"),
+    # Recorded with the ``Scalar`` base x - x0 + 1 and the ``Scalar``
+    # residual that preceded the raw-value float evaluation: float runs on
+    # a corpus source with decimal and scientific points and the source
+    # pole -2, and an exact-mode run on a float file with points 2**-60
+    # either side of the pole x = 0, where the base rounds to zero.
+    *((f"float{p}-mobius-m12-decimal-{fmt}", [
+        "--corpus", "mobius-2-3-1-2", "--m", "12", "--mode", "float", "--precision", str(p),
+        *(["--format", "json"] if fmt == "json" else ["--digits", "25"]),
+        "--eval=930.29,-6.81,1e-3,-2,1/3"], "", digest) for p, fmt, digest in (
+        (64, "csv25", "7e58cb760a88cf3fdcc4a70259ec27adacd313cc974abcf91084e6229504a506"),
+        (64, "json", "d4bc5f6350d90038d091944e53e612d683e844546938380f025468b768961eef"),
+        (128, "csv25", "1d691e42de1e66beb3428e43b028c39f699494b7d98bee7dc98b22445df3c0ab"),
+        (128, "json", "ac415e5aa2ccdaf45aec82c8d0bb89adba5b77cec4c7b43b7ec09fc3358e6df1"))),
+    ("floatdec-exact-m20-nearpole-csv", ["--coeffs", "{floatdec}", "--m", "20",
+                                         f"--eval=1/{2 ** 60},-1/{2 ** 60},0,5"],
+     "",
+     "988bafc16fd9580be9f723f1e8d7465a843a0bff1ed7a780ceaa9eb29b5dfe7b"),
+    ("floatdec-exact-m20-nearpole-json", ["--coeffs", "{floatdec}", "--m", "20", "--format",
+                                          "json", f"--eval=1/{2 ** 60},-1/{2 ** 60},0,5"],
+     "",
+     "649086f82defffcfae48247c33e17b83aca3fc7bb3282f28304c6c0429284882"),
 ]
 
 
@@ -1260,6 +1303,58 @@ def test_approximate_output_bytes_unchanged(capsys, tmp_path, argv, expected_err
     code, out, err = run(capsys, "approximate", *_with_hash_files(tmp_path, argv))
     assert code == 0 and err == expected_err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+_SCALAR_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__abs__")
+# poles of mobius-2-3-1-2 about 1 and of the files about 1: x = 0 and the
+# points 2**-60 either side of it, which round to it at 64 bits; -2 is the
+# corpus source's pole
+_GUARD_POINTS = f"--eval=0,1/{2 ** 60},-1/{2 ** 60},-2,930.29,1e-3,1/3"
+_GUARDED_RUNS = [
+    *((f"{command}-{source}-{mode}-{fmt}",
+       [command, *source_argv, *size, *mode_argv, *fmt_argv])
+      for command, size in (("estimate", ["--m-max", "20"]),
+                            ("approximate", ["--m", "12", _GUARD_POINTS]))
+      for source, source_argv in (("corpus", ["--corpus", "mobius-2-3-1-2"]),
+                                  ("file", ["--coeffs", "{tailsum3}"]),
+                                  ("floatfile", ["--coeffs", "{floatdec}"]))
+      for mode, mode_argv in (("exact", []), ("float64", ["--mode", "float"]),
+                              ("float128", ["--mode", "float", "--precision", "128"]))
+      for fmt, fmt_argv in (("csv", []), ("json", ["--format", "json"]))),
+    ("estimate-cancelling", ["estimate", "--corpus", "x-over-x-plus-1", "--m-max", "60",
+                             "--mode", "float"]),
+    ("estimate-unconverged", ["estimate", "--corpus", "mobius-2-3-1-2", "--m-max", "1",
+                              "--require-converged"]),
+    ("approximate-every-point-a-pole", ["approximate", "--corpus", "mobius-2-3-1-2", "--m", "3",
+                                        "--mode", "float", f"--eval=0,1/{2 ** 60}"]),
+    ("verify-identities-csv", ["verify-identities", "--m-max", "6", "--k-max", "6"]),
+    ("verify-identities-json", ["verify-identities", "--m-max", "6", "--k-max", "6",
+                                "--format", "json"]),
+    ("corpus", ["corpus", "--fn", "mobius", "--params", "2,3,1,2", "--x0", "3/2", "--n", "8"]),
+    ("corpus-pole-center", ["corpus", "--fn", "one-over-x", "--x0", "0", "--n", "3"]),
+]
+
+
+class _ScalarArithmetic(Exception):
+    """Raised by a patched ``Scalar`` operator; no handler in the CLI catches it."""
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in _GUARDED_RUNS], ids=[c[0] for c in _GUARDED_RUNS])
+def test_no_command_calls_scalar_arithmetic(capsys, tmp_path, monkeypatch, argv):
+    """Every command, in exact and float mode, in CSV and JSON, about a
+    corpus source, an exact file and a float file, with poles and source
+    poles, gives the same stdout, stderr and exit code when each
+    arithmetic operator of ``Scalar`` raises: no CLI path reaches them."""
+    argv = _with_hash_files(tmp_path, argv)
+    want = run(capsys, *argv)
+
+    def refuse(*args):
+        raise _ScalarArithmetic("a Scalar arithmetic operator was called")
+
+    for op in _SCALAR_OPERATORS:
+        monkeypatch.setattr(Scalar, op, refuse)
+    assert run(capsys, *argv) == want
 
 
 # SHA-256 of stdout and the exit code of ``verify-identities``, recorded with

@@ -154,11 +154,9 @@ def test_inexact_mobius_parameter_rejected_naming_it(name):
 
 
 def test_inexact_point_rejected_naming_it():
-    """``evaluate_at`` and ``hypothesis_radius`` take exact points only."""
+    """``hypothesis_radius`` takes an exact center only."""
     f = tail_sum(shifted_reciprocal(1, 2, Fraction(1, 4)), *as_tail_terms(mobius(2, 3, 1, 2)))
     point = Scalar.approx(Fraction(1, 2), 64)
-    with pytest.raises(ValueError, match=r"^x must be exact, got 0\.5$"):
-        evaluate_at(f, point)
     with pytest.raises(ValueError, match=r"^x0 must be exact, got 0\.5$"):
         hypothesis_radius(f, point)
 
@@ -173,7 +171,7 @@ def test_corpus_makes_no_scalar_arithmetic(monkeypatch):
     x0 = sc(Fraction(5, 3))
     known_asymptote(f)
     hypothesis_radius(f, x0)
-    evaluate_at(f, sc(Fraction(7, 2)))
+    evaluate_at(f, 7, 2)
     taylor_coeffs(f, x0, 40)
     assert calls == []
 
@@ -245,9 +243,18 @@ def test_evaluate_at_matches_quotient_form():
     f = mobius(2, 3, 1, 2)
     for x in (0, 1, 10, Fraction(7, 3)):
         expected = Fraction(2 * Fraction(x) + 3, Fraction(x) + 2)
-        assert evaluate_at(f, sc(x)).as_fraction() == expected
-    with pytest.raises(PoleError):
-        evaluate_at(f, sc(-2))
+        num, den = evaluate_at(f, *Fraction(x).as_integer_ratio())
+        assert den > 0 and Fraction(num, den) == expected
+    with pytest.raises(PoleError, match="^pole at x = -2$"):
+        evaluate_at(f, -4, 2)
+
+
+@pytest.mark.parametrize("den", [0, -3, True, 2.0, Fraction(2)], ids=repr)
+def test_evaluate_at_rejects_a_den_that_is_not_a_positive_int(den):
+    """A point is a pair (num, den): ``evaluate_at`` rejects a ``den``
+    that is not a positive int by name, as a series rejects its own."""
+    with pytest.raises(ValueError, match=f"^den must be a positive int, got {re.escape(repr(den))}$"):
+        evaluate_at(mobius(2, 3, 1, 2), 1, den)
 
 
 @pytest.mark.parametrize("f,x0,radius,satisfied", [
@@ -281,9 +288,9 @@ def test_radius_agrees_with_numeric_pole_scan():
     for i in range(1, 640):
         for sign in (1, -1):
             t = sign * i * step
-            x = sc(Fraction(1, t)) + x0 - 1
+            x = 1 / t + x0.as_fraction() - 1
             try:
-                mag = abs(evaluate_at(f, x).as_fraction())
+                mag = abs(Fraction(*evaluate_at(f, *x.as_integer_ratio())))
             except PoleError:
                 best_t, best_mag = t, None
                 break

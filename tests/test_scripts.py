@@ -160,14 +160,21 @@ def test_commands_import_only_what_they_run(argv, loaded):
     assert proc.stdout.split() == ["0", *loaded]
 
 
-@pytest.mark.parametrize("argv", [ESTIMATE, [*ESTIMATE, "--mode", "float", "--precision", "128"]],
-                         ids=["exact", "float"])
+# an exact approximant about a corpus source at three points, one of them
+# the source's pole x = -2
+APPROXIMATE = ["approximate", "--corpus", "mobius-2-3-1-2", "--m", "6", "--format", "json",
+               "--eval=1/2,-2,930.29"]
+
+
+@pytest.mark.parametrize("argv", [ESTIMATE, [*ESTIMATE, "--mode", "float", "--precision", "128"],
+                                  APPROXIMATE], ids=["exact", "float", "approximate"])
 def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys, argv):
     """``perfbench/tracer.py`` wraps package functions by module and name,
     and ``Scalar`` ops on the class, from outside the package: a traced
     name that moves or goes fails here.  The modules are mapped as
-    ``perfbench/run.py`` maps them, and the rows of an exact and of a
-    float table are read."""
+    ``perfbench/run.py`` maps them, the rows of an exact and of a float
+    table are read, and an exact ``approximate`` counts one call of
+    ``evaluate`` and of ``evaluate_at`` per point."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -186,12 +193,15 @@ def test_perfbench_tracer_installs_on_the_package_and_uninstalls(capsys, argv):
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
-    assert json.loads(capsys.readouterr().out)["command"] == "estimate"
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
     counts = tracer.exact_counts()
     for name in ("cli.main", "approximant.coeffs_via_matrix", "transforms.binomial_convolve"):
         assert counts[f"{name}.calls"] == (1, "count")
     assert counts["scalar.ops.calls"][0] > 0
-    assert [len(table.rows) for table in tracer.tables] == [13]
+    points = 3 if argv == APPROXIMATE else 0
+    for name in ("approximant.evaluate", "corpus.evaluate_at"):
+        assert counts[f"{name}.calls"] == (points, "count")
+    assert [len(table.rows) for table in tracer.tables] == ([] if points else [13])
 
 
 def test_package_binds_only_its_modules():
