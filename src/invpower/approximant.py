@@ -75,7 +75,7 @@ from .scalar import (
     float_renderer,
     ratio_text,
     raw_value,
-    require_den,
+    require_point,
     round_rational,
     significand_bits,
 )
@@ -377,9 +377,10 @@ def coeffs_via_matrix(series: TaylorSeries, m: int) -> InversePowerApproximant:
 
 
 def evaluate(approx: InversePowerApproximant, num: int, den: int) -> tuple:
-    """R(x) at x = num/den, den a positive int, in the approximant's held
-    format; :class:`PoleError` at x0 - 1 when m >= 1 (a dimension-0
-    approximant is a constant with no pole).
+    """R(x) at x = num/den, num an int and den a positive int (else
+    rejected by name), in the approximant's held format;
+    :class:`PoleError` at x0 - 1 when m >= 1 (a dimension-0 approximant
+    is a constant with no pole).
 
     Exact: an integer pair (p, q), q > 0, not in lowest terms.  With the
     base x - x0 + 1 = b/a reduced, b > 0, and q_k = n_k/D,
@@ -392,7 +393,7 @@ def evaluate(approx: InversePowerApproximant, num: int, den: int) -> tuple:
     rounded division and product, then q_0 plus q_k * base**-k for
     k = 1..m in order, every step rounded to nearest.  A base that rounds
     to zero is the pole."""
-    require_den(den)
+    require_point(num, den)
     q = approx.values
     if approx.den is not None:
         cn, cd = approx.center.value.as_integer_ratio()

@@ -40,8 +40,8 @@ from math import lcm
 from typing import NamedTuple, Union
 
 from .errors import CoefficientFileError, PoleError
-from .scalar import (Scalar, held_renderer, parse_ratio, ratio_text, require_den,
-                     require_exact)
+from .scalar import (Scalar, held_renderer, parse_ratio, ratio_text, require_exact,
+                     require_point)
 from .series import TaylorSeries, over_common_denominator
 
 # Most entries a coefficient file may hold; the count is checked before any
@@ -113,11 +113,12 @@ def as_tail_terms(f: CorpusFunction) -> tuple[ShiftedReciprocal, ...]:
 
 
 def evaluate_at(f: CorpusFunction, num: int, den: int) -> tuple[int, int]:
-    """f(x) at x = num/den, den a positive int, as an integer pair (p, q),
-    q > 0, not in lowest terms; raises :class:`PoleError` at a pole.  A
+    """f(x) at x = num/den, num an int and den a positive int (else
+    rejected by name), as an integer pair (p, q), q > 0, not in lowest
+    terms; raises :class:`PoleError` at a pole.  A
     term u/v + (w/z)/(x + r/s) is (u*z*b + w*den*s*v)/(v*z*b) for
     b = num*s + r*den, added to the sum by one cross-multiplication."""
-    require_den(den)
+    require_point(num, den)
     p, q = 0, 1
     for t in as_tail_terms(f):
         (u, v), (w, z), (r, s) = (c.value.as_integer_ratio() for c in t)

@@ -265,6 +265,14 @@ def require_den(den: int) -> None:
         raise ValueError(f"den must be a positive int, got {den!r}")
 
 
+def require_point(num: int, den: int) -> None:
+    """Reject, by name, a point num/den whose ``num`` is not an int or
+    whose ``den`` is not a positive int."""
+    if type(num) is not int:
+        raise ValueError(f"num must be an int, got {num!r}")
+    require_den(den)
+
+
 def _require_plain(text: str) -> None:
     if not text.isascii() or "_" in text:
         raise ValueError("only ASCII characters and no '_' separators are allowed")

@@ -396,6 +396,17 @@ def test_evaluate_rejects_a_den_that_is_not_a_positive_int(exact, den):
         evaluate(approx, 1, den)
 
 
+@pytest.mark.parametrize("num", [1.5, Fraction(3, 2), True, "3"], ids=repr)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_evaluate_rejects_a_num_that_is_not_an_int(exact, num):
+    """``evaluate`` rejects a ``num`` that is not an int by name, by the
+    rule it applies to ``den``, rather than failing inside the sum."""
+    series = series_from_rationals(1, [1, 2, 3])
+    approx = coeffs_closed_form(series if exact else series.to_inexact(128), 2)
+    with pytest.raises(ValueError, match=f"^num must be an int, got {re.escape(repr(num))}$"):
+        evaluate(approx, num, 2)
+
+
 @pytest.mark.parametrize("center,den,message", [
     (Scalar.approx(1, 128), 3, "den=3 about a 128-bit float center"),
     (Scalar.rational(1), None, "den=None about an exact center"),

@@ -373,10 +373,9 @@ def test_verify_identities_reports_a_failing_case(capsys, monkeypatch):
     the exit code."""
     original = identities._convolution
 
-    def broken(m, ks, at):
-        lhs, rhs = original(m, ks, at)
-        return lhs, [[r + 1 if (m, k, a) == (2, 3, 1) else r for k, r in zip(ks, row)]
-                     for a, row in enumerate(rhs)]
+    def broken(m, at):
+        lhs, rhs = original(m, at)
+        return lhs, [r + (1 << 3 * at.width) if (m, a) == (2, 1) else r for a, r in enumerate(rhs)]
 
     monkeypatch.setattr(identities, "_convolution", broken)
     code, out, err = run(capsys, "verify-identities", "--m-max", "3", "--k-max", "3")
@@ -1550,9 +1549,10 @@ def test_json_writer_is_json_dumps_indent_two_on_every_command(monkeypatch, tmp_
     monkeypatch.setattr(cli, "_json_text", spy)
     original = identities._convolution
 
-    def broken(m, ks, at):
-        lhs, rhs = original(m, ks, at)
-        return lhs, [[r + 1 if (m + a) % 3 == 0 else r for r in row] for a, row in enumerate(rhs)]
+    def broken(m, at):
+        lhs, rhs = original(m, at)
+        ones = sum(1 << k * at.width for k in range(6))  # 1 in each k slot of --k-max 5
+        return lhs, [r + ones if (m + a) % 3 == 0 else r for a, r in enumerate(rhs)]
 
     monkeypatch.setattr(identities, "_convolution", broken)
     out = io.StringIO()

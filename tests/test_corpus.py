@@ -257,6 +257,15 @@ def test_evaluate_at_rejects_a_den_that_is_not_a_positive_int(den):
         evaluate_at(mobius(2, 3, 1, 2), 1, den)
 
 
+@pytest.mark.parametrize("num", [1.5, Fraction(3, 2), True, "3"], ids=repr)
+def test_evaluate_at_rejects_a_num_that_is_not_an_int(num):
+    """``evaluate_at`` rejects a ``num`` that is not an int by name, by
+    the rule it applies to ``den``: a float ``num`` no longer comes back
+    as a float pair."""
+    with pytest.raises(ValueError, match=f"^num must be an int, got {re.escape(repr(num))}$"):
+        evaluate_at(mobius(2, 3, 1, 2), num, 2)
+
+
 @pytest.mark.parametrize("f,x0,radius,satisfied", [
     (shifted_reciprocal(0, 1, Fraction(1, 4)), 1, Fraction(4), True),
     (mobius(1, 0, 1, 1), 1, Fraction(1), False),

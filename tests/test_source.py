@@ -1,6 +1,7 @@
 """Static checks of the package source: every module uses each name it
-imports, and reads each private name it defines at module level.  The
-walk is over ``ast`` nodes, so it needs no linter."""
+imports, reads each private name it defines at module level, and names
+the byteorder of every int/bytes conversion.  The walk is over ``ast``
+nodes, so it needs no linter."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,29 @@ def test_the_check_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def unnamed_byteorders(source: str) -> list[int]:
+    """The line of every call that converts between int and bytes, by
+    calling ``to_bytes`` or ``from_bytes`` or by passing one to another
+    call such as ``map``, with no "big" or "little" among its arguments.
+    A default byteorder exists only from Python 3.11, and the package
+    supports 3.10, where such a call raises TypeError."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and any(isinstance(n, ast.Attribute) and n.attr in ("to_bytes", "from_bytes")
+                for n in (node.func, *node.args))
+        and not {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)} & {"big", "little"})
+
+
+def test_the_check_finds_an_unnamed_byteorder():
+    source = ("a = (5).to_bytes(2)\nb = int.from_bytes(b'ab', byteorder='big')\n"
+              "c = list(map(int.to_bytes, [1], repeat(2)))\n"
+              "d = list(map(int.to_bytes, [1], repeat(2), repeat('little')))\n")
+    assert unnamed_byteorders(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_byteorder_is_named(path):
+    assert unnamed_byteorders(path.read_text(encoding="utf-8")) == []
